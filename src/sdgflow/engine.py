@@ -30,8 +30,7 @@ from .errors import (
     NodeFailure,
 )
 from .evaluation.diagnostic import diagnose, diagnostic_metric, diagnostic_result_from_json_obj
-from .evaluation.names import PRIVACY_METRICS, UTILITY_METRICS
-from .evaluation.privacy import PrivacyConfig, evaluate_privacy
+from .evaluation.privacy import evaluate_privacy
 from .evaluation.results import metric_from_json_obj
 from .evaluation.utility import (
     bivariate_fidelity,
@@ -43,10 +42,11 @@ from .evaluation.utility import (
     specks,
     univariate_fidelity,
 )
-from .generators import generate, parse_generator_config
+from .generators import generate
 from .reporting import compile_report, render_text
 from .rng import RngStream, derive_stream
 from .specs import (
+    EVALUATE_KINDS,
     NODE_ARTIFACTS,
     InputSource,
     NodeKind,
@@ -60,14 +60,13 @@ from .tabular import (
     Dataset,
     dataset_to_csv_bytes,
     load_csv,
+    row_keys,
     read_schema,
-    schema_from_json_obj,
 )
 
 ENGINE_VERSION = __version__
 
 __all__ = [
-    "Artifact",
     "RunManifest",
     "run",
     "derive_stream",
@@ -75,14 +74,6 @@ __all__ = [
     "VerificationCheck",
     "VerificationReport",
 ]
-
-
-@dataclass(frozen=True)
-class Artifact:
-    name: str
-    kind: str  # dataset | metric_results | report
-    payload: Any
-    content_hash: str
 
 
 @dataclass(frozen=True)
@@ -202,46 +193,36 @@ def _resolve(base: Path, path: str) -> Path:
 
 
 def _run_load(ctx: NodeContext) -> Mapping[str, Any]:
-    src = ctx.inputs[ctx.node.params["input"]]
+    cfg = ctx.node.config
+    src = ctx.inputs[cfg.input]
     schema = read_schema(_resolve(ctx.base_dir, src.schema))
-    policy = ctx.node.params.get("missing_policy", "error")
-    ds = load_csv(_resolve(ctx.base_dir, src.path), schema, missing_policy=policy)
+    ds = load_csv(_resolve(ctx.base_dir, src.path), schema, missing_policy=cfg.missing_policy)
     ctx.log(f"loaded {ds.n} rows from {src.path}")
     return {"dataset": ds}
 
 
-def _dedupe(ds: Dataset) -> Dataset:
-    packed = np.empty((ds.n, len(ds.columns)), dtype=np.int64)
-    for j, arr in enumerate(ds.columns):
-        packed[:, j] = (arr + 0.0).view(np.int64) if arr.dtype == np.float64 else arr
-    _, first = np.unique(packed, axis=0, return_index=True)
-    return ds.take(np.sort(first))
-
-
 def _run_preprocess(ctx: NodeContext) -> Mapping[str, Any]:
-    ds = ctx.upstream_dataset(ctx.node.params["source"])
+    cfg = ctx.node.config
+    ds = ctx.upstream_dataset(cfg.source)
     before = ds.n
-    if ctx.node.params.get("drop_out_of_bounds", False):
+    if cfg.drop_out_of_bounds:
         keep = np.ones(ds.n, dtype=bool)
         for spec, arr in zip(ds.schema.columns, ds.columns):
             if spec.kind is ColumnKind.CONTINUOUS and spec.bounds is not None:
                 keep &= (arr >= spec.bounds[0]) & (arr <= spec.bounds[1])
         ds = ds.take(np.flatnonzero(keep))
-    if ctx.node.params.get("drop_duplicates", False):
-        ds = _dedupe(ds)
+    if cfg.drop_duplicates:
+        _, first = np.unique(row_keys(ds), return_index=True)
+        ds = ds.take(np.sort(first))
     ctx.log(f"preprocess kept {ds.n} of {before} rows")
     return {"dataset": ds}
 
 
 def _run_generate(ctx: NodeContext) -> Mapping[str, Any]:
-    p = ctx.node.params
-    config = parse_generator_config(
-        {"mode": p["mode"], "n_out": p["n_out"], "mode_params": p.get("mode_params", {})}
-    )
-    real = ctx.upstream_dataset(p["real"]) if "real" in p else None
-    schema = schema_from_json_obj(p["schema"]) if "schema" in p else None
-    ds = generate(config, ctx.stream, real=real, schema=schema)
-    ctx.log(f"generated {ds.n} rows in mode {config.mode}")
+    cfg = ctx.node.config
+    real = ctx.upstream_dataset(cfg.real) if cfg.real is not None else None
+    ds = generate(cfg.generator, ctx.stream, real=real, schema=cfg.schema)
+    ctx.log(f"generated {ds.n} rows in mode {cfg.generator.mode}")
     return {"dataset": ds}
 
 
@@ -257,9 +238,8 @@ def _metrics_doc(node_id: str, provenance: str, metrics, extra: Mapping[str, Any
 
 
 def _run_diagnostic(ctx: NodeContext) -> Mapping[str, Any]:
-    real = ctx.upstream_dataset(ctx.node.params["real"])
-    synth = ctx.upstream_dataset(ctx.node.params["synthetic"])
-    result = diagnose(real, synth)
+    cfg = ctx.node.config
+    result = diagnose(ctx.upstream_dataset(cfg.real), ctx.upstream_dataset(cfg.synthetic))
     doc = _metrics_doc(
         ctx.node.id,
         "diagnostic",
@@ -271,66 +251,39 @@ def _run_diagnostic(ctx: NodeContext) -> Mapping[str, Any]:
 
 
 def _run_utility(ctx: NodeContext) -> Mapping[str, Any]:
-    p = ctx.node.params
-    real = ctx.upstream_dataset(p["real"])
-    synth = ctx.upstream_dataset(p["synthetic"])
-    selected = tuple(p.get("metrics") or UTILITY_METRICS)
-    results = []
-
-    needs_fit = {"pmse_observed", "pmse_standardized", "pmse_ratio", "specks"} & set(selected)
-    if needs_fit:
+    cfg = ctx.node.config
+    real = ctx.upstream_dataset(cfg.real)
+    synth = ctx.upstream_dataset(cfg.synthetic)
+    selected = set(cfg.metrics)
+    if selected & {"pmse_observed", "pmse_standardized", "pmse_ratio", "specks"}:
         model, scores = fit_propensity(real, synth)
         obs = pmse_observed(scores, model.c)
-        null = None
-        if {"pmse_standardized", "pmse_ratio"} & set(selected):
-            null = pmse_null(
-                real,
-                synth,
-                kind=p.get("null_model", "permutation"),
-                B=p.get("permutations", 50),
-                rng=ctx.stream.child("null"),
-            )
-        for name in selected:
-            if name == "pmse_observed":
-                results.append(obs)
-            elif name == "pmse_standardized":
-                results.append(pmse_standardized(obs.score, null))
-            elif name == "pmse_ratio":
-                results.append(pmse_ratio(obs.score, null))
-            elif name == "specks":
-                results.append(specks(scores[: real.n], scores[real.n :]))
-            elif name == "univariate_fidelity":
-                results.append(univariate_fidelity(real, synth))
-            elif name == "bivariate_fidelity":
-                results.append(bivariate_fidelity(real, synth))
-    else:
-        for name in selected:
-            if name == "univariate_fidelity":
-                results.append(univariate_fidelity(real, synth))
-            elif name == "bivariate_fidelity":
-                results.append(bivariate_fidelity(real, synth))
+    if selected & {"pmse_standardized", "pmse_ratio"}:
+        null = pmse_null(
+            real, synth, kind=cfg.null_model, B=cfg.permutations, rng=ctx.stream.child("null")
+        )
+    compute = {
+        "pmse_observed": lambda: obs,
+        "pmse_standardized": lambda: pmse_standardized(obs.score, null),
+        "pmse_ratio": lambda: pmse_ratio(obs.score, null),
+        "specks": lambda: specks(scores[: real.n], scores[real.n :]),
+        "univariate_fidelity": lambda: univariate_fidelity(real, synth),
+        "bivariate_fidelity": lambda: bivariate_fidelity(real, synth),
+    }
+    results = [compute[name]() for name in cfg.metrics]
     ctx.log(f"utility metrics: {[m.name for m in results]}")
     return {"metrics": _metrics_doc(ctx.node.id, "utility", results)}
 
 
 def _run_privacy(ctx: NodeContext) -> Mapping[str, Any]:
-    p = ctx.node.params
-    real = ctx.upstream_dataset(p["real"])
-    synth = ctx.upstream_dataset(p["synthetic"])
-    cfg = PrivacyConfig(
-        key_columns=tuple(p.get("key_columns", ())),
-        sensitive_column=p.get("sensitive_column"),
-        numeric_match_tolerance=p.get("numeric_match_tolerance", 0.01),
-        tcap_homogeneity=p.get("tcap_homogeneity", 1.0),
-        overlap_sample_fraction=p.get("overlap_sample_fraction", 1.0),
-    )
+    cfg = ctx.node.config
     results = evaluate_privacy(
-        real,
-        synth,
-        cfg,
-        metrics=tuple(p.get("metrics") or PRIVACY_METRICS),
+        ctx.upstream_dataset(cfg.real),
+        ctx.upstream_dataset(cfg.synthetic),
+        cfg.privacy,
+        metrics=cfg.metrics,
         rng=ctx.stream,
-        proximity_row_cap=p.get("proximity_row_cap"),
+        proximity_row_cap=cfg.proximity_row_cap,
     )
     ctx.log(f"privacy metrics: {[m.name for m in results]}")
     return {"metrics": _metrics_doc(ctx.node.id, "privacy", results)}
@@ -342,11 +295,7 @@ def _run_report(ctx: NodeContext) -> Mapping[str, Any]:
     privacy = []
     for nid in topological_order(ctx.spec):
         node = ctx.spec.node(nid)
-        if node.kind not in (
-            NodeKind.EVALUATE_DIAGNOSTIC,
-            NodeKind.EVALUATE_UTILITY,
-            NodeKind.EVALUATE_PRIVACY,
-        ):
+        if node.kind not in EVALUATE_KINDS:
             continue
         try:
             doc = ctx.upstream[nid]["metrics"]
@@ -364,7 +313,7 @@ def _run_report(ctx: NodeContext) -> Mapping[str, Any]:
         diagnostic=diag,
         utility=tuple(utility),
         privacy=tuple(privacy),
-        thresholds=ctx.node.params.get("thresholds", {}),
+        thresholds=ctx.node.config.thresholds,
     )
     ctx.log(f"report verdicts: {dict(report.verdicts)}")
     return {"report": report.to_json_obj(), "report_text": render_text(report)}
@@ -384,10 +333,10 @@ DEFAULT_RUNNERS: dict[str, Runner] = {
 # ------------------------------------------------------------ serialization ---
 
 _ARTIFACT_FILES = {
-    "dataset": ("dataset.csv", "dataset"),
-    "metrics": ("metrics.json", "metric_results"),
-    "report": ("report.json", "report"),
-    "report_text": ("report_text.txt", "report"),
+    "dataset": "dataset.csv",
+    "metrics": "metrics.json",
+    "report": "report.json",
+    "report_text": "report_text.txt",
 }
 
 
@@ -483,7 +432,7 @@ def run(
             node_dir = out / "artifacts" / node.id
             node_dir.mkdir(parents=True, exist_ok=True)
             for name, payload in produced.items():
-                filename, _kind = _ARTIFACT_FILES[name]
+                filename = _ARTIFACT_FILES[name]
                 data = _artifact_bytes(name, payload)
                 (node_dir / filename).write_bytes(data)
                 art_records[name] = {

@@ -9,11 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, SchemaError, SchemaMismatch
+from ..errors import ConfigError, SchemaError
 from ..rng import RngStream
-from ..tabular import ColumnKind, Dataset, Schema, column_ranges
+from ..tabular import ColumnKind, Dataset, Schema, column_ranges, row_keys
 from .names import KEY_BASED_PRIVACY_METRICS, PRIVACY_METRICS
 from .results import Direction, MetricResult
+from .utility import check_pair
 
 _NN_CHUNK_CELLS = 4_000_000
 
@@ -27,15 +28,14 @@ class PrivacyConfig:
     overlap_sample_fraction: float = 1.0
 
 
-def validate_privacy_config(cfg: PrivacyConfig, schema: Schema, need_keys: bool) -> None:
+def check_privacy_config(cfg: PrivacyConfig, need_keys: bool) -> None:
+    """The rules that need no schema, so spec parsing can run them before any
+    data is read; raises ConfigError."""
     if need_keys:
         if not cfg.key_columns:
             raise ConfigError("key_columns must be non-empty")
-        for name in cfg.key_columns:
-            _require_categorical(schema, name, "key column")
         if cfg.sensitive_column is None:
             raise ConfigError("sensitive_column is required")
-        _require_categorical(schema, cfg.sensitive_column, "sensitive column")
         if cfg.sensitive_column in cfg.key_columns:
             raise ConfigError("sensitive_column must not be a key column")
         if len(set(cfg.key_columns)) != len(cfg.key_columns):
@@ -48,6 +48,14 @@ def validate_privacy_config(cfg: PrivacyConfig, schema: Schema, need_keys: bool)
         raise ConfigError("overlap_sample_fraction must be in (0, 1]")
 
 
+def validate_privacy_config(cfg: PrivacyConfig, schema: Schema, need_keys: bool) -> None:
+    check_privacy_config(cfg, need_keys)
+    if need_keys:
+        for name in cfg.key_columns:
+            _require_categorical(schema, name, "key column")
+        _require_categorical(schema, cfg.sensitive_column, "sensitive column")
+
+
 def _require_categorical(schema: Schema, name: str, what: str) -> None:
     try:
         spec = schema.column(name)
@@ -55,11 +63,6 @@ def _require_categorical(schema: Schema, name: str, what: str) -> None:
         raise ConfigError(f"{what} {name!r} does not exist") from None
     if spec.kind is not ColumnKind.CATEGORICAL:
         raise ConfigError(f"{what} {name!r} must be categorical")
-
-
-def _check_pair(real: Dataset, synth: Dataset) -> None:
-    if not real.schema.same_structure(synth.schema):
-        raise SchemaMismatch("real and synthetic schemas differ")
 
 
 def _key_codes(ds: Dataset, key_columns: tuple[str, ...]) -> np.ndarray:
@@ -104,7 +107,7 @@ def categorical_cap(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> Metric
     """Correct-attribution probability: how often the synthetic rows sharing a
     real row's keys also share its sensitive value. Score is 1 minus that
     rate, so higher means safer."""
-    _check_pair(real, synth)
+    check_pair(real, synth)
     validate_privacy_config(cfg, real.schema, need_keys=True)
     n_sens = len(real.schema.column(cfg.sensitive_column).categories)
     key_r = _key_codes(real, cfg.key_columns)
@@ -147,9 +150,7 @@ def new_row_synthesis(real: Dataset, synth: Dataset, tol: float) -> MetricResult
     """Fraction of synthetic rows that match no real row. A match needs every
     categorical cell equal and every continuous cell within the relative
     tolerance (absolute when the real value is 0)."""
-    _check_pair(real, synth)
-    if tol < 0:
-        raise ConfigError("tolerance must be >= 0")
+    check_pair(real, synth)
     n_s, n_r = synth.n, real.n
     cat = [j for j, c in enumerate(real.schema.columns) if c.kind is ColumnKind.CATEGORICAL]
     cont = [j for j, c in enumerate(real.schema.columns) if c.kind is ColumnKind.CONTINUOUS]
@@ -181,7 +182,7 @@ def new_row_synthesis(real: Dataset, synth: Dataset, tol: float) -> MetricResult
 def inference_attack_score(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
     """Normalized lift of a per-key modal attacker trained on the synthetic
     data over always guessing the real modal class."""
-    _check_pair(real, synth)
+    check_pair(real, synth)
     validate_privacy_config(cfg, real.schema, need_keys=True)
     n_sens = len(real.schema.column(cfg.sensitive_column).categories)
     key_r = _key_codes(real, cfg.key_columns)
@@ -223,7 +224,7 @@ def inference_attack_score(real: Dataset, synth: Dataset, cfg: PrivacyConfig) ->
 def tcap(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
     """Correct-attribution rate restricted to key groups whose synthetic
     sensitive values are homogeneous enough to attack."""
-    _check_pair(real, synth)
+    check_pair(real, synth)
     validate_privacy_config(cfg, real.schema, need_keys=True)
     n_sens = len(real.schema.column(cfg.sensitive_column).categories)
     key_r = _key_codes(real, cfg.key_columns)
@@ -260,7 +261,7 @@ def tcap(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
 def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
     """Smallest Gower distance from any synthetic row to any real row, with
     continuous ranges taken from the real dataset. Exact pairwise scan."""
-    _check_pair(real, synth)
+    check_pair(real, synth)
     if real.n == 0 or synth.n == 0:
         raise ConfigError("min_nn_distance needs non-empty datasets")
     ranges = column_ranges(real)
@@ -298,25 +299,13 @@ def _canonical_order(ds: Dataset) -> Dataset:
     return ds.take(np.lexsort(tuple(keys)))
 
 
-def _row_keys(ds: Dataset) -> list[bytes]:
-    packed = np.empty((ds.n, len(ds.columns)), dtype=np.int64)
-    for j, arr in enumerate(ds.columns):
-        if arr.dtype == np.float64:
-            packed[:, j] = (arr + 0.0).view(np.int64)
-        else:
-            packed[:, j] = arr
-    return [packed[i].tobytes() for i in range(ds.n)]
-
-
 def sample_overlap(
     real: Dataset, synth: Dataset, fraction: float, rng: RngStream
 ) -> MetricResult:
     """Exact-copy rate among seeded samples of both datasets. Rows are put in
     a canonical sort order before sampling so the draw does not depend on the
     incoming row order."""
-    _check_pair(real, synth)
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError("fraction must be in (0, 1]")
+    check_pair(real, synth)
     gen = rng.generator
 
     def pick(ds: Dataset) -> Dataset:
@@ -328,8 +317,8 @@ def sample_overlap(
 
     picked_r = pick(real)
     picked_s = pick(synth)
-    synth_keys = set(_row_keys(picked_s))
-    hits = sum(1 for key in _row_keys(picked_r) if key in synth_keys)
+    found, _ = _lookup(np.unique(row_keys(picked_s)), row_keys(picked_r))
+    hits = int(found.sum())
     return MetricResult(
         name="sample_overlap",
         score=hits / picked_r.n,

@@ -23,6 +23,8 @@ RIDGE = 1e-6
 MAX_ITER = 100
 COEF_TOL = 1e-8
 _SEPARATION_COEF = 25.0
+DEFAULT_NULL_MODEL = "permutation"
+NULL_MODELS = (DEFAULT_NULL_MODEL, "analytic")
 DEFAULT_PERMUTATIONS = 50
 MIN_PERMUTATIONS = 20
 
@@ -45,9 +47,17 @@ class NullModel:
     samples: tuple[float, ...] = field(default_factory=tuple)
 
 
-def _check_pair(real: Dataset, synth: Dataset) -> None:
+def check_pair(real: Dataset, synth: Dataset) -> None:
     if not real.schema.same_structure(synth.schema):
         raise SchemaMismatch("real and synthetic schemas differ")
+
+
+def check_null_model(kind: str, B: int) -> None:
+    """The null-model rules pmse_null and spec parsing share; raises ConfigError."""
+    if kind not in NULL_MODELS:
+        raise ConfigError(f"null model kind must be {'|'.join(NULL_MODELS)}, got {kind!r}")
+    if B < MIN_PERMUTATIONS:
+        raise ConfigError(f"permutations must be >= {MIN_PERMUTATIONS}, got {B}")
 
 
 def _design_matrix(real: Dataset, synth: Dataset) -> tuple[np.ndarray, np.ndarray, int]:
@@ -98,12 +108,9 @@ def _irls(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, i
     return beta, scores, converged, iterations
 
 
-def fit_propensity(
-    real: Dataset, synth: Dataset, rng: RngStream | None = None
-) -> tuple[PropensityModel, np.ndarray]:
-    """Fit the real-vs-synthetic classifier; `rng` is accepted for interface
-    symmetry, the fit itself is deterministic."""
-    _check_pair(real, synth)
+def fit_propensity(real: Dataset, synth: Dataset) -> tuple[PropensityModel, np.ndarray]:
+    """Fit the real-vs-synthetic classifier; the fit is deterministic."""
+    check_pair(real, synth)
     if real.n < 2 or synth.n < 2:
         raise TooFewRows("propensity fit needs at least 2 rows on each side")
     x, z, k = _design_matrix(real, synth)
@@ -135,14 +142,15 @@ def pmse_observed(scores: np.ndarray, c: float) -> MetricResult:
 def pmse_null(
     real: Dataset,
     synth: Dataset,
-    kind: str = "permutation",
+    kind: str = DEFAULT_NULL_MODEL,
     B: int = DEFAULT_PERMUTATIONS,
     rng: RngStream | None = None,
 ) -> NullModel:
     """Null distribution of observed pMSE under "synthetic label carries no
     signal". Permutation kind refits the model on shuffled labels; analytic
     kind evaluates the closed forms for this model family."""
-    _check_pair(real, synth)
+    check_pair(real, synth)
+    check_null_model(kind, B)
     n = real.n + synth.n
     c = synth.n / n
     if kind == "analytic":
@@ -150,10 +158,6 @@ def pmse_null(
         mean = (k - 1) * (1.0 - c) ** 2 * c / n
         sd = math.sqrt(2.0 * (k - 1)) * (1.0 - c) ** 2 * c / n
         return NullModel(kind="analytic", B=0, null_mean=mean, null_sd=sd)
-    if kind != "permutation":
-        raise ConfigError(f"null model kind must be permutation|analytic, got {kind!r}")
-    if B < MIN_PERMUTATIONS:
-        raise ConfigError(f"permutation null needs B >= {MIN_PERMUTATIONS}, got {B}")
     if rng is None:
         raise ConfigError("permutation null needs an rng stream")
     x, z, k = _design_matrix(real, synth)
@@ -232,7 +236,7 @@ def _tvd(real_codes: np.ndarray, synth_codes: np.ndarray, n_categories: int) -> 
 def univariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
     """Mean per-column marginal agreement: 1-KS for continuous columns,
     1-TVD for categorical columns."""
-    _check_pair(real, synth)
+    check_pair(real, synth)
     per_column = {}
     for spec in real.schema.columns:
         r, s = real.column(spec.name), synth.column(spec.name)
@@ -291,7 +295,7 @@ def bivariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
     single category, zero variance) contribute an association of 0 and are
     flagged in the details.
     """
-    _check_pair(real, synth)
+    check_pair(real, synth)
     schema = real.schema
     if len(schema.columns) < 2:
         raise ConfigError("bivariate_fidelity needs at least 2 columns")

@@ -873,27 +873,31 @@ def generate_hsd(
 
 # -------------------------------------------------------------- dispatcher ---
 
+def check_generate_inputs(config: GeneratorConfig, has_real: bool, has_schema: bool) -> None:
+    """rsd (and hsd with an rsd part) needs a real dataset; asd/csd need a
+    schema, taken from the real dataset when none is given."""
+    needs_real = config.mode == "rsd" or (config.mode == "hsd" and config.mode_params.needs_real())
+    if needs_real and not has_real:
+        raise ConfigError(f"{config.mode} requires a real dataset")
+    if not has_real and not has_schema:
+        raise ConfigError(f"{config.mode} requires a schema or a real dataset")
+
+
 def generate(
     config: GeneratorConfig,
     rng: RngStream,
     real: Dataset | None = None,
     schema: Schema | None = None,
 ) -> Dataset:
-    """Run the generator a config describes. rsd (and hsd with an rsd part)
-    needs `real`; asd/csd need a schema, taken from `schema` or `real`."""
-    effective = schema if schema is not None else (real.schema if real is not None else None)
+    """Run the generator a config describes; see check_generate_inputs."""
+    check_generate_inputs(config, real is not None, schema is not None)
+    effective = schema if schema is not None else real.schema
     if config.mode == "rsd":
-        if real is None:
-            raise ConfigError("rsd requires a real dataset")
         return generate_rsd(real, config.mode_params, config.n_out, rng)
-    if effective is None:
-        raise ConfigError(f"{config.mode} requires a schema or a real dataset")
     if config.mode == "asd":
         return generate_asd(effective, config.mode_params, config.n_out, rng)
     if config.mode == "csd":
         return generate_csd(config.mode_params, effective, config.n_out, rng)
     if config.mode == "hsd":
-        if config.mode_params.needs_real() and real is None:
-            raise ConfigError("hsd with an rsd part requires a real dataset")
         return generate_hsd(real, config.mode_params, effective, config.n_out, rng)
     raise ConfigError(f"unknown mode {config.mode!r}")

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Mapping, Sequence
 
 from .canonical import canonical_json_bytes, sha256_hex
 from .errors import (
+    ConfigError,
     CycleDetected,
     DanglingDependency,
     DuplicateNodeId,
@@ -31,7 +34,12 @@ from .evaluation.names import (
     PRIVACY_METRICS,
     UTILITY_METRICS,
 )
-from .tabular import schema_from_json_obj
+from .evaluation.privacy import PrivacyConfig, check_privacy_config
+from .evaluation.utility import DEFAULT_NULL_MODEL, DEFAULT_PERMUTATIONS, check_null_model
+from .tabular import DEFAULT_MISSING_POLICY, MISSING_POLICIES, Schema, schema_from_json_obj
+
+if TYPE_CHECKING:
+    from .generators import GeneratorConfig
 
 SPEC_VERSION = "1"
 _U64_MAX = 2**64 - 1
@@ -72,12 +80,71 @@ class InputSource:
     schema: str
 
 
+# ----------------------------------------------------------- node params ---
+# Parsing builds one frozen params class per node kind and runners read its
+# fields. Each default is set here or imported from the module that owns it.
+
+
+@dataclass(frozen=True)
+class LoadParams:
+    input: str
+    missing_policy: str = DEFAULT_MISSING_POLICY
+
+
+@dataclass(frozen=True)
+class PreprocessParams:
+    source: str
+    drop_out_of_bounds: bool = False
+    drop_duplicates: bool = False
+
+
+@dataclass(frozen=True)
+class GenerateParams:
+    generator: GeneratorConfig  # from params mode, n_out and mode_params
+    real: str | None = None
+    schema: Schema | None = None
+
+
+@dataclass(frozen=True)
+class DiagnosticParams:
+    real: str
+    synthetic: str
+    metrics: ClassVar[tuple[str, ...]] = DIAGNOSTIC_METRICS
+
+
+@dataclass(frozen=True)
+class UtilityParams:
+    real: str
+    synthetic: str
+    metrics: tuple[str, ...] = UTILITY_METRICS
+    null_model: str = DEFAULT_NULL_MODEL
+    permutations: int = DEFAULT_PERMUTATIONS
+
+
+@dataclass(frozen=True)
+class PrivacyParams:
+    real: str
+    synthetic: str
+    metrics: tuple[str, ...] = PRIVACY_METRICS
+    privacy: PrivacyConfig = PrivacyConfig()  # from the params named as its fields
+    proximity_row_cap: int | None = None
+
+
+@dataclass(frozen=True)
+class ReportParams:
+    thresholds: Mapping[str, float] = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class PipelineNode:
+    """`params` is the mapping as written in the document, which the spec
+    digest covers; `config` holds it parsed into the kind's *Params class."""
+
     id: str
     kind: NodeKind
-    params: Mapping[str, Any] = field(default_factory=dict)
-    depends_on: tuple[str, ...] = ()
+    params: Mapping[str, Any]
+    depends_on: tuple[str, ...]
+    config: Any = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -117,6 +184,90 @@ def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: st
         raise InvalidSpec(f"{where}: missing required fields {sorted(missing)}")
 
 
+# JSON type of a param value: (check, description)
+_ANY = (lambda v: True, "")  # the parser of the owning module checks it
+_STR = (lambda v: isinstance(v, str), "a string")
+_BOOL = (lambda v: isinstance(v, bool), "a boolean")
+_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+_INT = (lambda v: _NUMBER[0](v) and isinstance(v, int), "an integer")
+_STRS = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings")
+_ROW_CAP = (lambda v: _INT[0](v) and v >= 1, "a positive integer")
+_THRESHOLDS = (
+    lambda v: isinstance(v, dict) and all(map(_NUMBER[0], v.values())),
+    "an object mapping metric names to numbers",
+)
+_PAIR = {"real": _STR, "synthetic": _STR}
+# each kind's params class and the type of every param it takes; the class
+# fields without a default name the required params
+_PARAMS = {
+    NodeKind.LOAD: (LoadParams, {"input": _STR, "missing_policy": _STR}),
+    NodeKind.PREPROCESS: (PreprocessParams, {
+        "source": _STR, "drop_out_of_bounds": _BOOL, "drop_duplicates": _BOOL,
+    }),
+    NodeKind.GENERATE: (GenerateParams, {
+        "mode": _ANY, "n_out": _ANY, "mode_params": _ANY, "real": _STR, "schema": _ANY,
+    }),
+    NodeKind.EVALUATE_DIAGNOSTIC: (DiagnosticParams, _PAIR),
+    NodeKind.EVALUATE_UTILITY: (UtilityParams, {
+        **_PAIR, "metrics": _STRS, "null_model": _STR, "permutations": _INT,
+    }),
+    NodeKind.EVALUATE_PRIVACY: (PrivacyParams, {
+        **_PAIR, "metrics": _STRS, "proximity_row_cap": _ROW_CAP, "key_columns": _STRS,
+        "sensitive_column": _STR, "numeric_match_tolerance": _NUMBER,
+        "tcap_homogeneity": _NUMBER, "overlap_sample_fraction": _NUMBER,
+    }),
+    NodeKind.REPORT: (ReportParams, {"thresholds": _THRESHOLDS}),
+}
+
+
+def _parse_params(kind: NodeKind, p: Mapping[str, Any], where: str) -> Any:
+    """Check one node's params on their own and build its kind's params class.
+    The owning modules raise ConfigError for their rules. What the params name
+    elsewhere in the spec is checked by validate_spec."""
+    cls, types = _PARAMS[kind]
+    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+    _require_keys(p, set(types), required & set(types), where)
+    t: dict[str, Any] = {}
+    for key, value in p.items():
+        ok, what = types[key]
+        if not ok(value):
+            raise InvalidSpec(f"{where}: {key} must be {what}")
+        t[key] = tuple(value) if isinstance(value, list) else value
+
+    if kind is NodeKind.GENERATE:
+        from .generators import check_generate_inputs, parse_generator_config  # avoids a cycle
+
+        t["generator"] = parse_generator_config(
+            {key: t.pop(key) for key in ("mode", "n_out", "mode_params") if key in t}
+        )
+        if "schema" in t:
+            try:
+                t["schema"] = schema_from_json_obj(t["schema"])
+            except SchemaError as e:
+                raise InvalidSpec(f"{where}: invalid inline schema: {e}") from None
+        check_generate_inputs(t["generator"], "real" in t, "schema" in t)
+    if kind is NodeKind.EVALUATE_PRIVACY:
+        given = [f.name for f in fields(PrivacyConfig) if f.name in t]
+        t["privacy"] = PrivacyConfig(**{key: t.pop(key) for key in given})
+    out = cls(**t)
+
+    if kind is NodeKind.LOAD and out.missing_policy not in MISSING_POLICIES:
+        raise InvalidSpec(f"{where}: missing_policy must be {'|'.join(MISSING_POLICIES)}")
+    if kind in (NodeKind.EVALUATE_UTILITY, NodeKind.EVALUATE_PRIVACY):
+        known = UTILITY_METRICS if kind is NodeKind.EVALUATE_UTILITY else PRIVACY_METRICS
+        unknown = set(out.metrics) - set(known)
+        if unknown:
+            raise InvalidSpec(f"{where}: unknown metrics {sorted(unknown)}")
+        if not out.metrics or len(set(out.metrics)) != len(out.metrics):
+            raise InvalidSpec(f"{where}: metrics must be a non-empty list without duplicates")
+    if kind is NodeKind.EVALUATE_UTILITY:
+        check_null_model(out.null_model, out.permutations)
+    if kind is NodeKind.EVALUATE_PRIVACY:
+        need_keys = not set(out.metrics).isdisjoint(KEY_BASED_PRIVACY_METRICS)
+        check_privacy_config(out.privacy, need_keys)
+    return out
+
+
 def parse_spec(data: bytes | str) -> PipelineSpec:
     """Parse and fully validate a spec document (strict mode)."""
     if isinstance(data, bytes):
@@ -127,10 +278,21 @@ def parse_spec(data: bytes | str) -> PipelineSpec:
     else:
         text = data
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_double, parse_float=_double, parse_int=_int)
     except json.JSONDecodeError as e:
         raise SpecSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     return spec_from_json_obj(doc)
+
+
+def _double(literal: str, convert=float):
+    """A JSON number that fits a finite double: the spec digest has no form for
+    NaN or infinities, and a larger integer overflows a param read as a float."""
+    if abs(float(literal)) <= sys.float_info.max:  # false for NaN too
+        return convert(literal)
+    raise SpecSyntaxError(f"number {literal} is not a finite double")
+
+
+_int = partial(_double, convert=int)
 
 
 def load_spec(path) -> PipelineSpec:
@@ -200,7 +362,11 @@ def spec_from_json_obj(doc: Any) -> PipelineSpec:
             raise InvalidSpec(f"{where}: depends_on must be a list of node ids")
         if len(set(deps_doc)) != len(deps_doc):
             raise InvalidSpec(f"{where}: depends_on has duplicates")
-        nodes.append(PipelineNode(id=nid, kind=kind, params=params, depends_on=tuple(deps_doc)))
+        try:
+            config = _parse_params(kind, params, f"node {nid!r}")
+        except ConfigError as e:
+            raise InvalidSpec(f"node {nid!r}: {e}") from None
+        nodes.append(PipelineNode(nid, kind, params, tuple(deps_doc), config))
 
     outputs_doc = doc.get("outputs", [])
     if not isinstance(outputs_doc, list):
@@ -346,7 +512,7 @@ def _reachable_from(starts: Iterable[str], children: Mapping[str, Sequence[str]]
 
 
 def validate_spec(spec: PipelineSpec) -> None:
-    """Graph and per-node parameter checks; raises a SpecError subclass."""
+    """Graph checks, then what node params refer to; raises a SpecError subclass."""
     ids = [n.id for n in spec.nodes]
     id_set = set(ids)
     for n in spec.nodes:
@@ -383,146 +549,20 @@ def validate_spec(spec: PipelineSpec) -> None:
             )
 
     by_id = {n.id: n for n in spec.nodes}
+    produced = {name for n in spec.nodes if n.kind in EVALUATE_KINDS for name in n.config.metrics}
     for n in spec.nodes:
-        _validate_node_params(n, spec, by_id)
-
-
-def _check_dataset_ref(node: PipelineNode, key: str, by_id: Mapping[str, PipelineNode]) -> None:
-    ref = node.params.get(key)
-    if not isinstance(ref, str):
-        raise InvalidSpec(f"node {node.id!r}: params.{key} must name an upstream node")
-    if ref not in node.depends_on:
-        raise InvalidSpec(f"node {node.id!r}: params.{key}={ref!r} must be in depends_on")
-    if by_id[ref].kind not in DATASET_KINDS:
-        raise InvalidSpec(f"node {node.id!r}: params.{key}={ref!r} does not produce a dataset")
-
-
-def _validate_node_params(
-    node: PipelineNode, spec: PipelineSpec, by_id: Mapping[str, PipelineNode]
-) -> None:
-    p = node.params
-    where = f"node {node.id!r}"
-    if node.kind is NodeKind.LOAD:
-        _require_keys(p, {"input", "missing_policy"}, {"input"}, where)
-        if p["input"] not in spec.inputs:
-            raise InvalidSpec(f"{where}: unknown input {p['input']!r}")
-        if p.get("missing_policy", "error") not in ("drop_row", "error"):
-            raise InvalidSpec(f"{where}: missing_policy must be drop_row|error")
-    elif node.kind is NodeKind.PREPROCESS:
-        _require_keys(p, {"source", "drop_out_of_bounds", "drop_duplicates"}, {"source"}, where)
-        _check_dataset_ref(node, "source", by_id)
-        for flag in ("drop_out_of_bounds", "drop_duplicates"):
-            if flag in p and not isinstance(p[flag], bool):
-                raise InvalidSpec(f"{where}: {flag} must be boolean")
-    elif node.kind is NodeKind.GENERATE:
-        _require_keys(p, {"mode", "n_out", "mode_params", "real", "schema"}, {"mode", "n_out"}, where)
-        from .errors import ConfigError
-        from .generators import parse_generator_config  # deferred: avoids import cycle
-
-        try:
-            cfg = parse_generator_config(
-                {"mode": p.get("mode"), "n_out": p.get("n_out"), "mode_params": p.get("mode_params", {})}
-            )
-        except ConfigError as e:
-            raise InvalidSpec(f"{where}: {e}") from None
-        needs_real = cfg.mode == "rsd" or (cfg.mode == "hsd" and cfg.mode_params.needs_real())
-        has_real = "real" in p
-        has_schema = "schema" in p
-        if needs_real and not has_real:
-            raise InvalidSpec(f"{where}: mode {cfg.mode} requires params.real")
-        if has_real:
-            _check_dataset_ref(node, "real", by_id)
-        if has_schema:
-            try:
-                schema_from_json_obj(p["schema"])
-            except SchemaError as e:
-                raise InvalidSpec(f"{where}: invalid inline schema: {e}") from None
-        if not has_real and not has_schema:
-            raise InvalidSpec(f"{where}: needs params.real or an inline params.schema")
-    elif node.kind in EVALUATE_KINDS:
-        allowed = {"real", "synthetic"}
-        if node.kind is NodeKind.EVALUATE_UTILITY:
-            allowed |= {"metrics", "null_model", "permutations"}
-        elif node.kind is NodeKind.EVALUATE_PRIVACY:
-            allowed |= {
-                "metrics",
-                "key_columns",
-                "sensitive_column",
-                "numeric_match_tolerance",
-                "tcap_homogeneity",
-                "overlap_sample_fraction",
-                "proximity_row_cap",
-            }
-        _require_keys(p, allowed, {"real", "synthetic"}, where)
-        _check_dataset_ref(node, "real", by_id)
-        _check_dataset_ref(node, "synthetic", by_id)
-        if node.kind is NodeKind.EVALUATE_UTILITY:
-            _validate_metric_list(p.get("metrics"), UTILITY_METRICS, where)
-            if p.get("null_model", "permutation") not in ("permutation", "analytic"):
-                raise InvalidSpec(f"{where}: null_model must be permutation|analytic")
-            b = p.get("permutations", 50)
-            if isinstance(b, bool) or not isinstance(b, int) or b < 20:
-                raise InvalidSpec(f"{where}: permutations must be an integer >= 20")
-        elif node.kind is NodeKind.EVALUATE_PRIVACY:
-            metrics = _validate_metric_list(p.get("metrics"), PRIVACY_METRICS, where)
-            if set(metrics) & set(KEY_BASED_PRIVACY_METRICS):
-                keys = p.get("key_columns")
-                if not isinstance(keys, list) or not keys or any(not isinstance(k, str) for k in keys):
-                    raise InvalidSpec(f"{where}: key_columns must be a non-empty string list")
-                if not isinstance(p.get("sensitive_column"), str):
-                    raise InvalidSpec(f"{where}: sensitive_column required")
-            tol = p.get("numeric_match_tolerance", 0.01)
-            if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol < 0:
-                raise InvalidSpec(f"{where}: numeric_match_tolerance must be >= 0")
-            th = p.get("tcap_homogeneity", 1.0)
-            if not isinstance(th, (int, float)) or isinstance(th, bool) or not 0 < th <= 1:
-                raise InvalidSpec(f"{where}: tcap_homogeneity must be in (0, 1]")
-            fr = p.get("overlap_sample_fraction", 1.0)
-            if not isinstance(fr, (int, float)) or isinstance(fr, bool) or not 0 < fr <= 1:
-                raise InvalidSpec(f"{where}: overlap_sample_fraction must be in (0, 1]")
-            cap = p.get("proximity_row_cap")
-            if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
-                raise InvalidSpec(f"{where}: proximity_row_cap must be a positive integer")
-    elif node.kind is NodeKind.REPORT:
-        _require_keys(p, {"thresholds"}, set(), where)
-        thresholds = p.get("thresholds", {})
-        if not isinstance(thresholds, dict):
-            raise InvalidSpec(f"{where}: thresholds must be an object")
-        available = _available_metrics(spec)
-        for name, bound in thresholds.items():
-            if name not in available:
-                raise InvalidSpec(
-                    f"{where}: threshold on {name!r}, which no evaluate node produces"
-                )
-            if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-                raise InvalidSpec(f"{where}: threshold {name!r} must be a number")
-
-
-def _validate_metric_list(
-    metrics, known: tuple[str, ...], where: str
-) -> tuple[str, ...]:
-    if metrics is None:
-        return known
-    if not isinstance(metrics, list) or not metrics:
-        raise InvalidSpec(f"{where}: metrics must be a non-empty list")
-    unknown = set(metrics) - set(known)
-    if unknown:
-        raise InvalidSpec(f"{where}: unknown metrics {sorted(unknown)}")
-    if len(set(metrics)) != len(metrics):
-        raise InvalidSpec(f"{where}: duplicate metrics")
-    return tuple(metrics)
-
-
-def _available_metrics(spec: PipelineSpec) -> set[str]:
-    out: set[str] = set()
-    for n in spec.nodes:
-        if n.kind is NodeKind.EVALUATE_DIAGNOSTIC:
-            out.update(DIAGNOSTIC_METRICS)
-        elif n.kind is NodeKind.EVALUATE_UTILITY:
-            out.update(n.params.get("metrics") or UTILITY_METRICS)
-        elif n.kind is NodeKind.EVALUATE_PRIVACY:
-            out.update(n.params.get("metrics") or PRIVACY_METRICS)
-    return out
+        where = f"node {n.id!r}"
+        for key in ("source", "real", "synthetic"):
+            ref = getattr(n.config, key, None)
+            if ref is not None and ref not in n.depends_on:
+                raise InvalidSpec(f"{where}: params.{key}={ref!r} must be in depends_on")
+            if ref is not None and by_id[ref].kind not in DATASET_KINDS:
+                raise InvalidSpec(f"{where}: params.{key}={ref!r} does not produce a dataset")
+        if n.kind is NodeKind.LOAD and n.config.input not in spec.inputs:
+            raise InvalidSpec(f"{where}: unknown input {n.config.input!r}")
+        for name in n.config.thresholds if n.kind is NodeKind.REPORT else ():
+            if name not in produced:
+                raise InvalidSpec(f"{where}: threshold on {name!r}, which no evaluate node produces")
 
 
 # ----------------------------------------------------------- data-flow audit ---
@@ -571,7 +611,7 @@ def data_flow_audit(spec: PipelineSpec) -> AuditReport:
     paths: list[tuple[str, ...]] = []
     truncated = False
     for ln in load_nodes:
-        input_name = f"input:{ln.params.get('input', '?')}"
+        input_name = f"input:{ln.config.input}"
         stack: list[tuple[str, list[str]]] = [(ln.id, [input_name, ln.id])]
         while stack:
             nid, path = stack.pop()
@@ -618,7 +658,7 @@ def _path_to(target: str, spec: PipelineSpec) -> tuple[str, ...]:
                     path.append(prev[path[-1]])  # type: ignore[arg-type]
                 path.reverse()
                 load = by_id[path[0]]
-                return (f"input:{load.params.get('input', '?')}", *path, "outputs")
+                return (f"input:{load.config.input}", *path, "outputs")
             for child in children[nid]:
                 if child not in prev:
                     prev[child] = nid

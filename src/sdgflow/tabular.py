@@ -26,6 +26,8 @@ from .errors import (
 )
 
 CONTINUOUS_FMT = ".17g"  # 17 significant digits: bit-exact float64 round trip
+DEFAULT_MISSING_POLICY = "error"
+MISSING_POLICIES = ("drop_row", DEFAULT_MISSING_POLICY)
 
 
 class ColumnKind(str, Enum):
@@ -234,15 +236,24 @@ def concat_datasets(a: Dataset, b: Dataset) -> Dataset:
     )
 
 
+def row_keys(ds: Dataset) -> np.ndarray:
+    """One opaque key per row, its values packed as int64 with floats by bit
+    pattern and -0.0 folded into 0.0, so keys are equal exactly when rows are."""
+    packed = np.empty((ds.n, len(ds.columns)), dtype=np.int64)
+    for j, arr in enumerate(ds.columns):
+        packed[:, j] = (arr + 0.0).view(np.int64) if arr.dtype == np.float64 else arr
+    return packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
+
+
 # ------------------------------------------------------------------ CSV I/O ---
 
-def load_csv(path, schema: Schema, missing_policy: str = "error") -> Dataset:
+def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY) -> Dataset:
     """Read a typed CSV. Header must match the schema names exactly, in order.
 
     missing_policy: "drop_row" silently drops rows with any empty cell;
     "error" raises MissingValue at the first one.
     """
-    if missing_policy not in ("drop_row", "error"):
+    if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

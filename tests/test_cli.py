@@ -46,6 +46,22 @@ def test_validate_syntax_error_exit_2(tmp_path, capsys):
     assert "syntax:" in capsys.readouterr().out
 
 
+def non_finite_spec(tmp_path):
+    text = SAMPLE_SPEC.read_text(encoding="utf-8").replace(
+        '"overlap_sample_fraction": 0.5', '"overlap_sample_fraction": 0.5, "numeric_match_tolerance": NaN'
+    )
+    assert "NaN" in text
+    spec_path = tmp_path / "pipeline.json"
+    spec_path.write_text(text, encoding="utf-8")
+    return spec_path
+
+
+def test_validate_non_finite_number_exit_2(tmp_path, capsys):
+    rc = main(["validate", str(non_finite_spec(tmp_path))])
+    assert rc == 2
+    assert "syntax: number NaN is not a finite double" in capsys.readouterr().out
+
+
 def test_validate_missing_file_exit_2(tmp_path, capsys):
     rc = main(["validate", str(tmp_path / "nope.json")])
     assert rc == 2
@@ -116,6 +132,13 @@ def test_run_invalid_spec_exit_3(tmp_path, capsys):
     rc = main(["run", str(spec_path), "--out", str(tmp_path / "run")])
     assert rc == 3
     assert "invalid spec:" in capsys.readouterr().out
+
+
+def test_run_non_finite_number_exit_3(tmp_path, capsys):
+    rc = main(["run", str(non_finite_spec(tmp_path)), "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert "invalid spec: number NaN is not a finite double" in capsys.readouterr().out
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_repeats_are_identical(tmp_path):

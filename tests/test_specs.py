@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdgflow.errors import (
     CycleDetected,
@@ -11,9 +13,12 @@ from sdgflow.errors import (
     DuplicateNodeId,
     InvalidSpec,
     MissingReportNode,
+    SpecError,
     SpecSyntaxError,
     UnknownField,
 )
+from sdgflow.evaluation.names import UTILITY_METRICS
+from sdgflow.evaluation.privacy import PrivacyConfig
 from sdgflow.specs import (
     data_flow_audit,
     find_cycle,
@@ -106,6 +111,53 @@ def test_duplicate_node_id():
     doc["nodes"].append(dict(doc["nodes"][0]))
     with pytest.raises(DuplicateNodeId):
         parse(doc)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 5000])
+def test_number_beyond_a_double_is_a_syntax_error(literal):
+    # a threshold takes any number, so only the parser can stop this value
+    text = SAMPLE.read_text().replace('"univariate_fidelity": 0.6', f'"univariate_fidelity": {literal}')
+    assert literal in text
+    with pytest.raises(SpecSyntaxError, match="not a finite double"):
+        parse_spec(text)
+
+
+def test_sample_params_parse_into_typed_objects():
+    spec = load_spec(SAMPLE)
+    quality = spec.node("quality").config
+    assert (quality.null_model, quality.permutations, quality.metrics) == (
+        "permutation", 30, UTILITY_METRICS
+    )
+    assert spec.node("privacy").config.privacy == PrivacyConfig(
+        key_columns=("region", "employment"),
+        sensitive_column="education",
+        overlap_sample_fraction=0.5,
+    )
+    assert spec.node("generate").config.generator.mode_params.correlation_shrinkage == 0.05
+    assert spec.node("load").config.input == "census"
+
+
+def sample_with(node_id, key, value):
+    doc = json.loads(SAMPLE.read_text())
+    next(n for n in doc["nodes"] if n["id"] == node_id)["params"][key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "node_id, key, value",
+    [
+        ("quality", "metrics", [["pmse_observed"]]),
+        ("privacy", "metrics", [{}]),
+        ("load", "input", []),
+        ("privacy", "key_columns", ["region", "education"]),  # holds the sensitive column
+        ("privacy", "key_columns", ["region", "region"]),
+    ],
+    ids=["unhashable-utility-metric", "unhashable-privacy-metric", "unhashable-input",
+         "sensitive-in-keys", "duplicate-keys"],
+)
+def test_bad_param_value_is_invalid_spec(node_id, key, value):
+    with pytest.raises(InvalidSpec, match=f"node '{node_id}'"):
+        parse(sample_with(node_id, key, value))
 
 
 def test_seed_must_be_u64():
@@ -306,3 +358,27 @@ def test_audit_monotone_under_added_edge():
     after = data_flow_audit(parse(doc))
     assert set(v.output for v in before.violations) <= set(v.output for v in after.violations)
     assert not after.passed
+
+
+# -------------------------------------------------------------------- fuzz ---
+
+_SAMPLE_PARAMS = [
+    (node["id"], key) for node in json.loads(SAMPLE.read_text())["nodes"] for key in node["params"]
+]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=st.sampled_from(_SAMPLE_PARAMS), value=_JSON)
+def test_parse_spec_fuzzed_param_value(target, value):
+    text = json.dumps(sample_with(*target, value))  # NaN and Infinity as JSON literals
+    try:
+        spec = parse_spec(text)
+    except SpecError:
+        return
+    digest = spec_digest(spec)
+    assert spec_digest(parse_spec(serialize_spec(spec))) == digest
