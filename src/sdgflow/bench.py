@@ -30,9 +30,6 @@ from .tabular import (
 
 BENCH_SEED = 7
 STAGES = ("load", "preprocess", "generate", "quality", "diagnostic", "privacy", "report")
-# bound the quadratic proximity metrics so per-size cost stays near-linear
-# above the cap; 5k sampled rows keep nearest-neighbour estimates stable
-PROXIMITY_ROW_CAP = 5_000
 
 BENCH_SCHEMA = Schema(
     (
@@ -131,7 +128,6 @@ def build_bench_spec_doc(size: int, data_path: str, schema_path: str, permutatio
                     "synthetic": "generate",
                     "key_columns": ["region", "status"],
                     "sensitive_column": "grade",
-                    "proximity_row_cap": PROXIMITY_ROW_CAP,
                 },
                 "depends_on": ["preprocess", "generate"],
             },

@@ -283,7 +283,6 @@ def _run_privacy(ctx: NodeContext) -> Mapping[str, Any]:
         cfg.privacy,
         metrics=cfg.metrics,
         rng=ctx.stream,
-        proximity_row_cap=cfg.proximity_row_cap,
     )
     ctx.log(f"privacy metrics: {[m.name for m in results]}")
     return {"metrics": _metrics_doc(ctx.node.id, "privacy", results)}

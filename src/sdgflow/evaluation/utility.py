@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from ..errors import ConfigError, DegenerateNull, SchemaMismatch, SeparationWarning, TooFewRows
 from ..rng import RngStream
-from ..tabular import ColumnKind, Dataset, concat_datasets, encode
+from ..tabular import ColumnKind, Dataset, concat_datasets, encode, encoded_width
 from .results import Direction, MetricResult
 
 RIDGE = 1e-6
@@ -72,11 +72,14 @@ def _design_matrix(real: Dataset, synth: Dataset) -> tuple[np.ndarray, np.ndarra
     return x, z, enc.cols
 
 
-def _irls(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, int]:
+def _irls(
+    x: np.ndarray, z: np.ndarray, warn: bool = True
+) -> tuple[np.ndarray, np.ndarray, bool, int]:
     """Ridge logistic fit; returns (beta, scores, converged, iterations).
 
     The ridge excludes the intercept, which keeps mean(p) equal to mean(z) at
-    the optimum up to the tolerance.
+    the optimum up to the tolerance. `warn=False` reports drift toward
+    separation only through `converged`, without a SeparationWarning.
     """
     n, p = x.shape
     ridge = np.full(p, RIDGE)
@@ -99,11 +102,12 @@ def _irls(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, i
             break
     scores = expit(x @ beta)
     if np.max(np.abs(beta)) > _SEPARATION_COEF:
-        warnings.warn(
-            "propensity fit drifted toward perfect separation",
-            SeparationWarning,
-            stacklevel=3,
-        )
+        if warn:
+            warnings.warn(
+                "propensity fit drifted toward perfect separation",
+                SeparationWarning,
+                stacklevel=3,
+            )
         converged = False
     return beta, scores, converged, iterations
 
@@ -162,7 +166,7 @@ def pmse_null(
     n = real.n + synth.n
     c = synth.n / n
     if kind == "analytic":
-        _, _, k = _design_matrix(real, synth)
+        k = encoded_width(real.schema)
         mean = k * c * (1.0 - c) / n
         sd = math.sqrt(2.0 * k) * c * (1.0 - c) / n
         return NullModel(kind="analytic", B=0, null_mean=mean, null_sd=sd)
@@ -171,12 +175,10 @@ def pmse_null(
     x, z, k = _design_matrix(real, synth)
     gen = rng.generator
     samples = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SeparationWarning)
-        for _ in range(B):
-            zb = gen.permutation(z)
-            _, scores, _, _ = _irls(x, zb)
-            samples.append(float(np.mean((scores - c) ** 2)))
+    for _ in range(B):
+        zb = gen.permutation(z)
+        _, scores, _, _ = _irls(x, zb, warn=False)
+        samples.append(float(np.mean((scores - c) ** 2)))
     arr = np.asarray(samples)
     return NullModel(
         kind="permutation",

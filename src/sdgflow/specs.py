@@ -127,7 +127,6 @@ class PrivacyParams:
     synthetic: str
     metrics: tuple[str, ...] = PRIVACY_METRICS
     privacy: PrivacyConfig = PrivacyConfig()  # from the params named as its fields
-    proximity_row_cap: int | None = None
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,6 @@ _BOOL = (lambda v: isinstance(v, bool), "a boolean")
 _NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
 _INT = (lambda v: _NUMBER[0](v) and isinstance(v, int), "an integer")
 _STRS = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings")
-_ROW_CAP = (lambda v: _INT[0](v) and v >= 1, "a positive integer")
 _THRESHOLDS = (
     lambda v: isinstance(v, dict) and all(map(_NUMBER[0], v.values())),
     "an object mapping metric names to numbers",
@@ -212,7 +210,7 @@ _PARAMS = {
         **_PAIR, "metrics": _STRS, "null_model": _STR, "permutations": _INT,
     }),
     NodeKind.EVALUATE_PRIVACY: (PrivacyParams, {
-        **_PAIR, "metrics": _STRS, "proximity_row_cap": _ROW_CAP, "key_columns": _STRS,
+        **_PAIR, "metrics": _STRS, "key_columns": _STRS,
         "sensitive_column": _STR, "numeric_match_tolerance": _NUMBER,
         "tcap_homogeneity": _NUMBER, "overlap_sample_fraction": _NUMBER,
     }),
@@ -225,6 +223,11 @@ def _parse_params(kind: NodeKind, p: Mapping[str, Any], where: str) -> Any:
     The owning modules raise ConfigError for their rules. What the params name
     elsewhere in the spec is checked by validate_spec."""
     cls, types = _PARAMS[kind]
+    if kind is NodeKind.EVALUATE_PRIVACY and "proximity_row_cap" in p:
+        raise InvalidSpec(
+            f"{where}: proximity_row_cap was removed; min_nn_distance and "
+            "new_row_synthesis are exact at every size"
+        )
     required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
     _require_keys(p, set(types), required & set(types), where)
     t: dict[str, Any] = {}

@@ -1,6 +1,10 @@
 """Disclosure-risk metrics, each pinned against a brute-force oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdgflow.evaluation import privacy
 
 from sdgflow.errors import ConfigError
 from sdgflow.evaluation.names import PRIVACY_METRICS
@@ -16,7 +20,15 @@ from sdgflow.evaluation.privacy import (
     validate_privacy_config,
 )
 from sdgflow.rng import derive_stream
-from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, column_ranges, gower_distance, make_dataset
+from sdgflow.tabular import (
+    ColumnKind,
+    ColumnSpec,
+    Dataset,
+    Schema,
+    column_ranges,
+    gower_distance,
+    make_dataset,
+)
 
 KS = Schema(
     (
@@ -404,23 +416,17 @@ def test_orchestrator_runs_requested_metrics_in_order():
     assert [m.name for m in subset] == ["tcap", "categorical_cap"]
 
 
-def test_orchestrator_row_cap_flags_proximity_metrics():
-    rng = np.random.default_rng(8)
-    real = make_dataset(NUM, {"v": rng.normal(0, 1, 40), "c": rng.integers(0, 2, 40)})
-    synth = make_dataset(NUM, {"v": rng.normal(0, 1, 40), "c": rng.integers(0, 2, 40)})
-    cfg = PrivacyConfig()
-    out = evaluate_privacy(
-        real,
-        synth,
-        cfg,
-        metrics=("new_row_synthesis", "min_nn_distance", "sample_overlap"),
-        rng=derive_stream(1, "priv"),
-        proximity_row_cap=10,
-    )
-    by_name = {m.name: m for m in out}
-    assert "row-capped" in by_name["new_row_synthesis"].details["flags"]
-    assert "row-capped" in by_name["min_nn_distance"].details["flags"]
-    assert "flags" not in by_name["sample_overlap"].details or "row-capped" not in by_name["sample_overlap"].details["flags"]
+@pytest.mark.parametrize(
+    "metric",
+    ["categorical_cap", "tcap", "inference_attack_score", "new_row_synthesis", "min_nn_distance", "sample_overlap"],
+)
+@pytest.mark.parametrize("empty_side", ["real", "synthetic"])
+def test_orchestrator_rejects_empty_dataset(metric, empty_side):
+    rows = ks_ds([("A", "x"), ("B", "y")])
+    empty = ks_ds([])
+    real, synth = (empty, rows) if empty_side == "real" else (rows, empty)
+    with pytest.raises(ConfigError, match="non-empty"):
+        evaluate_privacy(real, synth, CFG, metrics=(metric,), rng=derive_stream(0, "priv"))
 
 
 def test_orchestrator_deterministic():
@@ -430,3 +436,233 @@ def test_orchestrator_deterministic():
     a = evaluate_privacy(real, synth, CFG, rng=derive_stream(2, "priv"))
     b = evaluate_privacy(real, synth, CFG, rng=derive_stream(2, "priv"))
     assert [(m.name, m.score) for m in a] == [(m.name, m.score) for m in b]
+
+
+# ------------------------------------- proximity metrics vs brute-force scans ---
+# The pairwise scans below are what min_nn_distance and new_row_synthesis
+# computed before they grouped rows; the fast versions must equal them exactly.
+
+def nn_scan(real, synth):
+    ranges = column_ranges(real)
+    total = np.zeros((synth.n, real.n))
+    for j, spec in enumerate(real.schema.columns):
+        r, s = real.columns[j][None, :], synth.columns[j][:, None]
+        if spec.kind is ColumnKind.CATEGORICAL:
+            total += s != r
+        else:
+            span = ranges[j][1] - ranges[j][0]
+            if span > 0.0:
+                total += np.minimum(np.abs(s - r) / span, 1.0)
+    return float(total.min()) / len(real.schema.columns)
+
+
+def new_row_scan(real, synth, tol):
+    ok = np.ones((synth.n, real.n), dtype=bool)
+    for j, spec in enumerate(real.schema.columns):
+        r, s = real.columns[j], synth.columns[j][:, None]
+        if spec.kind is ColumnKind.CATEGORICAL:
+            ok &= s == r[None, :]
+        else:
+            ok &= np.abs(s - r[None, :]) <= np.where(r == 0.0, tol, tol * np.abs(r))[None, :]
+    matched = ok.any(axis=1)
+    return float(np.mean(~matched)), int(matched.sum())
+
+
+TOLERANCES = (0.0, 0.01, 0.5, 1.0, 3.0)
+_CELL = st.one_of(
+    st.integers(-3, 3).map(float),  # ties, duplicates, zeros
+    st.sampled_from([-0.0, 1e-300, 0.1, 0.3, 12345.678, 12345.679]),
+    st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def mixed_pair(draw):
+    """A schema of 0-3 categorical and 0-3 continuous columns (some with tight
+    or zero-width declared bounds), a real table, a tolerance, and a synthetic
+    table mixing fresh rows, copies and tolerance-edge perturbations of real
+    rows."""
+    n_cat, n_cont = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+    specs = [
+        ColumnSpec(f"c{j}", ColumnKind.CATEGORICAL, categories=("a", "b", "c")[: draw(st.integers(1, 3))])
+        for j in range(n_cat)
+    ]
+    for j in range(n_cont):
+        bounds = draw(st.sampled_from([None, (0.0, 1.0), (-1.0, 2.0), (1.0, 1.0)]))
+        specs.append(ColumnSpec(f"x{j}", ColumnKind.CONTINUOUS, bounds=bounds))
+    specs = draw(st.permutations(specs))
+    schema = Schema(tuple(specs))
+
+    def fresh_row():
+        return tuple(
+            draw(st.integers(0, len(c.categories) - 1)) if c.kind is ColumnKind.CATEGORICAL else draw(_CELL)
+            for c in specs
+        )
+
+    tol = draw(st.sampled_from(TOLERANCES))
+    real_rows = [fresh_row() for _ in range(draw(st.integers(1, 8)))]
+    factors = [1.0, 1.0 + tol, 1.0 - tol, 1.0 / (1.0 + tol), 1.0 + tol + 1e-15, 1.0 - 1e-15]
+    if tol < 1.0:
+        factors.append(1.0 / (1.0 - tol))
+    synth_rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        how = draw(st.sampled_from(["fresh", "copy", "edge"]))
+        if how == "fresh":
+            synth_rows.append(fresh_row())
+            continue
+        base = list(draw(st.sampled_from(real_rows)))
+        if how == "edge":
+            for j, c in enumerate(specs):
+                if c.kind is ColumnKind.CONTINUOUS:
+                    base[j] = tol if base[j] == 0.0 else base[j] * draw(st.sampled_from(factors))
+        synth_rows.append(tuple(base))
+
+    def table(rows):
+        return make_dataset(schema, {c.name: [row[j] for row in rows] for j, c in enumerate(specs)})
+
+    return table(real_rows), table(synth_rows), tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_pair())
+def test_min_nn_equals_pairwise_scan(case):
+    real, synth, _ = case
+    assert min_nn_distance(real, synth).score == nn_scan(real, synth)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_pair())
+def test_new_row_equals_pairwise_scan(case):
+    real, synth, tol = case
+    m = new_row_synthesis(real, synth, tol)
+    assert (m.score, m.details["matched_synthetic_rows"]) == new_row_scan(real, synth, tol)
+
+
+def clustered_pair(n_real, n_synth, seed, shift=0.0):
+    """Bench-shaped tables with 3 continuous and 2 categorical columns, many
+    groups and near-duplicates; shift moves the synthetic rows away."""
+    rng = np.random.default_rng(seed)
+    schema = Schema(
+        (
+            ColumnSpec("age", ColumnKind.CONTINUOUS, bounds=(18.0, 70.0)),
+            ColumnSpec("g", ColumnKind.CATEGORICAL, categories=tuple("abcdefgh")),
+            ColumnSpec("income", ColumnKind.CONTINUOUS),
+            ColumnSpec("h", ColumnKind.CATEGORICAL, categories=tuple("pqrst")),
+            ColumnSpec("score", ColumnKind.CONTINUOUS),
+        )
+    )
+
+    def draw(n, offset):
+        return make_dataset(
+            schema,
+            {
+                "age": np.round(rng.uniform(18, 70, n)) + offset * 60,
+                "g": rng.integers(0, 8, n),
+                "income": np.round(rng.normal(50_000, 9_000, n), -2) * (1 + offset),
+                "h": rng.integers(0, 5, n),
+                "score": rng.normal(50, 10, n) + offset * 100,
+            },
+        )
+
+    return draw(n_real, 0.0), draw(n_synth, shift)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+@pytest.mark.parametrize("shift", [0.0, 2.0])
+def test_proximity_equal_scans_across_pair_chunks(monkeypatch, chunk, shift):
+    # shift 2 puts every synthetic row beyond the clip, so min_nn must fall
+    # back to scanning group pairs, across groups too
+    monkeypatch.setattr(privacy, "_PAIR_CHUNK", chunk)
+    real, synth = clustered_pair(300, 250, seed=11, shift=shift)
+    assert min_nn_distance(real, synth).score == nn_scan(real, synth)
+    for tol in TOLERANCES:
+        m = new_row_synthesis(real, synth, tol)
+        assert (m.score, m.details["matched_synthetic_rows"]) == new_row_scan(real, synth, tol)
+
+
+def test_min_nn_with_no_shared_group_uses_fewest_mismatches():
+    real, synth = clustered_pair(200, 150, seed=12)
+    g = real.schema.index_of("g")
+    moved = list(synth.columns)
+    moved[g] = np.where(synth.columns[g] < 4, synth.columns[g] + 4, synth.columns[g] - 4)
+    real_low = real.take(np.flatnonzero(real.columns[g] < 4))
+    synth_high = Dataset(synth.schema, tuple(moved)).take(np.flatnonzero(np.asarray(moved[g]) >= 4))
+    score = min_nn_distance(real_low, synth_high).score
+    assert score == nn_scan(real_low, synth_high)
+    assert 1 / 5 < score < 2 / 5  # one categorical mismatch plus a small continuous gap
+
+
+def test_min_nn_resolves_tree_ties_in_scan_order():
+    # values near 1e4 with 0.1 steps: two real rows tie in the tree's
+    # normalized coordinates, while the scan's per-pair sums differ in the
+    # last bit; the smaller sum must win
+    bounds = (0.0, 10000.1)
+    schema = Schema(
+        (
+            ColumnSpec("x0", ColumnKind.CONTINUOUS, bounds=bounds),
+            ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a",)),
+            ColumnSpec("x1", ColumnKind.CONTINUOUS, bounds=bounds),
+        )
+    )
+    real = make_dataset(
+        schema,
+        {
+            "x0": [10000.0, 10001.7, 10001.6, 10001.4, 10000.5, 10001.8, 10002.2, 10001.1, 10001.0, 10001.7],
+            "c": [0] * 10,
+            "x1": [10000.9, 10001.4, 10000.3, 10002.7, 10002.5, 10001.1, 10002.8, 10000.2, 10002.9, 10001.4],
+        },
+    )
+    synth = make_dataset(
+        schema, {"x0": [10001.4, 10002.8, 10011.9], "c": [0] * 3, "x1": [6.0, 11 / 3, 1.0]}
+    )
+    assert min_nn_distance(real, synth).score == nn_scan(real, synth)
+
+
+def test_many_categorical_columns_pack_without_collisions():
+    # 70 binary columns span 2**70 codes, beyond int64; rows that differ only
+    # in the first column must still count as different
+    names = tuple(f"k{j}" for j in range(70))
+    schema = Schema(
+        tuple(ColumnSpec(n, ColumnKind.CATEGORICAL, categories=("a", "b")) for n in names)
+        + (ColumnSpec("s", ColumnKind.CATEGORICAL, categories=("x", "y")),)
+    )
+    base = np.random.default_rng(5).integers(0, 2, len(names))
+
+    def table(first, sens):
+        cells = np.tile(base, (len(first), 1))
+        cells[:, 0] = first
+        return make_dataset(schema, {**{n: cells[:, j] for j, n in enumerate(names)}, "s": sens})
+
+    real, synth = table([0, 0, 1], [0, 0, 1]), table([1, 1, 0], [0, 0, 1])
+    cfg = PrivacyConfig(key_columns=names, sensitive_column="s")
+    key_idx = tuple(range(len(names)))
+    assert categorical_cap(real, synth, cfg).score == cap_oracle(real, synth, key_idx, len(names))
+    assert tcap(real, synth, cfg).score == tcap_oracle(real, synth, key_idx, len(names), 1.0)
+    assert inference_attack_score(real, synth, cfg).score == inference_oracle(
+        real, synth, key_idx, len(names)
+    )
+    assert new_row_synthesis(real, synth, 0.01).score == new_row_scan(real, synth, 0.01)[0] == 1.0
+    assert min_nn_distance(real, synth).score == nn_scan(real, synth) == 1 / len(schema.columns)
+
+
+def test_min_nn_with_coordinates_beyond_a_double():
+    # a declared range of 1e-310 puts out-of-bounds values beyond float64
+    # once range-normalized; the clip still makes each such column count 1
+    schema = Schema(
+        (
+            ColumnSpec("x", ColumnKind.CONTINUOUS, bounds=(0.0, 1e-310)),
+            ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a", "b")),
+        )
+    )
+    real = make_dataset(schema, {"x": [1.0, 5e-311], "c": [0, 1]})
+    synth = make_dataset(schema, {"x": [2.0, 0.0], "c": [0, 0]})
+    assert min_nn_distance(real, synth).score == nn_scan(real, synth) == 0.5
+
+
+def test_new_row_searches_the_whole_ball_when_the_nearest_candidate_fails():
+    # at tol 0.5 the value 1.0 matches real values in [2/3, 2]; the search
+    # ball is a hair wider, and 2.0000000000002 (no match) lies nearer its
+    # center than 0.6666666666666667 (a match)
+    real = make_dataset(NUM, {"v": [2.0000000000002, 0.6666666666666667], "c": [0, 0]})
+    synth = make_dataset(NUM, {"v": [1.0], "c": [0]})
+    assert new_row_synthesis(real, synth, 0.5).score == new_row_scan(real, synth, 0.5)[0] == 0.0

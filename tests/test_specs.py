@@ -160,6 +160,11 @@ def test_bad_param_value_is_invalid_spec(node_id, key, value):
         parse(sample_with(node_id, key, value))
 
 
+def test_removed_proximity_row_cap_is_invalid_spec():
+    with pytest.raises(InvalidSpec, match="proximity_row_cap was removed"):
+        parse(sample_with("privacy", "proximity_row_cap", 5000))
+
+
 def test_seed_must_be_u64():
     with pytest.raises(InvalidSpec):
         parse(minimal_doc(seed=-1))

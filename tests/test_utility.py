@@ -172,6 +172,24 @@ def test_permutation_null_deterministic():
     assert a.samples == b.samples
 
 
+def test_permutation_null_refits_neither_warn_nor_touch_filters():
+    # 8 rows and 5 predictors: many label permutations are separable
+    real, synth = cont_ds(4, 30, names=tuple("abcde")), cont_ds(4, 31, names=tuple("abcde"))
+    x, z, _ = _design_matrix(real, synth)
+    gen = np.random.default_rng(0)
+    with warnings.catch_warnings(record=True) as direct:
+        warnings.simplefilter("always")
+        for _ in range(20):
+            _irls(x, gen.permutation(z))
+    assert any(issubclass(w.category, SeparationWarning) for w in direct)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        before = list(warnings.filters)
+        pmse_null(real, synth, B=20, rng=derive_stream(5, "null"))
+        assert warnings.filters == before
+    assert not any(issubclass(w.category, SeparationWarning) for w in caught)
+
+
 def test_unknown_null_kind():
     real, synth = cont_ds(30, 18), cont_ds(30, 19)
     with pytest.raises(ConfigError):
