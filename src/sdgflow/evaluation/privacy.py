@@ -24,6 +24,9 @@ _PAIR_CHUNK = 1 << 20
 _PACK_LIMIT = 1 << 31
 # relative allowance for rounding when a search bound is derived from a value
 _WIDEN = 1e-9
+# average k-d tree searches per synthetic row in new_row_synthesis, which
+# bounds the copies made for cells that may match a real 0
+_QUERIES_PER_ROW = 2
 
 
 @dataclass(frozen=True)
@@ -232,11 +235,14 @@ def _match_in_boxes(
     coordinates (sign, log|v|), with log|0| taken as 0, the candidates of a
     row thus lie in an L-inf ball of one radius, inside one pattern of signs:
     a k-d tree per (group, sign pattern) finds them. A row whose small cells
-    may also match a real 0 is searched once per such pattern."""
+    may also match a real 0 is searched once per such pattern, counting only
+    columns where the real rows of its group hold a 0. The searches are
+    capped at _QUERIES_PER_ROW per synthetic row on average; the rows with
+    the most patterns are checked against their whole group instead."""
     n_cols = vr.shape[1]
 
     def split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sign = np.sign(v).astype(np.int64)
+        sign = np.sign(v).astype(np.int8)
         with np.errstate(divide="ignore"):
             return sign, np.where(sign == 0, 0.0, np.log(np.abs(v)))
 
@@ -244,15 +250,32 @@ def _match_in_boxes(
     sign_q, coord_s = split(vs)
     radius = 0.5 * (np.log1p(t) - np.log1p(-t)) + _WIDEN
     center = np.where(sign_q == 0, 0.0, coord_s - 0.5 * (np.log1p(t) + np.log1p(-t)))
+
+    groups_r, group_of_r = np.unique(code_r, return_inverse=True)
+    zero_in_group = np.zeros((len(groups_r), n_cols), dtype=bool)
+    zero_rows, zero_cols = np.nonzero(sign_r == 0)
+    zero_in_group[group_of_r[zero_rows], zero_cols] = True
+    in_real, pos = _lookup(groups_r, code_s)
+    may_be_zero = in_real[:, None] & zero_in_group[pos] & (sign_q != 0) & (np.abs(vs) <= t)
+
     owner = np.arange(len(vs))
-    for j in range(n_cols):
-        dual = (sign_q[:, j] != 0) & (np.abs(vs[owner, j]) <= t)
+    spilled = np.zeros(len(vs), dtype=bool)
+    budget = _QUERIES_PER_ROW * len(vs)
+    for j in np.flatnonzero(may_be_zero.any(axis=0)):
+        dual = may_be_zero[owner, j]
         zero_sign, zero_center = sign_q[dual], center[dual]
         zero_sign[:, j] = 0
         zero_center[:, j] = 0.0
         sign_q = np.concatenate([sign_q, zero_sign])
         center = np.concatenate([center, zero_center])
         owner = np.concatenate([owner, owner[dual]])
+        if len(owner) > budget:
+            counts = np.bincount(owner, minlength=len(vs))
+            ranked = np.argsort(-counts, kind="stable")
+            cut = int(np.searchsorted(np.cumsum(counts[ranked]), len(owner) - budget)) + 1
+            spilled[ranked[:cut]] = True
+            keep = ~spilled[owner]
+            sign_q, center, owner = sign_q[keep], center[keep], owner[keep]
     key_r, key_q = _pack_codes(
         len(vr),
         len(owner),
@@ -282,6 +305,11 @@ def _match_in_boxes(
             found = rr[np.concatenate([np.asarray(b, dtype=np.intp) for b in balls])]
             owners = np.repeat(owner[doubt], [len(b) for b in balls])
             matched[owners[matches(owners, found)]] = True
+    rest = np.flatnonzero(spilled)
+    if len(rest):
+        matched[rest] = _match_in_groups(
+            code_r, code_s[rest], lambda s_idx, r_idx: matches(rest[s_idx], r_idx)
+        )
     return matched
 
 

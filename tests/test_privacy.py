@@ -666,3 +666,60 @@ def test_new_row_searches_the_whole_ball_when_the_nearest_candidate_fails():
     real = make_dataset(NUM, {"v": [2.0000000000002, 0.6666666666666667], "c": [0, 0]})
     synth = make_dataset(NUM, {"v": [1.0], "c": [0]})
     assert new_row_synthesis(real, synth, 0.5).score == new_row_scan(real, synth, 0.5)[0] == 0.0
+
+
+def test_new_row_zero_patterns_stay_within_the_query_budget(monkeypatch):
+    # 18 continuous columns of small values with real zeros in every column:
+    # searching each synthetic row once per zero pattern it may match would
+    # take up to 2**18 searches a row at tol 0.5
+    rng = np.random.default_rng(21)
+    n_cols = 18
+    schema = Schema(
+        tuple(ColumnSpec(f"x{j}", ColumnKind.CONTINUOUS) for j in range(n_cols))
+        + (ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a", "b")),)
+    )
+    real_cells = np.where(rng.random((300, n_cols)) < 0.5, 0.0, rng.uniform(0.01, 0.4, (300, n_cols)))
+    synth_cells = rng.uniform(0.01, 0.4, (200, n_cols))
+    # perturbed copies of real rows, their zeros replaced by small values, so
+    # that some rows match only through the real zeros
+    near = real_cells[:60] * rng.uniform(0.8, 1.2, (60, n_cols))
+    synth_cells[:60] = np.where(near == 0.0, rng.uniform(0.01, 0.4, near.shape), near)
+
+    def table(cells, groups):
+        return make_dataset(
+            schema, {**{f"x{j}": cells[:, j] for j in range(n_cols)}, "c": groups}
+        )
+
+    real = table(real_cells, rng.integers(0, 2, 300))
+    synth = table(synth_cells, np.r_[real.column("c")[:60], rng.integers(0, 2, 140)])
+    searched = []
+
+    class CountingTree(privacy.cKDTree):
+        def query(self, x, *args, **kwargs):
+            searched.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    group_checked = []
+    match_in_groups = privacy._match_in_groups
+
+    def counting_match_in_groups(code_r, code_s, matches):
+        group_checked.append(len(code_s))
+        return match_in_groups(code_r, code_s, matches)
+
+    monkeypatch.setattr(privacy, "cKDTree", CountingTree)
+    monkeypatch.setattr(privacy, "_match_in_groups", counting_match_in_groups)
+    for tol in (0.01, 0.5):
+        searched.clear()
+        m = new_row_synthesis(real, synth, tol)
+        assert (m.score, m.details["matched_synthetic_rows"]) == new_row_scan(real, synth, tol)
+        assert sum(searched) <= privacy._QUERIES_PER_ROW * synth.n
+    assert m.details["matched_synthetic_rows"] >= 60
+    assert group_checked  # rows over the budget were checked group-wide
+    # without real zeros no row is searched twice or checked group-wide
+    real = table(np.where(real_cells == 0.0, 0.5, real_cells), real.column("c"))
+    searched.clear()
+    group_checked.clear()
+    m = new_row_synthesis(real, synth, 0.5)
+    assert (m.score, m.details["matched_synthetic_rows"]) == new_row_scan(real, synth, 0.5)
+    assert sum(searched) <= synth.n
+    assert not group_checked
