@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from sdgflow.rng import derive_stream
-from sdgflow.tabular import ColumnKind, ColumnSpec, Dataset, Schema, write_csv
+from sdgflow.tabular import ColumnKind, ColumnSpec, Dataset, Schema, dataset_to_csv_bytes
 
 ROWS = 600
 
@@ -57,7 +57,7 @@ def main() -> None:
     out = Path(__file__).resolve().parent.parent / "sample"
     out.mkdir(exist_ok=True)
     ds = build()
-    write_csv(ds, out / "data.csv")
+    (out / "data.csv").write_bytes(dataset_to_csv_bytes(ds))
     schema_doc = {
         "columns": [
             {

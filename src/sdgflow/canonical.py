@@ -23,7 +23,3 @@ def canonical_json_bytes(obj: Any) -> bytes:
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def hash_json(obj: Any) -> str:
-    return sha256_hex(canonical_json_bytes(obj))

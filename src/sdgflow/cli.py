@@ -3,8 +3,8 @@
 Exit codes are part of the contract:
   validate: 0 clean, 1 validation findings, 2 I/O or syntax trouble
   run:      0 success and report passed, 1 report failed, 2 node failure,
-            3 spec validation
-  bench:    0 done, 2 node failure
+            3 spec validation or invalid option
+  bench:    0 done, 2 node failure, 3 invalid option
   inspect:  0 all checks pass, 1 verification failure, 2 missing/corrupt files
 """
 
@@ -17,9 +17,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import render_bench_table, run_bench
-from .engine import run, verify_manifest
-from .errors import ManifestMissing, NodeFailure, SpecError, SpecSyntaxError
-from .specs import data_flow_audit, load_spec, spec_digest
+from .engine import check_max_parallel, run, verify_manifest
+from .errors import ConfigError, InvalidSpec, ManifestMissing, NodeFailure, SpecError, SpecSyntaxError
+from .specs import check_seed, data_flow_audit, load_spec, spec_digest
 
 
 def _cmd_validate(args) -> int:
@@ -45,7 +45,22 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _bad_options(args) -> bool:
+    """Check --max-parallel and --seed by the rules engine.run and documents
+    apply, before anything runs."""
+    try:
+        check_max_parallel(args.max_parallel, "--max-parallel")
+        if getattr(args, "seed", None) is not None:
+            check_seed(args.seed, "--seed")
+    except (ConfigError, InvalidSpec) as e:
+        print(f"invalid option: {e}")
+        return True
+    return False
+
+
 def _cmd_run(args) -> int:
+    if _bad_options(args):
+        return 3
     try:
         spec = load_spec(args.spec)
     except (SpecError, OSError) as e:
@@ -90,6 +105,8 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
+    if _bad_options(args):
+        return 3
     try:
         result = run_bench(args.sizes, args.out, max_parallel=args.max_parallel)
     except NodeFailure as e:

@@ -48,7 +48,6 @@ from .rng import RngStream, derive_stream
 from .specs import (
     EVALUATE_KINDS,
     NODE_ARTIFACTS,
-    InputSource,
     NodeKind,
     PipelineNode,
     PipelineSpec,
@@ -172,7 +171,6 @@ class NodeContext:
     node: PipelineNode
     spec: PipelineSpec
     stream: RngStream
-    inputs: Mapping[str, InputSource]
     base_dir: Path
     upstream: Mapping[str, Mapping[str, Any]]  # node id -> artifact name -> payload
     log: Callable[[str], None]
@@ -194,7 +192,7 @@ def _resolve(base: Path, path: str) -> Path:
 
 def _run_load(ctx: NodeContext) -> Mapping[str, Any]:
     cfg = ctx.node.config
-    src = ctx.inputs[cfg.input]
+    src = ctx.spec.inputs[cfg.input]
     schema = read_schema(_resolve(ctx.base_dir, src.schema))
     ds = load_csv(_resolve(ctx.base_dir, src.path), schema, missing_policy=cfg.missing_policy)
     ctx.log(f"loaded {ds.n} rows from {src.path}")
@@ -365,10 +363,14 @@ class _Clock:
         return stamp.isoformat(timespec="microseconds"), mono
 
 
+def check_max_parallel(value: int, what: str = "max_parallel") -> None:
+    if value < 1:
+        raise ConfigError(f"{what} must be >= 1")
+
+
 def run(
     spec: PipelineSpec,
     out_dir,
-    inputs: Mapping[str, InputSource] | None = None,
     max_parallel: int = 1,
     base_dir=None,
     runners: Mapping[str, Runner] | None = None,
@@ -376,22 +378,17 @@ def run(
 ) -> RunManifest:
     """Execute the spec's DAG and write artifacts, logs, and the manifest.
 
-    `inputs` overrides entries of spec.inputs by name; relative paths resolve
-    against `base_dir` (default: current directory). `runners` swaps node
-    implementations by kind, which tests use for timing stubs. On a node
-    failure every descendant is skipped, the manifest is still written, and
-    NodeFailure (carrying the manifest) is raised unless raise_on_failure is
-    false.
+    Relative input paths resolve against `base_dir` (default: current
+    directory). `runners` swaps node implementations by kind, which tests use
+    for timing stubs. On a node failure every descendant is skipped, the
+    manifest is still written, and NodeFailure (carrying the manifest) is
+    raised unless raise_on_failure is false.
     """
-    if max_parallel < 1:
-        raise ConfigError("max_parallel must be >= 1")
+    check_max_parallel(max_parallel)
     out = Path(out_dir)
     (out / "artifacts").mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(exist_ok=True)
     base = Path(base_dir) if base_dir is not None else Path.cwd()
-    resolved_inputs = dict(spec.inputs)
-    if inputs:
-        resolved_inputs.update(inputs)
     active_runners = dict(DEFAULT_RUNNERS)
     if runners:
         active_runners.update(runners)
@@ -421,7 +418,6 @@ def run(
                 node=node,
                 spec=spec,
                 stream=derive_stream(spec.seed, node.id),
-                inputs=resolved_inputs,
                 base_dir=base,
                 upstream=payloads,
                 log=lambda msg: log_lines.append(msg),

@@ -15,20 +15,27 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import rankdata
 
-from .errors import ConfigError, DegenerateMarginalWarning, RuleUnsatisfiable, TooFewRows
+from .errors import (
+    ConfigError,
+    CycleDetected,
+    DegenerateMarginalWarning,
+    RuleUnsatisfiable,
+    SchemaError,
+    TooFewRows,
+)
+from .jsonfields import JsonChecks
 from .rng import RngStream
 from .specs import toposort_ids
 from .tabular import ColumnKind, Dataset, Schema
 
 MIN_FIT_ROWS = 10
-DEFAULT_MAX_ATTEMPTS = 1000
-HSD_RETRY_CAP = 1000
+DEFAULT_MAX_ATTEMPTS = 1000  # rejection rounds: asd's default cap, hsd's cap
 _EIG_FLOOR = 1e-8
 
 
@@ -151,172 +158,112 @@ class GeneratorConfig:
 
 # ------------------------------------------------------------ config parse ---
 
-def _reject_extra(obj: Mapping, allowed: set[str], where: str) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise ConfigError(f"{where}: unknown fields {sorted(extra)}")
-
-
-def _num(obj: Mapping, key: str, where: str, default=None) -> float:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{where}: missing {key!r}")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: {key!r} must be a number")
-    return float(v)
+_check = JsonChecks(ConfigError)
 
 
 def parse_generator_config(obj: Any, nested: bool = False) -> GeneratorConfig:
     """Validate a generator config document; raises ConfigError."""
-    if not isinstance(obj, Mapping):
-        raise ConfigError("generator config must be an object")
-    _reject_extra(obj, {"mode", "n_out", "mode_params"}, "generator config")
-    mode = obj.get("mode")
-    if mode not in ("rsd", "asd", "csd", "hsd"):
-        raise ConfigError(f"mode must be rsd|asd|csd|hsd, got {mode!r}")
-    n_out = obj.get("n_out")
-    if isinstance(n_out, bool) or not isinstance(n_out, int) or n_out < 1:
-        raise ConfigError("n_out must be an integer >= 1")
-    mp = obj.get("mode_params", {})
-    if not isinstance(mp, Mapping):
-        raise ConfigError("mode_params must be an object")
-
-    if mode == "rsd":
-        params: Any = _parse_rsd(mp)
-    elif mode == "asd":
-        params = _parse_asd(mp)
-    elif mode == "csd":
-        params = _parse_csd(mp)
-    else:
-        if nested:
-            raise ConfigError("hsd configs cannot nest")
-        params = _parse_hsd(mp, n_out)
+    _check.obj(obj, "generator config", {"mode", "n_out", "mode_params"})
+    mode = _check.choice(obj.get("mode"), "mode", _MODES)
+    if nested and mode == "hsd":
+        raise ConfigError("hsd configs cannot nest")
+    n_out = _check.integer(obj.get("n_out"), "n_out", minimum=1)
+    params = _MODES[mode].parse(obj.get("mode_params", {}), n_out)
     return GeneratorConfig(mode=mode, n_out=n_out, mode_params=params)
 
 
-def _parse_rsd(mp: Mapping) -> RsdParams:
-    _reject_extra(mp, {"correlation_shrinkage"}, "rsd params")
-    lam = _num(mp, "correlation_shrinkage", "rsd params", default=0.0)
+def _parse_rsd(mp: Any, n_out: int) -> RsdParams:
+    _check.obj(mp, "rsd params", {"correlation_shrinkage"})
+    lam = _check.number(mp.get("correlation_shrinkage", 0.0), "rsd params: correlation_shrinkage")
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"correlation_shrinkage must be in [0, 1], got {lam}")
     return RsdParams(correlation_shrinkage=lam)
 
 
+_MODEL_DISTRIBUTIONS = ("uniform", "normal", "quantile_table")
+
+
 def _parse_column_model(name: str, doc: Any) -> ColumnModel:
     where = f"column_models[{name!r}]"
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"{where}: must be an object")
+    _check.obj(doc, where)
     if "labels" in doc or "weights" in doc:
-        _reject_extra(doc, {"labels", "weights"}, where)
-        labels = doc.get("labels")
-        weights = doc.get("weights")
-        if not isinstance(labels, Sequence) or not labels or isinstance(labels, str):
-            raise ConfigError(f"{where}: labels must be a non-empty list")
-        if any(not isinstance(l, str) for l in labels):
-            raise ConfigError(f"{where}: labels must be strings")
+        _check.obj(doc, where, {"labels", "weights"}, required={"labels", "weights"})
+        labels = _check.strings(doc["labels"], f"{where}: labels")
         if len(set(labels)) != len(labels):
             raise ConfigError(f"{where}: duplicate labels")
-        if not isinstance(weights, Sequence) or len(weights) != len(labels):
+        weights = _check.numbers(doc["weights"], f"{where}: weights")
+        if len(weights) != len(labels):
             raise ConfigError(f"{where}: weights must align with labels")
-        ws = []
-        for w in weights:
-            if isinstance(w, bool) or not isinstance(w, (int, float)) or w <= 0:
-                raise ConfigError(f"{where}: weights must be positive numbers")
-            ws.append(float(w))
-        total = sum(ws)
-        return CategoricalModel(labels=tuple(labels), weights=tuple(w / total for w in ws))
-    dist = doc.get("distribution")
+        if any(w <= 0 for w in weights):
+            raise ConfigError(f"{where}: weights must be positive numbers")
+        total = sum(weights)
+        return CategoricalModel(labels=labels, weights=tuple(w / total for w in weights))
+    dist = _check.choice(doc.get("distribution"), f"{where}: distribution", _MODEL_DISTRIBUTIONS)
     if dist == "uniform":
-        _reject_extra(doc, {"distribution", "low", "high"}, where)
-        low = _num(doc, "low", where)
-        high = _num(doc, "high", where)
+        _check.obj(doc, where, {"distribution", "low", "high"}, required={"low", "high"})
+        low = _check.number(doc["low"], f"{where}: low")
+        high = _check.number(doc["high"], f"{where}: high")
         if low > high:
             raise ConfigError(f"{where}: low must be <= high")
         return UniformModel(low=low, high=high)
     if dist == "normal":
-        _reject_extra(doc, {"distribution", "mean", "std"}, where)
-        std = _num(doc, "std", where)
+        _check.obj(doc, where, {"distribution", "mean", "std"}, required={"mean", "std"})
+        std = _check.number(doc["std"], f"{where}: std")
         if std < 0:
             raise ConfigError(f"{where}: std must be >= 0")
-        return NormalModel(mean=_num(doc, "mean", where), std=std)
-    if dist == "quantile_table":
-        _reject_extra(doc, {"distribution", "quantiles", "values"}, where)
-        qs = doc.get("quantiles")
-        vs = doc.get("values")
-        if (
-            not isinstance(qs, Sequence)
-            or not isinstance(vs, Sequence)
-            or len(qs) != len(vs)
-            or len(qs) < 2
-        ):
-            raise ConfigError(f"{where}: quantiles and values must align, length >= 2")
-        qs = [float(q) for q in qs]
-        vs = [float(v) for v in vs]
-        if qs[0] != 0.0 or qs[-1] != 1.0 or any(a >= b for a, b in zip(qs, qs[1:])):
-            raise ConfigError(f"{where}: quantiles must increase strictly from 0 to 1")
-        if any(a > b for a, b in zip(vs, vs[1:])):
-            raise ConfigError(f"{where}: values must be non-decreasing")
-        return QuantileTableModel(quantiles=tuple(qs), values=tuple(vs))
-    raise ConfigError(f"{where}: distribution must be uniform|normal|quantile_table")
+        return NormalModel(mean=_check.number(doc["mean"], f"{where}: mean"), std=std)
+    # quantile_table
+    _check.obj(doc, where, {"distribution", "quantiles", "values"}, required={"quantiles", "values"})
+    qs = _check.numbers(doc["quantiles"], f"{where}: quantiles")
+    vs = _check.numbers(doc["values"], f"{where}: values")
+    if len(qs) != len(vs) or len(qs) < 2:
+        raise ConfigError(f"{where}: quantiles and values must align, length >= 2")
+    if qs[0] != 0.0 or qs[-1] != 1.0 or any(a >= b for a, b in zip(qs, qs[1:])):
+        raise ConfigError(f"{where}: quantiles must increase strictly from 0 to 1")
+    if any(a > b for a, b in zip(vs, vs[1:])):
+        raise ConfigError(f"{where}: values must be non-decreasing")
+    return QuantileTableModel(quantiles=qs, values=vs)
+
+
+# rule kind -> its fields besides "kind"; all required but a derivation's constant
+_RULE_FIELDS = {
+    "implication": {"if_column", "if_category", "then_column", "then_categories"},
+    "range_constraint": {"column", "min", "max"},
+    "derivation": {"target", "sources", "constant"},
+}
 
 
 def _parse_rule(doc: Any, where: str) -> Rule:
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"{where}: rule must be an object")
-    kind = doc.get("kind")
+    kind = _check.choice(_check.obj(doc, where).get("kind"), f"{where}: kind", _RULE_FIELDS)
+    keys = _RULE_FIELDS[kind]
+    _check.obj(doc, where, keys | {"kind"}, required=keys - {"constant"})
     if kind == "implication":
-        _reject_extra(doc, {"kind", "if_column", "if_category", "then_column", "then_categories"}, where)
-        for k in ("if_column", "if_category", "then_column"):
-            if not isinstance(doc.get(k), str):
-                raise ConfigError(f"{where}: {k} must be a string")
-        tc = doc.get("then_categories")
-        if not isinstance(tc, Sequence) or isinstance(tc, str) or not tc:
-            raise ConfigError(f"{where}: then_categories must be a non-empty list")
-        if any(not isinstance(c, str) for c in tc):
-            raise ConfigError(f"{where}: then_categories must be strings")
-        return ImplicationRule(
-            if_column=doc["if_column"],
-            if_category=doc["if_category"],
-            then_column=doc["then_column"],
-            then_categories=tuple(tc),
+        if_column, if_category, then_column = (
+            _check.string(doc[k], f"{where}: {k}") for k in ("if_column", "if_category", "then_column")
         )
+        then_categories = _check.strings(doc["then_categories"], f"{where}: then_categories")
+        return ImplicationRule(if_column, if_category, then_column, then_categories)
     if kind == "range_constraint":
-        _reject_extra(doc, {"kind", "column", "min", "max"}, where)
-        if not isinstance(doc.get("column"), str):
-            raise ConfigError(f"{where}: column must be a string")
-        low = _num(doc, "min", where)
-        high = _num(doc, "max", where)
+        column = _check.string(doc["column"], f"{where}: column")
+        low = _check.number(doc["min"], f"{where}: min")
+        high = _check.number(doc["max"], f"{where}: max")
         if low > high:
             raise ConfigError(f"{where}: min must be <= max")
-        return RangeRule(column=doc["column"], low=low, high=high)
-    if kind == "derivation":
-        _reject_extra(doc, {"kind", "target", "sources", "constant"}, where)
-        if not isinstance(doc.get("target"), str):
-            raise ConfigError(f"{where}: target must be a string")
-        sources = doc.get("sources")
-        if not isinstance(sources, Mapping) or not sources:
-            raise ConfigError(f"{where}: sources must map columns to coefficients")
-        coefs = {}
-        for col, coef in sources.items():
-            if isinstance(coef, bool) or not isinstance(coef, (int, float)):
-                raise ConfigError(f"{where}: coefficient for {col!r} must be a number")
-            coefs[col] = float(coef)
-        if doc["target"] in coefs:
-            raise ConfigError(f"{where}: derivation target cannot be its own source")
-        return DerivationRule(
-            target=doc["target"], sources=coefs, constant=_num(doc, "constant", where, default=0.0)
-        )
-    raise ConfigError(f"{where}: kind must be implication|range_constraint|derivation")
+        return RangeRule(column=column, low=low, high=high)
+    target = _check.string(doc["target"], f"{where}: target")
+    sources = _check.number_map(doc["sources"], f"{where}: sources")
+    if not sources:
+        raise ConfigError(f"{where}: sources must map columns to coefficients")
+    if target in sources:
+        raise ConfigError(f"{where}: derivation target cannot be its own source")
+    constant = _check.number(doc.get("constant", 0.0), f"{where}: constant")
+    return DerivationRule(target=target, sources=sources, constant=constant)
 
 
 def _parse_rules(docs: Any, where: str) -> tuple[Rule, ...]:
-    if docs is None:
-        return ()
-    if not isinstance(docs, Sequence) or isinstance(docs, (str, bytes)):
-        raise ConfigError(f"{where}: rules must be a list")
-    rules = tuple(_parse_rule(d, f"{where}[{i}]") for i, d in enumerate(docs))
+    rules = tuple(
+        _parse_rule(d, f"{where}[{i}]") for i, d in enumerate(_check.items(docs, where))
+    )
     _check_derivation_cycles(rules, where)
     return rules
 
@@ -329,20 +276,24 @@ def _check_derivation_cycles(rules: Sequence[Rule], where: str) -> None:
     deps = {r.target: [s for s in r.sources if s in set(targets)] for r in derivs}
     try:
         toposort_ids(list(deps), deps)
-    except Exception:
+    except CycleDetected:
         raise ConfigError(f"{where}: derivation rules form a cycle") from None
 
 
-def _parse_asd(mp: Mapping) -> AsdParams:
-    _reject_extra(mp, {"column_models", "rules", "max_attempts_per_row"}, "asd params")
-    models_doc = mp.get("column_models")
-    if not isinstance(models_doc, Mapping) or not models_doc:
+def _parse_asd(mp: Any, n_out: int) -> AsdParams:
+    _check.obj(
+        mp, "asd params", {"column_models", "rules", "max_attempts_per_row"}, required={"column_models"}
+    )
+    models_doc = _check.obj(mp["column_models"], "asd params: column_models")
+    if not models_doc:
         raise ConfigError("asd params: column_models must be a non-empty object")
     models = {name: _parse_column_model(name, doc) for name, doc in models_doc.items()}
-    rules = _parse_rules(mp.get("rules"), "asd rules")
-    cap = mp.get("max_attempts_per_row", DEFAULT_MAX_ATTEMPTS)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ConfigError("asd params: max_attempts_per_row must be an integer >= 1")
+    rules = _parse_rules(mp.get("rules", []), "asd rules")
+    cap = _check.integer(
+        mp.get("max_attempts_per_row", DEFAULT_MAX_ATTEMPTS),
+        "asd params: max_attempts_per_row",
+        minimum=1,
+    )
     for r in rules:
         if isinstance(r, DerivationRule) and r.target in models:
             raise ConfigError(
@@ -351,98 +302,72 @@ def _parse_asd(mp: Mapping) -> AsdParams:
     return AsdParams(column_models=models, rules=rules, max_attempts_per_row=cap)
 
 
-def _parse_csd(mp: Mapping) -> CsdParams:
-    _reject_extra(mp, {"causal_dag", "weights", "noise", "intercepts"}, "csd params")
-    edges_doc = mp.get("causal_dag", [])
-    if not isinstance(edges_doc, Sequence) or isinstance(edges_doc, (str, bytes)):
-        raise ConfigError("csd params: causal_dag must be a list of edges")
+# noise distribution -> (its one field, spec class)
+_NOISE = {"normal": ("std", NormalNoise), "uniform": ("half_width", UniformNoise)}
+
+
+def _parse_noise(doc: Any, where: str) -> NoiseSpec:
+    dist = _check.choice(_check.obj(doc, where).get("distribution"), f"{where}: distribution", _NOISE)
+    key, cls = _NOISE[dist]
+    _check.obj(doc, where, {"distribution", key}, required={key})
+    value = _check.number(doc[key], f"{where}: {key}")
+    if value < 0:
+        raise ConfigError(f"{where}: {key} must be >= 0")
+    return cls(value)
+
+
+def _parse_csd(mp: Any, n_out: int) -> CsdParams:
+    _check.obj(mp, "csd params", {"causal_dag", "weights", "noise", "intercepts"}, required={"noise"})
     edges: list[tuple[str, str]] = []
-    for i, e in enumerate(edges_doc):
-        if not isinstance(e, Mapping):
-            raise ConfigError(f"csd causal_dag[{i}]: edge must be an object")
-        _reject_extra(e, {"from", "to"}, f"csd causal_dag[{i}]")
-        u, v = e.get("from"), e.get("to")
-        if not isinstance(u, str) or not isinstance(v, str):
-            raise ConfigError(f"csd causal_dag[{i}]: from and to must be column names")
+    for i, e in enumerate(_check.items(mp.get("causal_dag", []), "csd params: causal_dag")):
+        where = f"csd causal_dag[{i}]"
+        _check.obj(e, where, {"from", "to"}, required={"from", "to"})
+        u, v = _check.string(e["from"], f"{where}: from"), _check.string(e["to"], f"{where}: to")
         if u == v:
-            raise ConfigError(f"csd causal_dag[{i}]: self-edge on {u!r}")
+            raise ConfigError(f"{where}: self-edge on {u!r}")
         if (u, v) in edges:
-            raise ConfigError(f"csd causal_dag[{i}]: duplicate edge {u}->{v}")
+            raise ConfigError(f"{where}: duplicate edge {u}->{v}")
         edges.append((u, v))
 
-    weights_doc = mp.get("weights", [])
-    if not isinstance(weights_doc, Sequence) or len(weights_doc) != len(edges):
+    weights = _check.numbers(mp.get("weights", []), "csd params: weights")
+    if len(weights) != len(edges):
         raise ConfigError("csd params: weights must align with causal_dag edges")
-    weights = []
-    for i, w in enumerate(weights_doc):
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise ConfigError(f"csd weights[{i}]: must be a number")
-        weights.append(float(w))
-
-    noise_doc = mp.get("noise")
-    if not isinstance(noise_doc, Mapping) or not noise_doc:
+    noise_doc = _check.obj(mp["noise"], "csd params: noise")
+    if not noise_doc:
         raise ConfigError("csd params: noise must map every column to a noise spec")
-    noise: dict[str, NoiseSpec] = {}
-    for col, nd in noise_doc.items():
-        where = f"csd noise[{col!r}]"
-        if not isinstance(nd, Mapping):
-            raise ConfigError(f"{where}: must be an object")
-        dist = nd.get("distribution")
-        if dist == "normal":
-            _reject_extra(nd, {"distribution", "std"}, where)
-            std = _num(nd, "std", where)
-            if std < 0:
-                raise ConfigError(f"{where}: std must be >= 0")
-            noise[col] = NormalNoise(std=std)
-        elif dist == "uniform":
-            _reject_extra(nd, {"distribution", "half_width"}, where)
-            hw = _num(nd, "half_width", where)
-            if hw < 0:
-                raise ConfigError(f"{where}: half_width must be >= 0")
-            noise[col] = UniformNoise(half_width=hw)
-        else:
-            raise ConfigError(f"{where}: distribution must be normal|uniform")
-
-    inter_doc = mp.get("intercepts", {})
-    if not isinstance(inter_doc, Mapping):
-        raise ConfigError("csd params: intercepts must be an object")
-    intercepts = {}
-    for col, v in inter_doc.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"csd intercepts[{col!r}]: must be a number")
-        intercepts[col] = float(v)
+    noise = {col: _parse_noise(nd, f"csd noise[{col!r}]") for col, nd in noise_doc.items()}
+    intercepts = _check.number_map(mp.get("intercepts", {}), "csd params: intercepts")
 
     nodes = sorted({u for u, _ in edges} | {v for _, v in edges})
     deps = {n: [u for u, v in edges if v == n] for n in nodes}
     try:
         toposort_ids(nodes, deps)
-    except Exception:
+    except CycleDetected:
         raise ConfigError("csd params: causal_dag has a cycle") from None
-    return CsdParams(
-        causal_dag=tuple(edges), weights=tuple(weights), noise=noise, intercepts=intercepts
+    return CsdParams(causal_dag=tuple(edges), weights=weights, noise=noise, intercepts=intercepts)
+
+
+def _parse_hsd(mp: Any, n_out: int) -> HsdParams:
+    _check.obj(
+        mp, "hsd params", {"partition", "sub_configs", "post_rules"}, required={"partition", "sub_configs"}
     )
-
-
-def _parse_hsd(mp: Mapping, n_out: int) -> HsdParams:
-    _reject_extra(mp, {"partition", "sub_configs", "post_rules"}, "hsd params")
-    part_doc = mp.get("partition")
-    if not isinstance(part_doc, Sequence) or isinstance(part_doc, (str, bytes)) or not part_doc:
+    groups = _check.items(mp["partition"], "hsd params: partition")
+    if not groups:
         raise ConfigError("hsd params: partition must be a non-empty list of column groups")
     partition: list[tuple[str, ...]] = []
     seen: set[str] = set()
-    for i, group in enumerate(part_doc):
-        if not isinstance(group, Sequence) or isinstance(group, str) or not group:
-            raise ConfigError(f"hsd partition[{i}]: must be a non-empty list of columns")
-        if any(not isinstance(c, str) for c in group):
-            raise ConfigError(f"hsd partition[{i}]: columns must be strings")
+    for i, group in enumerate(groups):
+        group = _check.strings(group, f"hsd partition[{i}]")
         overlap = seen & set(group)
         if overlap or len(set(group)) != len(group):
-            raise ConfigError(f"hsd partition[{i}]: column assigned twice: {sorted(overlap) or group}")
+            raise ConfigError(
+                f"hsd partition[{i}]: column assigned twice: {sorted(overlap) or list(group)}"
+            )
         seen.update(group)
-        partition.append(tuple(group))
+        partition.append(group)
 
-    subs_doc = mp.get("sub_configs")
-    if not isinstance(subs_doc, Sequence) or len(subs_doc) != len(partition):
+    subs_doc = _check.items(mp["sub_configs"], "hsd params: sub_configs")
+    if len(subs_doc) != len(partition):
         raise ConfigError("hsd params: sub_configs must align with partition")
     subs = []
     for i, sd in enumerate(subs_doc):
@@ -455,7 +380,7 @@ def _parse_hsd(mp: Mapping, n_out: int) -> HsdParams:
                 f"hsd sub_configs[{i}]: n_out {sub.n_out} must equal the hybrid n_out {n_out}"
             )
         subs.append(sub)
-    post = _parse_rules(mp.get("post_rules"), "hsd post_rules")
+    post = _parse_rules(mp.get("post_rules", []), "hsd post_rules")
     return HsdParams(partition=tuple(partition), sub_configs=tuple(subs), post_rules=post)
 
 
@@ -490,7 +415,7 @@ def _check_rules_against_schema(rules: Sequence[Rule], schema: Schema, where: st
 def _col(schema: Schema, name: str, where: str):
     try:
         return schema.column(name)
-    except KeyError:
+    except SchemaError:
         raise ConfigError(f"{where}: unknown column {name!r}") from None
 
 
@@ -591,8 +516,11 @@ def _cholesky_with_jitter(corr: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("correlation matrix not decomposable after jitter")
 
 
-def generate_rsd(real: Dataset, params: RsdParams, n_out: int, rng: RngStream) -> Dataset:
-    """Gaussian-copula resampling of a real dataset.
+def generate_rsd(
+    params: RsdParams, n_out: int, schema: Schema, real: Dataset, rng: RngStream
+) -> Dataset:
+    """Gaussian-copula resampling of a real dataset, in the real dataset's
+    schema.
 
     Fits per-column marginals plus a normal-score correlation matrix, samples
     a multivariate normal, and back-transforms through the inverse marginals.
@@ -600,8 +528,6 @@ def generate_rsd(real: Dataset, params: RsdParams, n_out: int, rng: RngStream) -
     """
     if real.n < MIN_FIT_ROWS:
         raise TooFewRows(f"rsd needs at least {MIN_FIT_ROWS} rows, got {real.n}")
-    if n_out < 1:
-        raise ConfigError("n_out must be >= 1")
 
     z, degenerate = _normal_scores(real)
     for j in degenerate:
@@ -709,7 +635,40 @@ def _most_violated(rules: Sequence[Rule], counts: Sequence[int]) -> str:
     return rules[worst].describe()
 
 
-def generate_asd(schema: Schema, params: AsdParams, n_out: int, rng: RngStream) -> Dataset:
+def _reject(
+    draw: Callable[[int, int], dict[str, np.ndarray]],
+    rules: Sequence[Rule],
+    schema: Schema,
+    n_out: int,
+    max_rounds: int,
+) -> Dataset:
+    """Rejection sampling shared by asd and hsd: each round draws the rows
+    still missing with draw(round, rows), applies the derivations, and keeps
+    the rows no rule rejects. Past max_rounds rounds it raises
+    RuleUnsatisfiable naming the most violated rule."""
+    order = _derivation_order(rules)
+    accepted: dict[str, list[np.ndarray]] = {name: [] for name in schema.names}
+    remaining = n_out
+    total_counts = [0] * len(rules)
+    for round_ in range(max_rounds):
+        cols = draw(round_, remaining)
+        _apply_derivations(cols, order)
+        bad, counts = _rule_violations(cols, rules, schema)
+        total_counts = [a + b for a, b in zip(total_counts, counts)]
+        keep = ~bad
+        if keep.any():
+            for name in schema.names:
+                accepted[name].append(cols[name][keep])
+            remaining -= int(keep.sum())
+        if remaining <= 0:
+            out = tuple(np.concatenate(accepted[name])[:n_out] for name in schema.names)
+            return Dataset(schema, out)
+    raise RuleUnsatisfiable(_most_violated(rules, total_counts), attempts=max_rounds)
+
+
+def generate_asd(
+    params: AsdParams, n_out: int, schema: Schema, real: Dataset | None, rng: RngStream
+) -> Dataset:
     """Rule-constrained sampling from declared column distributions.
 
     Derivations are applied after each batch is drawn; implication and range
@@ -717,51 +676,27 @@ def generate_asd(schema: Schema, params: AsdParams, n_out: int, rng: RngStream) 
     max_attempts_per_row raises RuleUnsatisfiable naming the worst rule.
     """
     _check_asd_schema(params, schema)
-    if n_out < 1:
-        raise ConfigError("n_out must be >= 1")
-    order = _derivation_order(params.rules)
     gen = rng.generator
-
-    accepted: dict[str, list[np.ndarray]] = {name: [] for name in schema.names}
-    remaining = n_out
-    attempts = 0
-    total_counts = [0] * len(params.rules)
-    while remaining > 0:
-        attempts += 1
-        if attempts > params.max_attempts_per_row:
-            raise RuleUnsatisfiable(
-                rule_description=_most_violated(params.rules, total_counts),
-                attempts=attempts - 1,
-            )
-        cols = _sample_asd_batch(params, schema, remaining, gen)
-        _apply_derivations(cols, order)
-        bad, counts = _rule_violations(cols, params.rules, schema)
-        total_counts = [a + b for a, b in zip(total_counts, counts)]
-        keep = ~bad
-        kept = int(keep.sum())
-        if kept:
-            for name in schema.names:
-                accepted[name].append(cols[name][keep])
-            remaining -= kept
-
-    out = []
-    for spec in schema.columns:
-        arr = np.concatenate(accepted[spec.name])[:n_out]
-        out.append(arr)
-    return Dataset(schema, tuple(out))
+    return _reject(
+        lambda round_, rows: _sample_asd_batch(params, schema, rows, gen),
+        params.rules,
+        schema,
+        n_out,
+        params.max_attempts_per_row,
+    )
 
 
 # ------------------------------------------------------------------ csd ---
 
-def generate_csd(params: CsdParams, schema: Schema, n_out: int, rng: RngStream) -> Dataset:
+def generate_csd(
+    params: CsdParams, n_out: int, schema: Schema, real: Dataset | None, rng: RngStream
+) -> Dataset:
     """Linear structural-equation sampling over the configured causal DAG.
 
     Noise is drawn per column in schema order (so the draw sequence does not
     depend on the DAG), then columns are assembled parents-first.
     """
     _check_csd_schema(params, schema)
-    if n_out < 1:
-        raise ConfigError("n_out must be >= 1")
     gen = rng.generator
 
     eps: dict[str, np.ndarray] = {}
@@ -799,79 +734,51 @@ def _check_hsd_schema(params: HsdParams, schema: Schema) -> None:
     _check_rules_against_schema(params.post_rules, schema, "hsd post_rules")
 
 
-def _generate_part(
-    sub: GeneratorConfig,
-    part_schema: Schema,
-    real: Dataset | None,
-    n_rows: int,
-    stream: RngStream,
-) -> Dataset:
-    if sub.mode == "rsd":
-        if real is None:
-            raise ConfigError("hsd: an rsd sub-generator needs real data")
-        return generate_rsd(real.restrict(part_schema.names), sub.mode_params, n_rows, stream)
-    if sub.mode == "asd":
-        return generate_asd(part_schema, sub.mode_params, n_rows, stream)
-    if sub.mode == "csd":
-        return generate_csd(sub.mode_params, part_schema, n_rows, stream)
-    raise ConfigError(f"hsd: unsupported sub mode {sub.mode!r}")
-
-
 def generate_hsd(
-    real: Dataset | None,
-    params: HsdParams,
-    schema: Schema,
-    n_out: int,
-    rng: RngStream,
+    params: HsdParams, n_out: int, schema: Schema, real: Dataset | None, rng: RngStream
 ) -> Dataset:
     """Column-partitioned generation: each part runs its own sub-generator on
     an independent derived stream, outputs are joined column-wise, and any
     post_rules are enforced by whole-row rejection."""
     _check_hsd_schema(params, schema)
-    if n_out < 1:
-        raise ConfigError("n_out must be >= 1")
-    order = _derivation_order(params.post_rules)
+    if real is None and params.needs_real():
+        raise ConfigError("hsd requires a real dataset")
+    # only an rsd part reads the real dataset, restricted to the part's columns
+    parts = [
+        (sub, schema.restrict(group), real.restrict(group) if sub.mode == "rsd" else None)
+        for group, sub in zip(params.partition, params.sub_configs)
+    ]
 
-    def draw(n_rows: int, suffix: str) -> dict[str, np.ndarray]:
+    def draw(round_: int, rows: int) -> dict[str, np.ndarray]:
+        suffix = f"/retry{round_}" if round_ else ""
         cols: dict[str, np.ndarray] = {}
-        for i, (group, sub) in enumerate(zip(params.partition, params.sub_configs)):
+        for i, (sub, part_schema, part_real) in enumerate(parts):
             stream = rng.child(f"part{i}{suffix}")
-            part = _generate_part(sub, schema.restrict(group), real, n_rows, stream)
-            for name in group:
-                cols[name] = part.column(name)
+            part = _MODES[sub.mode].generate(sub.mode_params, rows, part_schema, part_real, stream)
+            # an rsd part comes back in the real dataset's column order
+            cols.update(zip(part.schema.names, part.columns))
         return cols
 
-    cols = draw(n_out, "")
     if not params.post_rules:
+        cols = draw(0, n_out)
         return Dataset(schema, tuple(cols[name] for name in schema.names))
-
-    accepted: dict[str, list[np.ndarray]] = {name: [] for name in schema.names}
-    remaining = n_out
-    total_counts = [0] * len(params.post_rules)
-    rounds = 0
-    while remaining > 0:
-        rounds += 1
-        if rounds > HSD_RETRY_CAP:
-            raise RuleUnsatisfiable(
-                rule_description=_most_violated(params.post_rules, total_counts),
-                attempts=rounds - 1,
-            )
-        if rounds > 1:
-            cols = draw(remaining, f"/retry{rounds - 1}")
-        _apply_derivations(cols, order)
-        bad, counts = _rule_violations(cols, params.post_rules, schema)
-        total_counts = [a + b for a, b in zip(total_counts, counts)]
-        keep = ~bad
-        if keep.any():
-            for name in schema.names:
-                accepted[name].append(cols[name][keep])
-            remaining -= int(keep.sum())
-
-    out = tuple(np.concatenate(accepted[name])[:n_out] for name in schema.names)
-    return Dataset(schema, out)
+    return _reject(draw, params.post_rules, schema, n_out, DEFAULT_MAX_ATTEMPTS)
 
 
 # -------------------------------------------------------------- dispatcher ---
+
+class _Mode(NamedTuple):
+    parse: Callable[[Any, int], Any]  # (mode_params document, n_out) -> params
+    generate: Callable[..., Dataset]  # (params, n_out, schema, real, rng) -> Dataset
+
+
+_MODES = {
+    "rsd": _Mode(_parse_rsd, generate_rsd),
+    "asd": _Mode(_parse_asd, generate_asd),
+    "csd": _Mode(_parse_csd, generate_csd),
+    "hsd": _Mode(_parse_hsd, generate_hsd),
+}
+
 
 def check_generate_inputs(config: GeneratorConfig, has_real: bool, has_schema: bool) -> None:
     """rsd (and hsd with an rsd part) needs a real dataset; asd/csd need a
@@ -891,13 +798,7 @@ def generate(
 ) -> Dataset:
     """Run the generator a config describes; see check_generate_inputs."""
     check_generate_inputs(config, real is not None, schema is not None)
+    if config.n_out < 1:
+        raise ConfigError("n_out must be >= 1")
     effective = schema if schema is not None else real.schema
-    if config.mode == "rsd":
-        return generate_rsd(real, config.mode_params, config.n_out, rng)
-    if config.mode == "asd":
-        return generate_asd(effective, config.mode_params, config.n_out, rng)
-    if config.mode == "csd":
-        return generate_csd(config.mode_params, effective, config.n_out, rng)
-    if config.mode == "hsd":
-        return generate_hsd(real, config.mode_params, effective, config.n_out, rng)
-    raise ConfigError(f"unknown mode {config.mode!r}")
+    return _MODES[config.mode].generate(config.mode_params, config.n_out, effective, real, rng)

@@ -5,11 +5,11 @@ the thresholds the pipeline author put in the spec."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Mapping
 
 from .errors import ConfigError, DuplicateMetric
-from .evaluation.diagnostic import DiagnosticResult, diagnostic_metric, diagnostic_result_from_json_obj
-from .evaluation.results import Direction, MetricResult, metric_from_json_obj
+from .evaluation.diagnostic import DiagnosticResult, diagnostic_metric
+from .evaluation.results import Direction, MetricResult
 from .specs import SpecDigest
 
 SECTIONS = ("diagnostic", "utility", "privacy")
@@ -48,20 +48,6 @@ class EvaluationReport:
             },
             "verdicts": dict(self.verdicts),
         }
-
-
-def report_from_json_obj(doc: Any) -> EvaluationReport:
-    run = doc["run"]
-    diag_doc = doc["sections"]["diagnostic"]["result"]
-    return EvaluationReport(
-        digest=SpecDigest(hash=run["spec_hash"], canonical_bytes_len=run["spec_canonical_bytes_len"]),
-        seed=run["seed"],
-        diagnostic=diagnostic_result_from_json_obj(diag_doc) if diag_doc else None,
-        utility=tuple(metric_from_json_obj(m) for m in doc["sections"]["utility"]["metrics"]),
-        privacy=tuple(metric_from_json_obj(m) for m in doc["sections"]["privacy"]["metrics"]),
-        thresholds=dict(doc["thresholds"]),
-        verdicts=dict(doc["verdicts"]),
-    )
 
 
 def threshold_passes(metric: MetricResult, bound: float) -> bool:

@@ -9,8 +9,6 @@ covers exactly what was reviewed.
 from __future__ import annotations
 
 import heapq
-import json
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import partial
@@ -36,6 +34,7 @@ from .evaluation.names import (
 )
 from .evaluation.privacy import PrivacyConfig, check_privacy_config
 from .evaluation.utility import DEFAULT_NULL_MODEL, DEFAULT_PERMUTATIONS, check_null_model
+from .jsonfields import JsonChecks, loads
 from .tabular import DEFAULT_MISSING_POLICY, MISSING_POLICIES, Schema, schema_from_json_obj
 
 if TYPE_CHECKING:
@@ -174,47 +173,39 @@ class SpecDigest:
 
 # ------------------------------------------------------------------ parsing ---
 
-def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: str) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise UnknownField(f"{where}: unknown fields {sorted(extra)}")
-    missing = required - set(obj)
-    if missing:
-        raise InvalidSpec(f"{where}: missing required fields {sorted(missing)}")
+_check = JsonChecks(InvalidSpec, unknown=UnknownField)
 
 
-# JSON type of a param value: (check, description)
-_ANY = (lambda v: True, "")  # the parser of the owning module checks it
-_STR = (lambda v: isinstance(v, str), "a string")
-_BOOL = (lambda v: isinstance(v, bool), "a boolean")
-_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
-_INT = (lambda v: _NUMBER[0](v) and isinstance(v, int), "an integer")
-_STRS = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings")
-_THRESHOLDS = (
-    lambda v: isinstance(v, dict) and all(map(_NUMBER[0], v.values())),
-    "an object mapping metric names to numbers",
-)
-_PAIR = {"real": _STR, "synthetic": _STR}
-# each kind's params class and the type of every param it takes; the class
-# fields without a default name the required params
+def check_seed(value: Any, what: str = "seed") -> int:
+    """The root seed rule, shared by documents and the CLI's --seed."""
+    if _check.integer(value, what) < 0 or value > _U64_MAX:
+        raise InvalidSpec(f"{what} must be an unsigned 64-bit integer")
+    return value
+
+
+# the check of each param a kind takes, None where the parser of the owning
+# module checks it; the class fields without a default name the required params
+_PAIR = {"real": _check.string, "synthetic": _check.string}
 _PARAMS = {
-    NodeKind.LOAD: (LoadParams, {"input": _STR, "missing_policy": _STR}),
+    NodeKind.LOAD: (LoadParams, {
+        "input": _check.string, "missing_policy": partial(_check.choice, options=MISSING_POLICIES),
+    }),
     NodeKind.PREPROCESS: (PreprocessParams, {
-        "source": _STR, "drop_out_of_bounds": _BOOL, "drop_duplicates": _BOOL,
+        "source": _check.string, "drop_out_of_bounds": _check.boolean, "drop_duplicates": _check.boolean,
     }),
     NodeKind.GENERATE: (GenerateParams, {
-        "mode": _ANY, "n_out": _ANY, "mode_params": _ANY, "real": _STR, "schema": _ANY,
+        "mode": None, "n_out": None, "mode_params": None, "real": _check.string, "schema": None,
     }),
     NodeKind.EVALUATE_DIAGNOSTIC: (DiagnosticParams, _PAIR),
     NodeKind.EVALUATE_UTILITY: (UtilityParams, {
-        **_PAIR, "metrics": _STRS, "null_model": _STR, "permutations": _INT,
+        **_PAIR, "metrics": _check.strings, "null_model": _check.string, "permutations": _check.integer,
     }),
     NodeKind.EVALUATE_PRIVACY: (PrivacyParams, {
-        **_PAIR, "metrics": _STRS, "key_columns": _STRS,
-        "sensitive_column": _STR, "numeric_match_tolerance": _NUMBER,
-        "tcap_homogeneity": _NUMBER, "overlap_sample_fraction": _NUMBER,
+        **_PAIR, "metrics": _check.strings, "key_columns": partial(_check.strings, nonempty=False),
+        "sensitive_column": _check.string, "numeric_match_tolerance": _check.number,
+        "tcap_homogeneity": _check.number, "overlap_sample_fraction": _check.number,
     }),
-    NodeKind.REPORT: (ReportParams, {"thresholds": _THRESHOLDS}),
+    NodeKind.REPORT: (ReportParams, {"thresholds": _check.number_map}),
 }
 
 
@@ -229,12 +220,12 @@ def _parse_params(kind: NodeKind, p: Mapping[str, Any], where: str) -> Any:
             "new_row_synthesis are exact at every size"
         )
     required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
-    _require_keys(p, set(types), required & set(types), where)
+    _check.obj(p, where, types, required & set(types))
     t: dict[str, Any] = {}
     for key, value in p.items():
-        ok, what = types[key]
-        if not ok(value):
-            raise InvalidSpec(f"{where}: {key} must be {what}")
+        if types[key] is not None:
+            types[key](value, f"{where}: {key}")
+        # as written, not as checked: the typed params keep the document's values
         t[key] = tuple(value) if isinstance(value, list) else value
 
     if kind is NodeKind.GENERATE:
@@ -254,15 +245,13 @@ def _parse_params(kind: NodeKind, p: Mapping[str, Any], where: str) -> Any:
         t["privacy"] = PrivacyConfig(**{key: t.pop(key) for key in given})
     out = cls(**t)
 
-    if kind is NodeKind.LOAD and out.missing_policy not in MISSING_POLICIES:
-        raise InvalidSpec(f"{where}: missing_policy must be {'|'.join(MISSING_POLICIES)}")
     if kind in (NodeKind.EVALUATE_UTILITY, NodeKind.EVALUATE_PRIVACY):
         known = UTILITY_METRICS if kind is NodeKind.EVALUATE_UTILITY else PRIVACY_METRICS
         unknown = set(out.metrics) - set(known)
         if unknown:
             raise InvalidSpec(f"{where}: unknown metrics {sorted(unknown)}")
-        if not out.metrics or len(set(out.metrics)) != len(out.metrics):
-            raise InvalidSpec(f"{where}: metrics must be a non-empty list without duplicates")
+        if len(set(out.metrics)) != len(out.metrics):
+            raise InvalidSpec(f"{where}: metrics must not repeat a name")
     if kind is NodeKind.EVALUATE_UTILITY:
         check_null_model(out.null_model, out.permutations)
     if kind is NodeKind.EVALUATE_PRIVACY:
@@ -273,29 +262,7 @@ def _parse_params(kind: NodeKind, p: Mapping[str, Any], where: str) -> Any:
 
 def parse_spec(data: bytes | str) -> PipelineSpec:
     """Parse and fully validate a spec document (strict mode)."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise SpecSyntaxError(f"not UTF-8: {e}") from None
-    else:
-        text = data
-    try:
-        doc = json.loads(text, parse_constant=_double, parse_float=_double, parse_int=_int)
-    except json.JSONDecodeError as e:
-        raise SpecSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return spec_from_json_obj(doc)
-
-
-def _double(literal: str, convert=float):
-    """A JSON number that fits a finite double: the spec digest has no form for
-    NaN or infinities, and a larger integer overflows a param read as a float."""
-    if abs(float(literal)) <= sys.float_info.max:  # false for NaN too
-        return convert(literal)
-    raise SpecSyntaxError(f"number {literal} is not a finite double")
-
-
-_int = partial(_double, convert=int)
+    return spec_from_json_obj(loads(data, SpecSyntaxError))
 
 
 def load_spec(path) -> PipelineSpec:
@@ -304,89 +271,64 @@ def load_spec(path) -> PipelineSpec:
 
 
 def spec_from_json_obj(doc: Any) -> PipelineSpec:
-    if not isinstance(doc, dict):
-        raise InvalidSpec("top level must be a JSON object")
-    _require_keys(
+    _check.obj(
         doc,
+        "spec",
         allowed={"version", "metadata", "inputs", "seed", "nodes", "outputs"},
         required={"version", "seed", "nodes"},
-        where="spec",
     )
     if doc["version"] != SPEC_VERSION:
         raise InvalidSpec(f"unsupported version {doc['version']!r}, expected {SPEC_VERSION!r}")
+    metadata = {
+        k: _check.string(v, f"metadata[{k!r}]")
+        for k, v in _check.obj(doc.get("metadata", {}), "metadata").items()
+    }
+    seed = check_seed(doc["seed"])
 
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict) or any(
-        not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items()
-    ):
-        raise InvalidSpec("metadata must map strings to strings")
-
-    seed = doc["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _U64_MAX:
-        raise InvalidSpec("seed must be an unsigned 64-bit integer")
-
-    inputs_doc = doc.get("inputs", {})
-    if not isinstance(inputs_doc, dict):
-        raise InvalidSpec("inputs must be an object")
     inputs: dict[str, InputSource] = {}
-    for name, src in inputs_doc.items():
-        if not isinstance(src, dict):
-            raise InvalidSpec(f"inputs[{name!r}] must be an object")
-        _require_keys(src, {"path", "schema"}, {"path", "schema"}, f"inputs[{name!r}]")
-        if not isinstance(src["path"], str) or not isinstance(src["schema"], str):
-            raise InvalidSpec(f"inputs[{name!r}]: path and schema must be strings")
-        inputs[name] = InputSource(path=src["path"], schema=src["schema"])
+    for name, src in _check.obj(doc.get("inputs", {}), "inputs").items():
+        where = f"inputs[{name!r}]"
+        _check.obj(src, where, {"path", "schema"}, required={"path", "schema"})
+        inputs[name] = InputSource(
+            path=_check.string(src["path"], f"{where}: path"),
+            schema=_check.string(src["schema"], f"{where}: schema"),
+        )
 
-    nodes_doc = doc["nodes"]
-    if not isinstance(nodes_doc, list) or not nodes_doc:
+    nodes_doc = _check.items(doc["nodes"], "nodes")
+    if not nodes_doc:
         raise InvalidSpec("nodes must be a non-empty list")
     nodes: list[PipelineNode] = []
     seen_ids: set[str] = set()
     for i, nd in enumerate(nodes_doc):
         where = f"nodes[{i}]"
-        if not isinstance(nd, dict):
-            raise InvalidSpec(f"{where} must be an object")
-        _require_keys(nd, {"id", "kind", "params", "depends_on"}, {"id", "kind"}, where)
-        nid = nd["id"]
-        if not isinstance(nid, str) or not nid:
+        _check.obj(nd, where, {"id", "kind", "params", "depends_on"}, required={"id", "kind"})
+        nid = _check.string(nd["id"], f"{where}: id")
+        if not nid:
             raise InvalidSpec(f"{where}: id must be a non-empty string")
         if nid in seen_ids:
             raise DuplicateNodeId(f"duplicate node id {nid!r}")
         seen_ids.add(nid)
-        try:
-            kind = NodeKind(nd["kind"])
-        except ValueError:
-            raise InvalidSpec(f"{where}: unknown kind {nd['kind']!r}") from None
-        params = nd.get("params", {})
-        if not isinstance(params, dict):
-            raise InvalidSpec(f"{where}: params must be an object")
-        deps_doc = nd.get("depends_on", [])
-        if not isinstance(deps_doc, list) or any(not isinstance(d, str) for d in deps_doc):
-            raise InvalidSpec(f"{where}: depends_on must be a list of node ids")
-        if len(set(deps_doc)) != len(deps_doc):
+        kind = NodeKind(_check.choice(nd["kind"], f"{where}: kind", [k.value for k in NodeKind]))
+        params = _check.obj(nd.get("params", {}), f"{where}: params")
+        deps = _check.strings(nd.get("depends_on", []), f"{where}: depends_on", nonempty=False)
+        if len(set(deps)) != len(deps):
             raise InvalidSpec(f"{where}: depends_on has duplicates")
         try:
             config = _parse_params(kind, params, f"node {nid!r}")
         except ConfigError as e:
             raise InvalidSpec(f"node {nid!r}: {e}") from None
-        nodes.append(PipelineNode(nid, kind, params, tuple(deps_doc), config))
+        nodes.append(PipelineNode(nid, kind, params, deps, config))
 
-    outputs_doc = doc.get("outputs", [])
-    if not isinstance(outputs_doc, list):
-        raise InvalidSpec("outputs must be a list")
     outputs: list[tuple[str, str]] = []
-    for i, ref in enumerate(outputs_doc):
+    for i, ref in enumerate(_check.items(doc.get("outputs", []), "outputs")):
         where = f"outputs[{i}]"
-        if not isinstance(ref, dict):
-            raise InvalidSpec(f"{where} must be an object")
-        _require_keys(ref, {"node", "artifact"}, {"node", "artifact"}, where)
-        if not isinstance(ref["node"], str) or not isinstance(ref["artifact"], str):
-            raise InvalidSpec(f"{where}: node and artifact must be strings")
-        outputs.append((ref["node"], ref["artifact"]))
+        _check.obj(ref, where, {"node", "artifact"}, required={"node", "artifact"})
+        node = _check.string(ref["node"], f"{where}: node")
+        outputs.append((node, _check.string(ref["artifact"], f"{where}: artifact")))
 
     spec = PipelineSpec(
         version=doc["version"],
-        metadata=dict(metadata),
+        metadata=metadata,
         inputs=inputs,
         seed=seed,
         nodes=tuple(nodes),

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .errors import (
     SchemaError,
     UnknownCategory,
 )
+from .jsonfields import JsonChecks, loads
 
 CONTINUOUS_FMT = ".17g"  # 17 significant digits: bit-exact float64 round trip
 DEFAULT_MISSING_POLICY = "error"
@@ -114,36 +114,36 @@ def schema_to_json_obj(schema: Schema) -> dict:
     return {"columns": cols}
 
 
+_check = JsonChecks(SchemaError)
+
+
 def schema_from_json_obj(obj: Any) -> Schema:
-    if not isinstance(obj, dict) or set(obj) != {"columns"}:
-        raise SchemaError('schema document must be {"columns": [...]}')
+    _check.obj(obj, "schema document", {"columns"}, required={"columns"})
     cols = []
-    for i, c in enumerate(obj["columns"]):
-        if not isinstance(c, dict):
-            raise SchemaError(f"columns[{i}] must be an object")
-        extra = set(c) - {"name", "kind", "categories", "bounds"}
-        if extra:
-            raise SchemaError(f"columns[{i}]: unknown fields {sorted(extra)}")
-        try:
-            kind = ColumnKind(c.get("kind"))
-        except ValueError:
-            raise SchemaError(f"columns[{i}]: kind must be continuous|categorical") from None
+    for i, c in enumerate(_check.items(obj["columns"], "schema document: columns")):
+        where = f"columns[{i}]"
+        _check.obj(c, where, {"name", "kind", "categories", "bounds"}, required={"name", "kind"})
+        kind = _check.choice(c["kind"], f"{where}: kind", [k.value for k in ColumnKind])
         cats = c.get("categories")
         bounds = c.get("bounds")
+        if bounds is not None:
+            bounds = _check.numbers(bounds, f"{where}: bounds")
+            if len(bounds) != 2:
+                raise SchemaError(f"{where}: bounds must be [min, max]")
         cols.append(
             ColumnSpec(
-                name=c.get("name", ""),
-                kind=kind,
-                categories=tuple(cats) if cats is not None else None,
-                bounds=(float(bounds[0]), float(bounds[1])) if bounds is not None else None,
+                name=_check.string(c["name"], f"{where}: name"),
+                kind=ColumnKind(kind),
+                categories=_check.strings(cats, f"{where}: categories") if cats is not None else None,
+                bounds=bounds,
             )
         )
     return Schema(tuple(cols))
 
 
 def read_schema(path) -> Schema:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schema_from_json_obj(json.load(fh))
+    with open(path, "rb") as fh:
+        return schema_from_json_obj(loads(fh.read(), SchemaError))
 
 
 @dataclass(frozen=True)
@@ -189,13 +189,6 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self.columns[self.schema.index_of(name)]
 
-    def row(self, i: int) -> tuple:
-        """Raw row values: floats for continuous, category indices for categorical."""
-        return tuple(
-            float(arr[i]) if spec.kind is ColumnKind.CONTINUOUS else int(arr[i])
-            for spec, arr in zip(self.schema.columns, self.columns)
-        )
-
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices)
         return Dataset(self.schema, tuple(arr[idx] for arr in self.columns))
@@ -203,11 +196,6 @@ class Dataset:
     def restrict(self, names: Sequence[str]) -> "Dataset":
         sub = self.schema.restrict(names)
         return Dataset(sub, tuple(self.column(c.name) for c in sub.columns))
-
-    def equals(self, other: "Dataset") -> bool:
-        if self.schema != other.schema or self.n != other.n:
-            return False
-        return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
 
 
 def make_dataset(schema: Schema, values: Mapping[str, Sequence]) -> Dataset:
@@ -315,12 +303,6 @@ def dataset_to_csv_bytes(ds: Dataset) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def write_csv(ds: Dataset, path) -> None:
-    data = dataset_to_csv_bytes(ds)
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 # ----------------------------------------------------------------- encoding ---
 
 @dataclass(frozen=True)
@@ -389,19 +371,3 @@ def column_ranges(ds: Dataset) -> tuple[tuple[float, float] | None, ...]:
         else:
             out.append((float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0))
     return tuple(out)
-
-
-def gower_distance(a: Sequence, b: Sequence, schema: Schema, ranges: Sequence) -> float:
-    """Mean per-column distance: range-normalized |a-b| for continuous
-    (0 when the range is degenerate), 0/1 mismatch for categorical."""
-    total = 0.0
-    for j, spec in enumerate(schema.columns):
-        if spec.kind is ColumnKind.CATEGORICAL:
-            total += 0.0 if a[j] == b[j] else 1.0
-        else:
-            lo, hi = ranges[j]
-            span = hi - lo
-            if span <= 0.0:
-                continue
-            total += min(abs(float(a[j]) - float(b[j])) / span, 1.0)
-    return total / len(schema.columns)

@@ -1,7 +1,24 @@
-"""Shared builders for the test suite."""
+"""Shared builders and oracles for the test suite."""
 import numpy as np
 
 from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, make_dataset
+
+
+def gower_distance(a, b, schema, ranges) -> float:
+    """Mean per-column distance between two rows: range-normalized |a-b|,
+    clipped at 1, for continuous (0 when the range is degenerate), 0/1
+    mismatch for categorical. The reference the proximity metrics follow."""
+    total = 0.0
+    for j, spec in enumerate(schema.columns):
+        if spec.kind is ColumnKind.CATEGORICAL:
+            total += 0.0 if a[j] == b[j] else 1.0
+        else:
+            lo, hi = ranges[j]
+            span = hi - lo
+            if span <= 0.0:
+                continue
+            total += min(abs(float(a[j]) - float(b[j])) / span, 1.0)
+    return total / len(schema.columns)
 
 
 def cont_schema(*names, bounds=None):

@@ -5,7 +5,11 @@ import math
 
 import pytest
 
-from sdgflow.canonical import canonical_json_bytes, hash_json, sha256_hex
+from sdgflow.canonical import canonical_json_bytes, sha256_hex
+
+
+def hash_json(obj):
+    return sha256_hex(canonical_json_bytes(obj))
 
 
 def test_keys_sorted_and_compact():

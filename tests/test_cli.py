@@ -141,6 +141,22 @@ def test_run_non_finite_number_exit_3(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--max-parallel", "0"], "--max-parallel must be >= 1"),
+        (["--seed", "-1"], "--seed must be an unsigned 64-bit integer"),
+        (["--seed", str(2**64)], "--seed must be an unsigned 64-bit integer"),
+    ],
+    ids=["max-parallel-0", "seed-negative", "seed-2**64"],
+)
+def test_run_invalid_option_exit_3(tmp_path, capsys, option, message):
+    rc = main(["run", str(SAMPLE_SPEC), "--out", str(tmp_path / "run"), *option])
+    assert rc == 3
+    assert f"invalid option: {message}" in capsys.readouterr().out
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_repeats_are_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", str(SAMPLE_SPEC), "--out", str(a)]) == 0
@@ -192,6 +208,13 @@ def test_bench_rejects_single_size(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--sizes", "200", "--out", str(tmp_path / "bench")])
     assert exc.value.code == 2
+
+
+def test_bench_invalid_max_parallel_exit_3(tmp_path, capsys):
+    rc = main(["bench", "--sizes", "200,400", "--out", str(tmp_path / "bench"), "--max-parallel", "0"])
+    assert rc == 3
+    assert "invalid option: --max-parallel must be >= 1" in capsys.readouterr().out
+    assert not (tmp_path / "bench").exists()
 
 
 def test_bench_two_sizes(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from scipy import stats
 
 from sdgflow.errors import ConfigError, DegenerateMarginalWarning, RuleUnsatisfiable, TooFewRows
-from sdgflow.generators import generate, parse_generator_config
+from sdgflow.generators import generate, generate_hsd, parse_generator_config
 from sdgflow.rng import derive_stream
 from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, dataset_to_csv_bytes, make_dataset
 
@@ -248,6 +248,39 @@ def test_asd_labels_must_exist_in_schema():
         generate(config, derive_stream(16, "gen"), schema=ASD_SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "mode, mode_params, schema, where",
+    [
+        ("asd", {"column_models": {**ASD_MODELS, "zz": ASD_MODELS["a"]}}, ASD_SCHEMA, "asd"),
+        (
+            "asd",
+            {
+                "column_models": {"a": ASD_MODELS["a"]},
+                "rules": [{"kind": "range_constraint", "column": "zz", "min": 0, "max": 1}],
+            },
+            Schema((ASD_SCHEMA.columns[2],)),
+            "asd",
+        ),
+        (
+            "csd",
+            {"noise": {"x": {"distribution": "normal", "std": 1.0}, "zz": {"distribution": "normal", "std": 1.0}}},
+            Schema((ColumnSpec("x", ColumnKind.CONTINUOUS),)),
+            "csd noise",
+        ),
+        (
+            "csd",
+            {"noise": {"x": {"distribution": "normal", "std": 1.0}}, "intercepts": {"zz": 1.0}},
+            Schema((ColumnSpec("x", ColumnKind.CONTINUOUS),)),
+            "csd intercepts",
+        ),
+    ],
+    ids=["asd-model", "asd-rule", "csd-noise", "csd-intercept"],
+)
+def test_unknown_column_is_config_error_with_context(mode, mode_params, schema, where):
+    with pytest.raises(ConfigError, match=f"^{where}: unknown column 'zz'$"):
+        generate(cfg(mode, 10, **mode_params), derive_stream(18, "gen"), schema=schema)
+
+
 def test_asd_deterministic():
     config = cfg("asd", 200, column_models={"a": ASD_MODELS["a"]})
     schema = Schema((ASD_SCHEMA.columns[2],))
@@ -478,6 +511,33 @@ def test_hsd_with_rsd_part_needs_real():
     real = bivariate_real(n=400)
     synth = generate(config, derive_stream(34, "gen"), real=real)
     assert synth.n == 50
+
+
+def test_hsd_rsd_part_keeps_column_names_under_a_reordered_schema():
+    config = cfg(
+        "hsd",
+        50,
+        partition=[["x", "y"]],
+        sub_configs=[{"mode": "rsd", "n_out": 50, "mode_params": {}}],
+    )
+    real = bivariate_real(n=400)
+    plain = generate(config, derive_stream(34, "gen"), real=real)
+    reordered = generate(config, derive_stream(34, "gen"), real=real, schema=csd_schema("y", "x"))
+    assert reordered.schema.names == ("y", "x")
+    for name in ("x", "y"):
+        assert np.array_equal(col(reordered, name), col(plain, name))
+    assert not np.array_equal(col(plain, "x"), col(plain, "y"))
+
+
+def test_generate_hsd_direct_call_with_rsd_part_needs_real():
+    config = cfg(
+        "hsd",
+        50,
+        partition=[["x", "y"]],
+        sub_configs=[{"mode": "rsd", "n_out": 50, "mode_params": {}}],
+    )
+    with pytest.raises(ConfigError, match="hsd requires a real dataset"):
+        generate_hsd(config.mode_params, 50, csd_schema("x", "y"), None, derive_stream(34, "gen"))
 
 
 def test_hsd_deterministic():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gower_distance
 from sdgflow.evaluation import privacy
 
 from sdgflow.errors import ConfigError
@@ -26,7 +27,6 @@ from sdgflow.tabular import (
     Dataset,
     Schema,
     column_ranges,
-    gower_distance,
     make_dataset,
 )
 

@@ -2,17 +2,31 @@
 import pytest
 
 from sdgflow.errors import ConfigError, DuplicateMetric
-from sdgflow.evaluation.diagnostic import diagnose
-from sdgflow.evaluation.results import Direction, MetricResult
+from sdgflow.evaluation.diagnostic import diagnose, diagnostic_result_from_json_obj
+from sdgflow.evaluation.results import Direction, MetricResult, metric_from_json_obj
 from sdgflow.reporting import (
+    EvaluationReport,
     compile_report,
     derive_verdicts,
     render_text,
-    report_from_json_obj,
     threshold_passes,
 )
 from sdgflow.specs import SpecDigest
 from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, make_dataset
+
+
+def report_from_json_obj(doc):
+    run = doc["run"]
+    diag_doc = doc["sections"]["diagnostic"]["result"]
+    return EvaluationReport(
+        digest=SpecDigest(hash=run["spec_hash"], canonical_bytes_len=run["spec_canonical_bytes_len"]),
+        seed=run["seed"],
+        diagnostic=diagnostic_result_from_json_obj(diag_doc) if diag_doc else None,
+        utility=tuple(metric_from_json_obj(m) for m in doc["sections"]["utility"]["metrics"]),
+        privacy=tuple(metric_from_json_obj(m) for m in doc["sections"]["privacy"]["metrics"]),
+        thresholds=dict(doc["thresholds"]),
+        verdicts=dict(doc["verdicts"]),
+    )
 
 
 def metric(name, score, direction, provenance="utility"):

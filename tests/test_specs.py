@@ -122,6 +122,11 @@ def test_number_beyond_a_double_is_a_syntax_error(literal):
         parse_spec(text)
 
 
+def test_deeply_nested_document_is_a_syntax_error():
+    with pytest.raises(SpecSyntaxError, match="nesting too deep"):
+        parse_spec("[" * 100_000)
+
+
 def test_sample_params_parse_into_typed_objects():
     spec = load_spec(SAMPLE)
     quality = spec.node("quality").config
@@ -383,6 +388,117 @@ def test_parse_spec_fuzzed_param_value(target, value):
     text = json.dumps(sample_with(*target, value))  # NaN and Infinity as JSON literals
     try:
         spec = parse_spec(text)
+    except SpecError:
+        return
+    digest = spec_digest(spec)
+    assert spec_digest(parse_spec(serialize_spec(spec))) == digest
+
+
+# a valid generate node for each mode, with an inline schema; the nested fuzz
+# below replaces one value inside mode_params or schema
+_INLINE_SCHEMA = {
+    "columns": [
+        {"name": "x", "kind": "continuous", "bounds": [0.0, 10.0]},
+        {"name": "y", "kind": "continuous"},
+        {"name": "c", "kind": "categorical", "categories": ["p", "q"]},
+    ]
+}
+_ASD_PARAMS = {
+    "column_models": {
+        "x": {"distribution": "quantile_table", "quantiles": [0.0, 0.5, 1.0], "values": [0, 2, 10]},
+        "c": {"labels": ["p", "q"], "weights": [1, 2]},
+    },
+    "rules": [
+        {"kind": "range_constraint", "column": "x", "min": 0, "max": 9},
+        {"kind": "implication", "if_column": "c", "if_category": "p", "then_column": "c",
+         "then_categories": ["p"]},
+        {"kind": "derivation", "target": "y", "sources": {"x": 2.0}, "constant": 1},
+    ],
+    "max_attempts_per_row": 50,
+}
+_CSD_PARAMS = {
+    "causal_dag": [{"from": "x", "to": "y"}],
+    "weights": [0.5],
+    "noise": {"x": {"distribution": "normal", "std": 1.0}, "y": {"distribution": "uniform", "half_width": 2}},
+    "intercepts": {"y": 1.0},
+}
+_GENERATE_PARAMS = {
+    "rsd": {"mode": "rsd", "n_out": 40, "real": "clean", "mode_params": {"correlation_shrinkage": 0.1}},
+    "asd": {"mode": "asd", "n_out": 40, "mode_params": _ASD_PARAMS},
+    "csd": {"mode": "csd", "n_out": 40, "mode_params": _CSD_PARAMS},
+    "hsd": {
+        "mode": "hsd",
+        "n_out": 40,
+        "mode_params": {
+            "partition": [["x", "y"], ["c"]],
+            "sub_configs": [
+                {"mode": "csd", "n_out": 40, "mode_params": _CSD_PARAMS},
+                {"mode": "asd", "n_out": 40, "mode_params": {"column_models": {"c": _ASD_PARAMS["column_models"]["c"]}}},
+            ],
+            "post_rules": [{"kind": "range_constraint", "column": "x", "min": -5, "max": 5}],
+        },
+    },
+}
+
+
+def sample_generating(mode, path=None, value=None):
+    """The sample document with its generate node in `mode` and an inline
+    schema; with a `path` into the node's params, the value there replaced."""
+    doc = json.loads(SAMPLE.read_text())
+    node = next(n for n in doc["nodes"] if n["id"] == "generate")
+    node["params"] = json.loads(json.dumps({**_GENERATE_PARAMS[mode], "schema": _INLINE_SCHEMA}))
+    if path:
+        holder = node["params"]
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+    return doc
+
+
+def _nested_paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        children = value.items() if isinstance(value, dict) else enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nested_paths(child, path + (key,))
+
+
+_NESTED = [
+    (mode, (root, *path))
+    for mode in _GENERATE_PARAMS
+    for root in ("mode_params", "schema")
+    for path in _nested_paths({**_GENERATE_PARAMS[mode], "schema": _INLINE_SCHEMA}[root])
+]
+
+
+@pytest.mark.parametrize("mode", sorted(_GENERATE_PARAMS))
+def test_generate_node_in_each_mode_parses(mode):
+    parse(sample_generating(mode))
+
+
+@pytest.mark.parametrize(
+    "mode, path, value",
+    [
+        ("asd", ("mode_params", "column_models", "x", "quantiles"), ["x", 0.5, 1]),
+        ("asd", ("schema", "columns", 0, "bounds"), 1),
+        ("asd", ("schema", "columns", 0, "bounds"), "ab"),
+        ("asd", ("schema", "columns", 2, "categories"), 5),
+        ("asd", ("schema", "columns", 1, "name"), 5),
+    ],
+    ids=["quantile-string", "bounds-number", "bounds-string", "categories-number", "name-number"],
+)
+def test_bad_nested_value_is_invalid_spec(mode, path, value):
+    with pytest.raises(InvalidSpec, match="node 'generate'"):
+        parse(sample_generating(mode, path, value))
+
+
+@settings(max_examples=400, deadline=None)
+@given(target=st.sampled_from(_NESTED), value=_JSON)
+def test_parse_spec_fuzzed_nested_value(target, value):
+    try:
+        spec = parse_spec(json.dumps(sample_generating(*target, value)))
     except SpecError:
         return
     digest = spec_digest(spec)

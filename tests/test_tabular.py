@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import mixed_dataset, mixed_schema
+from conftest import gower_distance, mixed_dataset, mixed_schema
 from sdgflow.errors import (
     CellTypeError,
     HeaderMismatch,
@@ -19,13 +19,16 @@ from sdgflow.tabular import (
     dataset_to_csv_bytes,
     encode,
     encoded_width,
-    gower_distance,
     load_csv,
     make_dataset,
+    read_schema,
     schema_from_json_obj,
     schema_to_json_obj,
-    write_csv,
 )
+
+
+def write_csv(ds, path):
+    path.write_bytes(dataset_to_csv_bytes(ds))
 
 
 # ------------------------------------------------------------------ schema ---
@@ -53,6 +56,22 @@ def test_bad_bounds_rejected():
 def test_schema_json_round_trip():
     schema = mixed_schema()
     assert schema_from_json_obj(schema_to_json_obj(schema)) == schema
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"columns": [',
+        '{"columns": [{"name": "x", "kind": "continuous", "bounds": [-Infinity, Infinity]}]}',
+        b'\xff{"columns": []}',
+    ],
+    ids=["truncated", "infinite-bounds", "not-utf8"],
+)
+def test_read_schema_bad_document_is_schema_error(tmp_path, text):
+    path = tmp_path / "schema.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(SchemaError):
+        read_schema(path)
 
 
 def test_make_dataset_checks_lengths():
