@@ -18,7 +18,15 @@ from pathlib import Path
 
 from .bench import render_bench_table, run_bench
 from .engine import check_max_parallel, run, verify_manifest
-from .errors import ConfigError, InvalidSpec, ManifestMissing, NodeFailure, SpecError, SpecSyntaxError
+from .errors import (
+    ConfigError,
+    InvalidSpec,
+    ManifestInvalid,
+    ManifestMissing,
+    NodeFailure,
+    SpecError,
+    SpecSyntaxError,
+)
 from .specs import check_seed, data_flow_audit, load_spec, spec_digest
 
 
@@ -119,7 +127,7 @@ def _cmd_bench(args) -> int:
 def _cmd_inspect(args) -> int:
     try:
         report = verify_manifest(args.run_dir)
-    except (ManifestMissing, OSError, json.JSONDecodeError, KeyError) as e:
+    except (ManifestMissing, ManifestInvalid, OSError) as e:
         print(f"cannot read run dir: {e}")
         return 2
     for check in report.checks:

@@ -16,7 +16,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -25,6 +25,7 @@ from . import __version__
 from .canonical import canonical_json_bytes, sha256_hex
 from .errors import (
     ConfigError,
+    ManifestInvalid,
     ManifestMissing,
     MissingUpstream,
     NodeFailure,
@@ -43,6 +44,7 @@ from .evaluation.utility import (
     univariate_fidelity,
 )
 from .generators import generate
+from .jsonfields import JsonChecks, loads
 from .reporting import compile_report, render_text
 from .rng import RngStream, derive_stream
 from .specs import (
@@ -51,6 +53,7 @@ from .specs import (
     NodeKind,
     PipelineNode,
     PipelineSpec,
+    check_seed,
     spec_digest,
     topological_order,
 )
@@ -137,30 +140,58 @@ class RunManifest:
         }
 
 
-def manifest_from_json_obj(doc: Any) -> RunManifest:
-    records = tuple(
-        NodeRecord(
-            id=r["id"],
-            kind=r["kind"],
-            status=r["status"],
-            depends_on=tuple(r["depends_on"]),
-            start=r["start"],
-            end=r["end"],
-            duration_seconds=r["duration_seconds"],
-            artifacts={k: dict(v) for k, v in r["artifacts"].items()},
-            error=r.get("error"),
-        )
-        for r in doc["node_records"]
+_check = JsonChecks(ManifestInvalid)
+_MANIFEST_FIELDS = {
+    "spec_digest", "seed", "engine_version", "max_parallel", "started_at", "finished_at", "node_records",
+}
+_DIGEST_FIELDS = {"hash", "canonical_bytes_len"}
+_RECORD_FIELDS = {
+    "id", "kind", "status", "depends_on", "start", "end", "duration_seconds", "artifacts",
+}
+_STATUSES = ("succeeded", "failed", "skipped")
+
+
+def _maybe(check: Callable[[Any, str], Any], value: Any, what: str) -> Any:
+    return None if value is None else check(value, what)
+
+
+def _record_from_json_obj(r: Any, where: str) -> NodeRecord:
+    _check.obj(r, where, _RECORD_FIELDS | {"error"}, required=_RECORD_FIELDS)
+    artifacts = {}
+    for name, info in _check.obj(r["artifacts"], f"{where}: artifacts").items():
+        what = f"{where}: artifacts[{name!r}]"
+        _check.obj(info, what, {"file", "sha256"}, required={"file", "sha256"})
+        artifacts[name] = {k: _check.string(info[k], f"{what}: {k}") for k in ("file", "sha256")}
+    return NodeRecord(
+        id=_check.string(r["id"], f"{where}: id"),
+        kind=_check.choice(r["kind"], f"{where}: kind", [k.value for k in NodeKind]),
+        status=_check.choice(r["status"], f"{where}: status", _STATUSES),
+        depends_on=_check.strings(r["depends_on"], f"{where}: depends_on", nonempty=False),
+        start=_maybe(_check.string, r["start"], f"{where}: start"),
+        end=_maybe(_check.string, r["end"], f"{where}: end"),
+        duration_seconds=_maybe(_check.number, r["duration_seconds"], f"{where}: duration_seconds"),
+        artifacts=artifacts,
+        error=_maybe(_check.string, r.get("error"), f"{where}: error"),
     )
+
+
+def manifest_from_json_obj(doc: Any) -> RunManifest:
+    """Parse a manifest document; a missing, unknown or mistyped field raises
+    ManifestInvalid."""
+    _check.obj(doc, "manifest", _MANIFEST_FIELDS, required=_MANIFEST_FIELDS)
+    digest = _check.obj(doc["spec_digest"], "spec_digest", _DIGEST_FIELDS, required=_DIGEST_FIELDS)
+    records = _check.items(doc["node_records"], "node_records")
     return RunManifest(
-        spec_hash=doc["spec_digest"]["hash"],
-        spec_canonical_bytes_len=doc["spec_digest"]["canonical_bytes_len"],
-        seed=doc["seed"],
-        engine_version=doc["engine_version"],
-        max_parallel=doc["max_parallel"],
-        started_at=doc["started_at"],
-        finished_at=doc["finished_at"],
-        node_records=records,
+        spec_hash=_check.string(digest["hash"], "spec_digest: hash"),
+        spec_canonical_bytes_len=_check.integer(
+            digest["canonical_bytes_len"], "spec_digest: canonical_bytes_len"
+        ),
+        seed=_check.integer(doc["seed"], "seed"),
+        engine_version=_check.string(doc["engine_version"], "engine_version"),
+        max_parallel=_check.integer(doc["max_parallel"], "max_parallel"),
+        started_at=_check.string(doc["started_at"], "started_at"),
+        finished_at=_check.string(doc["finished_at"], "finished_at"),
+        node_records=tuple(_record_from_json_obj(r, f"node_records[{i}]") for i, r in enumerate(records)),
     )
 
 
@@ -380,11 +411,13 @@ def run(
 
     Relative input paths resolve against `base_dir` (default: current
     directory). `runners` swaps node implementations by kind, which tests use
-    for timing stubs. On a node failure every descendant is skipped, the
+    for timing stubs. A bad max_parallel or seed raises before any node
+    starts. On a node failure every descendant is skipped, the
     manifest is still written, and NodeFailure (carrying the manifest) is
     raised unless raise_on_failure is false.
     """
     check_max_parallel(max_parallel)
+    check_seed(spec.seed)
     out = Path(out_dir)
     (out / "artifacts").mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(exist_ok=True)
@@ -570,21 +603,25 @@ class VerificationReport:
 
 def verify_manifest(out_dir) -> VerificationReport:
     """Re-audit a finished run directory: artifact hashes, dependency-order
-    timestamps, failure propagation, and artifact completeness."""
+    timestamps, failure propagation, and artifact completeness. An artifact
+    path that is absolute or holds `..` fails the hash check unread; a
+    manifest that does not parse raises ManifestInvalid."""
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise ManifestMissing(f"no manifest.json under {out}")
-    import json
-
-    manifest = manifest_from_json_obj(json.loads(manifest_path.read_text(encoding="utf-8")))
+    manifest = manifest_from_json_obj(loads(manifest_path.read_bytes(), ManifestInvalid))
     checks: list[VerificationCheck] = []
 
     mismatches = []
     for rec in manifest.node_records:
         for name, info in rec.artifacts.items():
-            path = out / info["file"]
-            if not path.exists():
+            rel = PurePosixPath(info["file"])
+            if rel.is_absolute() or ".." in rel.parts:
+                mismatches.append(f"{rec.id}/{name}: path leaves the run directory")
+                continue
+            path = out / rel
+            if not path.is_file():
                 mismatches.append(f"{rec.id}/{name}: file missing")
                 continue
             actual = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -642,10 +679,7 @@ def verify_manifest(out_dir) -> VerificationReport:
     for rec in manifest.node_records:
         if rec.status != "succeeded":
             continue
-        try:
-            expected = set(NODE_ARTIFACTS[NodeKind(rec.kind)])
-        except ValueError:
-            continue
+        expected = set(NODE_ARTIFACTS[NodeKind(rec.kind)])
         if set(rec.artifacts) != expected:
             incomplete.append(f"{rec.id}: has {sorted(rec.artifacts)}, expected {sorted(expected)}")
     checks.append(

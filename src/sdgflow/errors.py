@@ -97,6 +97,11 @@ class ManifestMissing(SdgError):
     pass
 
 
+class ManifestInvalid(SdgError):
+    """manifest.json is not a run manifest: bad JSON, or a field of the wrong
+    type or value."""
+
+
 # -------------------------------------------------------------- generators ---
 
 class TooFewRows(SdgError):

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_U64_MAX = 2**64 - 1
+from .errors import InvalidSpec
+
+SEED_MAX = 2**64 - 1  # a root seed is hashed as 8 big-endian bytes
 
 
 def _entropy_for(root_seed: int, node_id: str) -> int:
@@ -33,8 +35,8 @@ class RngStream:
     generator: np.random.Generator = field(repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not 0 <= self.root_seed <= _U64_MAX:
-            raise ValueError(f"root_seed out of 64-bit range: {self.root_seed}")
+        if not 0 <= self.root_seed <= SEED_MAX:
+            raise InvalidSpec(f"root_seed must be an unsigned 64-bit integer, got {self.root_seed}")
         if self.generator is None:
             seq = np.random.SeedSequence(_entropy_for(self.root_seed, self.node_id))
             self.generator = np.random.Generator(np.random.PCG64(seq))

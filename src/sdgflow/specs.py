@@ -35,13 +35,13 @@ from .evaluation.names import (
 from .evaluation.privacy import PrivacyConfig, check_privacy_config
 from .evaluation.utility import DEFAULT_NULL_MODEL, DEFAULT_PERMUTATIONS, check_null_model
 from .jsonfields import JsonChecks, loads
+from .rng import SEED_MAX
 from .tabular import DEFAULT_MISSING_POLICY, MISSING_POLICIES, Schema, schema_from_json_obj
 
 if TYPE_CHECKING:
     from .generators import GeneratorConfig
 
 SPEC_VERSION = "1"
-_U64_MAX = 2**64 - 1
 
 
 class NodeKind(str, Enum):
@@ -177,8 +177,8 @@ _check = JsonChecks(InvalidSpec, unknown=UnknownField)
 
 
 def check_seed(value: Any, what: str = "seed") -> int:
-    """The root seed rule, shared by documents and the CLI's --seed."""
-    if _check.integer(value, what) < 0 or value > _U64_MAX:
+    """The root seed rule, shared by documents, the CLI's --seed and `engine.run`."""
+    if _check.integer(value, what) < 0 or value > SEED_MAX:
         raise InvalidSpec(f"{what} must be an unsigned 64-bit integer")
     return value
 

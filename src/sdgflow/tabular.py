@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     CellTypeError,
+    ConfigError,
     HeaderMismatch,
     MissingValue,
     SchemaError,
@@ -25,7 +26,8 @@ from .errors import (
 )
 from .jsonfields import JsonChecks, loads
 
-CONTINUOUS_FMT = ".17g"  # 17 significant digits: bit-exact float64 round trip
+CONTINUOUS_FMT = "%.17g"  # 17 significant digits: bit-exact float64 round trip
+CSV_BLOCK_ROWS = 65_536  # rows formatted at once: bounds the temporary cell lists
 DEFAULT_MISSING_POLICY = "error"
 MISSING_POLICIES = ("drop_row", DEFAULT_MISSING_POLICY)
 
@@ -242,7 +244,7 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
     "error" raises MissingValue at the first one.
     """
     if missing_policy not in MISSING_POLICIES:
-        raise ValueError(f"unknown missing_policy {missing_policy!r}")
+        raise ConfigError(f"unknown missing_policy {missing_policy!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -285,22 +287,34 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
     return Dataset(schema, tuple(np.asarray(col) for col in out))
 
 
-def dataset_to_csv_bytes(ds: Dataset) -> bytes:
+def _csv_line(cells: Sequence[str]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ds.schema.names)
-    cells = []
-    for spec, arr in zip(ds.schema.columns, ds.columns):
-        if spec.kind is ColumnKind.CONTINUOUS:
-            cells.append([format(v, CONTINUOUS_FMT) for v in arr])
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+def dataset_to_csv_bytes(ds: Dataset) -> bytes:
+    """The dataset as UTF-8 CSV: the header row, then one LF-terminated line
+    per row, continuous cells in CONTINUOUS_FMT and labels quoted as
+    `csv.writer` quotes them (minimally). The bytes equal those of one
+    `writerow` per row; here each row is one %-format, CSV_BLOCK_ROWS rows
+    at a time."""
+    alone = len(ds.columns) == 1
+    tables = []  # per column: its labels as CSV cells, indexed by code; None if continuous
+    for spec in ds.schema.columns:
+        if spec.kind is ColumnKind.CATEGORICAL:
+            # csv.writer writes an empty cell as "" only when it is the whole row
+            cells = [_csv_line([c])[:-1] if alone else _csv_line([c, ""])[:-2] for c in spec.categories]
+            tables.append(np.array(cells, dtype=object))
         else:
-            cats = spec.categories
-            cells.append([cats[i] for i in arr])
-    for row in zip(*cells) if cells else []:
-        writer.writerow(row)
-    if ds.n == 0:
-        pass  # header-only file
-    return buf.getvalue().encode("utf-8")
+            tables.append(None)
+    line = ",".join(CONTINUOUS_FMT if t is None else "%s" for t in tables) + "\n"
+    parts = [_csv_line(ds.schema.names).encode("utf-8")]
+    for lo in range(0, ds.n, CSV_BLOCK_ROWS):
+        rows = slice(lo, lo + CSV_BLOCK_ROWS)
+        cols = [(a[rows] if t is None else t[a[rows]]).tolist() for t, a in zip(tables, ds.columns)]
+        parts.append("".join(map(line.__mod__, zip(*cols))).encode("utf-8"))
+    return b"".join(parts)
 
 
 # ----------------------------------------------------------------- encoding ---

@@ -202,6 +202,45 @@ def test_inspect_missing_dir_exit_2(tmp_path, capsys):
     assert "cannot read run dir" in capsys.readouterr().out
 
 
+def _with_artifact(doc, key, value):
+    rec = next(r for r in doc["node_records"] if r["artifacts"])
+    next(iter(rec["artifacts"].values()))[key] = value
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        (lambda d: d.update(node_records=5), "node_records must be a list"),
+        (lambda d: d["node_records"][0].update(artifacts=[]), "artifacts must be an object"),
+        (lambda d: d["node_records"][0].update(depends_on=3), "depends_on must be a list of strings"),
+        (lambda d: _with_artifact(d, "file", 7), "file must be a string"),
+    ],
+    ids=["node_records-int", "artifacts-list", "depends_on-int", "file-int"],
+)
+def test_inspect_malformed_manifest_exit_2(tmp_path, capsys, edit, detail):
+    out_dir = tmp_path / "run"
+    assert main(["run", str(SAMPLE_SPEC), "--out", str(out_dir)]) == 0
+    doc = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    edit(doc)
+    (out_dir / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", str(out_dir)]) == 2
+    out = capsys.readouterr().out
+    assert "cannot read run dir" in out and detail in out
+
+
+def test_inspect_absolute_artifact_path_fails_unread(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main(["run", str(SAMPLE_SPEC), "--out", str(out_dir)]) == 0
+    doc = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    _with_artifact(doc, "file", str(tmp_path / "elsewhere.csv"))
+    (out_dir / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", str(out_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "artifact_hashes: FAIL" in out and "path leaves the run directory" in out
+
+
 # -------------------------------------------------------------------- bench ---
 
 def test_bench_rejects_single_size(tmp_path):

@@ -1,13 +1,16 @@
 """Workflow execution: scheduling, failure propagation, manifests, verification."""
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdgflow.canonical import canonical_json_bytes
 from sdgflow.engine import run, verify_manifest
-from sdgflow.errors import ManifestMissing, NodeFailure
+from sdgflow.errors import InvalidSpec, ManifestInvalid, ManifestMissing, NodeFailure
 from sdgflow.specs import parse_spec
 from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, make_dataset
 
@@ -345,3 +348,84 @@ def test_verify_detects_forged_success(tmp_path):
 def test_verify_missing_manifest(tmp_path):
     with pytest.raises(ManifestMissing):
         verify_manifest(tmp_path / "nothing-here")
+
+
+def test_verify_refuses_artifact_path_outside_run_dir(tmp_path):
+    out = tmp_path / "run"
+    run(spec_of(chain_doc()), out, runners=STUB_RUNNERS)
+    outside = tmp_path / "outside.csv"
+    outside.write_bytes((out / "artifacts" / "a" / "dataset.csv").read_bytes())
+    doc = json.loads((out / "manifest.json").read_text())
+    recs = {r["id"]: r for r in doc["node_records"]}
+    recs["a"]["artifacts"]["dataset"]["file"] = str(outside)  # same bytes, same hash
+    recs["b"]["artifacts"]["dataset"]["file"] = "../outside.csv"
+    (out / "manifest.json").write_bytes(canonical_json_bytes(doc))
+    bad = next(c for c in verify_manifest(out).checks if c.name == "artifact_hashes")
+    assert not bad.passed
+    assert bad.detail.count("path leaves the run directory") == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_run_rejects_bad_seed_before_any_node(tmp_path, seed):
+    spec = dataclasses.replace(spec_of(chain_doc()), seed=seed)
+    started = []
+
+    def watching_load(ctx):
+        started.append(ctx.node.id)
+        return stub_load(ctx)
+
+    with pytest.raises(InvalidSpec, match="seed"):
+        run(spec, tmp_path / "run", runners=dict(STUB_RUNNERS, load=watching_load))
+    assert started == []
+    assert not (tmp_path / "run").exists()
+
+
+def _json_paths(value, path=()):
+    """Every path to a nested value of a JSON document, the root excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield path + (key,)
+        yield from _json_paths(inner, path + (key,))
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["", ".", "..", "/etc/hostname", "../manifest.json", "artifacts", "succeeded"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("manifest-fuzz") / "run"
+    run(spec_of(synthetic_eval_doc(n=40)), out)
+    return out, json.loads((out / "manifest.json").read_text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=_JSON)
+def test_verify_fuzzed_manifest_reports_or_raises_typed_error(finished_run, data, value):
+    out, original = finished_run
+    doc = json.loads(json.dumps(original))
+    # pick a field uniformly (list positions folded together), then one of its places
+    by_field: dict = {}
+    for path in _json_paths(doc):
+        by_field.setdefault(tuple("*" if isinstance(k, int) else k for k in path), []).append(path)
+    places = data.draw(st.sampled_from(list(by_field.values())))
+    *parents, key = data.draw(st.sampled_from(places))
+    holder = doc
+    for p in parents:
+        holder = holder[p]
+    holder[key] = value
+    (out / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")  # NaN as a JSON literal
+    try:
+        verify_manifest(out)
+    except ManifestInvalid:
+        pass
+    finally:
+        (out / "manifest.json").write_text(json.dumps(original), encoding="utf-8")

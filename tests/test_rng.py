@@ -2,8 +2,10 @@
 import hashlib
 
 import numpy as np
+import pytest
 
-from sdgflow.rng import RngStream, derive_stream
+from sdgflow.errors import InvalidSpec
+from sdgflow.rng import SEED_MAX, RngStream, derive_stream
 
 # First four uniforms of two streams, frozen when the derivation scheme was
 # first implemented. Any change to the seed-to-stream mapping breaks replay
@@ -85,3 +87,13 @@ def test_streams_statistically_unrelated():
     a = derive_stream(3, "a").generator.random(20_000)
     b = derive_stream(3, "b").generator.random(20_000)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_MAX + 1])
+def test_out_of_range_seed_is_typed_error(seed):
+    with pytest.raises(InvalidSpec, match="root_seed"):
+        derive_stream(seed, "generate")
+
+
+def test_largest_seed_derives():
+    assert derive_stream(SEED_MAX, "generate").generator.random(2).shape == (2,)

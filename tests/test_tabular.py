@@ -1,10 +1,18 @@
 """Typed tabular container: schema, CSV round trip, encoding, Gower distance."""
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gower_distance, mixed_dataset, mixed_schema
+from sdgflow import tabular
 from sdgflow.errors import (
     CellTypeError,
+    ConfigError,
     HeaderMismatch,
     MissingValue,
     SchemaError,
@@ -29,6 +37,23 @@ from sdgflow.tabular import (
 
 def write_csv(ds, path):
     path.write_bytes(dataset_to_csv_bytes(ds))
+
+
+def csv_bytes_by_row(ds):
+    """The CSV writer the block writer replaced: one formatted cell and one
+    `csv.writer.writerow` at a time. The oracle for dataset_to_csv_bytes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ds.schema.names)
+    cells = []
+    for spec, arr in zip(ds.schema.columns, ds.columns):
+        if spec.kind is ColumnKind.CONTINUOUS:
+            cells.append([format(v, ".17g") for v in arr])
+        else:
+            cells.append([spec.categories[i] for i in arr])
+    for row in zip(*cells):
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
 
 
 # ------------------------------------------------------------------ schema ---
@@ -166,6 +191,75 @@ def test_csv_missing_value_policies(tmp_path):
 def test_csv_bytes_deterministic():
     ds = mixed_dataset(50, seed=3)
     assert dataset_to_csv_bytes(ds) == dataset_to_csv_bytes(ds)
+
+
+def test_load_csv_unknown_missing_policy_is_config_error(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("x\n1.0\n")
+    with pytest.raises(ConfigError, match="missing_policy"):
+        load_csv(path, Schema((ColumnSpec("x", ColumnKind.CONTINUOUS),)), missing_policy="ignore")
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+    st.integers(-(2**60), 2**60).map(float),
+)
+_LABELS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "%", "a", "é"]), max_size=4)
+
+
+@st.composite
+def awkward_datasets(draw):
+    """1-3 columns, continuous or categorical with awkward labels, and a row
+    count up to a few blocks of the block size the test patches in."""
+    names = draw(st.lists(_LABELS.filter(bool), min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(0, 13))
+    columns, values = [], {}
+    for name in names:
+        if draw(st.booleans()):
+            columns.append(ColumnSpec(name, ColumnKind.CONTINUOUS))
+            values[name] = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+        else:
+            cats = tuple(draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True)))
+            columns.append(ColumnSpec(name, ColumnKind.CATEGORICAL, categories=cats))
+            values[name] = draw(st.lists(st.integers(0, len(cats) - 1), min_size=n, max_size=n))
+    return make_dataset(Schema(tuple(columns)), values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ds=awkward_datasets(), block=st.integers(1, 5))
+def test_csv_bytes_equal_row_by_row_writer(ds, block):
+    with mock.patch.object(tabular, "CSV_BLOCK_ROWS", block):
+        assert dataset_to_csv_bytes(ds) == csv_bytes_by_row(ds)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_csv_bytes_equal_row_by_row_writer_at_block_boundary(offset):
+    n = tabular.CSV_BLOCK_ROWS + offset
+    schema = Schema(
+        (
+            ColumnSpec("x", ColumnKind.CONTINUOUS),
+            ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("", "a,b", 'q"', "plain")),
+        )
+    )
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.0, 1e3, n)
+    x[::7] = np.round(x[::7])
+    x[::11] = -0.0
+    ds = make_dataset(schema, {"x": x, "c": rng.integers(0, 4, n)})
+    assert dataset_to_csv_bytes(ds) == csv_bytes_by_row(ds)
+
+
+@pytest.mark.parametrize("alone", [True, False], ids=["one-column", "two-column"])
+def test_csv_empty_label_quoted_only_when_alone(alone):
+    cols = (ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("", "a")),)
+    values = {"c": [0, 1, 0]}
+    if not alone:
+        cols += (ColumnSpec("d", ColumnKind.CATEGORICAL, categories=("",)),)
+        values["d"] = [0, 0, 0]
+    ds = make_dataset(Schema(cols), values)
+    expected = b'c\n""\na\n""\n' if alone else b"c,d\n,\na,\n,\n"
+    assert dataset_to_csv_bytes(ds) == expected == csv_bytes_by_row(ds)
 
 
 # ------------------------------------------------------------------ encode ---
