@@ -54,6 +54,7 @@ from .specs import (
     PipelineNode,
     PipelineSpec,
     check_seed,
+    dependents,
     spec_digest,
     topological_order,
 )
@@ -431,12 +432,8 @@ def run(
     digest = spec_digest(spec)
 
     by_id = {n.id: n for n in spec.nodes}
-    children: dict[str, list[str]] = {nid: [] for nid in by_id}
-    indeg: dict[str, int] = {}
-    for n in spec.nodes:
-        indeg[n.id] = len(n.depends_on)
-        for d in n.depends_on:
-            children[d].append(n.id)
+    children = dependents(spec)
+    indeg = {n.id: len(n.depends_on) for n in spec.nodes}
 
     payloads: dict[str, Mapping[str, Any]] = {}
     status: dict[str, str] = {}
@@ -604,8 +601,9 @@ class VerificationReport:
 def verify_manifest(out_dir) -> VerificationReport:
     """Re-audit a finished run directory: artifact hashes, dependency-order
     timestamps, failure propagation, and artifact completeness. An artifact
-    path that is absolute or holds `..` fails the hash check unread; a
-    manifest that does not parse raises ManifestInvalid."""
+    path that is absolute, holds `..` or resolves (through a symlink) outside
+    the run directory fails the hash check unread; a manifest that does not
+    parse raises ManifestInvalid."""
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
@@ -613,14 +611,24 @@ def verify_manifest(out_dir) -> VerificationReport:
     manifest = manifest_from_json_obj(loads(manifest_path.read_bytes(), ManifestInvalid))
     checks: list[VerificationCheck] = []
 
+    root = out.resolve()
     mismatches = []
     for rec in manifest.node_records:
         for name, info in rec.artifacts.items():
             rel = PurePosixPath(info["file"])
-            if rel.is_absolute() or ".." in rel.parts:
+            path = out / rel
+            try:  # as written, then through any symlink
+                inside = (
+                    not rel.is_absolute()
+                    and ".." not in rel.parts
+                    and path.resolve().is_relative_to(root)
+                )
+            except ValueError:  # a NUL in the path
+                mismatches.append(f"{rec.id}/{name}: path is not a valid file name")
+                continue
+            if not inside:
                 mismatches.append(f"{rec.id}/{name}: path leaves the run directory")
                 continue
-            path = out / rel
             if not path.is_file():
                 mismatches.append(f"{rec.id}/{name}: file missing")
                 continue

@@ -675,7 +675,6 @@ def generate_asd(
     rules are enforced by rejection. A row slot that stays unsatisfied past
     max_attempts_per_row raises RuleUnsatisfiable naming the worst rule.
     """
-    _check_asd_schema(params, schema)
     gen = rng.generator
     return _reject(
         lambda round_, rows: _sample_asd_batch(params, schema, rows, gen),
@@ -696,7 +695,6 @@ def generate_csd(
     Noise is drawn per column in schema order (so the draw sequence does not
     depend on the DAG), then columns are assembled parents-first.
     """
-    _check_csd_schema(params, schema)
     gen = rng.generator
 
     eps: dict[str, np.ndarray] = {}
@@ -732,6 +730,8 @@ def _check_hsd_schema(params: HsdParams, schema: Schema) -> None:
     if extra:
         raise ConfigError(f"hsd: partition names unknown columns {sorted(extra)}")
     _check_rules_against_schema(params.post_rules, schema, "hsd post_rules")
+    for group, sub in zip(params.partition, params.sub_configs):
+        check_schema(sub, schema.restrict(group))
 
 
 def generate_hsd(
@@ -740,7 +740,6 @@ def generate_hsd(
     """Column-partitioned generation: each part runs its own sub-generator on
     an independent derived stream, outputs are joined column-wise, and any
     post_rules are enforced by whole-row rejection."""
-    _check_hsd_schema(params, schema)
     if real is None and params.needs_real():
         raise ConfigError("hsd requires a real dataset")
     # only an rsd part reads the real dataset, restricted to the part's columns
@@ -769,15 +768,23 @@ def generate_hsd(
 
 class _Mode(NamedTuple):
     parse: Callable[[Any, int], Any]  # (mode_params document, n_out) -> params
+    check: Callable[[Any, Schema], None]  # (params, schema); raises ConfigError
     generate: Callable[..., Dataset]  # (params, n_out, schema, real, rng) -> Dataset
 
 
 _MODES = {
-    "rsd": _Mode(_parse_rsd, generate_rsd),
-    "asd": _Mode(_parse_asd, generate_asd),
-    "csd": _Mode(_parse_csd, generate_csd),
-    "hsd": _Mode(_parse_hsd, generate_hsd),
+    "rsd": _Mode(_parse_rsd, lambda params, schema: None, generate_rsd),  # the real data's schema
+    "asd": _Mode(_parse_asd, _check_asd_schema, generate_asd),
+    "csd": _Mode(_parse_csd, _check_csd_schema, generate_csd),
+    "hsd": _Mode(_parse_hsd, _check_hsd_schema, generate_hsd),
 }
+
+
+def check_schema(config: GeneratorConfig, schema: Schema) -> None:
+    """Raise ConfigError unless the config's column models and rules fit the
+    schema it generates in; `generate` runs this once, spec parsing runs it
+    for an inline schema."""
+    _MODES[config.mode].check(config.mode_params, schema)
 
 
 def check_generate_inputs(config: GeneratorConfig, has_real: bool, has_schema: bool) -> None:
@@ -801,4 +808,5 @@ def generate(
     if config.n_out < 1:
         raise ConfigError("n_out must be >= 1")
     effective = schema if schema is not None else real.schema
+    check_schema(config, effective)
     return _MODES[config.mode].generate(config.mode_params, config.n_out, effective, real, rng)

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import partial
-from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Sequence
 
 from .canonical import canonical_json_bytes, sha256_hex
 from .errors import (
@@ -229,7 +229,7 @@ def _parse_params(kind: NodeKind, p: Mapping[str, Any], where: str) -> Any:
         t[key] = tuple(value) if isinstance(value, list) else value
 
     if kind is NodeKind.GENERATE:
-        from .generators import check_generate_inputs, parse_generator_config  # avoids a cycle
+        from .generators import check_generate_inputs, check_schema, parse_generator_config  # avoids a cycle
 
         t["generator"] = parse_generator_config(
             {key: t.pop(key) for key in ("mode", "n_out", "mode_params") if key in t}
@@ -240,6 +240,8 @@ def _parse_params(kind: NodeKind, p: Mapping[str, Any], where: str) -> Any:
             except SchemaError as e:
                 raise InvalidSpec(f"{where}: invalid inline schema: {e}") from None
         check_generate_inputs(t["generator"], "real" in t, "schema" in t)
+        if "schema" in t:
+            check_schema(t["generator"], t["schema"])
     if kind is NodeKind.EVALUATE_PRIVACY:
         given = [f.name for f in fields(PrivacyConfig) if f.name in t]
         t["privacy"] = PrivacyConfig(**{key: t.pop(key) for key in given})
@@ -387,43 +389,19 @@ def _children(deps: Mapping[str, Sequence[str]]) -> dict[str, list[str]]:
     return out
 
 
-def find_cycle(ids: Iterable[str], deps: Mapping[str, Sequence[str]]) -> list[str] | None:
-    """Return one cycle as a node-id path [a, b, ..., a] in data-flow order,
-    or None if the graph is acyclic. Edges flow dependency -> dependent."""
-    children = _children({nid: tuple(deps.get(nid, ())) for nid in ids})
-    state: dict[str, int] = {}  # 0 unseen implicit, 1 on stack, 2 done
-    for start in ids:
-        if state.get(start, 0) != 0:
-            continue
-        stack: list[tuple[str, Iterable[str]]] = [(start, iter(children[start]))]
-        state[start] = 1
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                st = state.get(child, 0)
-                if st == 1:
-                    return path[path.index(child):] + [child]
-                if st == 0:
-                    state[child] = 1
-                    path.append(child)
-                    stack.append((child, iter(children[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                path.pop()
-                stack.pop()
-    return None
+def dependents(spec: PipelineSpec) -> dict[str, list[str]]:
+    """Each node's direct dependents, in document order."""
+    return _children(spec.dependencies)
 
 
 def toposort_ids(ids: Sequence[str], deps: Mapping[str, Sequence[str]]) -> list[str]:
-    """Kahn's algorithm with a lexicographic tie-break over ready node ids."""
-    indeg = {nid: 0 for nid in ids}
+    """Kahn's algorithm with a lexicographic tie-break over ready node ids.
+
+    Raises CycleDetected with one cycle [a, b, ..., a] in data-flow order
+    (dependency -> dependent) when some nodes never become ready.
+    """
+    indeg = {nid: len(deps.get(nid, ())) for nid in ids}
     children = _children({nid: tuple(deps.get(nid, ())) for nid in ids})
-    for nid in ids:
-        indeg[nid] = len(deps.get(nid, ()))
     ready = [nid for nid in ids if indeg[nid] == 0]
     heapq.heapify(ready)
     order: list[str] = []
@@ -435,8 +413,16 @@ def toposort_ids(ids: Sequence[str], deps: Mapping[str, Sequence[str]]) -> list[
             if indeg[child] == 0:
                 heapq.heappush(ready, child)
     if len(order) != len(ids):
-        cycle = find_cycle(ids, deps)
-        raise CycleDetected(cycle or [])
+        # every node left over waits on a left-over dependency, so walking
+        # from one through those dependencies must repeat a node
+        left = set(ids) - set(order)
+        step: dict[str, int] = {}  # node -> its position in the walk
+        nid = next(n for n in ids if n in left)
+        while nid not in step:
+            step[nid] = len(step)
+            nid = next(d for d in deps[nid] if d in left)
+        cycle = [n for n in step if step[n] >= step[nid]] + [nid]
+        raise CycleDetected(cycle[::-1])
     return order
 
 
@@ -444,45 +430,35 @@ def topological_order(spec: PipelineSpec) -> list[str]:
     return toposort_ids([n.id for n in spec.nodes], spec.dependencies)
 
 
-def _reachable_from(starts: Iterable[str], children: Mapping[str, Sequence[str]]) -> set[str]:
-    seen: set[str] = set()
-    frontier = list(starts)
-    while frontier:
-        nid = frontier.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        frontier.extend(children[nid])
-    return seen
+def _first_reached(starts: Sequence[str], edges: Mapping[str, Sequence[str]]) -> dict[str, str | None]:
+    """Breadth-first walk from `starts` along `edges`: each reached node maps
+    to the node it was first reached from, None for a start."""
+    prev: dict[str, str | None] = dict.fromkeys(starts)
+    queue = list(prev)
+    for nid in queue:  # the loop reads what it appends, in order
+        for nxt in edges[nid]:
+            if nxt not in prev:
+                prev[nxt] = nid
+                queue.append(nxt)
+    return prev
 
 
 def validate_spec(spec: PipelineSpec) -> None:
     """Graph checks, then what node params refer to; raises a SpecError subclass."""
-    ids = [n.id for n in spec.nodes]
-    id_set = set(ids)
+    id_set = {n.id for n in spec.nodes}
     for n in spec.nodes:
         for d in n.depends_on:
-            if d == n.id:
-                raise CycleDetected([n.id, n.id])
             if d not in id_set:
                 raise DanglingDependency(f"node {n.id!r} depends on unknown node {d!r}")
-
-    cycle = find_cycle(ids, spec.dependencies)
-    if cycle:
-        raise CycleDetected(cycle)
+    topological_order(spec)  # raises CycleDetected
 
     reports = [n for n in spec.nodes if n.kind is NodeKind.REPORT]
     if len(reports) != 1:
         raise MissingReportNode(f"expected exactly one report node, found {len(reports)}")
-    report = reports[0]
-
-    children = _children(spec.dependencies)
+    feeds_report = _first_reached([reports[0].id], spec.dependencies)
     for n in spec.nodes:
-        if n.kind in EVALUATE_KINDS or n.kind is NodeKind.GENERATE:
-            if report.id not in _reachable_from([n.id], children) or n.id == report.id:
-                raise InvalidSpec(
-                    f"node {n.id!r} ({n.kind.value}) has no path to the report node"
-                )
+        if (n.kind in EVALUATE_KINDS or n.kind is NodeKind.GENERATE) and n.id not in feeds_report:
+            raise InvalidSpec(f"node {n.id!r} ({n.kind.value}) has no path to the report node")
 
     for nid, art in spec.outputs:
         if nid not in id_set:
@@ -494,7 +470,14 @@ def validate_spec(spec: PipelineSpec) -> None:
             )
 
     by_id = {n.id: n for n in spec.nodes}
-    produced = {name for n in spec.nodes if n.kind in EVALUATE_KINDS for name in n.config.metrics}
+    producer: dict[str, str] = {}
+    for n in spec.nodes:
+        for name in n.config.metrics if n.kind in EVALUATE_KINDS else ():
+            if name in producer:
+                raise InvalidSpec(
+                    f"node {n.id!r}: metric {name!r} is also produced by node {producer[name]!r}"
+                )
+            producer[name] = n.id
     for n in spec.nodes:
         where = f"node {n.id!r}"
         for key in ("source", "real", "synthetic"):
@@ -506,107 +489,40 @@ def validate_spec(spec: PipelineSpec) -> None:
         if n.kind is NodeKind.LOAD and n.config.input not in spec.inputs:
             raise InvalidSpec(f"{where}: unknown input {n.config.input!r}")
         for name in n.config.thresholds if n.kind is NodeKind.REPORT else ():
-            if name not in produced:
+            if name not in producer:
                 raise InvalidSpec(f"{where}: threshold on {name!r}, which no evaluate node produces")
 
 
 # ----------------------------------------------------------- data-flow audit ---
 
-_PATH_CAP = 10_000
-
-
 @dataclass(frozen=True)
 class AuditViolation:
     output: tuple[str, str]
-    path: tuple[str, ...]
+    path: tuple[str, ...]  # a shortest input -> output path
 
 
 @dataclass(frozen=True)
 class AuditReport:
     passed: bool
     violations: tuple[AuditViolation, ...]
-    paths: tuple[tuple[str, ...], ...]  # every input -> exported-node path
-    truncated: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "passed": self.passed,
-            "violations": [
-                {"node": v.output[0], "artifact": v.output[1], "path": list(v.path)}
-                for v in self.violations
-            ],
-            "paths": [list(p) for p in self.paths],
-            "truncated": self.truncated,
-        }
 
 
 def data_flow_audit(spec: PipelineSpec) -> AuditReport:
     """Check that only generate/evaluate/report products leave the owner domain.
 
     Raw inputs surface through load nodes; a preprocess product counts as raw
-    whenever the preprocess node is reachable from a load node.
+    whenever the preprocess node is reachable from a load node. One
+    breadth-first walk from the load nodes, in document order, decides that
+    and gives each violation its shortest input -> output path.
     """
     by_id = {n.id: n for n in spec.nodes}
-    children = _children(spec.dependencies)
-    load_nodes = [n for n in spec.nodes if n.kind is NodeKind.LOAD]
-    raw_reach = _reachable_from([n.id for n in load_nodes], children)
-
-    # enumerate simple paths input -> exported node, for the audit record
-    exported = {nid for nid, _ in spec.outputs}
-    paths: list[tuple[str, ...]] = []
-    truncated = False
-    for ln in load_nodes:
-        input_name = f"input:{ln.config.input}"
-        stack: list[tuple[str, list[str]]] = [(ln.id, [input_name, ln.id])]
-        while stack:
-            nid, path = stack.pop()
-            if nid in exported:
-                if len(paths) >= _PATH_CAP:
-                    truncated = True
-                    break
-                paths.append(tuple(path))
-            for child in sorted(children[nid]):
-                if child not in path:  # simple paths only
-                    stack.append((child, path + [child]))
-        if truncated:
-            break
-
+    prev = _first_reached([n.id for n in spec.nodes if n.kind is NodeKind.LOAD], dependents(spec))
     violations: list[AuditViolation] = []
     for nid, art in spec.outputs:
-        node = by_id[nid]
-        is_raw = node.kind is NodeKind.LOAD or (
-            node.kind is NodeKind.PREPROCESS and nid in raw_reach
-        )
-        if is_raw:
-            violations.append(AuditViolation(output=(nid, art), path=_path_to(nid, spec)))
-    return AuditReport(
-        passed=not violations,
-        violations=tuple(violations),
-        paths=tuple(paths),
-        truncated=truncated,
-    )
-
-
-def _path_to(target: str, spec: PipelineSpec) -> tuple[str, ...]:
-    """Shortest input -> target path (BFS over data-flow edges)."""
-    children = _children(spec.dependencies)
-    by_id = {n.id: n for n in spec.nodes}
-    starts = [n.id for n in spec.nodes if n.kind is NodeKind.LOAD]
-    prev: dict[str, str | None] = {s: None for s in starts}
-    frontier = list(starts)
-    while frontier:
-        nxt: list[str] = []
-        for nid in frontier:
-            if nid == target:
-                path = [nid]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])  # type: ignore[arg-type]
-                path.reverse()
-                load = by_id[path[0]]
-                return (f"input:{load.config.input}", *path, "outputs")
-            for child in children[nid]:
-                if child not in prev:
-                    prev[child] = nid
-                    nxt.append(child)
-        frontier = nxt
-    return (target, "outputs")
+        if by_id[nid].kind in (NodeKind.LOAD, NodeKind.PREPROCESS) and nid in prev:
+            path = [nid]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])  # type: ignore[arg-type]
+            source = f"input:{by_id[path[-1]].config.input}"
+            violations.append(AuditViolation(output=(nid, art), path=(source, *path[::-1], "outputs")))
+    return AuditReport(passed=not violations, violations=tuple(violations))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, driven in process through
 cli.main so exit codes and printed output are both observable."""
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -78,6 +79,18 @@ def test_validate_cycle_exit_1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "clean" in out and "->" in out
+
+
+@pytest.mark.parametrize("node_id", ["quality", "diagnostic"])
+def test_metric_from_two_evaluate_nodes_fails_validate_and_run(tmp_path, capsys, node_id):
+    doc = sample_doc()
+    doc["nodes"].append({**next(n for n in doc["nodes"] if n["id"] == node_id), "id": "again"})
+    next(n for n in doc["nodes"] if n["id"] == "report")["depends_on"].append("again")
+    spec_path = write_spec_copy(tmp_path, doc)
+    assert main(["validate", str(spec_path)]) == 1
+    assert "is also produced by node" in capsys.readouterr().out
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "run")]) == 3
+    assert not (tmp_path / "run").exists()
 
 
 def test_validate_raw_export_exit_1(tmp_path, capsys):
@@ -239,6 +252,36 @@ def test_inspect_absolute_artifact_path_fails_unread(tmp_path, capsys):
     assert main(["inspect", str(out_dir)]) == 1
     out = capsys.readouterr().out
     assert "artifact_hashes: FAIL" in out and "path leaves the run directory" in out
+
+
+def test_inspect_symlink_out_of_run_dir_fails_unread(tmp_path, capsys):
+    # the link's target carries the recorded sha256, so only the path check can fail it
+    out_dir = tmp_path / "run"
+    assert main(["run", str(SAMPLE_SPEC), "--out", str(out_dir)]) == 0
+    doc = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    target = tmp_path / "elsewhere.txt"
+    target.write_bytes(b"not from this run\n")
+    (out_dir / "artifacts" / "link.txt").symlink_to(target)
+    _with_artifact(doc, "file", "artifacts/link.txt")
+    _with_artifact(doc, "sha256", hashlib.sha256(target.read_bytes()).hexdigest())
+    (out_dir / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", str(out_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "artifact_hashes: FAIL" in out and "path leaves the run directory" in out
+
+
+def test_inspect_nul_in_artifact_path_fails(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main(["run", str(SAMPLE_SPEC), "--out", str(out_dir)]) == 0
+    doc = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    _with_artifact(doc, "file", "artifacts/a\u0000b.csv")
+    (out_dir / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert "\\u0000" in (out_dir / "manifest.json").read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", str(out_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "artifact_hashes: FAIL" in out and "path is not a valid file name" in out
 
 
 # -------------------------------------------------------------------- bench ---

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sdgflow import generators
 from sdgflow.errors import ConfigError, DegenerateMarginalWarning, RuleUnsatisfiable, TooFewRows
 from sdgflow.generators import generate, generate_hsd, parse_generator_config
 from sdgflow.rng import derive_stream
@@ -454,6 +455,26 @@ def test_hsd_post_rules_enforced():
     a = col(synth, "a")
     assert a.min() >= -1.0 and a.max() <= 1.0
     assert np.array_equal(col(synth, "b"), 4.0 * a)
+
+
+def test_hsd_checks_each_part_once_across_rejection_rounds(monkeypatch):
+    calls = {"check": 0, "generate": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    csd = generators._MODES["csd"]
+    monkeypatch.setitem(
+        generators._MODES,
+        "csd",
+        csd._replace(check=counting("check", csd.check), generate=counting("generate", csd.generate)),
+    )
+    post = [{"kind": "range_constraint", "column": "a", "min": -1.0, "max": 1.0}]
+    generate(hsd_config(2_000, post_rules=post), derive_stream(32, "gen"), schema=HSD_SCHEMA)
+    assert calls["generate"] > 1 and calls["check"] == 1
 
 
 def test_hsd_sub_n_out_must_match():

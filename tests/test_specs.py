@@ -1,6 +1,7 @@
 """Pipeline spec parsing, validation, ordering, digests, and the data-flow audit."""
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,6 @@ from sdgflow.evaluation.names import UTILITY_METRICS
 from sdgflow.evaluation.privacy import PrivacyConfig
 from sdgflow.specs import (
     data_flow_audit,
-    find_cycle,
     load_spec,
     parse_spec,
     serialize_spec,
@@ -182,14 +182,22 @@ def test_seed_must_be_u64():
 
 # ------------------------------------------------------------------- cycles ---
 
-def test_find_cycle_reports_flow_order():
+def test_toposort_cycle_path_in_flow_order():
     # dependency map: a needs c, b needs a, c needs b -> flow a->b->c->a
-    path = find_cycle(["a", "b", "c"], {"a": ["c"], "b": ["a"], "c": ["b"]})
-    assert path == ["a", "b", "c", "a"]
+    with pytest.raises(CycleDetected) as exc:
+        toposort_ids(["a", "b", "c"], {"a": ["c"], "b": ["a"], "c": ["b"]})
+    assert exc.value.path == ["a", "b", "c", "a"]
 
 
-def test_find_cycle_none_on_dag():
-    assert find_cycle(["a", "b"], {"b": ["a"]}) is None
+def test_toposort_no_cycle_on_dag():
+    assert toposort_ids(["a", "b"], {"b": ["a"]}) == ["a", "b"]
+
+
+def test_toposort_cycle_path_leaves_out_the_node_that_waits_on_it():
+    # x is listed first and only depends on the cycle a <-> b
+    with pytest.raises(CycleDetected) as exc:
+        toposort_ids(["x", "a", "b"], {"x": ["a"], "a": ["b"], "b": ["a"]})
+    assert exc.value.path == ["a", "b", "a"]
 
 
 def test_self_dependency():
@@ -214,6 +222,14 @@ def test_dangling_dependency():
     doc["nodes"][1]["depends_on"] = ["load", "ghost"]
     with pytest.raises(DanglingDependency):
         validate_spec(parse(doc))
+
+
+def test_dangling_dependency_reported_before_a_self_dependency():
+    doc = minimal_doc()
+    doc["nodes"][1]["depends_on"] = ["load", "gen"]
+    doc["nodes"][2]["depends_on"] = ["gen", "ghost"]
+    with pytest.raises(DanglingDependency, match="ghost"):
+        parse(doc)
 
 
 def test_exactly_one_report_required():
@@ -360,6 +376,52 @@ def test_audit_passes_on_synthetic_exports():
     assert rep.passed and rep.violations == ()
 
 
+def test_audit_path_is_a_shortest_input_to_output_path():
+    doc = minimal_doc()
+    doc["nodes"][1:1] = [
+        {"id": "long1", "kind": "preprocess", "depends_on": ["load"], "params": {"source": "load"}},
+        {"id": "long2", "kind": "preprocess", "depends_on": ["long1"], "params": {"source": "long1"}},
+        {"id": "join", "kind": "preprocess", "depends_on": ["long2", "short"], "params": {"source": "long2"}},
+        {"id": "short", "kind": "preprocess", "depends_on": ["load"], "params": {"source": "load"}},
+    ]
+    doc["outputs"] = [{"node": "join", "artifact": "dataset"}]
+    rep = data_flow_audit(parse(doc))
+    assert [v.path for v in rep.violations] == [("input:census", "load", "short", "join", "outputs")]
+
+
+def diamond_lattice_doc(diamonds):
+    """load, then a chain of diamonds of 3 preprocess nodes each (two
+    branches and their join), feeding the generate node: 2**diamonds simple
+    paths from the input to the generate node."""
+    doc = minimal_doc()
+    lattice, prev = [], "load"
+    for i in range(diamonds):
+        left, right, join = f"l{i}", f"r{i}", f"j{i}"
+        lattice += [
+            {"id": left, "kind": "preprocess", "depends_on": [prev], "params": {"source": prev}},
+            {"id": right, "kind": "preprocess", "depends_on": [prev], "params": {"source": prev}},
+            {"id": join, "kind": "preprocess", "depends_on": [left, right], "params": {"source": left}},
+        ]
+        prev = join
+    doc["nodes"][1:1] = lattice
+    gen = next(n for n in doc["nodes"] if n["id"] == "gen")
+    gen["depends_on"] = [prev]
+    gen["params"]["real"] = prev
+    # outputs leave out the report and the lattice's end, so no path count can stop a walk early
+    doc["outputs"] = [{"node": "l0", "artifact": "dataset"}]
+    return doc
+
+
+def test_audit_on_a_diamond_lattice_is_not_exponential():
+    text = json.dumps(diamond_lattice_doc(20))
+    parse(minimal_doc())  # imports the generators module outside the timed part
+    start = time.perf_counter()
+    rep = data_flow_audit(parse_spec(text))
+    elapsed = time.perf_counter() - start
+    assert [v.path for v in rep.violations] == [("input:census", "load", "l0", "outputs")]
+    assert elapsed < 1.0, f"parse plus audit of 63 nodes took {elapsed:.2f} s"
+
+
 def test_audit_monotone_under_added_edge():
     # adding an output can only add violations, never remove them
     doc = minimal_doc()
@@ -441,12 +503,17 @@ _GENERATE_PARAMS = {
 }
 
 
+# csd generates continuous columns only
+_MODE_SCHEMA = {mode: _INLINE_SCHEMA for mode in _GENERATE_PARAMS}
+_MODE_SCHEMA["csd"] = {"columns": _INLINE_SCHEMA["columns"][:2]}
+
+
 def sample_generating(mode, path=None, value=None):
     """The sample document with its generate node in `mode` and an inline
     schema; with a `path` into the node's params, the value there replaced."""
     doc = json.loads(SAMPLE.read_text())
     node = next(n for n in doc["nodes"] if n["id"] == "generate")
-    node["params"] = json.loads(json.dumps({**_GENERATE_PARAMS[mode], "schema": _INLINE_SCHEMA}))
+    node["params"] = json.loads(json.dumps({**_GENERATE_PARAMS[mode], "schema": _MODE_SCHEMA[mode]}))
     if path:
         holder = node["params"]
         for key in path[:-1]:
@@ -469,13 +536,36 @@ _NESTED = [
     (mode, (root, *path))
     for mode in _GENERATE_PARAMS
     for root in ("mode_params", "schema")
-    for path in _nested_paths({**_GENERATE_PARAMS[mode], "schema": _INLINE_SCHEMA}[root])
+    for path in _nested_paths({**_GENERATE_PARAMS[mode], "schema": _MODE_SCHEMA[mode]}[root])
 ]
 
 
 @pytest.mark.parametrize("mode", sorted(_GENERATE_PARAMS))
 def test_generate_node_in_each_mode_parses(mode):
     parse(sample_generating(mode))
+
+
+@pytest.mark.parametrize(
+    "mode, path, value, message",
+    [
+        ("asd", ("mode_params", "column_models", "zz"), {"labels": ["p"], "weights": [1]},
+         "asd: unknown column 'zz'"),
+        ("csd", ("mode_params", "intercepts"), {"zz": 1.0}, "csd intercepts: unknown column 'zz'"),
+        ("hsd", ("mode_params", "partition", 1), ["c", "zz"], "hsd: partition names unknown columns"),
+        ("hsd", ("mode_params", "sub_configs", 0, "mode_params", "noise", "y"), None,
+         "csd: columns \\['y'\\] have no noise spec"),
+    ],
+    ids=["asd-model", "csd-intercept", "hsd-partition", "hsd-part"],
+)
+def test_generator_that_does_not_fit_its_inline_schema_is_invalid_spec(mode, path, value, message):
+    doc = sample_generating(mode, path, value)
+    if value is None:  # drop the key instead
+        holder = next(n for n in doc["nodes"] if n["id"] == "generate")["params"]
+        for key in path[:-1]:
+            holder = holder[key]
+        del holder[path[-1]]
+    with pytest.raises(InvalidSpec, match=f"node 'generate': {message}"):
+        parse(doc)
 
 
 @pytest.mark.parametrize(
