@@ -35,6 +35,7 @@ from .evaluation.privacy import evaluate_privacy
 from .evaluation.results import metric_from_json_obj
 from .evaluation.utility import (
     bivariate_fidelity,
+    design_matrix,
     fit_propensity,
     pmse_null,
     pmse_observed,
@@ -286,11 +287,17 @@ def _run_utility(ctx: NodeContext) -> Mapping[str, Any]:
     synth = ctx.upstream_dataset(cfg.synthetic)
     selected = set(cfg.metrics)
     if selected & {"pmse_observed", "pmse_standardized", "pmse_ratio", "specks"}:
-        model, scores = fit_propensity(real, synth)
-        obs = pmse_observed(scores, model.c)
+        design = design_matrix(real, synth)
+        model, scores = fit_propensity(real, synth, design)
+        obs = pmse_observed(scores, model.c, model)
     if selected & {"pmse_standardized", "pmse_ratio"}:
         null = pmse_null(
-            real, synth, kind=cfg.null_model, B=cfg.permutations, rng=ctx.stream.child("null")
+            real,
+            synth,
+            kind=cfg.null_model,
+            B=cfg.permutations,
+            rng=ctx.stream.child("null"),
+            design=design,
         )
     compute = {
         "pmse_observed": lambda: obs,

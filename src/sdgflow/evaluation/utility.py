@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -22,6 +23,8 @@ from .results import Direction, MetricResult
 RIDGE = 1e-6
 MAX_ITER = 100
 COEF_TOL = 1e-8
+BLOCK_MAX_ITER = 30
+NULL_BLOCK_CELLS = 1 << 22  # refits x rows per block: caps its score matrix at 32 MB
 _SEPARATION_COEF = 25.0
 DEFAULT_NULL_MODEL = "permutation"
 NULL_MODELS = (DEFAULT_NULL_MODEL, "analytic")
@@ -45,6 +48,8 @@ class NullModel:
     null_mean: float
     null_sd: float
     samples: tuple[float, ...] = field(default_factory=tuple)
+    block_iterations: int = 0  # steps of the fixed-Hessian block (permutation kind)
+    newton_refits: tuple[int, ...] = ()  # refits the block left to _irls
 
 
 def check_pair(real: Dataset, synth: Dataset) -> None:
@@ -60,7 +65,20 @@ def check_null_model(kind: str, B: int) -> None:
         raise ConfigError(f"permutations must be >= {MIN_PERMUTATIONS}, got {B}")
 
 
-def _design_matrix(real: Dataset, synth: Dataset) -> tuple[np.ndarray, np.ndarray, int]:
+class Design(NamedTuple):
+    """The propensity model's inputs: the N x (k+1) design matrix (intercept
+    column first), the labels (0 real, 1 synthetic) and k."""
+
+    x: np.ndarray
+    z: np.ndarray
+    k: int
+
+
+def design_matrix(real: Dataset, synth: Dataset) -> Design:
+    """Build the design once per pair; fit_propensity and pmse_null both take it."""
+    check_pair(real, synth)
+    if real.n < 2 or synth.n < 2:
+        raise TooFewRows("propensity fit needs at least 2 rows on each side")
     combined = concat_datasets(real, synth)
     enc = encode(combined)
     n = enc.rows
@@ -69,7 +87,15 @@ def _design_matrix(real: Dataset, synth: Dataset) -> tuple[np.ndarray, np.ndarra
     x[:, 1:] = enc.data
     z = np.zeros(n, dtype=np.float64)
     z[real.n:] = 1.0
-    return x, z, enc.cols
+    return Design(x, z, enc.cols)
+
+
+def _design_for(real: Dataset, synth: Dataset, design: Design | None) -> Design:
+    if design is None:
+        return design_matrix(real, synth)
+    if design.x.shape[0] != real.n + synth.n:
+        raise ConfigError("design matrix rows do not match the datasets")
+    return design
 
 
 def _irls(
@@ -112,12 +138,12 @@ def _irls(
     return beta, scores, converged, iterations
 
 
-def fit_propensity(real: Dataset, synth: Dataset) -> tuple[PropensityModel, np.ndarray]:
-    """Fit the real-vs-synthetic classifier; the fit is deterministic."""
-    check_pair(real, synth)
-    if real.n < 2 or synth.n < 2:
-        raise TooFewRows("propensity fit needs at least 2 rows on each side")
-    x, z, k = _design_matrix(real, synth)
+def fit_propensity(
+    real: Dataset, synth: Dataset, design: Design | None = None
+) -> tuple[PropensityModel, np.ndarray]:
+    """Fit the real-vs-synthetic classifier; the fit is deterministic. `design`
+    is `design_matrix(real, synth)` when the caller already built it."""
+    x, z, k = _design_for(real, synth, design)
     beta, scores, converged, iterations = _irls(x, z)
     model = PropensityModel(
         coefficients=tuple(float(b) for b in beta),
@@ -129,18 +155,60 @@ def fit_propensity(real: Dataset, synth: Dataset) -> tuple[PropensityModel, np.n
     return model, scores
 
 
-def pmse_observed(scores: np.ndarray, c: float) -> MetricResult:
+def pmse_observed(
+    scores: np.ndarray, c: float, fit: PropensityModel | None = None
+) -> MetricResult:
+    """Mean squared distance of the propensity scores from c; `fit`, the model
+    that produced them, adds its convergence to the details."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ConfigError("pmse_observed needs at least one score")
     value = float(np.mean((scores - c) ** 2))
+    details: dict = {"n": int(scores.size), "c": c}
+    if fit is not None:
+        details.update(converged=fit.converged, iterations=fit.iterations)
     return MetricResult(
         name="pmse_observed",
         score=value,
         direction=Direction.LOWER_BETTER,
         provenance="utility",
-        details={"n": int(scores.size), "c": c},
+        details=details,
     )
+
+
+def _block_refits(x: np.ndarray, xtz: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fit every row of `xtz` (X'z_b, one row per permuted label vector) at
+    once; returns (beta, converged, iterations), beta one row per refit.
+
+    Every refit starts at the intercept-only fit (logit c, 0, ..., 0), where
+    the Hessian is exactly c(1-c) X'X + ridge, and keeps that matrix fixed:
+    beta += H0^-1 (X'z - X'expit(X beta) - ridge beta) (Bohning & Lindsay
+    1988). Permuted labels carry no signal, so each fit stays near the start
+    and the iteration contracts fast. A refit leaves the block on the rule
+    _irls uses (largest step below COEF_TOL); the block stops after
+    BLOCK_MAX_ITER steps."""
+    n_refits, p = xtz.shape
+    ridge = np.full(p, RIDGE)
+    ridge[0] = 0.0
+    h0 = c * (1.0 - c) * (x.T @ x)
+    h0[np.diag_indices_from(h0)] += ridge
+    h0_inv = np.linalg.inv(h0)
+    beta = np.zeros((n_refits, p))
+    beta[:, 0] = math.log(c / (1.0 - c))
+    converged = np.zeros(n_refits, dtype=bool)
+    active = np.arange(n_refits)
+    iterations = 0
+    while active.size and iterations < BLOCK_MAX_ITER:
+        iterations += 1
+        b = beta[active]
+        prob = b @ x.T
+        expit(prob, out=prob)
+        step = (xtz[active] - prob @ x - ridge * b) @ h0_inv
+        beta[active] = b + step
+        done = np.max(np.abs(step), axis=1) < COEF_TOL
+        converged[active[done]] = True
+        active = active[~done]
+    return beta, converged, iterations
 
 
 def pmse_null(
@@ -149,6 +217,7 @@ def pmse_null(
     kind: str = DEFAULT_NULL_MODEL,
     B: int = DEFAULT_PERMUTATIONS,
     rng: RngStream | None = None,
+    design: Design | None = None,
 ) -> NullModel:
     """Null distribution of observed pMSE under "synthetic label carries no
     signal". Permutation kind refits the model on shuffled labels; analytic
@@ -160,7 +229,12 @@ def pmse_null(
     n_synth. To first order around the null fit (intercept logit c),
     p_hat - c ~ H (z - c) with H the rank-k hat matrix of the centred
     predictors and Var(z) = c (1 - c), so N pMSE is a quadratic form with
-    mean tr(H) c (1 - c) and variance 2 tr(H^2) c^2 (1 - c)^2."""
+    mean tr(H) c (1 - c) and variance 2 tr(H^2) c^2 (1 - c)^2.
+
+    The B permutation refits run together, NULL_BLOCK_CELLS scores at a
+    time, with the Hessian frozen at the null fit (_block_refits); any refit
+    that has not converged there is refit from zero by _irls, as a lone
+    refit would be."""
     check_pair(real, synth)
     check_null_model(kind, B)
     n = real.n + synth.n
@@ -172,21 +246,50 @@ def pmse_null(
         return NullModel(kind="analytic", B=0, null_mean=mean, null_sd=sd)
     if rng is None:
         raise ConfigError("permutation null needs an rng stream")
-    x, z, k = _design_matrix(real, synth)
+    x, z, _ = _design_for(real, synth, design)
     gen = rng.generator
-    samples = []
-    for _ in range(B):
+    labels = np.empty((B, n), dtype=np.int8)
+    xtz = np.empty((B, x.shape[1]))
+    for b in range(B):
         zb = gen.permutation(z)
-        _, scores, _, _ = _irls(x, zb, warn=False)
-        samples.append(float(np.mean((scores - c) ** 2)))
-    arr = np.asarray(samples)
+        labels[b] = zb
+        xtz[b] = zb @ x
+    samples = np.empty(B)
+    converged = np.zeros(B, dtype=bool)
+    iterations = 0
+    width = max(1, NULL_BLOCK_CELLS // n)
+    for lo in range(0, B, width):
+        part = slice(lo, lo + width)
+        beta, done, steps = _block_refits(x, xtz[part], c)
+        iterations = max(iterations, steps)
+        prob = beta[done] @ x.T
+        expit(prob, out=prob)
+        prob -= c
+        np.square(prob, out=prob)
+        samples[part][done] = prob.mean(axis=1)
+        converged[part] = done
+    newton = np.flatnonzero(~converged)
+    for b in newton:
+        _, scores, _, _ = _irls(x, labels[b].astype(np.float64), warn=False)
+        samples[b] = np.mean((scores - c) ** 2)
     return NullModel(
         kind="permutation",
         B=B,
-        null_mean=float(arr.mean()),
-        null_sd=float(arr.std(ddof=1)),
-        samples=tuple(samples),
+        null_mean=float(samples.mean()),
+        null_sd=float(samples.std(ddof=1)),
+        samples=tuple(float(s) for s in samples),
+        block_iterations=iterations,
+        newton_refits=tuple(int(b) for b in newton),
     )
+
+
+def _null_fit_details(null: NullModel) -> dict:
+    if null.kind != "permutation":
+        return {}
+    return {
+        "null_block_iterations": null.block_iterations,
+        "null_newton_refits": len(null.newton_refits),
+    }
 
 
 def pmse_standardized(observed: float, null: NullModel) -> MetricResult:
@@ -197,7 +300,12 @@ def pmse_standardized(observed: float, null: NullModel) -> MetricResult:
         score=(observed - null.null_mean) / null.null_sd,
         direction=Direction.CENTERED_ZERO,
         provenance="utility",
-        details={"null_mean": null.null_mean, "null_sd": null.null_sd, "null_kind": null.kind},
+        details={
+            "null_mean": null.null_mean,
+            "null_sd": null.null_sd,
+            "null_kind": null.kind,
+            **_null_fit_details(null),
+        },
     )
 
 
@@ -209,7 +317,7 @@ def pmse_ratio(observed: float, null: NullModel) -> MetricResult:
         score=observed / null.null_mean,
         direction=Direction.CENTERED_ONE,
         provenance="utility",
-        details={"null_mean": null.null_mean, "null_kind": null.kind},
+        details={"null_mean": null.null_mean, "null_kind": null.kind, **_null_fit_details(null)},
     )
 
 

@@ -19,7 +19,6 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import rankdata
 
 from .errors import (
     ConfigError,
@@ -456,6 +455,19 @@ def _check_csd_schema(params: CsdParams, schema: Schema) -> None:
 
 # --------------------------------------------------------------- rsd (copula) ---
 
+def _average_ranks(arr: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their ranks: the values of
+    scipy.stats.rankdata(arr, method="average"), bit for bit, since each is
+    an integer or half-integer."""
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], arr.size)  # one past each tie run's last rank
+    ranks = np.empty(arr.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def _normal_scores(ds: Dataset) -> tuple[np.ndarray, list[int]]:
     """Map each column to standard-normal scores; returns an (n, d) matrix
     plus the indices of degenerate (constant) columns."""
@@ -464,7 +476,7 @@ def _normal_scores(ds: Dataset) -> tuple[np.ndarray, list[int]]:
     degenerate = []
     for j, (spec, arr) in enumerate(zip(ds.schema.columns, ds.columns)):
         if spec.kind is ColumnKind.CONTINUOUS:
-            ranks = rankdata(arr, method="average")
+            ranks = _average_ranks(arr)
             u = (ranks - 0.5) / n
         else:
             k = len(spec.categories)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Sequence
@@ -242,6 +244,10 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
 
     missing_policy: "drop_row" silently drops rows with any empty cell;
     "error" raises MissingValue at the first one.
+
+    Rows are parsed CSV_BLOCK_ROWS at a time, a column at a time; a block
+    holding anything the column parse does not accept goes through the
+    per-cell loop, which raises the typed error for its first bad cell.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
@@ -259,32 +265,77 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
             {lab: i for i, lab in enumerate(c.categories)} if c.categories else None
             for c in schema.columns
         ]
-        out: list[list] = [[] for _ in schema.columns]
-        for rownum, record in enumerate(reader, start=1):
-            if len(record) != len(schema.columns):
-                raise CellTypeError(
-                    rownum, None, f"expected {len(schema.columns)} fields, got {len(record)}"
-                )
-            if any(cell == "" for cell in record):
-                if missing_policy == "drop_row":
-                    continue
-                col = schema.columns[[c == "" for c in record].index(True)].name
-                raise MissingValue(rownum, col)
-            for j, (spec, cell) in enumerate(zip(schema.columns, record)):
-                if spec.kind is ColumnKind.CONTINUOUS:
-                    try:
-                        v = float(cell)
-                    except ValueError:
-                        raise CellTypeError(rownum, spec.name, f"not a number: {cell!r}") from None
-                    if not math.isfinite(v):
-                        raise CellTypeError(rownum, spec.name, f"non-finite value: {cell!r}")
-                    out[j].append(v)
-                else:
-                    idx = cat_lookup[j].get(cell)  # type: ignore[union-attr]
-                    if idx is None:
-                        raise UnknownCategory(rownum, spec.name, cell)
-                    out[j].append(idx)
-    return Dataset(schema, tuple(np.asarray(col) for col in out))
+        blocks: list[list] = [[] for _ in schema.columns]
+        first_row = 1
+        while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
+            columns = _parse_columns(block, schema, cat_lookup, missing_policy)
+            if columns is None:
+                columns = _parse_cells(block, first_row, schema, cat_lookup, missing_policy)
+            for parts, col in zip(blocks, columns):
+                parts.append(col)
+            first_row += len(block)
+    return Dataset(
+        schema,
+        tuple(np.concatenate(parts) if parts else np.empty(0) for parts in blocks),
+    )
+
+
+def _parse_columns(block, schema, cat_lookup, missing_policy) -> list[np.ndarray] | None:
+    """One block of records, a column at a time; None when a record has the
+    wrong field count, a cell is missing under "error", or a cell does not
+    parse, so that the per-cell loop names the first such cell."""
+    width = len(schema.columns)
+    if any(len(record) != width for record in block):
+        return None
+    if missing_policy == "drop_row":
+        block = [record for record in block if "" not in record]
+    elif any("" in record for record in block):
+        return None
+    out = []
+    for j, (spec, lookup) in enumerate(zip(schema.columns, cat_lookup)):
+        cells = map(operator.itemgetter(j), block)
+        try:
+            if spec.kind is ColumnKind.CONTINUOUS:
+                col = np.fromiter(map(float, cells), np.float64, len(block))
+                if not np.all(np.isfinite(col)):
+                    return None
+            else:
+                col = np.fromiter(map(lookup.__getitem__, cells), np.int64, len(block))
+        except (ValueError, KeyError):
+            return None
+        out.append(col)
+    return out
+
+
+def _parse_cells(block, first_row, schema, cat_lookup, missing_policy) -> list[np.ndarray]:
+    """The per-cell parse of one block of records, numbered from first_row;
+    raises the typed error for the first bad cell."""
+    out: list[list] = [[] for _ in schema.columns]
+    for rownum, record in enumerate(block, start=first_row):
+        if len(record) != len(schema.columns):
+            raise CellTypeError(
+                rownum, None, f"expected {len(schema.columns)} fields, got {len(record)}"
+            )
+        if any(cell == "" for cell in record):
+            if missing_policy == "drop_row":
+                continue
+            col = schema.columns[[c == "" for c in record].index(True)].name
+            raise MissingValue(rownum, col)
+        for j, (spec, cell) in enumerate(zip(schema.columns, record)):
+            if spec.kind is ColumnKind.CONTINUOUS:
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise CellTypeError(rownum, spec.name, f"not a number: {cell!r}") from None
+                if not math.isfinite(v):
+                    raise CellTypeError(rownum, spec.name, f"non-finite value: {cell!r}")
+                out[j].append(v)
+            else:
+                idx = cat_lookup[j].get(cell)  # type: ignore[union-attr]
+                if idx is None:
+                    raise UnknownCategory(rownum, spec.name, cell)
+                out[j].append(idx)
+    return [np.asarray(col) for col in out]
 
 
 def _csv_line(cells: Sequence[str]) -> str:

@@ -3,11 +3,15 @@ cli.main so exit codes and printed output are both observable."""
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sdgflow
 from sdgflow.cli import main
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
@@ -31,6 +35,14 @@ def write_spec_copy(tmp_path, doc, with_data=True, with_schema=True):
 
 
 # ----------------------------------------------------------------- validate ---
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(sdgflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, sdgflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
 
 def test_validate_sample_ok(capsys):
     rc = main(["validate", str(SAMPLE_SPEC)])

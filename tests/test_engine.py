@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sdgflow.canonical import canonical_json_bytes
 from sdgflow.engine import run, verify_manifest
+from sdgflow.evaluation import utility
 from sdgflow.errors import InvalidSpec, ManifestInvalid, ManifestMissing, NodeFailure
 from sdgflow.specs import parse_spec
 from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, make_dataset
@@ -255,6 +256,28 @@ def test_seed_changes_artifacts(tmp_path):
     ha = next(r for r in a.node_records if r.id == "syn").artifacts["dataset"]["sha256"]
     hb = next(r for r in b.node_records if r.id == "syn").artifacts["dataset"]["sha256"]
     assert ha != hb
+
+
+def test_utility_node_encodes_once_and_records_fit_decisions(tmp_path, monkeypatch):
+    calls = []
+    original = utility.encode
+
+    def counting_encode(ds):
+        calls.append(ds.n)
+        return original(ds)
+
+    monkeypatch.setattr(utility, "encode", counting_encode)
+    doc = synthetic_eval_doc()
+    qual = next(node for node in doc["nodes"] if node["id"] == "qual")
+    qual["params"]["metrics"] = ["pmse_observed", "pmse_standardized", "pmse_ratio", "specks"]
+    run(spec_of(doc), tmp_path / "run")
+    assert calls == [240]
+    metrics = json.loads((tmp_path / "run" / "artifacts" / "qual" / "metrics.json").read_text())
+    details = {m["name"]: m["details"] for m in metrics["metrics"]}
+    assert details["pmse_observed"]["converged"] is True
+    assert details["pmse_observed"]["iterations"] > 0
+    assert details["pmse_standardized"]["null_block_iterations"] > 0
+    assert details["pmse_ratio"]["null_newton_refits"] >= 0
 
 
 def test_node_streams_isolated(tmp_path):

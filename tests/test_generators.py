@@ -1,6 +1,8 @@
 """Four synthesis modes: resampling, assertion-driven, causal, and hybrid."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sdgflow import generators
@@ -36,6 +38,24 @@ def test_rsd_recovers_correlation_and_marginals():
     for name in ("x", "y"):
         ks = stats.ks_2samp(col(real, name), col(synth, name)).statistic
         assert ks <= 0.05, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([-1e300, -2.5, -0.0, 0.0, 1.0, 1.5, 7.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        max_size=60,
+    )
+)
+def test_average_ranks_equal_rankdata(values):
+    # few distinct values, so most arrays hold long runs of ties
+    arr = np.asarray(values, dtype=np.float64)
+    ranks = generators._average_ranks(arr)
+    assert ranks.dtype == np.float64
+    assert np.array_equal(ranks, stats.rankdata(arr, method="average"))
 
 
 def test_rsd_stays_within_observed_bounds():

@@ -1,6 +1,8 @@
 """Typed tabular container: schema, CSV round trip, encoding, Gower distance."""
 import csv
 import io
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -198,6 +200,68 @@ def test_load_csv_unknown_missing_policy_is_config_error(tmp_path):
     path.write_text("x\n1.0\n")
     with pytest.raises(ConfigError, match="missing_policy"):
         load_csv(path, Schema((ColumnSpec("x", ColumnKind.CONTINUOUS),)), missing_policy="ignore")
+
+
+_FLOAT_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_LOAD_SCHEMA = Schema(
+    (
+        ColumnSpec("x", ColumnKind.CONTINUOUS),
+        ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a", "b,c")),
+        ColumnSpec("y", ColumnKind.CONTINUOUS),
+    )
+)
+_CELLS = st.sampled_from(
+    ["", "1", "-0.0", "2.5e3", " 7", "1_0", "0x1", "nan", "inf", "1e999", "a", "b,c", "A", '"']
+)
+_NUMBER_CELLS = st.one_of(
+    st.sampled_from(["", "1", "-0.0", "2.5e3", " 7", "1_0", "5e-324"]), _FLOAT_CELLS
+)
+_ROWS = st.one_of(
+    st.tuples(_NUMBER_CELLS, st.sampled_from(["", "a", "b,c"]), _NUMBER_CELLS).map(list),
+    st.lists(_CELLS, min_size=2, max_size=4),
+)
+
+
+def _load_outcome(path, policy):
+    try:
+        ds = load_csv(path, _LOAD_SCHEMA, missing_policy=policy)
+    except Exception as e:  # the outcome compared is the exception itself
+        return type(e), str(e)
+    return tuple((c.dtype.str, c.tobytes()) for c in ds.columns)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=st.lists(_ROWS, max_size=12),
+    policy=st.sampled_from(tabular.MISSING_POLICIES),
+    block=st.integers(1, 5),
+)
+def test_load_csv_equals_per_cell_loop(rows, policy, block):
+    # the oracle is the per-cell loop over the whole file as one block; the
+    # loader under test reads blocks of 1-5 rows, a column at a time
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([list(_LOAD_SCHEMA.names)] + rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.csv"
+        path.write_text(buf.getvalue(), encoding="utf-8")
+        with mock.patch.object(tabular, "_parse_columns", lambda *args: None):
+            expected = _load_outcome(path, policy)
+        with mock.patch.object(tabular, "CSV_BLOCK_ROWS", block):
+            got = _load_outcome(path, policy)
+    assert got == expected
+
+
+def test_load_csv_parses_clean_blocks_without_the_per_cell_loop(tmp_path):
+    # rows with a missing cell are dropped by the column parse itself
+    ds = mixed_dataset(300, seed=3)
+    header, *lines = dataset_to_csv_bytes(ds).decode().splitlines(keepends=True)
+    blank = "," * (len(ds.schema.columns) - 1) + "\n"
+    path = tmp_path / "clean.csv"
+    path.write_text(header + "".join(line + blank * (i % 50 == 0) for i, line in enumerate(lines)))
+    with mock.patch.object(tabular, "CSV_BLOCK_ROWS", 64):
+        with mock.patch.object(tabular, "_parse_cells", side_effect=AssertionError("per-cell loop")):
+            loaded = load_csv(path, ds.schema, missing_policy="drop_row")
+    assert dataset_to_csv_bytes(loaded) == dataset_to_csv_bytes(ds)
 
 
 _FLOATS = st.one_of(

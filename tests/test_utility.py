@@ -7,12 +7,17 @@ from scipy import stats
 
 from sdgflow.bench import make_bench_dataset
 from sdgflow.errors import ConfigError, DegenerateNull, SchemaMismatch, SeparationWarning, TooFewRows
+from sdgflow.evaluation import utility
 from sdgflow.evaluation.results import Direction
 from sdgflow.evaluation.utility import (
+    BLOCK_MAX_ITER,
+    COEF_TOL,
+    RIDGE,
     NullModel,
-    _design_matrix,
+    _block_refits,
     _irls,
     bivariate_fidelity,
+    design_matrix,
     fit_propensity,
     ks_statistic,
     pmse_null,
@@ -68,7 +73,7 @@ def test_fit_propensity_gradient_stationarity():
     real, synth = cont_ds(300, 3), cont_ds(300, 4, shift=0.4)
     model, scores = fit_propensity(real, synth)
     assert model.converged
-    x, z, k = _design_matrix(real, synth)
+    x, z, k = design_matrix(real, synth)
     beta = np.asarray(model.coefficients)
     grad = x.T @ (z - scores)
     grad[1:] -= 1e-6 * beta[1:]  # intercept unpenalized
@@ -151,7 +156,7 @@ def test_permutation_null_identity_anchor():
     real, synth = cont_ds(100, 12), cont_ds(100, 13)
     model, scores = fit_propensity(real, synth)
     observed = pmse_observed(scores, model.c).score
-    x, z, _ = _design_matrix(real, synth)
+    x, z, _ = design_matrix(real, synth)
     _, refit_scores, _, _ = _irls(x, z)
     assert float(np.mean((refit_scores - model.c) ** 2)) == pytest.approx(observed, rel=1e-12)
 
@@ -175,7 +180,7 @@ def test_permutation_null_deterministic():
 def test_permutation_null_refits_neither_warn_nor_touch_filters():
     # 8 rows and 5 predictors: many label permutations are separable
     real, synth = cont_ds(4, 30, names=tuple("abcde")), cont_ds(4, 31, names=tuple("abcde"))
-    x, z, _ = _design_matrix(real, synth)
+    x, z, _ = design_matrix(real, synth)
     gen = np.random.default_rng(0)
     with warnings.catch_warnings(record=True) as direct:
         warnings.simplefilter("always")
@@ -188,6 +193,122 @@ def test_permutation_null_refits_neither_warn_nor_touch_filters():
         pmse_null(real, synth, B=20, rng=derive_stream(5, "null"))
         assert warnings.filters == before
     assert not any(issubclass(w.category, SeparationWarning) for w in caught)
+
+
+def bench_split(n, c, seed=0):
+    ds = make_bench_dataset(n)
+    order = np.random.default_rng(seed).permutation(n)
+    n_synth = int(round(n * c))
+    return ds.take(order[n_synth:]), ds.take(order[:n_synth])
+
+
+def newton_null(x, z, seed, B):
+    """The Newton oracle: each permuted label vector refit alone by _irls,
+    drawn from the stream pmse_null uses; returns (labels, fits)."""
+    gen = derive_stream(seed, "null").generator
+    labels = [gen.permutation(z) for _ in range(B)]
+    return labels, [_irls(x, zb, warn=False) for zb in labels]
+
+
+@pytest.mark.parametrize("n, c", [(6000, 0.05), (6000, 0.17), (6000, 0.5), (360, 60 / 360)])
+def test_block_null_matches_newton_refits(n, c):
+    real, synth = bench_split(n, c)
+    x, z, _ = design_matrix(real, synth)
+    c = synth.n / (real.n + synth.n)
+    null = pmse_null(real, synth, B=20, rng=derive_stream(2, "null"))
+    labels, fits = newton_null(x, z, 2, 20)
+    beta, converged, _ = _block_refits(x, np.array([zb @ x for zb in labels]), c)
+    assert null.newton_refits == tuple(np.flatnonzero(~converged))
+    ridge = np.full(x.shape[1], RIDGE)
+    ridge[0] = 0.0
+    h0 = c * (1.0 - c) * (x.T @ x) + np.diag(ridge)
+    for b, (beta_newton, scores, _, _) in enumerate(fits):
+        newton_sample = float(np.mean((scores - c) ** 2))
+        if not converged[b]:
+            # refit by _irls from zero, as the oracle was
+            assert null.samples[b] == newton_sample
+            continue
+        # Tolerance from COEF_TOL. Both fits stop once their largest step is
+        # below COEF_TOL. Newton's error there is below that step. The frozen
+        # Hessian iteration contracts, to first order, by rho = max|1 - eig(
+        # H0^-1 H*)| with H* the Hessian at the optimum, so its error is at
+        # most rho / (1 - rho) times its last step. Together the two fits
+        # differ by at most COEF_TOL / (1 - rho) per coefficient.
+        w = scores * (1.0 - scores)
+        h_star = x.T @ (x * w[:, None]) + np.diag(ridge)
+        rho = np.max(np.abs(1.0 - np.linalg.eigvals(np.linalg.solve(h0, h_star)).real))
+        assert rho < 1.0
+        coef_tol = COEF_TOL / (1.0 - rho)
+        assert np.max(np.abs(beta[b] - beta_newton)) <= coef_tol
+        # expit' <= 1/4, so each score moves by at most |x_i|_1 coef_tol / 4,
+        # and mean((p - c)^2) by at most 2 mean|p - c| times that
+        sample_tol = 0.5 * np.mean(np.abs(scores - c)) * np.abs(x).sum(axis=1).max() * coef_tol
+        assert abs(null.samples[b] - newton_sample) <= sample_tol
+
+
+def test_block_null_finishes_small_unbalanced_pair_with_newton():
+    # 300 real vs 60 synthetic rows: too few rows for the frozen Hessian to
+    # settle most refits within BLOCK_MAX_ITER steps
+    real, synth = bench_split(360, 60 / 360)
+    null = pmse_null(real, synth, B=20, rng=derive_stream(2, "null"))
+    assert null.block_iterations == BLOCK_MAX_ITER
+    assert 0 < len(null.newton_refits) < 20
+
+
+def test_block_null_with_no_steps_is_the_newton_null(monkeypatch):
+    real, synth = bench_split(2000, 0.3)
+    x, z, _ = design_matrix(real, synth)
+    c = synth.n / (real.n + synth.n)
+    monkeypatch.setattr(utility, "BLOCK_MAX_ITER", 0)
+    null = pmse_null(real, synth, B=20, rng=derive_stream(6, "null"))
+    _, fits = newton_null(x, z, 6, 20)
+    assert null.samples == tuple(float(np.mean((s - c) ** 2)) for _, s, _, _ in fits)
+    assert null.newton_refits == tuple(range(20)) and null.block_iterations == 0
+
+
+def test_block_null_splits_refits_to_bound_its_score_matrix(monkeypatch):
+    real, synth = bench_split(2000, 0.3)
+    whole = pmse_null(real, synth, B=20, rng=derive_stream(6, "null"))
+    widths = []
+    block_refits = utility._block_refits
+
+    def spy(x, xtz, c):
+        widths.append(xtz.shape[0])
+        return block_refits(x, xtz, c)
+
+    monkeypatch.setattr(utility, "_block_refits", spy)
+    monkeypatch.setattr(utility, "NULL_BLOCK_CELLS", 3 * 2000 + 1)
+    split = pmse_null(real, synth, B=20, rng=derive_stream(6, "null"))
+    assert widths == [3] * 6 + [2]
+    assert split.newton_refits == whole.newton_refits
+    # the same iteration on the same data; blocks of another width round
+    # differently inside BLAS, which moves a sample by ~1e-12 relative
+    assert split.samples == pytest.approx(whole.samples, rel=1e-10)
+
+
+def test_shared_design_matrix_gives_the_same_results():
+    real, synth = cont_ds(200, 42), cont_ds(150, 43, shift=0.2)
+    design = design_matrix(real, synth)
+    assert fit_propensity(real, synth, design)[0] == fit_propensity(real, synth)[0]
+    shared = pmse_null(real, synth, B=20, rng=derive_stream(1, "null"), design=design)
+    alone = pmse_null(real, synth, B=20, rng=derive_stream(1, "null"))
+    assert shared == alone
+    with pytest.raises(ConfigError):
+        pmse_null(real, synth, B=20, rng=derive_stream(1, "null"), design=design_matrix(real, real))
+
+
+def test_fit_decisions_recorded_in_details():
+    real, synth = cont_ds(200, 44), cont_ds(200, 45)
+    model, scores = fit_propensity(real, synth)
+    details = pmse_observed(scores, model.c, model).details
+    assert details["converged"] is True and details["iterations"] == model.iterations
+    assert "converged" not in pmse_observed(scores, model.c).details
+    null = pmse_null(real, synth, B=20, rng=derive_stream(1, "null"))
+    for metric in (pmse_standardized(1e-3, null), pmse_ratio(1e-3, null)):
+        assert metric.details["null_block_iterations"] == null.block_iterations > 0
+        assert metric.details["null_newton_refits"] == len(null.newton_refits)
+    analytic = pmse_null(real, synth, kind="analytic")
+    assert "null_block_iterations" not in pmse_standardized(1e-3, analytic).details
 
 
 def test_unknown_null_kind():
