@@ -7,7 +7,7 @@ hybrid), and evaluates the result with diagnostic, utility, and privacy metrics.
 
 __version__ = "0.1.0"
 
-from .tabular import ColumnKind, ColumnSpec, Dataset, EncodedMatrix, Schema
+from .tabular import ColumnKind, ColumnSpec, Dataset, Schema
 from .specs import PipelineSpec, parse_spec, spec_digest, topological_order
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "ColumnKind",
     "ColumnSpec",
     "Dataset",
-    "EncodedMatrix",
     "Schema",
     "PipelineSpec",
     "parse_spec",

@@ -9,6 +9,7 @@ conditions.
 
 from __future__ import annotations
 
+import graphlib
 import hashlib
 import os
 import time
@@ -30,7 +31,7 @@ from .errors import (
     MissingUpstream,
     NodeFailure,
 )
-from .evaluation.diagnostic import diagnose, diagnostic_metric, diagnostic_result_from_json_obj
+from .evaluation.diagnostic import diagnose, diagnostic_metric
 from .evaluation.privacy import evaluate_privacy
 from .evaluation.results import metric_from_json_obj
 from .evaluation.utility import (
@@ -55,7 +56,6 @@ from .specs import (
     PipelineNode,
     PipelineSpec,
     check_seed,
-    dependents,
     spec_digest,
     topological_order,
 )
@@ -326,29 +326,18 @@ def _run_privacy(ctx: NodeContext) -> Mapping[str, Any]:
 
 
 def _run_report(ctx: NodeContext) -> Mapping[str, Any]:
-    diag = None
-    utility = []
-    privacy = []
+    metrics = []
     for nid in topological_order(ctx.spec):
-        node = ctx.spec.node(nid)
-        if node.kind not in EVALUATE_KINDS:
-            continue
-        try:
-            doc = ctx.upstream[nid]["metrics"]
-        except KeyError:
-            raise MissingUpstream(nid) from None
-        if node.kind is NodeKind.EVALUATE_DIAGNOSTIC:
-            diag = diagnostic_result_from_json_obj(doc["diagnostic"])
-        elif node.kind is NodeKind.EVALUATE_UTILITY:
-            utility.extend(metric_from_json_obj(m) for m in doc["metrics"])
-        else:
-            privacy.extend(metric_from_json_obj(m) for m in doc["metrics"])
+        if ctx.spec.node(nid).kind in EVALUATE_KINDS:
+            try:
+                doc = ctx.upstream[nid]["metrics"]
+            except KeyError:
+                raise MissingUpstream(nid) from None
+            metrics.extend(metric_from_json_obj(m) for m in doc["metrics"])
     report = compile_report(
         digest=spec_digest(ctx.spec),
         seed=ctx.spec.seed,
-        diagnostic=diag,
-        utility=tuple(utility),
-        privacy=tuple(privacy),
+        metrics=tuple(metrics),
         thresholds=ctx.node.config.thresholds,
     )
     ctx.log(f"report verdicts: {dict(report.verdicts)}")
@@ -439,17 +428,35 @@ def run(
     digest = spec_digest(spec)
 
     by_id = {n.id: n for n in spec.nodes}
-    children = dependents(spec)
-    indeg = {n.id: len(n.depends_on) for n in spec.nodes}
-
     payloads: dict[str, Mapping[str, Any]] = {}
-    status: dict[str, str] = {}
     records: dict[str, NodeRecord] = {}
 
-    def worker(node: PipelineNode):
-        log_lines: list[str] = []
-        start_iso, start_mono = clock.now()
-        log_lines.append(f"{start_iso} start {node.id} ({node.kind.value})")
+    def finish(node: PipelineNode, lines: list[str], start=None, artifacts=None, error=None) -> NodeRecord:
+        """Write the node's log and build its record: a node that never
+        started was skipped, one that started failed when it has an error."""
+        end = duration = None
+        status = "skipped"
+        if start is not None:
+            end, end_mono = clock.now()
+            duration = round(end_mono - start[1], 3)
+            status = "succeeded" if error is None else "failed"
+            lines.append(f"{end} done {node.id}" if error is None else f"{end} failed {node.id}\n{error}")
+        (out / "logs" / f"{node.id}.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return NodeRecord(
+            id=node.id,
+            kind=node.kind.value,
+            status=status,
+            depends_on=node.depends_on,
+            start=start[0] if start else None,
+            end=end,
+            duration_seconds=duration,
+            artifacts=artifacts or {},
+            error=error,
+        )
+
+    def worker(node: PipelineNode) -> NodeRecord:
+        start = clock.now()
+        lines = [f"{start[0]} start {node.id} ({node.kind.value})"]
         try:
             ctx = NodeContext(
                 node=node,
@@ -457,93 +464,44 @@ def run(
                 stream=derive_stream(spec.seed, node.id),
                 base_dir=base,
                 upstream=payloads,
-                log=lambda msg: log_lines.append(msg),
+                log=lines.append,
             )
             produced = active_runners[node.kind.value](ctx)
-            art_records = {}
+            artifacts = {}
             node_dir = out / "artifacts" / node.id
             node_dir.mkdir(parents=True, exist_ok=True)
             for name, payload in produced.items():
                 filename = _ARTIFACT_FILES[name]
                 data = _artifact_bytes(name, payload)
                 (node_dir / filename).write_bytes(data)
-                art_records[name] = {
+                artifacts[name] = {
                     "file": f"artifacts/{node.id}/{filename}",
                     "sha256": sha256_hex(data),
                 }
-            end_iso, end_mono = clock.now()
-            log_lines.append(f"{end_iso} done {node.id}")
-            (out / "logs" / f"{node.id}.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-            return (produced, art_records, start_iso, end_iso, round(end_mono - start_mono, 3), None)
         except Exception:
-            end_iso, end_mono = clock.now()
-            err = traceback.format_exc()
-            log_lines.append(f"{end_iso} failed {node.id}\n{err}")
-            (out / "logs" / f"{node.id}.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-            return (None, {}, start_iso, end_iso, round(end_mono - start_mono, 3), err)
+            return finish(node, lines, start, error=traceback.format_exc())
+        payloads[node.id] = produced  # read only by dependents, submitted after this returns
+        return finish(node, lines, start, artifacts)
 
-    def resolve_child(child_id: str) -> list[str]:
-        """Called when one dependency of child resolves; returns nodes to submit."""
-        indeg[child_id] -= 1
-        if indeg[child_id] > 0:
-            return []
-        node = by_id[child_id]
-        if all(status.get(d) == "succeeded" for d in node.depends_on):
-            return [child_id]
-        status[child_id] = "skipped"
-        failed_dep = next(
-            (d for d in node.depends_on if status.get(d) in ("failed", "skipped")), "?"
-        )
-        records[child_id] = NodeRecord(
-            id=child_id,
-            kind=node.kind.value,
-            status="skipped",
-            depends_on=node.depends_on,
-            start=None,
-            end=None,
-            duration_seconds=None,
-            artifacts={},
-            error=f"skipped: upstream {failed_dep!r} did not succeed",
-        )
-        (out / "logs" / f"{child_id}.log").write_text(
-            f"skipped: upstream {failed_dep!r} did not succeed\n", encoding="utf-8"
-        )
-        cascade: list[str] = []
-        for grandchild in children[child_id]:
-            cascade.extend(resolve_child(grandchild))
-        return cascade
-
+    graph = graphlib.TopologicalSorter(spec.dependencies)
+    graph.prepare()
     with ThreadPoolExecutor(max_workers=max_parallel) as pool:
-        futures = {}
-        for nid in sorted(n.id for n in spec.nodes if indeg[n.id] == 0):
-            futures[pool.submit(worker, by_id[nid])] = nid
-        while futures:
-            done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-            for fut in done:
-                nid = futures.pop(fut)
-                produced, art_records, start_iso, end_iso, duration, err = fut.result()
+        running: set = set()
+        while graph.is_active():
+            for nid in sorted(graph.get_ready()):
                 node = by_id[nid]
-                if err is None:
-                    payloads[nid] = produced
-                    status[nid] = "succeeded"
+                bad = next((d for d in node.depends_on if records[d].status != "succeeded"), None)
+                if bad is None:
+                    running.add(pool.submit(worker, node))
                 else:
-                    status[nid] = "failed"
-                records[nid] = NodeRecord(
-                    id=nid,
-                    kind=node.kind.value,
-                    status=status[nid],
-                    depends_on=node.depends_on,
-                    start=start_iso,
-                    end=end_iso,
-                    duration_seconds=duration,
-                    artifacts=art_records,
-                    error=err,
-                )
-                to_submit: list[str] = []
-                for child in children[nid]:
-                    to_submit.extend(resolve_child(child))
-                for child_id in sorted(to_submit):
-                    futures[pool.submit(worker, by_id[child_id])] = child_id
+                    reason = f"skipped: upstream {bad!r} did not succeed"
+                    records[nid] = finish(node, [reason], error=reason)
+                    graph.done(nid)
+            done, running = wait(running, return_when=FIRST_COMPLETED)  # at once when empty
+            for fut in done:
+                rec = fut.result()
+                records[rec.id] = rec
+                graph.done(rec.id)
 
     finished_at, _ = clock.now()
     manifest = RunManifest(
@@ -559,7 +517,7 @@ def run(
     (out / "manifest.json").write_bytes(canonical_json_bytes(manifest.to_json_obj()))
 
     report_nodes = [n.id for n in spec.nodes if n.kind is NodeKind.REPORT]
-    if report_nodes and status.get(report_nodes[0]) == "succeeded":
+    if report_nodes and records[report_nodes[0]].status == "succeeded":
         rid = report_nodes[0]
         (out / "report.json").write_bytes(
             (out / "artifacts" / rid / "report.json").read_bytes()
@@ -569,7 +527,7 @@ def run(
         )
 
     if raise_on_failure:
-        failed = [nid for nid in topological_order(spec) if status.get(nid) == "failed"]
+        failed = [nid for nid in topological_order(spec) if records[nid].status == "failed"]
         if failed:
             raise NodeFailure(
                 node_id=failed[0],

@@ -84,9 +84,10 @@ class InvalidSpec(SpecError):
 # ------------------------------------------------------------------ engine ---
 
 class NodeFailure(SdgError):
-    """A pipeline node raised; descendants were skipped."""
+    """A pipeline node raised; descendants were skipped. `cause` is the
+    node's traceback text."""
 
-    def __init__(self, node_id: str, cause: BaseException, manifest=None):
+    def __init__(self, node_id: str, cause: str, manifest=None):
         self.node_id = node_id
         self.cause = cause
         self.manifest = manifest

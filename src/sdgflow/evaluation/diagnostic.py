@@ -5,7 +5,6 @@ categorical labels that actually occur in the real data."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -39,17 +38,6 @@ class DiagnosticResult:
             ],
             "overall_score": self.overall_score,
         }
-
-
-def diagnostic_result_from_json_obj(doc: Any) -> DiagnosticResult:
-    return DiagnosticResult(
-        structure_ok=bool(doc["structure_ok"]),
-        per_column=tuple(
-            ColumnCheck(column=c["column"], check=c["check"], pass_fraction=float(c["pass_fraction"]))
-            for c in doc["per_column"]
-        ),
-        overall_score=float(doc["overall_score"]),
-    )
 
 
 def _columns_match(a, b) -> bool:

@@ -559,10 +559,9 @@ def sample_overlap(
 
     def pick(ds: Dataset) -> Dataset:
         m = math.ceil(fraction * ds.n)
-        ordered = _canonical_order(ds)
-        if m >= ds.n:
-            return ordered
-        return ordered.take(np.sort(gen.choice(ds.n, size=m, replace=False)))
+        if m >= ds.n:  # every row: the overlap does not depend on their order
+            return ds
+        return _canonical_order(ds).take(np.sort(gen.choice(ds.n, size=m, replace=False)))
 
     picked_r = pick(real)
     picked_s = pick(synth)

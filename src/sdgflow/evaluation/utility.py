@@ -17,7 +17,7 @@ from scipy.special import expit
 
 from ..errors import ConfigError, DegenerateNull, SchemaMismatch, SeparationWarning, TooFewRows
 from ..rng import RngStream
-from ..tabular import ColumnKind, Dataset, concat_datasets, encode, encoded_width
+from ..tabular import ColumnKind, Dataset, encode, encoded_width
 from .results import Direction, MetricResult
 
 RIDGE = 1e-6
@@ -79,15 +79,10 @@ def design_matrix(real: Dataset, synth: Dataset) -> Design:
     check_pair(real, synth)
     if real.n < 2 or synth.n < 2:
         raise TooFewRows("propensity fit needs at least 2 rows on each side")
-    combined = concat_datasets(real, synth)
-    enc = encode(combined)
-    n = enc.rows
-    x = np.empty((n, enc.cols + 1), dtype=np.float64)
-    x[:, 0] = 1.0
-    x[:, 1:] = enc.data
-    z = np.zeros(n, dtype=np.float64)
+    x = encode(real, synth)
+    z = np.zeros(len(x), dtype=np.float64)
     z[real.n:] = 1.0
-    return Design(x, z, enc.cols)
+    return Design(x, z, x.shape[1] - 1)
 
 
 def _design_for(real: Dataset, synth: Dataset, design: Design | None) -> Design:

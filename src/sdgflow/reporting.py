@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ConfigError, DuplicateMetric
-from .evaluation.diagnostic import DiagnosticResult, diagnostic_metric
 from .evaluation.results import Direction, MetricResult
 from .specs import SpecDigest
 
@@ -19,18 +18,18 @@ SECTIONS = ("diagnostic", "utility", "privacy")
 class EvaluationReport:
     digest: SpecDigest
     seed: int
-    diagnostic: DiagnosticResult | None
-    utility: tuple[MetricResult, ...]
-    privacy: tuple[MetricResult, ...]
+    metrics: tuple[MetricResult, ...]  # each in the section its provenance names
     thresholds: Mapping[str, float] = field(default_factory=dict)
     verdicts: Mapping[str, bool] = field(default_factory=dict)
 
     def section_metrics(self, section: str) -> tuple[MetricResult, ...]:
-        if section == "diagnostic":
-            return (diagnostic_metric(self.diagnostic),) if self.diagnostic else ()
-        return self.utility if section == "utility" else self.privacy
+        return tuple(m for m in self.metrics if m.provenance == section)
 
     def to_json_obj(self) -> dict:
+        sections = {s: {"metrics": [m.to_json_obj() for m in self.section_metrics(s)]} for s in SECTIONS}
+        # the diagnostic metric's details are the diagnostic result document
+        diagnostic = self.section_metrics("diagnostic")
+        sections["diagnostic"]["result"] = dict(diagnostic[0].details) if diagnostic else None
         return {
             "run": {
                 "spec_hash": self.digest.hash,
@@ -38,14 +37,7 @@ class EvaluationReport:
                 "seed": self.seed,
             },
             "thresholds": dict(self.thresholds),
-            "sections": {
-                "diagnostic": {
-                    "result": self.diagnostic.to_json_obj() if self.diagnostic else None,
-                    "metrics": [m.to_json_obj() for m in self.section_metrics("diagnostic")],
-                },
-                "utility": {"metrics": [m.to_json_obj() for m in self.utility]},
-                "privacy": {"metrics": [m.to_json_obj() for m in self.privacy]},
-            },
+            "sections": sections,
             "verdicts": dict(self.verdicts),
         }
 
@@ -62,28 +54,20 @@ def threshold_passes(metric: MetricResult, bound: float) -> bool:
     return abs(s - 1.0) <= bound
 
 
-def derive_verdicts(
-    diagnostic: DiagnosticResult | None,
-    utility: tuple[MetricResult, ...],
-    privacy: tuple[MetricResult, ...],
-    thresholds: Mapping[str, float],
-) -> dict[str, bool]:
+def derive_verdicts(metrics: tuple[MetricResult, ...], thresholds: Mapping[str, float]) -> dict[str, bool]:
     """Per-section pass/fail; a section passes when all of its thresholded
     metrics satisfy their bounds (vacuously when none are thresholded)."""
-    by_section = {
-        "diagnostic": (diagnostic_metric(diagnostic),) if diagnostic else (),
-        "utility": utility,
-        "privacy": privacy,
-    }
-    known = {m.name for ms in by_section.values() for m in ms}
-    missing = set(thresholds) - known
+    missing = set(thresholds) - {m.name for m in metrics}
     if missing:
         raise ConfigError(f"thresholds reference metrics not present: {sorted(missing)}")
-    verdicts: dict[str, bool] = {}
-    for section, metrics in by_section.items():
-        verdicts[section] = all(
-            threshold_passes(m, thresholds[m.name]) for m in metrics if m.name in thresholds
+    verdicts = {
+        section: all(
+            threshold_passes(m, thresholds[m.name])
+            for m in metrics
+            if m.provenance == section and m.name in thresholds
         )
+        for section in SECTIONS
+    }
     verdicts["overall"] = all(verdicts[s] for s in SECTIONS)
     return verdicts
 
@@ -91,27 +75,25 @@ def derive_verdicts(
 def compile_report(
     digest: SpecDigest,
     seed: int,
-    diagnostic: DiagnosticResult | None,
-    utility: tuple[MetricResult, ...],
-    privacy: tuple[MetricResult, ...],
+    metrics: tuple[MetricResult, ...],
     thresholds: Mapping[str, float],
 ) -> EvaluationReport:
-    """Assemble the report and derive its verdicts; fully deterministic."""
-    names = [m.name for ms in (utility, privacy) for m in ms]
-    if diagnostic is not None:
-        names.append("diagnostic_overall_score")
+    """Assemble the report and derive its verdicts; fully deterministic. Each
+    metric goes to the section its provenance names; any other provenance
+    raises ConfigError."""
+    strays = sorted({m.provenance for m in metrics} - set(SECTIONS))
+    if strays:
+        raise ConfigError(f"metric provenance must be one of {SECTIONS}, got {strays}")
+    names = [m.name for m in metrics]
     dupes = {n for n in names if names.count(n) > 1}
     if dupes:
         raise DuplicateMetric(f"metrics appear more than once: {sorted(dupes)}")
-    verdicts = derive_verdicts(diagnostic, utility, privacy, thresholds)
     return EvaluationReport(
         digest=digest,
         seed=seed,
-        diagnostic=diagnostic,
-        utility=tuple(utility),
-        privacy=tuple(privacy),
+        metrics=tuple(metrics),
         thresholds=dict(thresholds),
-        verdicts=verdicts,
+        verdicts=derive_verdicts(metrics, thresholds),
     )
 
 

@@ -8,6 +8,7 @@ covers exactly what was reviewed.
 
 from __future__ import annotations
 
+import graphlib
 import heapq
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
@@ -381,48 +382,34 @@ def spec_digest(spec: PipelineSpec) -> SpecDigest:
 
 # --------------------------------------------------------- graph validation ---
 
-def _children(deps: Mapping[str, Sequence[str]]) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {nid: [] for nid in deps}
-    for nid, ds in deps.items():
-        for d in ds:
-            out[d].append(nid)
+def dependents(spec: PipelineSpec) -> dict[str, list[str]]:
+    """Each node's direct dependents, in document order."""
+    out: dict[str, list[str]] = {n.id: [] for n in spec.nodes}
+    for n in spec.nodes:
+        for d in n.depends_on:
+            out[d].append(n.id)
     return out
 
 
-def dependents(spec: PipelineSpec) -> dict[str, list[str]]:
-    """Each node's direct dependents, in document order."""
-    return _children(spec.dependencies)
-
-
 def toposort_ids(ids: Sequence[str], deps: Mapping[str, Sequence[str]]) -> list[str]:
-    """Kahn's algorithm with a lexicographic tie-break over ready node ids.
+    """Topological order taking the smallest ready id first.
 
     Raises CycleDetected with one cycle [a, b, ..., a] in data-flow order
-    (dependency -> dependent) when some nodes never become ready.
+    (dependency -> dependent) when the graph has one.
     """
-    indeg = {nid: len(deps.get(nid, ())) for nid in ids}
-    children = _children({nid: tuple(deps.get(nid, ())) for nid in ids})
-    ready = [nid for nid in ids if indeg[nid] == 0]
+    graph = graphlib.TopologicalSorter({nid: deps.get(nid, ()) for nid in ids})
+    try:
+        graph.prepare()
+    except graphlib.CycleError as e:
+        raise CycleDetected(e.args[1]) from None  # each node precedes the next
+    ready = list(graph.get_ready())
     heapq.heapify(ready)
     order: list[str] = []
     while ready:
-        nid = heapq.heappop(ready)
-        order.append(nid)
-        for child in children[nid]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                heapq.heappush(ready, child)
-    if len(order) != len(ids):
-        # every node left over waits on a left-over dependency, so walking
-        # from one through those dependencies must repeat a node
-        left = set(ids) - set(order)
-        step: dict[str, int] = {}  # node -> its position in the walk
-        nid = next(n for n in ids if n in left)
-        while nid not in step:
-            step[nid] = len(step)
-            nid = next(d for d in deps[nid] if d in left)
-        cycle = [n for n in step if step[n] >= step[nid]] + [nid]
-        raise CycleDetected(cycle[::-1])
+        order.append(heapq.heappop(ready))
+        graph.done(order[-1])
+        for nid in graph.get_ready():
+            heapq.heappush(ready, nid)
     return order
 
 

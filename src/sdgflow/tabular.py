@@ -219,15 +219,6 @@ def make_dataset(schema: Schema, values: Mapping[str, Sequence]) -> Dataset:
     return Dataset(schema, tuple(cols))
 
 
-def concat_datasets(a: Dataset, b: Dataset) -> Dataset:
-    if not a.schema.same_structure(b.schema):
-        raise SchemaError("cannot concatenate datasets with different structure")
-    return Dataset(
-        a.schema,
-        tuple(np.concatenate([x, y]) for x, y in zip(a.columns, b.columns)),
-    )
-
-
 def row_keys(ds: Dataset) -> np.ndarray:
     """One opaque key per row, its values packed as int64 with floats by bit
     pattern and -0.0 folded into 0.0, so keys are equal exactly when rows are."""
@@ -370,17 +361,6 @@ def dataset_to_csv_bytes(ds: Dataset) -> bytes:
 
 # ----------------------------------------------------------------- encoding ---
 
-@dataclass(frozen=True)
-class EncodedMatrix:
-    """One-hot (first level dropped) + standardized-continuous design matrix."""
-
-    rows: int
-    cols: int
-    data: np.ndarray
-    column_map: tuple[tuple[str, str], ...]  # (source column, category or "scaled-continuous")
-    degenerate_columns: tuple[str, ...]  # zero-variance continuous, emitted as zeros
-
-
 def encoded_width(schema: Schema) -> int:
     k = 0
     for c in schema.columns:
@@ -388,38 +368,29 @@ def encoded_width(schema: Schema) -> int:
     return k
 
 
-def encode(ds: Dataset) -> EncodedMatrix:
-    if ds.n == 0:
+def encode(a: Dataset, b: Dataset) -> np.ndarray:
+    """Design matrix of a's rows then b's: an intercept column of ones, then
+    for each column the indicators of all categories but the first, or the
+    continuous values standardized over both datasets (zeros when constant)."""
+    if not a.schema.same_structure(b.schema):
+        raise SchemaError("cannot encode datasets with different structure")
+    if a.n + b.n == 0:
         raise SchemaError("cannot encode an empty dataset")
-    k = encoded_width(ds.schema)
-    data = np.empty((ds.n, k), dtype=np.float64)
-    column_map: list[tuple[str, str]] = []
-    degenerate: list[str] = []
-    j = 0
-    for spec, arr in zip(ds.schema.columns, ds.columns):
+    data = np.empty((a.n + b.n, encoded_width(a.schema) + 1), dtype=np.float64)
+    data[:, 0] = 1.0
+    j = 1
+    for spec, ca, cb in zip(a.schema.columns, a.columns, b.columns):
+        arr = np.concatenate([ca, cb])
         if spec.kind is ColumnKind.CATEGORICAL:
-            # reference level = first category
             for level in range(1, len(spec.categories)):
-                data[:, j] = (arr == level).astype(np.float64)
-                column_map.append((spec.name, spec.categories[level]))
+                data[:, j] = arr == level
                 j += 1
         else:
             mean = float(arr.mean())
             sd = float(arr.std())
-            if sd > 0.0:
-                data[:, j] = (arr - mean) / sd
-            else:
-                data[:, j] = 0.0
-                degenerate.append(spec.name)
-            column_map.append((spec.name, "scaled-continuous"))
+            data[:, j] = (arr - mean) / sd if sd > 0.0 else 0.0
             j += 1
-    return EncodedMatrix(
-        rows=ds.n,
-        cols=k,
-        data=data,
-        column_map=tuple(column_map),
-        degenerate_columns=tuple(degenerate),
-    )
+    return data
 
 
 # -------------------------------------------------------------------- Gower ---

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import mixed_dataset
-from sdgflow.evaluation.diagnostic import diagnose, diagnostic_metric, diagnostic_result_from_json_obj
+from sdgflow.evaluation.diagnostic import diagnose, diagnostic_metric
 from sdgflow.evaluation.results import Direction
 from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, make_dataset
 
@@ -79,15 +79,10 @@ def test_monotone_in_violation_count():
 
 def test_metric_wrapper():
     ds = mixed_dataset(20)
-    m = diagnostic_metric(diagnose(ds, ds))
+    res = diagnose(ds, ds)
+    m = diagnostic_metric(res)
+    assert m.details == res.to_json_obj()  # the report's diagnostic result
     assert m.name == "diagnostic_overall_score"
     assert m.direction is Direction.HIGHER_BETTER
     assert m.score == 1.0
     assert m.provenance == "diagnostic"
-
-
-def test_result_json_round_trip():
-    ds = mixed_dataset(30)
-    res = diagnose(ds, mixed_dataset(30, seed=9))
-    back = diagnostic_result_from_json_obj(res.to_json_obj())
-    assert back == res

@@ -192,6 +192,7 @@ def test_failure_skips_descendants(tmp_path):
     with pytest.raises(NodeFailure) as exc:
         run(spec_of(chain_doc()), tmp_path / "run", runners=runners)
     assert exc.value.node_id == "b"
+    assert "boom" in exc.value.cause  # the failed node's traceback text
     manifest = exc.value.manifest
     rec = {r.id: r.status for r in manifest.node_records}
     assert rec == {"a": "succeeded", "b": "failed", "c": "skipped", "rep": "skipped"}
@@ -250,6 +251,49 @@ def test_determinism_across_parallelism(tmp_path):
     ).read_bytes()
 
 
+def several_nodes_per_section_doc():
+    """Two utility and two privacy nodes, where neither document order nor
+    id order is the topological order: qa waits on qb, p2 is listed first."""
+    doc = synthetic_eval_doc()
+    pair = {"real": "base", "synthetic": "syn"}
+    base, syn, diag = doc["nodes"][:3]
+    evaluate = [
+        ("qa", "evaluate_utility", ["bivariate_fidelity"], ["base", "syn", "qb"]),
+        ("qb", "evaluate_utility", ["univariate_fidelity", "specks"], ["base", "syn"]),
+        ("p2", "evaluate_privacy", ["new_row_synthesis", "sample_overlap"], ["base", "syn"]),
+        ("p1", "evaluate_privacy", ["min_nn_distance"], ["base", "syn"]),
+    ]
+    doc["nodes"] = [base, syn, diag] + [
+        {"id": nid, "kind": kind, "depends_on": deps, "params": dict(pair, metrics=metrics)}
+        for nid, kind, metrics, deps in evaluate
+    ] + [{
+        "id": "rep",
+        "kind": "report",
+        "depends_on": ["diag", "qa", "p1", "p2"],
+        "params": {"thresholds": {"specks": 1.0, "min_nn_distance": 0.0}},
+    }]
+    return doc
+
+
+def test_report_sections_follow_provenance_in_topological_order(tmp_path):
+    spec = spec_of(several_nodes_per_section_doc())
+    run(spec, tmp_path / "p1", max_parallel=1)
+    run(spec, tmp_path / "p2", max_parallel=2)
+    data = (tmp_path / "p1" / "report.json").read_bytes()
+    assert data == (tmp_path / "p2" / "report.json").read_bytes()
+    sections = json.loads(data)["sections"]
+    names = {s: [m["name"] for m in sections[s]["metrics"]] for s in sections}
+    assert names == {
+        "diagnostic": ["diagnostic_overall_score"],
+        "utility": ["univariate_fidelity", "specks", "bivariate_fidelity"],
+        "privacy": ["min_nn_distance", "new_row_synthesis", "sample_overlap"],
+    }
+    diag = json.loads((tmp_path / "p1" / "artifacts" / "diag" / "metrics.json").read_text())
+    assert sections["diagnostic"]["result"] == diag["diagnostic"]
+    text = (tmp_path / "p1" / "report.txt").read_text()
+    assert text.index("  univariate_fidelity") < text.index("  specks") < text.index("  bivariate_fidelity")
+
+
 def test_seed_changes_artifacts(tmp_path):
     a = run(spec_of(synthetic_eval_doc(seed=11)), tmp_path / "a")
     b = run(spec_of(synthetic_eval_doc(seed=12)), tmp_path / "b")
@@ -262,9 +306,9 @@ def test_utility_node_encodes_once_and_records_fit_decisions(tmp_path, monkeypat
     calls = []
     original = utility.encode
 
-    def counting_encode(ds):
-        calls.append(ds.n)
-        return original(ds)
+    def counting_encode(real, synth):
+        calls.append(real.n + synth.n)
+        return original(real, synth)
 
     monkeypatch.setattr(utility, "encode", counting_encode)
     doc = synthetic_eval_doc()

@@ -2,9 +2,10 @@
 import pytest
 
 from sdgflow.errors import ConfigError, DuplicateMetric
-from sdgflow.evaluation.diagnostic import diagnose, diagnostic_result_from_json_obj
+from sdgflow.evaluation.diagnostic import diagnose, diagnostic_metric
 from sdgflow.evaluation.results import Direction, MetricResult, metric_from_json_obj
 from sdgflow.reporting import (
+    SECTIONS,
     EvaluationReport,
     compile_report,
     derive_verdicts,
@@ -17,13 +18,10 @@ from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, make_dataset
 
 def report_from_json_obj(doc):
     run = doc["run"]
-    diag_doc = doc["sections"]["diagnostic"]["result"]
     return EvaluationReport(
         digest=SpecDigest(hash=run["spec_hash"], canonical_bytes_len=run["spec_canonical_bytes_len"]),
         seed=run["seed"],
-        diagnostic=diagnostic_result_from_json_obj(diag_doc) if diag_doc else None,
-        utility=tuple(metric_from_json_obj(m) for m in doc["sections"]["utility"]["metrics"]),
-        privacy=tuple(metric_from_json_obj(m) for m in doc["sections"]["privacy"]["metrics"]),
+        metrics=tuple(metric_from_json_obj(m) for s in SECTIONS for m in doc["sections"][s]["metrics"]),
         thresholds=dict(doc["thresholds"]),
         verdicts=dict(doc["verdicts"]),
     )
@@ -37,7 +35,7 @@ def small_report():
     schema = Schema((ColumnSpec("x", ColumnKind.CONTINUOUS),))
     real = make_dataset(schema, {"x": [0.0, 10.0]})
     synth = make_dataset(schema, {"x": [1.0, 2.0, 3.0, 11.0]})
-    diag = diagnose(real, synth)
+    diag = diagnostic_metric(diagnose(real, synth))
     utility = (
         metric("univariate_fidelity", 0.875, Direction.HIGHER_BETTER),
         metric("pmse_ratio", 1.25, Direction.CENTERED_ONE),
@@ -45,7 +43,7 @@ def small_report():
     privacy = (metric("min_nn_distance", 0.0, Direction.HIGHER_BETTER, "privacy"),)
     digest = SpecDigest(hash="ab" * 32, canonical_bytes_len=512)
     thresholds = {"univariate_fidelity": 0.8, "pmse_ratio": 0.5, "min_nn_distance": 0.05}
-    return compile_report(digest, 7, diag, utility, privacy, thresholds)
+    return compile_report(digest, 7, (diag, *utility, *privacy), thresholds)
 
 
 GOLDEN_TEXT = (
@@ -100,13 +98,13 @@ def test_verdicts_per_section_and_overall():
 
 
 def test_sections_without_thresholds_pass_vacuously():
-    verdicts = derive_verdicts(None, (), (), {})
+    verdicts = derive_verdicts((), {})
     assert verdicts == {"diagnostic": True, "utility": True, "privacy": True, "overall": True}
 
 
 def test_threshold_on_unknown_metric_rejected():
     with pytest.raises(ConfigError):
-        derive_verdicts(None, (metric("specks", 0.1, Direction.LOWER_BETTER),), (), {"ghost": 1.0})
+        derive_verdicts((metric("specks", 0.1, Direction.LOWER_BETTER),), {"ghost": 1.0})
 
 
 def test_duplicate_metric_rejected():
@@ -116,7 +114,21 @@ def test_duplicate_metric_rejected():
         metric("specks", 0.2, Direction.LOWER_BETTER),
     )
     with pytest.raises(DuplicateMetric):
-        compile_report(digest, 1, None, dup, (), {})
+        compile_report(digest, 1, dup, {})
+
+
+def test_metric_outside_every_section_rejected():
+    digest = SpecDigest(hash="cd" * 32, canonical_bytes_len=9)
+    stray = metric("specks", 0.1, Direction.LOWER_BETTER, provenance="fidelity")
+    with pytest.raises(ConfigError, match="fidelity"):
+        compile_report(digest, 1, (metric("pmse_ratio", 1.0, Direction.CENTERED_ONE), stray), {})
+
+
+def test_sections_hold_metrics_by_provenance():
+    rep = small_report()
+    assert [m.name for m in rep.section_metrics("utility")] == ["univariate_fidelity", "pmse_ratio"]
+    assert [m.name for m in rep.section_metrics("privacy")] == ["min_nn_distance"]
+    assert rep.to_json_obj()["sections"]["diagnostic"]["result"] == dict(rep.metrics[0].details)
 
 
 # ----------------------------------------------------------------- renders ---

@@ -1,5 +1,6 @@
 """Pipeline spec parsing, validation, ordering, digests, and the data-flow audit."""
 import hashlib
+import heapq
 import json
 import time
 from pathlib import Path
@@ -278,6 +279,74 @@ def test_toposort_diamond_lexicographic_ties():
 def test_toposort_raises_on_cycle():
     with pytest.raises(CycleDetected):
         toposort_ids(["a", "b"], {"a": ["b"], "b": ["a"]})
+
+
+def kahn_toposort(ids, deps):
+    """Oracle for toposort_ids: Kahn's algorithm taking the smallest ready id
+    first. When nodes are left over, every one of them waits on a left-over
+    dependency, so walking from the first through those dependencies repeats
+    a node; the walk from that node back to itself, reversed, is the cycle in
+    data-flow order."""
+    indeg = {nid: len(deps.get(nid, ())) for nid in ids}
+    children = {nid: [] for nid in ids}
+    for nid in ids:
+        for d in deps.get(nid, ()):
+            children[d].append(nid)
+    ready = [nid for nid in ids if indeg[nid] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for child in children[nid]:
+            indeg[child] -= 1
+            if indeg[child] == 0:
+                heapq.heappush(ready, child)
+    if len(order) != len(ids):
+        left = set(ids) - set(order)
+        step = {}  # node -> its position in the walk
+        nid = next(n for n in ids if n in left)
+        while nid not in step:
+            step[nid] = len(step)
+            nid = next(d for d in deps[nid] if d in left)
+        cycle = [n for n in step if step[n] >= step[nid]] + [nid]
+        raise CycleDetected(cycle[::-1])
+    return order
+
+
+@st.composite
+def dependency_graphs(draw, acyclic):
+    """(ids as presented, deps): acyclic graphs only draw dependencies among
+    the ids drawn before, so the id order is one topological order."""
+    ids = draw(st.lists(st.text("abcdef", min_size=1, max_size=2), min_size=1, max_size=12, unique=True))
+    deps = {}
+    for j, nid in enumerate(ids):
+        pool = ids[:j] if acyclic else ids
+        deps[nid] = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3)) if pool else []
+    return draw(st.permutations(ids)), deps
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=dependency_graphs(acyclic=True))
+def test_toposort_matches_kahn_oracle_on_dags(graph):
+    ids, deps = graph
+    assert toposort_ids(ids, deps) == kahn_toposort(ids, deps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=dependency_graphs(acyclic=False))
+def test_toposort_reports_a_flow_order_cycle_when_kahn_does(graph):
+    ids, deps = graph
+    try:
+        expected = kahn_toposort(ids, deps)
+    except CycleDetected:
+        with pytest.raises(CycleDetected) as exc:
+            toposort_ids(ids, deps)
+        path = exc.value.path
+        assert len(path) >= 2 and path[0] == path[-1]
+        assert all(up in deps[down] for up, down in zip(path, path[1:]))  # each step is an edge
+    else:
+        assert toposort_ids(ids, deps) == expected
 
 
 def test_topological_order_edge_forward():

@@ -25,7 +25,6 @@ from sdgflow.tabular import (
     ColumnSpec,
     Schema,
     column_ranges,
-    concat_datasets,
     dataset_to_csv_bytes,
     encode,
     encoded_width,
@@ -347,23 +346,46 @@ def test_encode_dummy_and_standardize():
             ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a", "b", "c")),
         )
     )
-    ds = make_dataset(schema, {"x": [0.0, 2.0, 4.0, 6.0], "c": [0, 1, 2, 1]})
-    m = encode(ds)
-    assert (m.rows, m.cols) == (4, 3)
-    assert m.column_map == (("x", "scaled-continuous"), ("c", "b"), ("c", "c"))
-    # x has mean 3, population sd sqrt(5)
+    a = make_dataset(schema, {"x": [0.0, 2.0], "c": [0, 1]})
+    b = make_dataset(schema, {"x": [4.0, 6.0], "c": [2, 1]})
+    m = encode(a, b)
+    assert m.shape == (4, 4)
+    assert m[:, 0].tolist() == [1.0] * 4  # intercept
+    # x has mean 3, population sd sqrt(5) over both datasets
     sd = np.sqrt(5.0)
-    assert np.allclose(m.data[:, 0], (np.array([0.0, 2.0, 4.0, 6.0]) - 3.0) / sd)
-    assert m.data[:, 1].tolist() == [0.0, 1.0, 0.0, 1.0]  # indicator for "b"
-    assert m.data[:, 2].tolist() == [0.0, 0.0, 1.0, 0.0]  # indicator for "c"
-    assert m.degenerate_columns == ()
+    assert np.allclose(m[:, 1], (np.array([0.0, 2.0, 4.0, 6.0]) - 3.0) / sd)
+    assert m[:, 2].tolist() == [0.0, 1.0, 0.0, 1.0]  # indicator for "b"
+    assert m[:, 3].tolist() == [0.0, 0.0, 1.0, 0.0]  # indicator for "c"
 
 
 def test_encode_flags_zero_variance():
     schema = Schema((ColumnSpec("x", ColumnKind.CONTINUOUS),))
-    m = encode(make_dataset(schema, {"x": [5.0, 5.0, 5.0]}))
-    assert m.degenerate_columns == ("x",)
-    assert np.all(m.data == 0.0)
+    one = make_dataset(schema, {"x": [5.0, 5.0]})
+    m = encode(one, make_dataset(schema, {"x": [5.0]}))
+    assert m.shape == (3, 2)
+    assert np.all(m[:, 1] == 0.0)  # a constant column carries no signal
+
+
+def test_encode_stacks_rows():
+    a = mixed_dataset(4, seed=0)
+    b = mixed_dataset(6, seed=1)
+    m = encode(a, b)
+    assert m.shape == (10, 1 + encoded_width(a.schema))
+    income = np.concatenate([a.column("income"), b.column("income")])
+    assert np.array_equal(m[:, 2], (income - income.mean()) / income.std())
+    region = np.concatenate([a.column("region"), b.column("region")])
+    assert np.array_equal(m[:4, 3], (a.column("region") == 1).astype(float))
+    assert np.array_equal(m[4:, 4], (b.column("region") == 2).astype(float))
+    assert np.array_equal(m[:, 3] + m[:, 4], (region > 0).astype(float))
+
+
+def test_encode_requires_same_schema():
+    a = mixed_dataset(3)
+    b = make_dataset(
+        Schema((ColumnSpec("x", ColumnKind.CONTINUOUS),)), {"x": [1.0]}
+    )
+    with pytest.raises(SchemaError):
+        encode(a, b)
 
 
 # ------------------------------------------------------------------- Gower ---
@@ -412,23 +434,3 @@ def test_column_ranges_bounds_win():
     )
     ds = make_dataset(schema, {"x": [10.0, 20.0], "y": [1.0, 4.0], "c": [0, 1]})
     assert column_ranges(ds) == ((0.0, 100.0), (1.0, 4.0), None)
-
-
-# ------------------------------------------------------------------ concat ---
-
-def test_concat_stacks_rows():
-    a = mixed_dataset(4, seed=0)
-    b = mixed_dataset(6, seed=1)
-    both = concat_datasets(a, b)
-    assert both.n == 10
-    assert np.array_equal(both.columns[0][:4], a.columns[0])
-    assert np.array_equal(both.columns[0][4:], b.columns[0])
-
-
-def test_concat_requires_same_schema():
-    a = mixed_dataset(3)
-    b = make_dataset(
-        Schema((ColumnSpec("x", ColumnKind.CONTINUOUS),)), {"x": [1.0]}
-    )
-    with pytest.raises(SchemaError):
-        concat_datasets(a, b)
