@@ -4,9 +4,10 @@ checkouts can be compared byte for byte. Run from the repo root:
     python3 scripts/artifact_digests.py OUT > digests.txt
 
 It runs the bundled sample pipeline at --max-parallel 1 and 4 and
-`sdgflow bench --sizes 1000,3000` under OUT (which must not exist yet), then
-prints one `sha256  path` line per file under OUT, sorted by path. The files
-that hold timings are skipped: every manifest.json, bench.json and logs/.
+`sdgflow bench --sizes 1000,3000,20000` under OUT (which must not exist yet),
+then prints one `sha256  path` line per file under OUT, sorted by path. The
+20000-row bench size spans more than one CSV block. The files that hold
+timings are skipped: every manifest.json, bench.json and logs/.
 """
 
 import contextlib
@@ -37,7 +38,7 @@ def produce(out: Path) -> None:
     commands = [
         ["run", sample, "--out", str(out / "sample-p1"), "--max-parallel", "1"],
         ["run", sample, "--out", str(out / "sample-p4"), "--max-parallel", "4"],
-        ["bench", "--sizes", "1000,3000", "--out", str(out / "bench")],
+        ["bench", "--sizes", "1000,3000,20000", "--out", str(out / "bench")],
     ]
     for argv in commands:
         with contextlib.redirect_stdout(sys.stderr):  # stdout holds only the digests

@@ -18,12 +18,14 @@ class HeaderMismatch(SdgError):
 
 
 class CellTypeError(SdgError):
-    """A cell could not be parsed for its column kind."""
+    """A cell could not be parsed for its column kind; row is None when the
+    file is not UTF-8 text."""
 
-    def __init__(self, row: int, column: str | None, detail: str):
+    def __init__(self, row: int | None, column: str | None, detail: str):
         self.row = row
         self.column = column
-        super().__init__(f"row {row}, column {column!r}: {detail}")
+        where = "file" if row is None else f"row {row}, column {column!r}"
+        super().__init__(f"{where}: {detail}")
 
 
 class UnknownCategory(SdgError):

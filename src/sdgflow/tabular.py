@@ -29,7 +29,7 @@ from .errors import (
 from .jsonfields import JsonChecks, loads
 
 CONTINUOUS_FMT = "%.17g"  # 17 significant digits: bit-exact float64 round trip
-CSV_BLOCK_ROWS = 65_536  # rows formatted at once: bounds the temporary cell lists
+CSV_BLOCK_ROWS = 8_192  # rows parsed or formatted at once: bounds the per-block temporaries
 DEFAULT_MISSING_POLICY = "error"
 MISSING_POLICIES = ("drop_row", DEFAULT_MISSING_POLICY)
 
@@ -243,11 +243,10 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
     if missing_policy not in MISSING_POLICIES:
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatch("file is empty, header row required") from None
+        reader = _records(fh)
+        header = next(reader, None)
+        if header is None:
+            raise HeaderMismatch("file is empty, header row required")
         if tuple(header) != schema.names:
             raise HeaderMismatch(
                 f"header {header!r} does not match schema columns {list(schema.names)!r}"
@@ -269,6 +268,23 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
         schema,
         tuple(np.concatenate(parts) if parts else np.empty(0) for parts in blocks),
     )
+
+
+def _records(fh):
+    """The CSV records of fh; a record the csv module rejects (a cell over
+    its field size limit) raises CellTypeError at its row, counted from the
+    header as row 0, and bytes that are not UTF-8 raise it for the file."""
+    reader = csv.reader(fh)
+    row = 0
+    try:
+        for record in reader:
+            yield record
+            row += 1
+    except csv.Error as e:
+        raise CellTypeError(row, None, str(e)) from None
+    except UnicodeDecodeError as e:
+        bad = e.object[e.start : e.end]
+        raise CellTypeError(None, None, f"not UTF-8: {e.reason} at byte {bad!r}") from None
 
 
 def _parse_columns(block, schema, cat_lookup, missing_policy) -> list[np.ndarray] | None:
@@ -335,28 +351,187 @@ def _csv_line(cells: Sequence[str]) -> str:
     return buf.getvalue()
 
 
+# A block of rows is formatted as one uint8 matrix with a fixed number of
+# bytes per cell; _PAD fills what a cell does not use, anywhere in it, and
+# deleting every _PAD byte leaves the CSV text. 0xFF is never a byte of UTF-8.
+_PAD = b"\xff"
+_BLOCK_BYTES = 1 << 24  # cap on a block's matrix, so that long labels shrink the block
+
+
+def _words(cells: Sequence[bytes]) -> np.ndarray:
+    """Cells of at most 4 bytes as uint32 words, padded with _PAD."""
+    return np.frombuffer(b"".join(c.ljust(4, _PAD) for c in cells), np.uint32)
+
+
+def _group_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every 4-digit group as a word of its ASCII digits, indexed by the
+    group, then again at 10_000 + group with padding in place of its leading
+    zeros; of its leading zeros but the ones digit; of its trailing zeros."""
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    text = (digits + ord("0")).astype(np.uint8)
+    leading = np.logical_and.accumulate(digits == 0, axis=1)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    return tuple(
+        np.concatenate([text, np.where(pad, _PAD[0], text)]).view(np.uint32).ravel()
+        for pad in (leading, leading & [True, True, True, False], trailing)
+    )
+
+
+_POW5 = np.array([5**s for s in range(21)], dtype=np.uint64)
+_POW10 = np.array([10**p for p in range(18)], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFF_FFFF)
+_MANTISSA = np.uint64((1 << 52) - 1)
+_HIDDEN_BIT = np.uint64(1 << 52)
+_HALF = np.uint64(1 << 63)
+# word 0 of a cell: PAD, PAD, the sign, the integer part's 17th digit (PAD if 0)
+_HEAD = _words(
+    [_PAD * 2 + sign + (str(d).encode() if d else _PAD) for sign in (_PAD, b"-") for d in range(10)]
+)
+_INT_GROUPS, _ONES_GROUPS, _FRAC_GROUPS = _group_words()
+_LAST_DIGIT = _words([str(d).encode() if d else b"" for d in range(10)])
+# word 5: the point and -k-1 zeros for k in -4..-1; nothing (4); the point (5)
+_POINT = _words([b".", b".0", b".00", b".000", b"", b"."])
+_FLOAT_CELL_BYTES = 44  # widest continuous cell: 11 words; CONTINUOUS_FMT writes at most 24 bytes
+
+
+def _scaled(m: np.ndarray, r: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q = floor(m * 10**(16 - k) / 2**r) and whether rounding that value to
+    the nearest integer, ties to even, gives q + 1.
+
+    Exact for m < 2**61, 0 <= 16 - k <= 20, 0 < r - (16 - k) < 64 and
+    q < 2**64: m * 5**(16 - k) < 2**108 is built in two uint64 halves from
+    32-bit limbs, then shifted right by r - (16 - k) bits."""
+    s = 16 - k
+    f = _POW5[s]
+    m0, m1, f0, f1 = m & _LO32, m >> 32, f & _LO32, f >> 32
+    low = m0 * f0
+    mid = m0 * f1 + m1 * f0
+    lo = low + (mid << 32)  # wraps modulo 2**64; the carry goes to hi
+    hi = m1 * f1 + (mid >> 32) + (lo < low)
+    right = (r - s).astype(np.uint64)
+    left = 64 - right
+    q = (hi << left) | (lo >> right)
+    return q, (lo << left) > _HALF - (q & 1)  # the bits shifted out, against one half
+
+
+def _fixed_cells(a: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """%.17g of every ±a with 1e-4 <= a < 1e17, the range %.17g writes in
+    fixed notation, as padded cells of at most _FLOAT_CELL_BYTES, a row per
+    value.
+
+    D = round(a * 10**(16 - k)), k = floor(log10(a)), is exact (see _scaled;
+    Steele & White 1990); log10 only guesses k, and the guess is corrected
+    until 10**16 <= floor(a * 10**(16 - k)) < 10**17. D splits into the
+    integer part I and the 17-digit zero-filled fraction F, each written as
+    4-digit group words whose leading (I) or trailing (F) zeros are padding.
+    The words of I that are padding in every row are left out."""
+    # a = m / 2**r with the 53-bit significand moved up 8 bits, so that
+    # _scaled always shifts right
+    bits = a.view(np.uint64)
+    m = ((bits & _MANTISSA) | _HIDDEN_BIT) << 8
+    r = 1083 - (bits >> 52).astype(np.int64)
+    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    q, up = _scaled(m, r, k)
+    while (off := (q >= 10**17).astype(np.int64) - (q < 10**16)).any():
+        wrong = off != 0
+        k[wrong] += off[wrong]
+        q[wrong], up[wrong] = _scaled(m[wrong], r[wrong], k[wrong])
+    d = q + up
+    carry = d == 10**17  # rounding reached the next power of ten
+    d[carry] = 10**16
+    k[carry] += 1
+    frac_digits = np.minimum(16 - k, 17)
+    ip, rest = np.divmod(d, _POW10[frac_digits])
+    fp = rest * _POW10[17 - frac_digits]
+
+    i9, i8 = np.divmod(ip, 10**8)
+    top, i4 = np.divmod(i9.astype(np.uint32), 10**8)
+    g1, g2 = np.divmod(i4, 10**4)
+    g3, g4 = np.divmod(i8.astype(np.uint32), 10**4)
+    f8, f9 = np.divmod(fp, 10**9)
+    f9 = f9.astype(np.uint32)
+    fa, fb = np.divmod(f8.astype(np.uint32), 10**4)
+    fc, f5 = np.divmod(f9, 10**5)
+    fd, fe = np.divmod(f5, 10)
+    largest = ip.max(initial=0)
+    words = [_HEAD[negative * 10 + top]] if negative.any() or largest >= 10**16 else []
+    for group, below in ((g1, 10**16), (g2, 10**12), (g3, 10**8)):
+        if largest >= below // 10**4:
+            words.append(_INT_GROUPS[group + 10_000 * (ip < below)])
+    words += [
+        _ONES_GROUPS[g4 + 10_000 * (ip < 10**4)],
+        _POINT[np.where(k < 0, -1 - k, 4 + (fp != 0))],
+        _FRAC_GROUPS[fa + 10_000 * ((fb == 0) & (f9 == 0))],
+        _FRAC_GROUPS[fb + 10_000 * (f9 == 0)],
+        _FRAC_GROUPS[fc + 10_000 * (f5 == 0)],
+        _FRAC_GROUPS[fd + 10_000 * (fe == 0)],
+        _LAST_DIGIT[fe],
+    ]
+    return np.stack(words, axis=1).view(np.uint8)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """The CONTINUOUS_FMT cells of x as padded bytes, a row per value: the
+    fixed-notation range by _fixed_cells, every other value (zeros,
+    subnormals, exponent notation) by CONTINUOUS_FMT itself."""
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    if fixed.all():
+        return _fixed_cells(a, np.signbit(x))
+    cells = _fixed_cells(a[fixed], np.signbit(x[fixed]))
+    text = [(CONTINUOUS_FMT % v).encode() for v in x[~fixed].tolist()]
+    width = max(cells.shape[1], *map(len, text))
+    out = np.full((len(x), width), _PAD[0], np.uint8)
+    out[fixed, : cells.shape[1]] = cells
+    out[~fixed] = np.frombuffer(b"".join(c.ljust(width, _PAD) for c in text), np.uint8).reshape(-1, width)
+    return out
+
+
+def _label_cells(categories: Sequence[str], alone: bool) -> np.ndarray:
+    """The labels as CSV cells, UTF-8 padded to one width; row i is label i."""
+    # csv.writer writes an empty cell as "" only when it is the whole row
+    cells = [(_csv_line([c])[:-1] if alone else _csv_line([c, ""])[:-2]).encode("utf-8") for c in categories]
+    width = max(map(len, cells))
+    return np.frombuffer(b"".join(c.ljust(width, _PAD) for c in cells), np.uint8).reshape(len(cells), width)
+
+
+def _padded_lines(cells: Sequence[np.ndarray]) -> np.ndarray:
+    """One block's padded cells, a matrix per column, as padded CSV lines."""
+    lines = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), np.uint8)
+    pos = 0
+    for c in cells:
+        lines[:, pos : pos + c.shape[1]] = c
+        pos += c.shape[1] + 1
+        lines[:, pos - 1] = ord(",")
+    lines[:, -1] = ord("\n")
+    return lines
+
+
 def dataset_to_csv_bytes(ds: Dataset) -> bytes:
     """The dataset as UTF-8 CSV: the header row, then one LF-terminated line
     per row, continuous cells in CONTINUOUS_FMT and labels quoted as
     `csv.writer` quotes them (minimally). The bytes equal those of one
-    `writerow` per row; here each row is one %-format, CSV_BLOCK_ROWS rows
-    at a time."""
+    `writerow` per row; here numpy lays out CSV_BLOCK_ROWS rows at a time as
+    padded cells, and one pass deletes the padding."""
     alone = len(ds.columns) == 1
-    tables = []  # per column: its labels as CSV cells, indexed by code; None if continuous
-    for spec in ds.schema.columns:
-        if spec.kind is ColumnKind.CATEGORICAL:
-            # csv.writer writes an empty cell as "" only when it is the whole row
-            cells = [_csv_line([c])[:-1] if alone else _csv_line([c, ""])[:-2] for c in spec.categories]
-            tables.append(np.array(cells, dtype=object))
-        else:
-            tables.append(None)
-    line = ",".join(CONTINUOUS_FMT if t is None else "%s" for t in tables) + "\n"
-    parts = [_csv_line(ds.schema.names).encode("utf-8")]
-    for lo in range(0, ds.n, CSV_BLOCK_ROWS):
-        rows = slice(lo, lo + CSV_BLOCK_ROWS)
-        cols = [(a[rows] if t is None else t[a[rows]]).tolist() for t, a in zip(tables, ds.columns)]
-        parts.append("".join(map(line.__mod__, zip(*cols))).encode("utf-8"))
-    return b"".join(parts)
+    labels = [
+        _label_cells(spec.categories, alone) if spec.kind is ColumnKind.CATEGORICAL else None
+        for spec in ds.schema.columns
+    ]
+    width = sum(1 + (_FLOAT_CELL_BYTES if t is None else t.shape[1]) for t in labels)
+    step = max(1, min(CSV_BLOCK_ROWS, _BLOCK_BYTES // width))
+    # one buffer that grows in place, and getvalue() returns it uncopied: the
+    # CSV is never held twice, as blocks and as their join
+    out = io.BytesIO()
+    out.write(_csv_line(ds.schema.names).encode("utf-8"))
+    for lo in range(0, ds.n, step):
+        rows = slice(lo, lo + step)
+        # the cells die with the call, before the copy that translate needs
+        lines = _padded_lines(
+            [_float_cells(a[rows]) if t is None else t[a[rows]] for t, a in zip(labels, ds.columns)]
+        )
+        out.write(lines.tobytes().translate(None, _PAD))
+    return out.getvalue()
 
 
 # ----------------------------------------------------------------- encoding ---

@@ -18,6 +18,7 @@ from sdgflow.errors import (
     HeaderMismatch,
     MissingValue,
     SchemaError,
+    SdgError,
     UnknownCategory,
 )
 from sdgflow.tabular import (
@@ -263,6 +264,31 @@ def test_load_csv_parses_clean_blocks_without_the_per_cell_loop(tmp_path):
     assert dataset_to_csv_bytes(loaded) == dataset_to_csv_bytes(ds)
 
 
+@pytest.mark.parametrize(
+    "data, row",
+    [(b"x,c,y\n1.0,a,\xff\n", None), (b"x,c,y\n1.0,a,2.0\n" + b"3" * 140_000 + b",a,1\n", 2)],
+    ids=["not-utf8", "over-field-limit"],
+)
+def test_load_csv_unreadable_file_is_cell_type_error(tmp_path, data, row):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(CellTypeError) as info:
+        load_csv(path, _LOAD_SCHEMA)
+    assert info.value.row == row
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=64), header=st.booleans(), policy=st.sampled_from(tabular.MISSING_POLICIES))
+def test_load_csv_arbitrary_bytes_return_or_raise_sdg_error(data, header, policy):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.csv"
+        path.write_bytes((b"x,c,y\n" if header else b"") + data)
+        try:
+            load_csv(path, _LOAD_SCHEMA, missing_policy=policy)
+        except SdgError:
+            pass
+
+
 _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
@@ -323,6 +349,106 @@ def test_csv_empty_label_quoted_only_when_alone(alone):
     ds = make_dataset(Schema(cols), values)
     expected = b'c\n""\na\n""\n' if alone else b"c,d\n,\na,\n,\n"
     assert dataset_to_csv_bytes(ds) == expected == csv_bytes_by_row(ds)
+
+
+def _ulp_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+class _CountingFormat:
+    """Stands in for CONTINUOUS_FMT and counts the cells it formats."""
+
+    calls = 0
+
+    def __mod__(self, value):
+        self.calls += 1
+        return format(value, ".17g")
+
+
+def test_csv_continuous_cells_equal_format_17g_at_arithmetic_edges():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64)
+    # random signs and mantissas, binary exponents around the fixed-notation range
+    fixed_exponents = (rng.integers(1023 - 15, 1023 + 58, 50_000, dtype=np.uint64) << np.uint64(52)) | (
+        rng.integers(0, 2**52, 50_000, dtype=np.uint64)
+    ) | (rng.integers(0, 2, 50_000, dtype=np.uint64) << np.uint64(63))
+    # i + odd / 2**q has q fraction digits, the last a 5; with 18 - q integer
+    # digits it lies exactly halfway between two 17-digit decimals
+    ties = [
+        (int(i) * 2**q + 2 * int(n) + 1) / 2**q
+        for q in range(3, 18)
+        for i, n in zip(rng.integers(10 ** (17 - q), 10 ** (18 - q), 100), rng.integers(0, 2 ** (q - 1), 100))
+    ]
+    edges = np.concatenate(
+        [
+            _ulp_neighbours([1e-4, 1e17]),
+            _ulp_neighbours([float(f"1e{i}") for i in range(-6, 19)]),
+            _ulp_neighbours(2.0**53 + np.arange(-4.0, 5.0)),
+            [1 + 2**-17, 1 + 3 * 2**-17, 0.0, 5e-324, 2.2250738585072014e-308],
+            ties,
+        ]
+    )
+    values = np.concatenate([edges, -edges, bits.view(np.float64), fixed_exponents.view(np.float64)])
+    values = values[np.isfinite(values)]
+    ds = make_dataset(Schema((ColumnSpec("x", ColumnKind.CONTINUOUS),)), {"x": values})
+    fmt = _CountingFormat()
+    with mock.patch.object(tabular, "CONTINUOUS_FMT", fmt):
+        got = dataset_to_csv_bytes(ds)
+    assert got == ("x\n" + "".join(format(v, ".17g") + "\n" for v in values.tolist())).encode()
+    assert b"\n1.0000076293945312\n1.0000228881835938\n" in got  # ties to even
+    outside = np.abs(values)
+    assert fmt.calls == np.count_nonzero((outside < 1e-4) | (outside >= 1e17))
+
+
+def test_csv_multibyte_labels_equal_row_by_row_writer():
+    labels = ("é", "€", "😀", "a,é", '"€"', " 😀 ", "", "plain", "x\ny", "%s")
+    schema = Schema(
+        (
+            ColumnSpec("ü", ColumnKind.CATEGORICAL, categories=labels),
+            ColumnSpec("x", ColumnKind.CONTINUOUS),
+            ColumnSpec("€,😀", ColumnKind.CATEGORICAL, categories=labels[::-1]),
+        )
+    )
+    rng = np.random.default_rng(5)
+    n = 500
+    ds = make_dataset(
+        schema,
+        {"ü": rng.integers(0, 10, n), "x": rng.normal(0.0, 10.0, n), "€,😀": rng.integers(0, 10, n)},
+    )
+    assert dataset_to_csv_bytes(ds) == csv_bytes_by_row(ds)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_csv_block_boundary_round_trip(tmp_path, offset):
+    # the writer's and the loader's blocks end at the same row; cells the
+    # fixed-notation kernel formats and cells it leaves to CONTINUOUS_FMT
+    # sit on both sides of that row
+    n = tabular.CSV_BLOCK_ROWS + offset
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 19, n)
+    x[tabular.CSV_BLOCK_ROWS - 3 :] = [5e-324, 123.5, -0.0, 1e17][: 3 + offset]
+    ds = make_dataset(_LOAD_SCHEMA, {"x": x, "c": rng.integers(0, 2, n), "y": -x})
+    data = dataset_to_csv_bytes(ds)
+    assert data == csv_bytes_by_row(ds)
+    path = tmp_path / "b.csv"
+    path.write_bytes(data)
+    assert dataset_to_csv_bytes(load_csv(path, _LOAD_SCHEMA)) == data
+
+
+def test_csv_long_labels_shrink_the_block():
+    schema = Schema(
+        (
+            ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a", "é" * 3_000)),
+            ColumnSpec("x", ColumnKind.CONTINUOUS),
+        )
+    )
+    ds = make_dataset(schema, {"c": [0, 1, 0, 0, 1, 1, 0], "x": np.arange(7) / 3})
+    with mock.patch.object(tabular, "_BLOCK_BYTES", 20_000), mock.patch.object(
+        tabular, "_padded_lines", wraps=tabular._padded_lines
+    ) as blocks:
+        assert dataset_to_csv_bytes(ds) == csv_bytes_by_row(ds)
+    assert [len(call.args[0][0]) for call in blocks.call_args_list] == [3, 3, 1]
 
 
 # ------------------------------------------------------------------ encode ---
