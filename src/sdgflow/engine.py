@@ -15,10 +15,11 @@ import os
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from pathlib import Path, PurePosixPath
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, get_args, get_type_hints
 
 import numpy as np
 
@@ -31,22 +32,12 @@ from .errors import (
     MissingUpstream,
     NodeFailure,
 )
-from .evaluation.diagnostic import diagnose, diagnostic_metric
+from .evaluation.diagnostic import evaluate_diagnostic
 from .evaluation.privacy import evaluate_privacy
 from .evaluation.results import metric_from_json_obj
-from .evaluation.utility import (
-    bivariate_fidelity,
-    design_matrix,
-    fit_propensity,
-    pmse_null,
-    pmse_observed,
-    pmse_ratio,
-    pmse_standardized,
-    specks,
-    univariate_fidelity,
-)
+from .evaluation.utility import evaluate_utility
 from .generators import generate
-from .jsonfields import JsonChecks, loads
+from .jsonfields import JsonChecks, loads, required_fields
 from .reporting import compile_report, render_text
 from .rng import RngStream, derive_stream
 from .specs import (
@@ -55,6 +46,7 @@ from .specs import (
     NodeKind,
     PipelineNode,
     PipelineSpec,
+    SpecDigest,
     check_seed,
     spec_digest,
     topological_order,
@@ -89,27 +81,16 @@ class NodeRecord:
     start: str | None
     end: str | None
     duration_seconds: float | None
-    artifacts: Mapping[str, Mapping[str, str]]
+    artifacts: Mapping[str, Mapping[str, str]]  # name -> {"file", "sha256"}
     error: str | None = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "status": self.status,
-            "depends_on": list(self.depends_on),
-            "start": self.start,
-            "end": self.end,
-            "duration_seconds": self.duration_seconds,
-            "artifacts": {k: dict(v) for k, v in self.artifacts.items()},
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class RunManifest:
-    spec_hash: str
-    spec_canonical_bytes_len: int
+    spec_digest: SpecDigest
     seed: int
     engine_version: str
     max_parallel: int
@@ -128,73 +109,64 @@ class RunManifest:
         return all(r.status == "succeeded" for r in self.node_records)
 
     def to_json_obj(self) -> dict:
-        return {
-            "spec_digest": {
-                "hash": self.spec_hash,
-                "canonical_bytes_len": self.spec_canonical_bytes_len,
-            },
-            "seed": self.seed,
-            "engine_version": self.engine_version,
-            "max_parallel": self.max_parallel,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "node_records": [r.to_json_obj() for r in self.node_records],
-        }
+        return asdict(self)
 
 
 _check = JsonChecks(ManifestInvalid)
-_MANIFEST_FIELDS = {
-    "spec_digest", "seed", "engine_version", "max_parallel", "started_at", "finished_at", "node_records",
-}
-_DIGEST_FIELDS = {"hash", "canonical_bytes_len"}
-_RECORD_FIELDS = {
-    "id", "kind", "status", "depends_on", "start", "end", "duration_seconds", "artifacts",
-}
-_STATUSES = ("succeeded", "failed", "skipped")
 
 
-def _maybe(check: Callable[[Any, str], Any], value: Any, what: str) -> Any:
-    return None if value is None else check(value, what)
+def _from_json(cls: type, checks: Mapping[str, Callable[[Any, str], Any]], value: Any, where: str):
+    """Build dataclass `cls` from a JSON object, each field read by its check
+    in `checks`: a field without a default is required, and a field typed
+    `... | None` may be null."""
+    _check.obj(value, where, checks, required_fields(cls))
+    hints = get_type_hints(cls)
+    return cls(**{
+        key: None if v is None and type(None) in get_args(hints[key]) else checks[key](v, f"{where}: {key}")
+        for key, v in value.items()
+    })
 
 
-def _record_from_json_obj(r: Any, where: str) -> NodeRecord:
-    _check.obj(r, where, _RECORD_FIELDS | {"error"}, required=_RECORD_FIELDS)
-    artifacts = {}
-    for name, info in _check.obj(r["artifacts"], f"{where}: artifacts").items():
-        what = f"{where}: artifacts[{name!r}]"
+def _artifacts(value: Any, where: str) -> dict[str, dict[str, str]]:
+    out = {}
+    for name, info in _check.obj(value, where).items():
+        what = f"{where}[{name!r}]"
         _check.obj(info, what, {"file", "sha256"}, required={"file", "sha256"})
-        artifacts[name] = {k: _check.string(info[k], f"{what}: {k}") for k in ("file", "sha256")}
-    return NodeRecord(
-        id=_check.string(r["id"], f"{where}: id"),
-        kind=_check.choice(r["kind"], f"{where}: kind", [k.value for k in NodeKind]),
-        status=_check.choice(r["status"], f"{where}: status", _STATUSES),
-        depends_on=_check.strings(r["depends_on"], f"{where}: depends_on", nonempty=False),
-        start=_maybe(_check.string, r["start"], f"{where}: start"),
-        end=_maybe(_check.string, r["end"], f"{where}: end"),
-        duration_seconds=_maybe(_check.number, r["duration_seconds"], f"{where}: duration_seconds"),
-        artifacts=artifacts,
-        error=_maybe(_check.string, r.get("error"), f"{where}: error"),
-    )
+        out[name] = {k: _check.string(v, f"{what}: {k}") for k, v in info.items()}
+    return out
+
+
+_RECORD_CHECKS = {
+    "id": _check.string,
+    "kind": partial(_check.choice, options=[k.value for k in NodeKind]),
+    "status": partial(_check.choice, options=("succeeded", "failed", "skipped")),
+    "depends_on": partial(_check.strings, nonempty=False),
+    "start": _check.string,
+    "end": _check.string,
+    "duration_seconds": _check.number,
+    "artifacts": _artifacts,
+    "error": _check.string,
+}
+_MANIFEST_CHECKS = {
+    "spec_digest": partial(
+        _from_json, SpecDigest, {"hash": _check.string, "canonical_bytes_len": _check.integer}
+    ),
+    "seed": _check.integer,
+    "engine_version": _check.string,
+    "max_parallel": _check.integer,
+    "started_at": _check.string,
+    "finished_at": _check.string,
+    "node_records": lambda value, where: tuple(
+        _from_json(NodeRecord, _RECORD_CHECKS, r, f"{where}[{i}]")
+        for i, r in enumerate(_check.items(value, where))
+    ),
+}
 
 
 def manifest_from_json_obj(doc: Any) -> RunManifest:
     """Parse a manifest document; a missing, unknown or mistyped field raises
     ManifestInvalid."""
-    _check.obj(doc, "manifest", _MANIFEST_FIELDS, required=_MANIFEST_FIELDS)
-    digest = _check.obj(doc["spec_digest"], "spec_digest", _DIGEST_FIELDS, required=_DIGEST_FIELDS)
-    records = _check.items(doc["node_records"], "node_records")
-    return RunManifest(
-        spec_hash=_check.string(digest["hash"], "spec_digest: hash"),
-        spec_canonical_bytes_len=_check.integer(
-            digest["canonical_bytes_len"], "spec_digest: canonical_bytes_len"
-        ),
-        seed=_check.integer(doc["seed"], "seed"),
-        engine_version=_check.string(doc["engine_version"], "engine_version"),
-        max_parallel=_check.integer(doc["max_parallel"], "max_parallel"),
-        started_at=_check.string(doc["started_at"], "started_at"),
-        finished_at=_check.string(doc["finished_at"], "finished_at"),
-        node_records=tuple(_record_from_json_obj(r, f"node_records[{i}]") for i, r in enumerate(records)),
-    )
+    return _from_json(RunManifest, _MANIFEST_CHECKS, doc, "manifest")
 
 
 # ------------------------------------------------------------- node context ---
@@ -257,72 +229,19 @@ def _run_generate(ctx: NodeContext) -> Mapping[str, Any]:
     return {"dataset": ds}
 
 
-def _metrics_doc(node_id: str, provenance: str, metrics, extra: Mapping[str, Any] | None = None) -> dict:
-    doc = {
-        "node": node_id,
-        "provenance": provenance,
-        "metrics": [m.to_json_obj() for m in metrics],
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _run_diagnostic(ctx: NodeContext) -> Mapping[str, Any]:
-    cfg = ctx.node.config
-    result = diagnose(ctx.upstream_dataset(cfg.real), ctx.upstream_dataset(cfg.synthetic))
-    doc = _metrics_doc(
-        ctx.node.id,
-        "diagnostic",
-        [diagnostic_metric(result)],
-        {"diagnostic": result.to_json_obj()},
-    )
-    ctx.log(f"diagnostic overall score {result.overall_score}")
+def _run_evaluate(ctx: NodeContext) -> Mapping[str, Any]:
+    cfg, kind = ctx.node.config, ctx.node.kind
+    real, synth = ctx.upstream_dataset(cfg.real), ctx.upstream_dataset(cfg.synthetic)
+    if kind is NodeKind.EVALUATE_UTILITY:
+        results = evaluate_utility(real, synth, cfg.metrics, cfg.null_model, cfg.permutations, ctx.stream)
+    elif kind is NodeKind.EVALUATE_PRIVACY:
+        results = evaluate_privacy(real, synth, cfg.privacy, cfg.metrics, ctx.stream)
+    else:
+        results = evaluate_diagnostic(real, synth)
+    provenance = kind.value.removeprefix("evaluate_")
+    ctx.log(f"{provenance} metrics: {[m.name for m in results]}")
+    doc = {"node": ctx.node.id, "provenance": provenance, "metrics": [m.to_json_obj() for m in results]}
     return {"metrics": doc}
-
-
-def _run_utility(ctx: NodeContext) -> Mapping[str, Any]:
-    cfg = ctx.node.config
-    real = ctx.upstream_dataset(cfg.real)
-    synth = ctx.upstream_dataset(cfg.synthetic)
-    selected = set(cfg.metrics)
-    if selected & {"pmse_observed", "pmse_standardized", "pmse_ratio", "specks"}:
-        design = design_matrix(real, synth)
-        model, scores = fit_propensity(real, synth, design)
-        obs = pmse_observed(scores, model.c, model)
-    if selected & {"pmse_standardized", "pmse_ratio"}:
-        null = pmse_null(
-            real,
-            synth,
-            kind=cfg.null_model,
-            B=cfg.permutations,
-            rng=ctx.stream.child("null"),
-            design=design,
-        )
-    compute = {
-        "pmse_observed": lambda: obs,
-        "pmse_standardized": lambda: pmse_standardized(obs.score, null),
-        "pmse_ratio": lambda: pmse_ratio(obs.score, null),
-        "specks": lambda: specks(scores[: real.n], scores[real.n :]),
-        "univariate_fidelity": lambda: univariate_fidelity(real, synth),
-        "bivariate_fidelity": lambda: bivariate_fidelity(real, synth),
-    }
-    results = [compute[name]() for name in cfg.metrics]
-    ctx.log(f"utility metrics: {[m.name for m in results]}")
-    return {"metrics": _metrics_doc(ctx.node.id, "utility", results)}
-
-
-def _run_privacy(ctx: NodeContext) -> Mapping[str, Any]:
-    cfg = ctx.node.config
-    results = evaluate_privacy(
-        ctx.upstream_dataset(cfg.real),
-        ctx.upstream_dataset(cfg.synthetic),
-        cfg.privacy,
-        metrics=cfg.metrics,
-        rng=ctx.stream,
-    )
-    ctx.log(f"privacy metrics: {[m.name for m in results]}")
-    return {"metrics": _metrics_doc(ctx.node.id, "privacy", results)}
 
 
 def _run_report(ctx: NodeContext) -> Mapping[str, Any]:
@@ -348,9 +267,9 @@ DEFAULT_RUNNERS: dict[str, Runner] = {
     NodeKind.LOAD.value: _run_load,
     NodeKind.PREPROCESS.value: _run_preprocess,
     NodeKind.GENERATE.value: _run_generate,
-    NodeKind.EVALUATE_DIAGNOSTIC.value: _run_diagnostic,
-    NodeKind.EVALUATE_UTILITY.value: _run_utility,
-    NodeKind.EVALUATE_PRIVACY.value: _run_privacy,
+    NodeKind.EVALUATE_DIAGNOSTIC.value: _run_evaluate,
+    NodeKind.EVALUATE_UTILITY.value: _run_evaluate,
+    NodeKind.EVALUATE_PRIVACY.value: _run_evaluate,
     NodeKind.REPORT.value: _run_report,
 }
 
@@ -505,8 +424,7 @@ def run(
 
     finished_at, _ = clock.now()
     manifest = RunManifest(
-        spec_hash=digest.hash,
-        spec_canonical_bytes_len=digest.canonical_bytes_len,
+        spec_digest=digest,
         seed=spec.seed,
         engine_version=ENGINE_VERSION,
         max_parallel=max_parallel,
@@ -553,14 +471,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks
-            ],
-        }
 
 
 def verify_manifest(out_dir) -> VerificationReport:

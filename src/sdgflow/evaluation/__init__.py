@@ -1,5 +1,7 @@
-from .names import DIAGNOSTIC_METRICS, PRIVACY_METRICS, UTILITY_METRICS
+from .diagnostic import DIAGNOSTIC_METRICS
+from .privacy import PRIVACY_METRICS
 from .results import Direction, MetricResult
+from .utility import UTILITY_METRICS
 
 __all__ = [
     "Direction",

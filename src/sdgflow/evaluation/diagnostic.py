@@ -4,7 +4,7 @@ categorical labels that actually occur in the real data."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,14 +30,7 @@ class DiagnosticResult:
     overall_score: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "structure_ok": self.structure_ok,
-            "per_column": [
-                {"column": c.column, "check": c.check, "pass_fraction": c.pass_fraction}
-                for c in self.per_column
-            ],
-            "overall_score": self.overall_score,
-        }
+        return asdict(self)
 
 
 def _columns_match(a, b) -> bool:
@@ -95,3 +88,16 @@ def diagnostic_metric(result: DiagnosticResult) -> MetricResult:
         provenance="diagnostic",
         details=result.to_json_obj(),
     )
+
+
+# metric name -> its computation from (real, synth). Each calls through the
+# module's globals, so a function replaced on the module is the one called.
+_COMPUTE = {
+    "diagnostic_overall_score": lambda real, synth: diagnostic_metric(diagnose(real, synth)),
+}
+DIAGNOSTIC_METRICS = tuple(_COMPUTE)
+
+
+def evaluate_diagnostic(real: Dataset, synth: Dataset) -> list[MetricResult]:
+    """Run every diagnostic metric."""
+    return [compute(real, synth) for compute in _COMPUTE.values()]

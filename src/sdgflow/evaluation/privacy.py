@@ -13,8 +13,7 @@ from scipy.spatial import cKDTree
 from ..errors import ConfigError, SchemaError
 from ..rng import RngStream
 from ..tabular import ColumnKind, Dataset, Schema, column_ranges, row_keys
-from .names import KEY_BASED_PRIVACY_METRICS, PRIVACY_METRICS
-from .results import Direction, MetricResult
+from .results import Direction, MetricResult, check_metric_names
 from .utility import check_pair
 
 # row pairs per vectorized block of the proximity metrics, which bounds their
@@ -50,11 +49,19 @@ def check_privacy_config(cfg: PrivacyConfig, need_keys: bool) -> None:
             raise ConfigError("sensitive_column must not be a key column")
         if len(set(cfg.key_columns)) != len(cfg.key_columns):
             raise ConfigError("key_columns must be distinct")
-    if cfg.numeric_match_tolerance < 0:
-        raise ConfigError("numeric_match_tolerance must be >= 0")
+    _check_tolerance(cfg.numeric_match_tolerance)
     if not 0.0 < cfg.tcap_homogeneity <= 1.0:
         raise ConfigError("tcap_homogeneity must be in (0, 1]")
-    if not 0.0 < cfg.overlap_sample_fraction <= 1.0:
+    _check_fraction(cfg.overlap_sample_fraction)
+
+
+def _check_tolerance(tol: float) -> None:
+    if not tol >= 0:  # NaN too
+        raise ConfigError("numeric_match_tolerance must be >= 0")
+
+
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
         raise ConfigError("overlap_sample_fraction must be in (0, 1]")
 
 
@@ -105,9 +112,24 @@ def _pack_codes(
     return code[:n_r], code[n_r:]
 
 
-def _require_rows(real: Dataset, synth: Dataset, what: str) -> None:
+def _check_datasets(real: Dataset, synth: Dataset, what: str) -> None:
+    """Both sides share one schema and hold rows; raises a typed error."""
+    check_pair(real, synth)
     if real.n == 0 or synth.n == 0:
         raise ConfigError(f"{what} needs non-empty datasets")
+
+
+def _key_attack_inputs(
+    real: Dataset, synth: Dataset, cfg: PrivacyConfig, what: str
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The key attacks' shared checks, then their inputs: the number of
+    sensitive values, the key codes of each side and the sensitive codes of
+    each side."""
+    _check_datasets(real, synth, what)
+    validate_privacy_config(cfg, real.schema, need_keys=True)
+    key_r, key_s = _key_codes(real, synth, cfg.key_columns)
+    sens = cfg.sensitive_column
+    return len(real.schema.column(sens).categories), key_r, key_s, real.column(sens), synth.column(sens)
 
 
 def _modal_by_key(
@@ -143,12 +165,7 @@ def categorical_cap(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> Metric
     """Correct-attribution probability: how often the synthetic rows sharing a
     real row's keys also share its sensitive value. Score is 1 minus that
     rate, so higher means safer."""
-    check_pair(real, synth)
-    validate_privacy_config(cfg, real.schema, need_keys=True)
-    n_sens = len(real.schema.column(cfg.sensitive_column).categories)
-    key_r, key_s = _key_codes(real, synth, cfg.key_columns)
-    sens_r = real.column(cfg.sensitive_column)
-    sens_s = synth.column(cfg.sensitive_column)
+    n_sens, key_r, key_s, sens_r, sens_s = _key_attack_inputs(real, synth, cfg, "categorical_cap")
 
     ukey, kcounts = np.unique(key_s, return_counts=True)
     upair, pcounts = np.unique(key_s * n_sens + sens_s, return_counts=True)
@@ -189,7 +206,8 @@ def new_row_synthesis(real: Dataset, synth: Dataset, tol: float) -> MetricResult
     Exact without comparing every pair: candidates come only from the real
     rows of the same categorical group, found by a k-d tree search (see
     _match_in_boxes) or, for a tolerance of 1 or more, group-wide."""
-    check_pair(real, synth)
+    _check_datasets(real, synth, "new_row_synthesis")
+    _check_tolerance(tol)
     cols = real.schema.columns
     cat = [c.name for c in cols if c.kind is ColumnKind.CATEGORICAL]
     cont = [j for j, c in enumerate(cols) if c.kind is ColumnKind.CONTINUOUS]
@@ -345,12 +363,7 @@ def _match_in_groups(code_r: np.ndarray, code_s: np.ndarray, matches) -> np.ndar
 def inference_attack_score(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
     """Normalized lift of a per-key modal attacker trained on the synthetic
     data over always guessing the real modal class."""
-    check_pair(real, synth)
-    validate_privacy_config(cfg, real.schema, need_keys=True)
-    n_sens = len(real.schema.column(cfg.sensitive_column).categories)
-    key_r, key_s = _key_codes(real, synth, cfg.key_columns)
-    sens_r = real.column(cfg.sensitive_column)
-    sens_s = synth.column(cfg.sensitive_column)
+    n_sens, key_r, key_s, sens_r, sens_s = _key_attack_inputs(real, synth, cfg, "inference_attack_score")
 
     ukey, modal, _, _ = _modal_by_key(key_s, sens_s, n_sens)
     found, pos = _lookup(ukey, key_r)
@@ -386,12 +399,7 @@ def inference_attack_score(real: Dataset, synth: Dataset, cfg: PrivacyConfig) ->
 def tcap(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
     """Correct-attribution rate restricted to key groups whose synthetic
     sensitive values are homogeneous enough to attack."""
-    check_pair(real, synth)
-    validate_privacy_config(cfg, real.schema, need_keys=True)
-    n_sens = len(real.schema.column(cfg.sensitive_column).categories)
-    key_r, key_s = _key_codes(real, synth, cfg.key_columns)
-    sens_r = real.column(cfg.sensitive_column)
-    sens_s = synth.column(cfg.sensitive_column)
+    n_sens, key_r, key_s, sens_r, sens_s = _key_attack_inputs(real, synth, cfg, "tcap")
 
     ukey, modal, modal_count, totals = _modal_by_key(key_s, sens_s, n_sens)
     attackable = (modal_count / totals) >= cfg.tcap_homogeneity
@@ -432,8 +440,7 @@ def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
     Group pairs whose bound cannot beat the best total so far are skipped;
     the others are settled by summing the few nearest pairs the scan's way,
     or by scanning the group pair when t >= 1."""
-    check_pair(real, synth)
-    _require_rows(real, synth, "min_nn_distance")
+    _check_datasets(real, synth, "min_nn_distance")
     ranges = column_ranges(real)
     cols = real.schema.columns
     cat = [c.name for c in cols if c.kind is ColumnKind.CATEGORICAL]
@@ -554,7 +561,8 @@ def sample_overlap(
     """Exact-copy rate among seeded samples of both datasets. Rows are put in
     a canonical sort order before sampling so the draw does not depend on the
     incoming row order."""
-    check_pair(real, synth)
+    _check_datasets(real, synth, "sample_overlap")
+    _check_fraction(fraction)
     gen = rng.generator
 
     def pick(ds: Dataset) -> Dataset:
@@ -581,6 +589,26 @@ def sample_overlap(
     )
 
 
+# metric name -> its computation from (real, synth, cfg, rng). Each calls
+# through the module's globals, so a function replaced on the module is the
+# one called.
+_COMPUTE = {
+    "categorical_cap": lambda real, synth, cfg, rng: categorical_cap(real, synth, cfg),
+    "new_row_synthesis": lambda real, synth, cfg, rng: new_row_synthesis(
+        real, synth, cfg.numeric_match_tolerance
+    ),
+    "inference_attack_score": lambda real, synth, cfg, rng: inference_attack_score(real, synth, cfg),
+    "tcap": lambda real, synth, cfg, rng: tcap(real, synth, cfg),
+    "min_nn_distance": lambda real, synth, *_: min_nn_distance(real, synth),
+    "sample_overlap": lambda real, synth, cfg, rng: sample_overlap(
+        real, synth, cfg.overlap_sample_fraction, rng.child("sample_overlap")
+    ),
+}
+PRIVACY_METRICS = tuple(_COMPUTE)
+# the metrics that need key and sensitive columns
+KEY_BASED_PRIVACY_METRICS = ("categorical_cap", "inference_attack_score", "tcap")
+
+
 def evaluate_privacy(
     real: Dataset,
     synth: Dataset,
@@ -588,30 +616,11 @@ def evaluate_privacy(
     metrics: tuple[str, ...] = PRIVACY_METRICS,
     rng: RngStream | None = None,
 ) -> list[MetricResult]:
-    """Run the selected privacy metrics."""
-    unknown = set(metrics) - set(PRIVACY_METRICS)
-    if unknown:
-        raise ConfigError(f"unknown privacy metrics {sorted(unknown)}")
-    need_keys = bool(set(metrics) & set(KEY_BASED_PRIVACY_METRICS))
+    """Run the selected privacy metrics, in the order given. The config is
+    checked here once, for every metric; each metric checks its rows."""
+    check_metric_names(metrics, PRIVACY_METRICS)
+    need_keys = not set(metrics).isdisjoint(KEY_BASED_PRIVACY_METRICS)
     validate_privacy_config(cfg, real.schema, need_keys=need_keys)
-    _require_rows(real, synth, "privacy evaluation")
-
-    out = []
-    for name in metrics:
-        if name == "categorical_cap":
-            out.append(categorical_cap(real, synth, cfg))
-        elif name == "new_row_synthesis":
-            out.append(new_row_synthesis(real, synth, cfg.numeric_match_tolerance))
-        elif name == "inference_attack_score":
-            out.append(inference_attack_score(real, synth, cfg))
-        elif name == "tcap":
-            out.append(tcap(real, synth, cfg))
-        elif name == "min_nn_distance":
-            out.append(min_nn_distance(real, synth))
-        elif name == "sample_overlap":
-            if rng is None:
-                raise ConfigError("sample_overlap needs an rng stream")
-            out.append(
-                sample_overlap(real, synth, cfg.overlap_sample_fraction, rng.child("sample_overlap"))
-            )
-    return out
+    if rng is None and "sample_overlap" in metrics:
+        raise ConfigError("sample_overlap needs an rng stream")
+    return [_COMPUTE[name](real, synth, cfg, rng) for name in metrics]

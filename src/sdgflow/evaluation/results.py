@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
+
+from ..errors import ConfigError
 
 
 class Direction(str, Enum):
@@ -45,3 +47,13 @@ def metric_from_json_obj(obj: Mapping[str, Any]) -> MetricResult:
         provenance=obj["provenance"],
         details=dict(obj.get("details", {})),
     )
+
+
+def check_metric_names(metrics: Collection[str], known: Collection[str]) -> None:
+    """The rule on a metric selection, for spec parsing and every evaluate
+    function: known names, none repeated; raises ConfigError."""
+    unknown = set(metrics) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown metrics {sorted(unknown)}")
+    if len(set(metrics)) != len(metrics):
+        raise ConfigError("metrics must not repeat a name")

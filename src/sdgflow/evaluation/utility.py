@@ -18,7 +18,7 @@ from scipy.special import expit
 from ..errors import ConfigError, DegenerateNull, SchemaMismatch, SeparationWarning, TooFewRows
 from ..rng import RngStream
 from ..tabular import ColumnKind, Dataset, encode, encoded_width
-from .results import Direction, MetricResult
+from .results import Direction, MetricResult, check_metric_names
 
 RIDGE = 1e-6
 MAX_ITER = 100
@@ -444,3 +444,41 @@ def bivariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
         provenance="utility",
         details={"per_pair": per_pair, "degenerate_pairs": sorted(set(flags))},
     )
+
+
+# metric name -> its computation from the datasets and what evaluate_utility
+# made for them: the propensity scores, the observed pMSE and the null model.
+# Each calls through the module's globals, so a function replaced on the
+# module is the one called.
+_COMPUTE = {
+    "pmse_observed": lambda real, synth, scores, observed, null: observed,
+    "pmse_standardized": lambda real, synth, scores, observed, null: pmse_standardized(observed.score, null),
+    "pmse_ratio": lambda real, synth, scores, observed, null: pmse_ratio(observed.score, null),
+    "specks": lambda real, synth, scores, observed, null: specks(scores[: real.n], scores[real.n :]),
+    "univariate_fidelity": lambda real, synth, *_: univariate_fidelity(real, synth),
+    "bivariate_fidelity": lambda real, synth, *_: bivariate_fidelity(real, synth),
+}
+UTILITY_METRICS = tuple(_COMPUTE)
+
+
+def evaluate_utility(
+    real: Dataset,
+    synth: Dataset,
+    metrics: tuple[str, ...],
+    null_model: str,
+    permutations: int,
+    rng: RngStream,
+) -> list[MetricResult]:
+    """Run the selected metrics, in the order given. What they share is made
+    once, in this order: the design matrix, the propensity fit and its
+    observed pMSE, then the null model, drawn from `rng`'s child "null"."""
+    check_metric_names(metrics, UTILITY_METRICS)
+    selected = set(metrics)
+    scores = observed = null = None
+    if selected & {"pmse_observed", "pmse_standardized", "pmse_ratio", "specks"}:
+        design = design_matrix(real, synth)
+        model, scores = fit_propensity(real, synth, design)
+        observed = pmse_observed(scores, model.c, model)
+    if selected & {"pmse_standardized", "pmse_ratio"}:
+        null = pmse_null(real, synth, null_model, permutations, rng.child("null"), design)
+    return [_COMPUTE[name](real, synth, scores, observed, null) for name in metrics]

@@ -388,18 +388,13 @@ def _parse_hsd(mp: Any, n_out: int) -> HsdParams:
 def _check_rules_against_schema(rules: Sequence[Rule], schema: Schema, where: str) -> None:
     for r in rules:
         if isinstance(r, ImplicationRule):
-            for col, lab in ((r.if_column, r.if_category),):
+            for col, labels in ((r.if_column, (r.if_category,)), (r.then_column, r.then_categories)):
                 spec = _col(schema, col, where)
                 if spec.kind is not ColumnKind.CATEGORICAL:
                     raise ConfigError(f"{where}: implication column {col!r} must be categorical")
-                if lab not in spec.categories:
-                    raise ConfigError(f"{where}: {lab!r} is not a category of {col!r}")
-            spec = _col(schema, r.then_column, where)
-            if spec.kind is not ColumnKind.CATEGORICAL:
-                raise ConfigError(f"{where}: implication column {r.then_column!r} must be categorical")
-            bad = set(r.then_categories) - set(spec.categories)
-            if bad:
-                raise ConfigError(f"{where}: {sorted(bad)} are not categories of {r.then_column!r}")
+                bad = set(labels) - set(spec.categories)
+                if bad:
+                    raise ConfigError(f"{where}: {sorted(bad)} are not categories of {col!r}")
         elif isinstance(r, RangeRule):
             if _col(schema, r.column, where).kind is not ColumnKind.CONTINUOUS:
                 raise ConfigError(f"{where}: range_constraint column {r.column!r} must be continuous")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 from typing import Any, Collection, Mapping
 
 from .errors import SdgError
@@ -41,6 +42,12 @@ def loads(data: bytes | str, error: type[SdgError]) -> Any:
         raise error(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise error("nesting too deep") from None
+
+
+def required_fields(cls: type) -> set[str]:
+    """The fields of dataclass `cls` without a default: a document that a
+    reader builds `cls` from must give each of them."""
+    return {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
 
 
 class JsonChecks:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import graphlib
 import heapq
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
 from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Sequence
@@ -27,15 +27,21 @@ from .errors import (
     SpecSyntaxError,
     UnknownField,
 )
-from .evaluation.names import (
-    DIAGNOSTIC_METRICS,
+from .evaluation.diagnostic import DIAGNOSTIC_METRICS
+from .evaluation.privacy import (
     KEY_BASED_PRIVACY_METRICS,
     PRIVACY_METRICS,
-    UTILITY_METRICS,
+    PrivacyConfig,
+    check_privacy_config,
 )
-from .evaluation.privacy import PrivacyConfig, check_privacy_config
-from .evaluation.utility import DEFAULT_NULL_MODEL, DEFAULT_PERMUTATIONS, check_null_model
-from .jsonfields import JsonChecks, loads
+from .evaluation.results import check_metric_names
+from .evaluation.utility import (
+    DEFAULT_NULL_MODEL,
+    DEFAULT_PERMUTATIONS,
+    UTILITY_METRICS,
+    check_null_model,
+)
+from .jsonfields import JsonChecks, loads, required_fields
 from .rng import SEED_MAX
 from .tabular import DEFAULT_MISSING_POLICY, MISSING_POLICIES, Schema, schema_from_json_obj
 
@@ -220,8 +226,7 @@ def _parse_params(kind: NodeKind, p: Mapping[str, Any], where: str) -> Any:
             f"{where}: proximity_row_cap was removed; min_nn_distance and "
             "new_row_synthesis are exact at every size"
         )
-    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
-    _check.obj(p, where, types, required & set(types))
+    _check.obj(p, where, types, required_fields(cls) & set(types))
     t: dict[str, Any] = {}
     for key, value in p.items():
         if types[key] is not None:
@@ -248,16 +253,11 @@ def _parse_params(kind: NodeKind, p: Mapping[str, Any], where: str) -> Any:
         t["privacy"] = PrivacyConfig(**{key: t.pop(key) for key in given})
     out = cls(**t)
 
-    if kind in (NodeKind.EVALUATE_UTILITY, NodeKind.EVALUATE_PRIVACY):
-        known = UTILITY_METRICS if kind is NodeKind.EVALUATE_UTILITY else PRIVACY_METRICS
-        unknown = set(out.metrics) - set(known)
-        if unknown:
-            raise InvalidSpec(f"{where}: unknown metrics {sorted(unknown)}")
-        if len(set(out.metrics)) != len(out.metrics):
-            raise InvalidSpec(f"{where}: metrics must not repeat a name")
     if kind is NodeKind.EVALUATE_UTILITY:
+        check_metric_names(out.metrics, UTILITY_METRICS)
         check_null_model(out.null_model, out.permutations)
     if kind is NodeKind.EVALUATE_PRIVACY:
+        check_metric_names(out.metrics, PRIVACY_METRICS)
         need_keys = not set(out.metrics).isdisjoint(KEY_BASED_PRIVACY_METRICS)
         check_privacy_config(out.privacy, need_keys)
     return out

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdgflow.canonical import canonical_json_bytes
-from sdgflow.engine import run, verify_manifest
+from sdgflow.engine import manifest_from_json_obj, run, verify_manifest
 from sdgflow.evaluation import utility
 from sdgflow.errors import InvalidSpec, ManifestInvalid, ManifestMissing, NodeFailure
 from sdgflow.specs import parse_spec
@@ -237,6 +237,18 @@ def test_manifest_written_even_on_failure(tmp_path):
     assert statuses["b"] == "failed"
 
 
+def test_manifest_reads_back_to_its_own_bytes(tmp_path):
+    def exploding(ctx):
+        raise RuntimeError("boom")
+
+    runners = dict(STUB_RUNNERS, preprocess=exploding)
+    manifest = run(spec_of(chain_doc()), tmp_path / "run", runners=runners, raise_on_failure=False)
+    data = (tmp_path / "run" / "manifest.json").read_bytes()
+    parsed = manifest_from_json_obj(json.loads(data))
+    assert parsed == manifest  # succeeded, failed and skipped (null timings) records
+    assert canonical_json_bytes(parsed.to_json_obj()) == data
+
+
 # -------------------------------------------------------------- determinism ---
 
 def test_determinism_across_parallelism(tmp_path):
@@ -289,7 +301,7 @@ def test_report_sections_follow_provenance_in_topological_order(tmp_path):
         "privacy": ["min_nn_distance", "new_row_synthesis", "sample_overlap"],
     }
     diag = json.loads((tmp_path / "p1" / "artifacts" / "diag" / "metrics.json").read_text())
-    assert sections["diagnostic"]["result"] == diag["diagnostic"]
+    assert sections["diagnostic"]["result"] == diag["metrics"][0]["details"]
     text = (tmp_path / "p1" / "report.txt").read_text()
     assert text.index("  univariate_fidelity") < text.index("  specks") < text.index("  bivariate_fidelity")
 

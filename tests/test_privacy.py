@@ -1,15 +1,18 @@
 """Disclosure-risk metrics, each pinned against a brute-force oracle."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gower_distance
+from conftest import gower_distance, mixed_dataset
 from sdgflow.evaluation import privacy
 
 from sdgflow.errors import ConfigError
-from sdgflow.evaluation.names import PRIVACY_METRICS
 from sdgflow.evaluation.privacy import (
+    PRIVACY_METRICS,
     PrivacyConfig,
     categorical_cap,
     evaluate_privacy,
@@ -427,6 +430,43 @@ def test_orchestrator_rejects_empty_dataset(metric, empty_side):
     real, synth = (empty, rows) if empty_side == "real" else (rows, empty)
     with pytest.raises(ConfigError, match="non-empty"):
         evaluate_privacy(real, synth, CFG, metrics=(metric,), rng=derive_stream(0, "priv"))
+
+
+MIXED_CFG = PrivacyConfig(key_columns=("region",), sensitive_column="status")
+
+
+def call_directly(metric, real, synth, cfg):
+    """The metric's own function, called as a direct API user would call it."""
+    if metric == "new_row_synthesis":
+        return new_row_synthesis(real, synth, cfg.numeric_match_tolerance)
+    if metric == "sample_overlap":
+        return sample_overlap(real, synth, cfg.overlap_sample_fraction, derive_stream(0, "ov"))
+    if metric == "min_nn_distance":
+        return min_nn_distance(real, synth)
+    return getattr(privacy, metric)(real, synth, cfg)
+
+
+@pytest.mark.parametrize("via", ["direct", "evaluate_privacy"])
+@pytest.mark.parametrize(
+    "metric, empty_side, params",
+    [(m, side, {}) for side in ("real", "synthetic") for m in PRIVACY_METRICS]
+    + [
+        ("sample_overlap", None, {"overlap_sample_fraction": 0.0}),
+        ("sample_overlap", None, {"overlap_sample_fraction": -0.5}),
+        ("sample_overlap", None, {"overlap_sample_fraction": math.nan}),
+        ("new_row_synthesis", None, {"numeric_match_tolerance": -1.0}),
+        ("new_row_synthesis", None, {"numeric_match_tolerance": math.nan}),
+    ],
+)
+def test_privacy_metric_rejects_bad_input_with_config_error(metric, empty_side, params, via):
+    rows, empty = mixed_dataset(30), mixed_dataset(0)
+    real, synth = {"real": (empty, rows), "synthetic": (rows, empty), None: (rows, rows)}[empty_side]
+    cfg = dataclasses.replace(MIXED_CFG, **params)
+    with pytest.raises(ConfigError):
+        if via == "direct":
+            call_directly(metric, real, synth, cfg)
+        else:
+            evaluate_privacy(real, synth, cfg, metrics=(metric,), rng=derive_stream(0, "priv"))
 
 
 def test_orchestrator_deterministic():

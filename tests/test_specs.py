@@ -19,7 +19,7 @@ from sdgflow.errors import (
     SpecSyntaxError,
     UnknownField,
 )
-from sdgflow.evaluation.names import UTILITY_METRICS
+from sdgflow.evaluation.utility import UTILITY_METRICS
 from sdgflow.evaluation.privacy import PrivacyConfig
 from sdgflow.specs import (
     data_flow_audit,
