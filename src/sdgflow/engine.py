@@ -104,10 +104,6 @@ class RunManifest:
                 return r
         raise KeyError(node_id)
 
-    @property
-    def ok(self) -> bool:
-        return all(r.status == "succeeded" for r in self.node_records)
-
     def to_json_obj(self) -> dict:
         return asdict(self)
 
@@ -276,22 +272,15 @@ DEFAULT_RUNNERS: dict[str, Runner] = {
 
 # ------------------------------------------------------------ serialization ---
 
-_ARTIFACT_FILES = {
-    "dataset": "dataset.csv",
-    "metrics": "metrics.json",
-    "report": "report.json",
-    "report_text": "report_text.txt",
+# artifact name -> (its path in the run directory, `{node}` standing for the
+# node id; its serializer). The serializers look their functions up when
+# called, so a function replaced on this module is the one that runs.
+_ARTIFACTS: dict[str, tuple[str, Callable[[Any], bytes]]] = {
+    "dataset": ("artifacts/{node}/dataset.csv", lambda ds: dataset_to_csv_bytes(ds)),
+    "metrics": ("artifacts/{node}/metrics.json", lambda doc: canonical_json_bytes(doc)),
+    "report": ("report.json", lambda doc: canonical_json_bytes(doc)),
+    "report_text": ("report.txt", lambda text: text.encode("utf-8")),
 }
-
-
-def _artifact_bytes(name: str, payload: Any) -> bytes:
-    if name == "dataset":
-        return dataset_to_csv_bytes(payload)
-    if name in ("metrics", "report"):
-        return canonical_json_bytes(payload)
-    if name == "report_text":
-        return payload.encode("utf-8")
-    raise ConfigError(f"unknown artifact name {name!r}")
 
 
 # -------------------------------------------------------------------- run ---
@@ -321,7 +310,6 @@ def run(
     max_parallel: int = 1,
     base_dir=None,
     runners: Mapping[str, Runner] | None = None,
-    raise_on_failure: bool = True,
 ) -> RunManifest:
     """Execute the spec's DAG and write artifacts, logs, and the manifest.
 
@@ -330,7 +318,7 @@ def run(
     for timing stubs. A bad max_parallel or seed raises before any node
     starts. On a node failure every descendant is skipped, the
     manifest is still written, and NodeFailure (carrying the manifest) is
-    raised unless raise_on_failure is false.
+    raised.
     """
     check_max_parallel(max_parallel)
     check_seed(spec.seed)
@@ -387,16 +375,13 @@ def run(
             )
             produced = active_runners[node.kind.value](ctx)
             artifacts = {}
-            node_dir = out / "artifacts" / node.id
-            node_dir.mkdir(parents=True, exist_ok=True)
             for name, payload in produced.items():
-                filename = _ARTIFACT_FILES[name]
-                data = _artifact_bytes(name, payload)
-                (node_dir / filename).write_bytes(data)
-                artifacts[name] = {
-                    "file": f"artifacts/{node.id}/{filename}",
-                    "sha256": sha256_hex(data),
-                }
+                pattern, serialize = _ARTIFACTS[name]
+                rel = pattern.format(node=node.id)
+                data = serialize(payload)
+                (out / rel).parent.mkdir(parents=True, exist_ok=True)
+                (out / rel).write_bytes(data)
+                artifacts[name] = {"file": rel, "sha256": sha256_hex(data)}
         except Exception:
             return finish(node, lines, start, error=traceback.format_exc())
         payloads[node.id] = produced  # read only by dependents, submitted after this returns
@@ -434,24 +419,9 @@ def run(
     )
     (out / "manifest.json").write_bytes(canonical_json_bytes(manifest.to_json_obj()))
 
-    report_nodes = [n.id for n in spec.nodes if n.kind is NodeKind.REPORT]
-    if report_nodes and records[report_nodes[0]].status == "succeeded":
-        rid = report_nodes[0]
-        (out / "report.json").write_bytes(
-            (out / "artifacts" / rid / "report.json").read_bytes()
-        )
-        (out / "report.txt").write_bytes(
-            (out / "artifacts" / rid / "report_text.txt").read_bytes()
-        )
-
-    if raise_on_failure:
-        failed = [nid for nid in topological_order(spec) if records[nid].status == "failed"]
-        if failed:
-            raise NodeFailure(
-                node_id=failed[0],
-                cause=records[failed[0]].error or "unknown",
-                manifest=manifest,
-            )
+    failed = [records[nid] for nid in topological_order(spec) if records[nid].status == "failed"]
+    if failed:
+        raise NodeFailure(node_id=failed[0].id, cause=failed[0].error or "unknown", manifest=manifest)
     return manifest
 
 
@@ -484,7 +454,6 @@ def verify_manifest(out_dir) -> VerificationReport:
     if not manifest_path.exists():
         raise ManifestMissing(f"no manifest.json under {out}")
     manifest = manifest_from_json_obj(loads(manifest_path.read_bytes(), ManifestInvalid))
-    checks: list[VerificationCheck] = []
 
     root = out.resolve()
     mismatches = []
@@ -510,13 +479,6 @@ def verify_manifest(out_dir) -> VerificationReport:
             actual = hashlib.sha256(path.read_bytes()).hexdigest()
             if actual != info["sha256"]:
                 mismatches.append(f"{rec.id}/{name}: hash mismatch")
-    checks.append(
-        VerificationCheck(
-            name="artifact_hashes",
-            passed=not mismatches,
-            detail="; ".join(mismatches) if mismatches else "all artifact hashes match",
-        )
-    )
 
     by_id = {r.id: r for r in manifest.node_records}
     order_violations = []
@@ -537,26 +499,12 @@ def verify_manifest(out_dir) -> VerificationReport:
                 continue
             if out_of_order:
                 order_violations.append(f"{dep}->{rec.id}: upstream ended after downstream started")
-    checks.append(
-        VerificationCheck(
-            name="edge_ordering",
-            passed=not order_violations,
-            detail="; ".join(order_violations) if order_violations else "all edges ordered",
-        )
-    )
 
     propagation = []
     for rec in manifest.node_records:
         bad_dep = any(by_id[d].status != "succeeded" for d in rec.depends_on if d in by_id)
         if bad_dep and rec.status == "succeeded":
             propagation.append(f"{rec.id} succeeded despite a non-succeeded dependency")
-    checks.append(
-        VerificationCheck(
-            name="failure_propagation",
-            passed=not propagation,
-            detail="; ".join(propagation) if propagation else "failures propagated to descendants",
-        )
-    )
 
     incomplete = []
     for rec in manifest.node_records:
@@ -565,11 +513,14 @@ def verify_manifest(out_dir) -> VerificationReport:
         expected = set(NODE_ARTIFACTS[NodeKind(rec.kind)])
         if set(rec.artifacts) != expected:
             incomplete.append(f"{rec.id}: has {sorted(rec.artifacts)}, expected {sorted(expected)}")
-    checks.append(
-        VerificationCheck(
-            name="artifacts_recorded",
-            passed=not incomplete,
-            detail="; ".join(incomplete) if incomplete else "all succeeded nodes recorded artifacts",
-        )
+
+    checks = (  # name, findings, detail when there are none
+        ("artifact_hashes", mismatches, "all artifact hashes match"),
+        ("edge_ordering", order_violations, "all edges ordered"),
+        ("failure_propagation", propagation, "failures propagated to descendants"),
+        ("artifacts_recorded", incomplete, "all succeeded nodes recorded artifacts"),
     )
-    return VerificationReport(checks=tuple(checks))
+    return VerificationReport(tuple(
+        VerificationCheck(name, not findings, "; ".join(findings) or clean)
+        for name, findings, clean in checks
+    ))

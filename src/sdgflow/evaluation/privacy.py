@@ -472,7 +472,8 @@ def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
             if c.kind is ColumnKind.CATEGORICAL:
                 total += s != r
             elif j in spans:
-                total += np.minimum(np.abs(s - r) / spans[j], 1.0)
+                with np.errstate(over="ignore"):  # an overflow is clipped to 1 like any far pair
+                    total += np.minimum(np.abs(s - r) / spans[j], 1.0)
         return total
 
     def scan(r_idx: np.ndarray, s_idx: np.ndarray) -> float:

@@ -57,3 +57,10 @@ def check_metric_names(metrics: Collection[str], known: Collection[str]) -> None
         raise ConfigError(f"unknown metrics {sorted(unknown)}")
     if len(set(metrics)) != len(metrics):
         raise ConfigError("metrics must not repeat a name")
+
+
+def check_threshold_names(thresholds: Collection[str], produced: Collection[str]) -> None:
+    """The rule on a report's thresholds, for spec validation and report
+    compilation: each names a produced metric; raises ConfigError."""
+    if missing := set(thresholds) - set(produced):
+        raise ConfigError(f"thresholds name metrics no evaluate node produces: {sorted(missing)}")

@@ -263,20 +263,14 @@ def _parse_rules(docs: Any, where: str) -> tuple[Rule, ...]:
     rules = tuple(
         _parse_rule(d, f"{where}[{i}]") for i, d in enumerate(_check.items(docs, where))
     )
-    _check_derivation_cycles(rules, where)
-    return rules
-
-
-def _check_derivation_cycles(rules: Sequence[Rule], where: str) -> None:
-    derivs = [r for r in rules if isinstance(r, DerivationRule)]
-    targets = [r.target for r in derivs]
+    targets = [r.target for r in rules if isinstance(r, DerivationRule)]
     if len(set(targets)) != len(targets):
         raise ConfigError(f"{where}: multiple derivations for one target")
-    deps = {r.target: [s for s in r.sources if s in set(targets)] for r in derivs}
     try:
-        toposort_ids(list(deps), deps)
+        _derivation_order(rules)
     except CycleDetected:
         raise ConfigError(f"{where}: derivation rules form a cycle") from None
+    return rules
 
 
 def _parse_asd(mp: Any, n_out: int) -> AsdParams:

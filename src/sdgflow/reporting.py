@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ConfigError, DuplicateMetric
-from .evaluation.results import Direction, MetricResult
+from .evaluation.results import Direction, MetricResult, check_threshold_names
 from .specs import SpecDigest
 
 SECTIONS = ("diagnostic", "utility", "privacy")
@@ -57,9 +57,7 @@ def threshold_passes(metric: MetricResult, bound: float) -> bool:
 def derive_verdicts(metrics: tuple[MetricResult, ...], thresholds: Mapping[str, float]) -> dict[str, bool]:
     """Per-section pass/fail; a section passes when all of its thresholded
     metrics satisfy their bounds (vacuously when none are thresholded)."""
-    missing = set(thresholds) - {m.name for m in metrics}
-    if missing:
-        raise ConfigError(f"thresholds reference metrics not present: {sorted(missing)}")
+    check_threshold_names(thresholds, [m.name for m in metrics])
     verdicts = {
         section: all(
             threshold_passes(m, thresholds[m.name])

@@ -34,7 +34,7 @@ from .evaluation.privacy import (
     PrivacyConfig,
     check_privacy_config,
 )
-from .evaluation.results import check_metric_names
+from .evaluation.results import check_metric_names, check_threshold_names
 from .evaluation.utility import (
     DEFAULT_NULL_MODEL,
     DEFAULT_PERMUTATIONS,
@@ -475,9 +475,11 @@ def validate_spec(spec: PipelineSpec) -> None:
                 raise InvalidSpec(f"{where}: params.{key}={ref!r} does not produce a dataset")
         if n.kind is NodeKind.LOAD and n.config.input not in spec.inputs:
             raise InvalidSpec(f"{where}: unknown input {n.config.input!r}")
-        for name in n.config.thresholds if n.kind is NodeKind.REPORT else ():
-            if name not in producer:
-                raise InvalidSpec(f"{where}: threshold on {name!r}, which no evaluate node produces")
+        if n.kind is NodeKind.REPORT:
+            try:
+                check_threshold_names(n.config.thresholds, producer)
+            except ConfigError as e:
+                raise InvalidSpec(f"{where}: {e}") from None
 
 
 # ----------------------------------------------------------- data-flow audit ---

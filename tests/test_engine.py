@@ -135,7 +135,6 @@ def synthetic_eval_doc(n=120, seed=11):
 
 def test_chain_runs_in_order_with_monotone_clock(tmp_path):
     manifest = run(spec_of(chain_doc()), tmp_path / "run", runners=STUB_RUNNERS)
-    assert manifest.ok
     rec = {r.id: r for r in manifest.node_records}
     assert set(rec) == {"a", "b", "c", "rep"}
     for r in rec.values():
@@ -175,9 +174,11 @@ def test_run_dir_layout(tmp_path):
     assert (out / "manifest.json").is_file()
     assert (out / "report.json").is_file()
     assert (out / "report.txt").is_file()
-    for nid, art in [("syn", "dataset.csv"), ("qual", "metrics.json"), ("rep", "report.json")]:
+    for nid, art in [("syn", "dataset.csv"), ("qual", "metrics.json")]:
         assert (out / "artifacts" / nid / art).is_file(), (nid, art)
         assert (out / "logs" / f"{nid}.log").is_file()
+    assert (out / "logs" / "rep.log").is_file()
+    assert not (out / "artifacts" / "rep").exists()  # the report lives only at the top
     text = (out / "report.txt").read_text()
     assert "OVERALL: PASS" in text
 
@@ -210,18 +211,6 @@ def test_failure_reports_first_failed_in_topo_order(tmp_path):
     assert exc.value.node_id == "b"  # both b and c fail; first in topo order wins
 
 
-def test_failure_can_return_manifest_instead(tmp_path):
-    def exploding(ctx):
-        raise RuntimeError("boom")
-
-    runners = dict(STUB_RUNNERS, preprocess=exploding)
-    manifest = run(
-        spec_of(chain_doc()), tmp_path / "run", runners=runners, raise_on_failure=False
-    )
-    assert not manifest.ok
-    assert (tmp_path / "run" / "manifest.json").is_file()
-
-
 def test_manifest_written_even_on_failure(tmp_path):
     def exploding(ctx):
         raise RuntimeError("boom")
@@ -242,7 +231,9 @@ def test_manifest_reads_back_to_its_own_bytes(tmp_path):
         raise RuntimeError("boom")
 
     runners = dict(STUB_RUNNERS, preprocess=exploding)
-    manifest = run(spec_of(chain_doc()), tmp_path / "run", runners=runners, raise_on_failure=False)
+    with pytest.raises(NodeFailure) as exc:
+        run(spec_of(chain_doc()), tmp_path / "run", runners=runners)
+    manifest = exc.value.manifest
     data = (tmp_path / "run" / "manifest.json").read_bytes()
     parsed = manifest_from_json_obj(json.loads(data))
     assert parsed == manifest  # succeeded, failed and skipped (null timings) records
@@ -359,16 +350,17 @@ def test_verify_fresh_run_passes(tmp_path):
     }
 
 
-def test_verify_detects_tampered_artifact(tmp_path):
+@pytest.mark.parametrize("rel, node", [("artifacts/syn/dataset.csv", "syn"), ("report.txt", "rep")])
+def test_verify_detects_tampered_artifact(tmp_path, rel, node):
     out = tmp_path / "run"
     run(spec_of(synthetic_eval_doc()), out)
-    target = out / "artifacts" / "syn" / "dataset.csv"
+    target = out / rel
     target.write_bytes(target.read_bytes() + b"tampered\n")
     rep = verify_manifest(out)
     assert not rep.passed
     bad = next(c for c in rep.checks if c.name == "artifact_hashes")
     assert not bad.passed
-    assert "syn" in bad.detail
+    assert f"{node}/" in bad.detail
 
 
 def test_verify_detects_missing_artifact(tmp_path):
@@ -409,12 +401,8 @@ def test_verify_detects_forged_success(tmp_path):
         raise RuntimeError("boom")
 
     out = tmp_path / "run"
-    run(
-        spec_of(chain_doc()),
-        out,
-        runners=dict(STUB_RUNNERS, preprocess=exploding),
-        raise_on_failure=False,
-    )
+    with pytest.raises(NodeFailure):
+        run(spec_of(chain_doc()), out, runners=dict(STUB_RUNNERS, preprocess=exploding))
     doc = json.loads((out / "manifest.json").read_text())
     for r in doc["node_records"]:
         if r["id"] == "c":

@@ -492,7 +492,8 @@ def nn_scan(real, synth):
         else:
             span = ranges[j][1] - ranges[j][0]
             if span > 0.0:
-                total += np.minimum(np.abs(s - r) / span, 1.0)
+                with np.errstate(over="ignore"):  # an overflowed difference clips to 1
+                    total += np.minimum(np.abs(s - r) / span, 1.0)
     return float(total.min()) / len(real.schema.columns)
 
 
