@@ -24,7 +24,8 @@ RIDGE = 1e-6
 MAX_ITER = 100
 COEF_TOL = 1e-8
 BLOCK_MAX_ITER = 30
-NULL_BLOCK_CELLS = 1 << 22  # refits x rows per block: caps its score matrix at 32 MB
+ROW_BLOCK = 8_192  # rows per product: every product over rows has this shape
+NULL_BLOCK_CELLS = 1 << 22  # refits x ROW_BLOCK per refit group: caps its scores at 32 MB
 _SEPARATION_COEF = 25.0
 DEFAULT_NULL_MODEL = "permutation"
 NULL_MODELS = (DEFAULT_NULL_MODEL, "analytic")
@@ -50,6 +51,7 @@ class NullModel:
     samples: tuple[float, ...] = field(default_factory=tuple)
     block_iterations: int = 0  # steps of the fixed-Hessian block (permutation kind)
     newton_refits: tuple[int, ...] = ()  # refits the block left to _irls
+    unconverged_refits: int = 0  # of those, refits _irls left unconverged
 
 
 def check_pair(real: Dataset, synth: Dataset) -> None:
@@ -93,6 +95,46 @@ def _design_for(real: Dataset, synth: Dataset, design: Design | None) -> Design:
     return design
 
 
+def _row_blocks(n: int, *arrays: np.ndarray):
+    """Yield (rows, blocks) for each ROW_BLOCK rows of `arrays`, which hold
+    their n rows on axis 0: each block is ROW_BLOCK rows long and its first
+    `rows` are data. Whole blocks are views; the last, partial block is a
+    zero-padded copy. Every product over rows is summed block by block, in
+    block order, so no temporary grows with n and each product has one
+    shape whatever n is, which keeps its rounding independent of the BLAS
+    thread count. A pad row of x is zero and adds nothing to a product with
+    x; any other use of a block drops its pad rows."""
+    for lo in range(0, n, ROW_BLOCK):
+        rows = min(ROW_BLOCK, n - lo)
+        if rows == ROW_BLOCK:
+            yield rows, tuple(a[lo : lo + rows] for a in arrays)
+            continue
+        padded = tuple(np.zeros((ROW_BLOCK, *a.shape[1:]), dtype=a.dtype) for a in arrays)
+        for block, a in zip(padded, arrays):
+            block[:rows] = a[lo:]
+        yield rows, padded
+
+
+def _block_scores(x: np.ndarray, beta: np.ndarray):
+    """Yield (rows, xb, expit(beta @ xb.T)) for each row block xb of x, one
+    row of scores per row of beta, all in one buffer that each block
+    overwrites; the scores of pad rows are expit(0)."""
+    prob = np.empty((len(beta), ROW_BLOCK))
+    for rows, (xb,) in _row_blocks(len(x), x):
+        yield rows, xb, expit(np.matmul(beta, xb.T, out=prob), out=prob)
+
+
+def _pmse_rows(x: np.ndarray, beta: np.ndarray, c: float) -> np.ndarray:
+    """The pMSE of each row of beta: the mean over the rows of x of
+    (expit(x beta) - c)^2."""
+    total = np.zeros(len(beta))
+    for rows, _, prob in _block_scores(x, beta):
+        prob -= c
+        np.square(prob, out=prob)
+        total += prob[:, :rows].sum(axis=1)
+    return total / len(x)
+
+
 def _irls(
     x: np.ndarray, z: np.ndarray, warn: bool = True
 ) -> tuple[np.ndarray, np.ndarray, bool, int]:
@@ -109,19 +151,21 @@ def _irls(
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        eta = x @ beta
-        prob = expit(eta)
-        w = np.clip(prob * (1.0 - prob), 1e-12, None)
-        grad = x.T @ (z - prob) - ridge * beta
-        xw = x * w[:, None]
-        hess = x.T @ xw
+        grad = np.zeros(p)
+        hess = np.zeros((p, p))
+        for _, (xb, zb) in _row_blocks(n, x, z):
+            prob = expit(xb @ beta)
+            w = np.clip(prob * (1.0 - prob), 1e-12, None)
+            grad += xb.T @ (zb - prob)
+            hess += xb.T @ (xb * w[:, None])
+        grad -= ridge * beta
         hess[np.diag_indices_from(hess)] += ridge
         step = np.linalg.solve(hess, grad)
         beta = beta + step
         if np.max(np.abs(step)) < COEF_TOL:
             converged = True
             break
-    scores = expit(x @ beta)
+    scores = np.concatenate([expit(xb @ beta)[:rows] for rows, (xb,) in _row_blocks(n, x)])
     if np.max(np.abs(beta)) > _SEPARATION_COEF:
         if warn:
             warnings.warn(
@@ -185,7 +229,7 @@ def _block_refits(x: np.ndarray, xtz: np.ndarray, c: float) -> tuple[np.ndarray,
     n_refits, p = xtz.shape
     ridge = np.full(p, RIDGE)
     ridge[0] = 0.0
-    h0 = c * (1.0 - c) * (x.T @ x)
+    h0 = c * (1.0 - c) * sum(xb.T @ xb for _, (xb,) in _row_blocks(len(x), x))
     h0[np.diag_indices_from(h0)] += ridge
     h0_inv = np.linalg.inv(h0)
     beta = np.zeros((n_refits, p))
@@ -196,9 +240,8 @@ def _block_refits(x: np.ndarray, xtz: np.ndarray, c: float) -> tuple[np.ndarray,
     while active.size and iterations < BLOCK_MAX_ITER:
         iterations += 1
         b = beta[active]
-        prob = b @ x.T
-        expit(prob, out=prob)
-        step = (xtz[active] - prob @ x - ridge * b) @ h0_inv
+        fitted = sum(prob @ xb for _, xb, prob in _block_scores(x, b))  # X' expit(X b)
+        step = (xtz[active] - fitted - ridge * b) @ h0_inv
         beta[active] = b + step
         done = np.max(np.abs(step), axis=1) < COEF_TOL
         converged[active[done]] = True
@@ -226,10 +269,11 @@ def pmse_null(
     predictors and Var(z) = c (1 - c), so N pMSE is a quadratic form with
     mean tr(H) c (1 - c) and variance 2 tr(H^2) c^2 (1 - c)^2.
 
-    The B permutation refits run together, NULL_BLOCK_CELLS scores at a
-    time, with the Hessian frozen at the null fit (_block_refits); any refit
-    that has not converged there is refit from zero by _irls, as a lone
-    refit would be."""
+    The B permutation refits run together, in groups of NULL_BLOCK_CELLS //
+    ROW_BLOCK, with the Hessian frozen at the null fit (_block_refits); any
+    refit that has not converged there is refit from zero by _irls, as a
+    lone refit would be, and `unconverged_refits` counts those _irls left
+    unconverged (separation guard or MAX_ITER)."""
     check_pair(real, synth)
     check_null_model(kind, B)
     n = real.n + synth.n
@@ -244,29 +288,25 @@ def pmse_null(
     x, z, _ = _design_for(real, synth, design)
     gen = rng.generator
     labels = np.empty((B, n), dtype=np.int8)
-    xtz = np.empty((B, x.shape[1]))
     for b in range(B):
-        zb = gen.permutation(z)
-        labels[b] = zb
-        xtz[b] = zb @ x
+        labels[b] = gen.permutation(z)
+    xtz = sum(lb.T.astype(np.float64) @ xb for _, (xb, lb) in _row_blocks(n, x, labels.T))
     samples = np.empty(B)
     converged = np.zeros(B, dtype=bool)
     iterations = 0
-    width = max(1, NULL_BLOCK_CELLS // n)
+    width = NULL_BLOCK_CELLS // ROW_BLOCK
     for lo in range(0, B, width):
         part = slice(lo, lo + width)
         beta, done, steps = _block_refits(x, xtz[part], c)
         iterations = max(iterations, steps)
-        prob = beta[done] @ x.T
-        expit(prob, out=prob)
-        prob -= c
-        np.square(prob, out=prob)
-        samples[part][done] = prob.mean(axis=1)
+        samples[part][done] = _pmse_rows(x, beta[done], c)
         converged[part] = done
     newton = np.flatnonzero(~converged)
+    unconverged = 0
     for b in newton:
-        _, scores, _, _ = _irls(x, labels[b].astype(np.float64), warn=False)
+        _, scores, ok, _ = _irls(x, labels[b].astype(np.float64), warn=False)
         samples[b] = np.mean((scores - c) ** 2)
+        unconverged += not ok
     return NullModel(
         kind="permutation",
         B=B,
@@ -275,6 +315,7 @@ def pmse_null(
         samples=tuple(float(s) for s in samples),
         block_iterations=iterations,
         newton_refits=tuple(int(b) for b in newton),
+        unconverged_refits=unconverged,
     )
 
 
@@ -284,6 +325,7 @@ def _null_fit_details(null: NullModel) -> dict:
     return {
         "null_block_iterations": null.block_iterations,
         "null_newton_refits": len(null.newton_refits),
+        "null_unconverged_refits": null.unconverged_refits,
     }
 
 

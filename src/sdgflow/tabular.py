@@ -272,8 +272,8 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
 
 def _records(fh):
     """The CSV records of fh; a record the csv module rejects (a cell over
-    its field size limit) raises CellTypeError at its row, counted from the
-    header as row 0, and bytes that are not UTF-8 raise it for the file."""
+    its field size limit) and bytes that are not UTF-8 raise CellTypeError
+    at their row, counted from the header as row 0."""
     reader = csv.reader(fh)
     row = 0
     try:
@@ -283,8 +283,30 @@ def _records(fh):
     except csv.Error as e:
         raise CellTypeError(row, None, str(e)) from None
     except UnicodeDecodeError as e:
-        bad = e.object[e.start : e.end]
-        raise CellTypeError(None, None, f"not UTF-8: {e.reason} at byte {bad!r}") from None
+        fh.buffer.seek(0)
+        raise _not_utf8(fh.buffer.read(), e) from None
+
+
+def _not_utf8(data: bytes, error: UnicodeDecodeError) -> CellTypeError:
+    """The error for the first byte of `data` that is not UTF-8. The text
+    layer decodes ahead of the csv reader, so `error` knows no row: a strict
+    decode of the whole file gives the byte's offset, and the csv records of
+    the valid prefix, with one character standing in for the bad byte, end
+    at the byte's record."""
+    row = None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as strict:
+        error = strict
+        prefix = io.StringIO(data[: strict.start].decode("utf-8") + "_", newline="")
+        row = -1
+        try:
+            for row, _ in enumerate(csv.reader(prefix)):
+                pass
+        except csv.Error as e:
+            return CellTypeError(row + 1, None, str(e))
+    bad = error.object[error.start : error.end]
+    return CellTypeError(row, None, f"not UTF-8: {error.reason} at byte {bad!r}")
 
 
 def _parse_columns(block, schema, cat_lookup, missing_policy) -> list[np.ndarray] | None:

@@ -266,8 +266,12 @@ def test_load_csv_parses_clean_blocks_without_the_per_cell_loop(tmp_path):
 
 @pytest.mark.parametrize(
     "data, row",
-    [(b"x,c,y\n1.0,a,\xff\n", None), (b"x,c,y\n1.0,a,2.0\n" + b"3" * 140_000 + b",a,1\n", 2)],
-    ids=["not-utf8", "over-field-limit"],
+    [
+        (b"x,c,y\n1.0,a,\xff\n", 1),
+        (b"x,c,y\n" + b"1.0,a,2.0\n" * 2_000 + b'"1.0",a,\xff\n', 2_001),
+        (b"x,c,y\n1.0,a,2.0\n" + b"3" * 140_000 + b",a,1\n", 2),
+    ],
+    ids=["not-utf8", "not-utf8-past-8k", "over-field-limit"],
 )
 def test_load_csv_unreadable_file_is_cell_type_error(tmp_path, data, row):
     path = tmp_path / "bad.csv"

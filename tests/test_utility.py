@@ -1,5 +1,10 @@
 """Propensity-based utility metrics and distribution fidelity scores."""
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,7 +282,7 @@ def test_block_null_splits_refits_to_bound_its_score_matrix(monkeypatch):
         return block_refits(x, xtz, c)
 
     monkeypatch.setattr(utility, "_block_refits", spy)
-    monkeypatch.setattr(utility, "NULL_BLOCK_CELLS", 3 * 2000 + 1)
+    monkeypatch.setattr(utility, "NULL_BLOCK_CELLS", 3 * utility.ROW_BLOCK + 1)
     split = pmse_null(real, synth, B=20, rng=derive_stream(6, "null"))
     assert widths == [3] * 6 + [2]
     assert split.newton_refits == whole.newton_refits
@@ -309,6 +314,77 @@ def test_fit_decisions_recorded_in_details():
         assert metric.details["null_newton_refits"] == len(null.newton_refits)
     analytic = pmse_null(real, synth, kind="analytic")
     assert "null_block_iterations" not in pmse_standardized(1e-3, analytic).details
+
+
+def test_null_counts_newton_refits_left_unconverged():
+    # 8 rows and 5 predictors: many permuted labels are separable, so _irls
+    # stops at the separation guard on some of the refits the block left it
+    real, synth = cont_ds(4, 30, names=tuple("abcde")), cont_ds(4, 31, names=tuple("abcde"))
+    x, z, _ = design_matrix(real, synth)
+    null = pmse_null(real, synth, B=20, rng=derive_stream(5, "null"))
+    _, fits = newton_null(x, z, 5, 20)
+    unconverged = sum(not fits[b][2] for b in null.newton_refits)
+    assert unconverged > 0
+    assert null.unconverged_refits == unconverged
+    for metric in (pmse_standardized(1e-3, null), pmse_ratio(1e-3, null)):
+        assert metric.details["null_unconverged_refits"] == unconverged
+
+
+@pytest.mark.parametrize("n", [utility.ROW_BLOCK - 1, utility.ROW_BLOCK, utility.ROW_BLOCK + 1])
+def test_row_block_edges_match_one_shot_fit_and_newton_oracle(n):
+    # one row short of a block, a whole block, and a block plus one padded
+    # row: pad rows must reach neither the fit, its scores nor the null
+    real, synth = bench_split(n, 0.3)
+    x, z, _ = design_matrix(real, synth)
+    model, scores = fit_propensity(real, synth)
+    beta = np.asarray(model.coefficients)
+    assert model.converged and scores.shape == (n,)
+    np.testing.assert_allclose(scores, stats.logistic.cdf(x @ beta), rtol=1e-12)
+    ridge = np.full(x.shape[1], RIDGE)
+    ridge[0] = 0.0
+    assert np.max(np.abs(x.T @ (z - scores) - ridge * beta)) < 1e-6
+    test_block_null_matches_newton_refits(n, 0.3)
+
+
+def test_fit_and_null_peaks_stay_below_the_design_matrix():
+    # tracemalloc sees numpy's buffers; past the design matrix and the int8
+    # labels, no temporary grows with the rows
+    real, synth = bench_split(60_000, 0.5)
+    design = design_matrix(real, synth)
+    runs = {
+        "fit_propensity": lambda: fit_propensity(real, synth, design),
+        "pmse_null": lambda: pmse_null(real, synth, B=20, rng=derive_stream(1, "null"), design=design),
+    }
+    tracemalloc.start()
+    try:
+        for name, run in runs.items():
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - entry
+            assert peak < design.x.nbytes, f"{name} peaked {peak} bytes above entry"
+    finally:
+        tracemalloc.stop()
+
+
+_QUALITY_RUN = """
+import sys
+from sdgflow.bench import bench_one_size
+bench_one_size(3000, sys.argv[1], 1)
+"""
+
+
+def test_quality_metrics_do_not_depend_on_blas_thread_count(tmp_path):
+    # bench size 3000: 3,000 rows a side, a permutation null of 20 refits
+    src = str(Path(utility.__file__).resolve().parents[2])
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-c", _QUALITY_RUN, str(out)], env=env, check=True, timeout=120)
+        written.append((out / "run" / "artifacts" / "quality" / "metrics.json").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_unknown_null_kind():
