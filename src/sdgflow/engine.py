@@ -48,6 +48,7 @@ from .specs import (
     PipelineSpec,
     SpecDigest,
     check_seed,
+    dependents,
     spec_digest,
     topological_order,
 )
@@ -337,6 +338,8 @@ def run(
     by_id = {n.id: n for n in spec.nodes}
     payloads: dict[str, Mapping[str, Any]] = {}
     records: dict[str, NodeRecord] = {}
+    # per node, how many of its direct dependents have not finished yet
+    unfinished = {nid: len(ids) for nid, ids in dependents(spec).items()}
 
     def finish(node: PipelineNode, lines: list[str], start=None, artifacts=None, error=None) -> NodeRecord:
         """Write the node's log and build its record: a node that never
@@ -387,6 +390,18 @@ def run(
         payloads[node.id] = produced  # read only by dependents, submitted after this returns
         return finish(node, lines, start, artifacts)
 
+    def done(nid: str) -> None:
+        """Mark nid finished and drop every dataset payload that no
+        unfinished node reads: a dataset is read only by its node's direct
+        dependents, while the report reads every evaluate node's metrics."""
+        graph.done(nid)
+        deps = by_id[nid].depends_on
+        for d in deps:
+            unfinished[d] -= 1
+        for d in (nid, *deps):
+            if not unfinished[d] and "dataset" in payloads.get(d, {}):
+                payloads[d] = {k: v for k, v in payloads[d].items() if k != "dataset"}
+
     graph = graphlib.TopologicalSorter(spec.dependencies)
     graph.prepare()
     with ThreadPoolExecutor(max_workers=max_parallel) as pool:
@@ -400,12 +415,12 @@ def run(
                 else:
                     reason = f"skipped: upstream {bad!r} did not succeed"
                     records[nid] = finish(node, [reason], error=reason)
-                    graph.done(nid)
-            done, running = wait(running, return_when=FIRST_COMPLETED)  # at once when empty
-            for fut in done:
+                    done(nid)
+            finished, running = wait(running, return_when=FIRST_COMPLETED)  # at once when empty
+            for fut in finished:
                 rec = fut.result()
                 records[rec.id] = rec
-                graph.done(rec.id)
+                done(rec.id)
 
     finished_at, _ = clock.now()
     manifest = RunManifest(

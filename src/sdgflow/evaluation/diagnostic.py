@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..tabular import ColumnKind, Dataset
-from .results import Direction, MetricResult
+from .results import Direction, MetricResult, check_rows
 
 RANGE_VALIDITY = "range_validity"
 CATEGORY_ADHERENCE = "category_adherence"
@@ -44,7 +44,8 @@ def diagnose(real: Dataset, synth: Dataset) -> DiagnosticResult:
     lists. When structure holds, each continuous column gets a range_validity
     fraction (synthetic values inside the observed real [min, max]) and each
     categorical column a category_adherence fraction (labels present in the
-    real column). Structure failure forces the overall score to 0.
+    real column). Structure failure forces the overall score to 0; when
+    structure holds, an empty side raises ConfigError.
     """
     rs, ss = real.schema.columns, synth.schema.columns
     checks: list[ColumnCheck] = []
@@ -59,20 +60,17 @@ def diagnose(real: Dataset, synth: Dataset) -> DiagnosticResult:
 
     if not structure_ok:
         return DiagnosticResult(structure_ok=False, per_column=tuple(checks), overall_score=0.0)
+    check_rows(real, synth, "diagnose")
 
     for spec in real.schema.columns:
         r = real.column(spec.name)
         s = synth.column(spec.name)
         if spec.kind is ColumnKind.CONTINUOUS:
-            if s.size == 0:
-                frac = 1.0
-            else:
-                lo, hi = float(r.min()), float(r.max())
-                frac = float(np.mean((s >= lo) & (s <= hi)))
+            lo, hi = float(r.min()), float(r.max())
+            frac = float(np.mean((s >= lo) & (s <= hi)))
             checks.append(ColumnCheck(spec.name, RANGE_VALIDITY, frac))
         else:
-            seen = np.unique(r)
-            frac = 1.0 if s.size == 0 else float(np.mean(np.isin(s, seen)))
+            frac = float(np.mean(np.isin(s, np.unique(r))))
             checks.append(ColumnCheck(spec.name, CATEGORY_ADHERENCE, frac))
 
     overall = float(np.mean([c.pass_fraction for c in checks]))

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 from ..errors import ConfigError, SchemaError
 from ..rng import RngStream
 from ..tabular import ColumnKind, Dataset, Schema, column_ranges, row_keys
-from .results import Direction, MetricResult, check_metric_names
+from .results import Direction, MetricResult, check_metric_names, check_rows
 from .utility import check_pair
 
 # row pairs per vectorized block of the proximity metrics, which bounds their
@@ -115,8 +115,7 @@ def _pack_codes(
 def _check_datasets(real: Dataset, synth: Dataset, what: str) -> None:
     """Both sides share one schema and hold rows; raises a typed error."""
     check_pair(real, synth)
-    if real.n == 0 or synth.n == 0:
-        raise ConfigError(f"{what} needs non-empty datasets")
+    check_rows(real, synth, what)
 
 
 def _key_attack_inputs(

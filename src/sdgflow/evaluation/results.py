@@ -8,6 +8,7 @@ from enum import Enum
 from typing import Any, Collection, Mapping
 
 from ..errors import ConfigError
+from ..tabular import Dataset
 
 
 class Direction(str, Enum):
@@ -57,6 +58,13 @@ def check_metric_names(metrics: Collection[str], known: Collection[str]) -> None
         raise ConfigError(f"unknown metrics {sorted(unknown)}")
     if len(set(metrics)) != len(metrics):
         raise ConfigError("metrics must not repeat a name")
+
+
+def check_rows(real: Dataset, synth: Dataset, what: str) -> None:
+    """Both datasets hold rows, as every metric that averages over each
+    side's rows needs; raises ConfigError."""
+    if real.n == 0 or synth.n == 0:
+        raise ConfigError(f"{what} needs non-empty datasets")
 
 
 def check_threshold_names(thresholds: Collection[str], produced: Collection[str]) -> None:

@@ -17,15 +17,15 @@ from scipy.special import expit
 
 from ..errors import ConfigError, DegenerateNull, SchemaMismatch, SeparationWarning, TooFewRows
 from ..rng import RngStream
-from ..tabular import ColumnKind, Dataset, encode, encoded_width
-from .results import Direction, MetricResult, check_metric_names
+from ..tabular import ColumnKind, Dataset, Encoding, encode, encoded_width
+from .results import Direction, MetricResult, check_metric_names, check_rows
 
 RIDGE = 1e-6
 MAX_ITER = 100
 COEF_TOL = 1e-8
 BLOCK_MAX_ITER = 30
-ROW_BLOCK = 8_192  # rows per product: every product over rows has this shape
-NULL_BLOCK_CELLS = 1 << 22  # refits x ROW_BLOCK per refit group: caps its scores at 32 MB
+MIN_ROW_BLOCK, ROW_BLOCK = 1_024, 8_192  # the range of rows per product (_block_rows)
+NULL_BLOCK_CELLS = 1 << 22  # refits x block rows per refit group: caps its scores at 32 MB
 _SEPARATION_COEF = 25.0
 DEFAULT_NULL_MODEL = "permutation"
 NULL_MODELS = (DEFAULT_NULL_MODEL, "analytic")
@@ -69,9 +69,9 @@ def check_null_model(kind: str, B: int) -> None:
 
 class Design(NamedTuple):
     """The propensity model's inputs: the N x (k+1) design matrix (intercept
-    column first), the labels (0 real, 1 synthetic) and k."""
+    column first) as its columns, the labels (0 real, 1 synthetic) and k."""
 
-    x: np.ndarray
+    x: Encoding
     z: np.ndarray
     k: int
 
@@ -82,49 +82,62 @@ def design_matrix(real: Dataset, synth: Dataset) -> Design:
     if real.n < 2 or synth.n < 2:
         raise TooFewRows("propensity fit needs at least 2 rows on each side")
     x = encode(real, synth)
-    z = np.zeros(len(x), dtype=np.float64)
+    z = np.zeros(x.n, dtype=np.float64)
     z[real.n:] = 1.0
-    return Design(x, z, x.shape[1] - 1)
+    return Design(x, z, x.width - 1)
 
 
 def _design_for(real: Dataset, synth: Dataset, design: Design | None) -> Design:
     if design is None:
         return design_matrix(real, synth)
-    if design.x.shape[0] != real.n + synth.n:
+    if design.x.n != real.n + synth.n:
         raise ConfigError("design matrix rows do not match the datasets")
     return design
 
 
-def _row_blocks(n: int, *arrays: np.ndarray):
-    """Yield (rows, blocks) for each ROW_BLOCK rows of `arrays`, which hold
-    their n rows on axis 0: each block is ROW_BLOCK rows long and its first
-    `rows` are data. Whole blocks are views; the last, partial block is a
-    zero-padded copy. Every product over rows is summed block by block, in
-    block order, so no temporary grows with n and each product has one
-    shape whatever n is, which keeps its rounding independent of the BLAS
-    thread count. A pad row of x is zero and adds nothing to a product with
-    x; any other use of a block drops its pad rows."""
-    for lo in range(0, n, ROW_BLOCK):
-        rows = min(ROW_BLOCK, n - lo)
-        if rows == ROW_BLOCK:
-            yield rows, tuple(a[lo : lo + rows] for a in arrays)
+def _block_rows(n: int) -> int:
+    """Rows per block of a design of n rows: the smallest power of two at or
+    above n, within [MIN_ROW_BLOCK, ROW_BLOCK]. n alone fixes it, so each
+    product over rows has one shape for a given table, and a small table is
+    not padded to ROW_BLOCK rows."""
+    return min(ROW_BLOCK, max(MIN_ROW_BLOCK, 1 << (n - 1).bit_length()))
+
+
+def _row_blocks(x: Encoding, *arrays: np.ndarray):
+    """Yield (rows, (xb, *blocks)) for each _block_rows(x.n) rows of the
+    design x and of `arrays`, which hold their x.n rows on axis 0: each
+    block is that long and its first `rows` are data. xb is one buffer that
+    x.fill rewrites for each block, so a block must be used up before the
+    next is asked for; of `arrays`, whole blocks are views and the last,
+    partial block is a zero-padded copy. Every product over rows is summed
+    block by block, in block order, so no temporary grows with n and each
+    product has one shape whatever n is, which keeps its rounding
+    independent of the BLAS thread count. A pad row of x is zero and adds
+    nothing to a product with x; any other use of a block drops its pad
+    rows."""
+    size = _block_rows(x.n)
+    xb = np.empty((size, x.width))
+    for lo in range(0, x.n, size):
+        rows = x.fill(lo, xb)
+        if rows == size:
+            yield rows, (xb, *(a[lo : lo + rows] for a in arrays))
             continue
-        padded = tuple(np.zeros((ROW_BLOCK, *a.shape[1:]), dtype=a.dtype) for a in arrays)
+        padded = tuple(np.zeros((size, *a.shape[1:]), dtype=a.dtype) for a in arrays)
         for block, a in zip(padded, arrays):
             block[:rows] = a[lo:]
-        yield rows, padded
+        yield rows, (xb, *padded)
 
 
-def _block_scores(x: np.ndarray, beta: np.ndarray):
+def _block_scores(x: Encoding, beta: np.ndarray):
     """Yield (rows, xb, expit(beta @ xb.T)) for each row block xb of x, one
     row of scores per row of beta, all in one buffer that each block
     overwrites; the scores of pad rows are expit(0)."""
-    prob = np.empty((len(beta), ROW_BLOCK))
-    for rows, (xb,) in _row_blocks(len(x), x):
+    prob = np.empty((len(beta), _block_rows(x.n)))
+    for rows, (xb,) in _row_blocks(x):
         yield rows, xb, expit(np.matmul(beta, xb.T, out=prob), out=prob)
 
 
-def _pmse_rows(x: np.ndarray, beta: np.ndarray, c: float) -> np.ndarray:
+def _pmse_rows(x: Encoding, beta: np.ndarray, c: float) -> np.ndarray:
     """The pMSE of each row of beta: the mean over the rows of x of
     (expit(x beta) - c)^2."""
     total = np.zeros(len(beta))
@@ -132,11 +145,11 @@ def _pmse_rows(x: np.ndarray, beta: np.ndarray, c: float) -> np.ndarray:
         prob -= c
         np.square(prob, out=prob)
         total += prob[:, :rows].sum(axis=1)
-    return total / len(x)
+    return total / x.n
 
 
 def _irls(
-    x: np.ndarray, z: np.ndarray, warn: bool = True
+    x: Encoding, z: np.ndarray, warn: bool = True
 ) -> tuple[np.ndarray, np.ndarray, bool, int]:
     """Ridge logistic fit; returns (beta, scores, converged, iterations).
 
@@ -144,7 +157,7 @@ def _irls(
     the optimum up to the tolerance. `warn=False` reports drift toward
     separation only through `converged`, without a SeparationWarning.
     """
-    n, p = x.shape
+    p = x.width
     ridge = np.full(p, RIDGE)
     ridge[0] = 0.0
     beta = np.zeros(p)
@@ -153,7 +166,7 @@ def _irls(
     for iterations in range(1, MAX_ITER + 1):
         grad = np.zeros(p)
         hess = np.zeros((p, p))
-        for _, (xb, zb) in _row_blocks(n, x, z):
+        for _, (xb, zb) in _row_blocks(x, z):
             prob = expit(xb @ beta)
             w = np.clip(prob * (1.0 - prob), 1e-12, None)
             grad += xb.T @ (zb - prob)
@@ -165,7 +178,7 @@ def _irls(
         if np.max(np.abs(step)) < COEF_TOL:
             converged = True
             break
-    scores = np.concatenate([expit(xb @ beta)[:rows] for rows, (xb,) in _row_blocks(n, x)])
+    scores = np.concatenate([expit(xb @ beta)[:rows] for rows, (xb,) in _row_blocks(x)])
     if np.max(np.abs(beta)) > _SEPARATION_COEF:
         if warn:
             warnings.warn(
@@ -215,7 +228,7 @@ def pmse_observed(
     )
 
 
-def _block_refits(x: np.ndarray, xtz: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _block_refits(x: Encoding, xtz: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Fit every row of `xtz` (X'z_b, one row per permuted label vector) at
     once; returns (beta, converged, iterations), beta one row per refit.
 
@@ -229,7 +242,7 @@ def _block_refits(x: np.ndarray, xtz: np.ndarray, c: float) -> tuple[np.ndarray,
     n_refits, p = xtz.shape
     ridge = np.full(p, RIDGE)
     ridge[0] = 0.0
-    h0 = c * (1.0 - c) * sum(xb.T @ xb for _, (xb,) in _row_blocks(len(x), x))
+    h0 = c * (1.0 - c) * sum(xb.T @ xb for _, (xb,) in _row_blocks(x))
     h0[np.diag_indices_from(h0)] += ridge
     h0_inv = np.linalg.inv(h0)
     beta = np.zeros((n_refits, p))
@@ -270,7 +283,7 @@ def pmse_null(
     mean tr(H) c (1 - c) and variance 2 tr(H^2) c^2 (1 - c)^2.
 
     The B permutation refits run together, in groups of NULL_BLOCK_CELLS //
-    ROW_BLOCK, with the Hessian frozen at the null fit (_block_refits); any
+    _block_rows(N), with the Hessian frozen at the null fit (_block_refits); any
     refit that has not converged there is refit from zero by _irls, as a
     lone refit would be, and `unconverged_refits` counts those _irls left
     unconverged (separation guard or MAX_ITER)."""
@@ -290,11 +303,11 @@ def pmse_null(
     labels = np.empty((B, n), dtype=np.int8)
     for b in range(B):
         labels[b] = gen.permutation(z)
-    xtz = sum(lb.T.astype(np.float64) @ xb for _, (xb, lb) in _row_blocks(n, x, labels.T))
+    xtz = sum(lb.T.astype(np.float64) @ xb for _, (xb, lb) in _row_blocks(x, labels.T))
     samples = np.empty(B)
     converged = np.zeros(B, dtype=bool)
     iterations = 0
-    width = NULL_BLOCK_CELLS // ROW_BLOCK
+    width = NULL_BLOCK_CELLS // _block_rows(n)
     for lo in range(0, B, width):
         part = slice(lo, lo + width)
         beta, done, steps = _block_refits(x, xtz[part], c)
@@ -359,15 +372,22 @@ def pmse_ratio(observed: float, null: NullModel) -> MetricResult:
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact two-sample Kolmogorov-Smirnov statistic."""
+    """Exact two-sample Kolmogorov-Smirnov statistic: the largest gap between
+    the two empirical CDFs over the pooled values. One merge of the sorted
+    samples gives, at the last of each run of equal values, how many of
+    each sample's values are at or below it."""
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
         raise ConfigError("ks_statistic needs non-empty samples")
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
+    pooled = np.concatenate([a, b])
+    order = np.argsort(pooled, kind="stable")  # merges the two sorted runs
+    from_a = np.cumsum(order < a.size)
+    pooled = pooled[order]
+    last = np.flatnonzero(np.append(pooled[1:] != pooled[:-1], True))
+    at_or_below_a = from_a[last]
+    at_or_below_b = last + 1 - at_or_below_a
+    return float(np.max(np.abs(at_or_below_a / a.size - at_or_below_b / b.size)))
 
 
 def specks(scores_real: np.ndarray, scores_synth: np.ndarray) -> MetricResult:
@@ -392,6 +412,7 @@ def univariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
     """Mean per-column marginal agreement: 1-KS for continuous columns,
     1-TVD for categorical columns."""
     check_pair(real, synth)
+    check_rows(real, synth, "univariate_fidelity")
     per_column = {}
     for spec in real.schema.columns:
         r, s = real.column(spec.name), synth.column(spec.name)
@@ -451,6 +472,7 @@ def bivariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
     flagged in the details.
     """
     check_pair(real, synth)
+    check_rows(real, synth, "bivariate_fidelity")
     schema = real.schema
     if len(schema.columns) < 2:
         raise ConfigError("bivariate_fidelity needs at least 2 columns")
@@ -513,7 +535,8 @@ def evaluate_utility(
 ) -> list[MetricResult]:
     """Run the selected metrics, in the order given. What they share is made
     once, in this order: the design matrix, the propensity fit and its
-    observed pMSE, then the null model, drawn from `rng`'s child "null"."""
+    observed pMSE, then the null model, drawn from `rng`'s child "null". The
+    design is freed before the metrics run."""
     check_metric_names(metrics, UTILITY_METRICS)
     selected = set(metrics)
     scores = observed = null = None
@@ -523,4 +546,5 @@ def evaluate_utility(
         observed = pmse_observed(scores, model.c, model)
     if selected & {"pmse_standardized", "pmse_ratio"}:
         null = pmse_null(real, synth, null_model, permutations, rng.child("null"), design)
+    design = None
     return [_COMPUTE[name](real, synth, scores, observed, null) for name in metrics]

@@ -565,29 +565,70 @@ def encoded_width(schema: Schema) -> int:
     return k
 
 
-def encode(a: Dataset, b: Dataset) -> np.ndarray:
-    """Design matrix of a's rows then b's: an intercept column of ones, then
-    for each column the indicators of all categories but the first, or the
-    continuous values standardized over both datasets (zeros when constant)."""
+@dataclass(frozen=True, eq=False)
+class Encoding:
+    """The design matrix of encode(a, b), kept as its columns so that its
+    memory grows with the schema's columns, not their levels. The matrix has
+    n rows (a's, then b's) and `width` columns: an intercept of ones, then
+    per schema column either its values standardized over both datasets
+    (zeros when constant) or the indicators of all its categories but the
+    first. `columns` holds (values, levels) per schema column that encodes
+    to at least one matrix column: the standardized values with levels 0,
+    or the category codes."""
+
+    n: int
+    width: int
+    columns: tuple[tuple[np.ndarray, int], ...]
+
+    def fill(self, lo: int, out: np.ndarray) -> int:
+        """Write matrix rows [lo, lo + rows) into the first rows of `out`, a
+        C-ordered float64 array of width columns, and zero its other rows;
+        returns rows, the smaller of len(out) and n - lo. Each column goes
+        into a contiguous row of a transposed scratch block, which one copy
+        then transposes into `out`: writing columns into `out` directly
+        strides every value and took three times as long."""
+        size = len(out)
+        rows = min(size, self.n - lo)
+        block = np.empty((self.width, size))
+        block[:, rows:] = 0.0
+        block[0, :rows] = 1.0
+        j = 1
+        for values, levels in self.columns:
+            part = values[lo : lo + rows]
+            if levels:
+                for level in range(1, levels):
+                    np.equal(part, level, out=block[j, :rows])
+                    j += 1
+            else:
+                block[j, :rows] = part
+                j += 1
+        out[...] = block.T
+        return rows
+
+
+def encode(a: Dataset, b: Dataset) -> Encoding:
+    """The design matrix of a's rows then b's, as its columns (Encoding)."""
     if not a.schema.same_structure(b.schema):
         raise SchemaError("cannot encode datasets with different structure")
     if a.n + b.n == 0:
         raise SchemaError("cannot encode an empty dataset")
-    data = np.empty((a.n + b.n, encoded_width(a.schema) + 1), dtype=np.float64)
-    data[:, 0] = 1.0
-    j = 1
+    columns = []
     for spec, ca, cb in zip(a.schema.columns, a.columns, b.columns):
         arr = np.concatenate([ca, cb])
         if spec.kind is ColumnKind.CATEGORICAL:
-            for level in range(1, len(spec.categories)):
-                data[:, j] = arr == level
-                j += 1
+            levels = len(spec.categories)
+            if levels > 1:
+                columns.append((arr.astype(np.min_scalar_type(levels - 1)), levels))
+            continue
+        mean = float(arr.mean())
+        sd = float(arr.std())
+        if sd > 0.0:
+            arr -= mean
+            arr /= sd
         else:
-            mean = float(arr.mean())
-            sd = float(arr.std())
-            data[:, j] = (arr - mean) / sd if sd > 0.0 else 0.0
-            j += 1
-    return data
+            arr[:] = 0.0
+        columns.append((arr, 0))
+    return Encoding(a.n + b.n, encoded_width(a.schema) + 1, tuple(columns))
 
 
 # -------------------------------------------------------------------- Gower ---

@@ -1,7 +1,7 @@
 """Shared builders and oracles for the test suite."""
 import numpy as np
 
-from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, make_dataset
+from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, encoded_width, make_dataset
 
 
 def gower_distance(a, b, schema, ranges) -> float:
@@ -19,6 +19,36 @@ def gower_distance(a, b, schema, ranges) -> float:
                 continue
             total += min(abs(float(a[j]) - float(b[j])) / span, 1.0)
     return total / len(schema.columns)
+
+
+def dense_encode(a, b) -> np.ndarray:
+    """The design matrix of a's rows then b's built whole, one column at a
+    time: an intercept of ones, then per column the indicators of all its
+    categories but the first, or its values standardized over both datasets
+    (zeros when constant). The oracle `tabular.Encoding.fill` must match
+    bit for bit."""
+    data = np.empty((a.n + b.n, encoded_width(a.schema) + 1))
+    data[:, 0] = 1.0
+    j = 1
+    for spec, ca, cb in zip(a.schema.columns, a.columns, b.columns):
+        arr = np.concatenate([ca, cb])
+        if spec.kind is ColumnKind.CATEGORICAL:
+            for level in range(1, len(spec.categories)):
+                data[:, j] = arr == level
+                j += 1
+        else:
+            mean = float(arr.mean())
+            sd = float(arr.std())
+            data[:, j] = (arr - mean) / sd if sd > 0.0 else 0.0
+            j += 1
+    return data
+
+
+def filled(encoding) -> np.ndarray:
+    """An Encoding's whole matrix, from one fill over all its rows."""
+    out = np.empty((encoding.n, encoding.width))
+    assert encoding.fill(0, out) == encoding.n
+    return out
 
 
 def cont_schema(*names, bounds=None):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import mixed_dataset
+from sdgflow.errors import ConfigError
 from sdgflow.evaluation.diagnostic import diagnose, diagnostic_metric
 from sdgflow.evaluation.results import Direction
 from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, make_dataset
@@ -65,6 +66,21 @@ def test_kind_mismatch_fails_structure():
         Schema((ColumnSpec("x", ColumnKind.CATEGORICAL, categories=("a",)),)), {"x": [0]}
     )
     assert not diagnose(real, synth).structure_ok
+
+
+@pytest.mark.parametrize("side", ["real", "synth"])
+def test_empty_side_raises_config_error(side):
+    ds = mixed_dataset(5)
+    empty = ds.take(np.arange(0))
+    pair = (empty, ds) if side == "real" else (ds, empty)
+    with pytest.raises(ConfigError, match="non-empty"):
+        diagnose(*pair)
+
+
+def test_empty_side_with_other_structure_is_a_finding():
+    other = make_dataset(Schema((ColumnSpec("y", ColumnKind.CONTINUOUS),)), {"y": [1.0]})
+    res = diagnose(mixed_dataset(3).take(np.arange(0)), other)
+    assert not res.structure_ok and res.overall_score == 0.0
 
 
 def test_monotone_in_violation_count():

@@ -1,7 +1,9 @@
 """Workflow execution: scheduling, failure propagation, manifests, verification."""
 import dataclasses
 import json
+import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdgflow.canonical import canonical_json_bytes
-from sdgflow.engine import manifest_from_json_obj, run, verify_manifest
+from sdgflow.engine import DEFAULT_RUNNERS, manifest_from_json_obj, run, verify_manifest
 from sdgflow.evaluation import utility
 from sdgflow.errors import InvalidSpec, ManifestInvalid, ManifestMissing, NodeFailure
 from sdgflow.specs import parse_spec
@@ -295,6 +297,113 @@ def test_report_sections_follow_provenance_in_topological_order(tmp_path):
     assert sections["diagnostic"]["result"] == diag["metrics"][0]["details"]
     text = (tmp_path / "p1" / "report.txt").read_text()
     assert text.index("  univariate_fidelity") < text.index("  specks") < text.index("  bivariate_fidelity")
+
+
+def test_dataset_payload_dropped_after_its_last_direct_dependent(tmp_path):
+    # diamond a -> (b, c) -> rep at max_parallel=1 runs a, b, c, rep: a's
+    # dataset lives until c, its second reader, has finished
+    made, alive = {}, {}
+
+    def fresh(ctx):
+        if ctx.node.kind.value == "preprocess":
+            ctx.upstream_dataset(ctx.node.params["source"])
+        alive[ctx.node.id] = sorted(nid for nid, ref in made.items() if ref() is not None)
+        ds = stub_dataset()
+        made[ctx.node.id] = weakref.ref(ds)
+        return {"dataset": ds}
+
+    def report(ctx):
+        alive["rep"] = sorted(nid for nid, ref in made.items() if ref() is not None)
+        return stub_report(ctx)
+
+    run(spec_of(diamond_doc()), tmp_path / "run", runners={"load": fresh, "preprocess": fresh, "report": report})
+    assert alive == {"a": [], "b": ["a"], "c": ["a", "b"], "rep": ["b", "c"]}
+
+
+def test_dataset_release_under_thread_switching(tmp_path):
+    # more workers than cores, switching threads every microsecond: every
+    # reader still finds its source, and only the report's direct
+    # dependencies' datasets are alive when it runs
+    made, alive = {}, []
+    width = 12
+
+    def fresh(ctx):
+        if ctx.node.kind.value == "preprocess":
+            ctx.upstream_dataset(ctx.node.params["source"])
+        ds = stub_dataset()
+        made[ctx.node.id] = weakref.ref(ds)
+        return {"dataset": ds}
+
+    def report(ctx):
+        alive.extend(sorted(nid for nid, ref in made.items() if ref() is not None))
+        return stub_report(ctx)
+
+    doc = chain_doc()
+    fan = [f"b{i:02d}" for i in range(width)]
+    doc["nodes"] = [doc["nodes"][0]] + [
+        {"id": nid, "kind": "preprocess", "depends_on": ["a"], "params": {"source": "a"}} for nid in fan
+    ] + [
+        {"id": "c" + nid, "kind": "preprocess", "depends_on": [nid], "params": {"source": nid}} for nid in fan
+    ] + [{"id": "rep", "kind": "report", "depends_on": ["c" + nid for nid in fan], "params": {}}]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        manifest = run(
+            spec_of(doc), tmp_path / "run", max_parallel=6,
+            runners={"load": fresh, "preprocess": fresh, "report": report},
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - started < 60
+    assert all(r.status == "succeeded" for r in manifest.node_records)
+    assert alive == ["c" + nid for nid in fan]
+
+
+def test_report_reads_every_metrics_payload_after_the_datasets_are_dropped(tmp_path):
+    # qb reaches the report only through qa; every dataset's readers have
+    # finished by the time the report runs
+    upstream = {}
+
+    def watching_report(ctx):
+        upstream.update({nid: sorted(payload) for nid, payload in ctx.upstream.items()})
+        return DEFAULT_RUNNERS["report"](ctx)
+
+    run(spec_of(several_nodes_per_section_doc()), tmp_path / "run", runners={"report": watching_report})
+    assert upstream == {
+        "base": [], "syn": [],
+        **{nid: ["metrics"] for nid in ("diag", "qa", "qb", "p1", "p2")},
+    }
+
+
+def test_metrics_on_a_dataset_preprocess_emptied_fail_with_config_error(tmp_path):
+    # both rows' ages fall outside the schema bounds, so preprocess keeps none
+    schema = {"columns": [
+        {"name": "region", "kind": "categorical", "categories": ["n", "s"]},
+        {"name": "age", "kind": "continuous", "bounds": [18.0, 70.0]},
+        {"name": "x", "kind": "continuous"},
+    ]}
+    (tmp_path / "in.json").write_text(json.dumps(schema), encoding="utf-8")
+    (tmp_path / "in.csv").write_text("region,age,x\nn,5,1.5\ns,99,2.5\n", encoding="utf-8")
+    pair = {"real": "pre", "synthetic": "a"}
+    doc = chain_doc()
+    doc["nodes"] = [
+        {"id": "a", "kind": "load", "params": {"input": "src"}},
+        {"id": "pre", "kind": "preprocess", "depends_on": ["a"],
+         "params": {"source": "a", "drop_out_of_bounds": True}},
+        {"id": "diag", "kind": "evaluate_diagnostic", "depends_on": ["a", "pre"], "params": pair},
+        {"id": "qual", "kind": "evaluate_utility", "depends_on": ["a", "pre"],
+         "params": dict(pair, metrics=["univariate_fidelity", "bivariate_fidelity"])},
+        {"id": "rep", "kind": "report", "depends_on": ["diag", "qual"], "params": {}},
+    ]
+    with pytest.raises(NodeFailure) as info:
+        run(spec_of(doc), tmp_path / "run", base_dir=tmp_path)
+    records = {r.id: r for r in info.value.manifest.node_records}
+    assert "kept 0 of 2 rows" in (tmp_path / "run" / "logs" / "pre.log").read_text()
+    for nid, what in (("diag", "diagnose"), ("qual", "univariate_fidelity")):
+        assert records[nid].status == "failed"
+        assert f"ConfigError: {what} needs non-empty datasets" in records[nid].error
+    assert records["rep"].status == "skipped"
 
 
 def test_seed_changes_artifacts(tmp_path):

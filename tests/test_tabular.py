@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gower_distance, mixed_dataset, mixed_schema
+from conftest import dense_encode, filled, gower_distance, mixed_dataset, mixed_schema
 from sdgflow import tabular
 from sdgflow.errors import (
     CellTypeError,
@@ -478,7 +478,7 @@ def test_encode_dummy_and_standardize():
     )
     a = make_dataset(schema, {"x": [0.0, 2.0], "c": [0, 1]})
     b = make_dataset(schema, {"x": [4.0, 6.0], "c": [2, 1]})
-    m = encode(a, b)
+    m = filled(encode(a, b))
     assert m.shape == (4, 4)
     assert m[:, 0].tolist() == [1.0] * 4  # intercept
     # x has mean 3, population sd sqrt(5) over both datasets
@@ -491,7 +491,7 @@ def test_encode_dummy_and_standardize():
 def test_encode_flags_zero_variance():
     schema = Schema((ColumnSpec("x", ColumnKind.CONTINUOUS),))
     one = make_dataset(schema, {"x": [5.0, 5.0]})
-    m = encode(one, make_dataset(schema, {"x": [5.0]}))
+    m = filled(encode(one, make_dataset(schema, {"x": [5.0]})))
     assert m.shape == (3, 2)
     assert np.all(m[:, 1] == 0.0)  # a constant column carries no signal
 
@@ -499,7 +499,7 @@ def test_encode_flags_zero_variance():
 def test_encode_stacks_rows():
     a = mixed_dataset(4, seed=0)
     b = mixed_dataset(6, seed=1)
-    m = encode(a, b)
+    m = filled(encode(a, b))
     assert m.shape == (10, 1 + encoded_width(a.schema))
     income = np.concatenate([a.column("income"), b.column("income")])
     assert np.array_equal(m[:, 2], (income - income.mean()) / income.std())
@@ -507,6 +507,53 @@ def test_encode_stacks_rows():
     assert np.array_equal(m[:4, 3], (a.column("region") == 1).astype(float))
     assert np.array_equal(m[4:, 4], (b.column("region") == 2).astype(float))
     assert np.array_equal(m[:, 3] + m[:, 4], (region > 0).astype(float))
+
+
+ENCODE_SCHEMAS = {
+    "mixed": mixed_schema(),
+    "all-categorical": Schema((
+        ColumnSpec("c3", ColumnKind.CATEGORICAL, categories=("a", "b", "c")),
+        ColumnSpec("c5", ColumnKind.CATEGORICAL, categories=tuple("pqrst")),
+    )),
+    "all-continuous": Schema((ColumnSpec("x", ColumnKind.CONTINUOUS), ColumnSpec("y", ColumnKind.CONTINUOUS))),
+    "constant-continuous": Schema((ColumnSpec("k", ColumnKind.CONTINUOUS), ColumnSpec("x", ColumnKind.CONTINUOUS))),
+    "one-level-categorical": Schema((
+        ColumnSpec("one", ColumnKind.CATEGORICAL, categories=("only",)),
+        ColumnSpec("x", ColumnKind.CONTINUOUS),
+    )),
+}
+
+
+def encode_dataset(schema, n, seed):
+    rng = np.random.default_rng(seed)
+    values = {}
+    for spec in schema.columns:
+        if spec.kind is ColumnKind.CATEGORICAL:
+            values[spec.name] = rng.integers(0, len(spec.categories), n)
+        elif spec.name == "k":
+            values[spec.name] = np.full(n, -3.5)
+        else:
+            values[spec.name] = rng.normal(10.0, 4.0, n)
+    return make_dataset(schema, values)
+
+
+@pytest.mark.parametrize("schema_name", sorted(ENCODE_SCHEMAS))
+@pytest.mark.parametrize("size, n", [(s, s + d) for s in (1_024, 8_192) for d in (-1, 0, 1)])
+def test_encode_fill_matches_the_dense_encoder_bit_for_bit(schema_name, size, n):
+    # every block of `size` rows, the a/b boundary inside one, and the pad
+    # rows of the last block zero
+    schema = ENCODE_SCHEMAS[schema_name]
+    a, b = encode_dataset(schema, n // 3, 1), encode_dataset(schema, n - n // 3, 2)
+    want = dense_encode(a, b)
+    enc = encode(a, b)
+    assert (enc.n, enc.width) == want.shape
+    assert filled(enc).tobytes() == want.tobytes()
+    out = np.full((size, enc.width), np.nan)
+    for lo in range(0, n, size):
+        rows = enc.fill(lo, out)
+        assert rows == min(size, n - lo)
+        assert out[:rows].tobytes() == want[lo : lo + rows].tobytes()
+        assert out[rows:].tobytes() == bytes(8 * (size - rows) * enc.width)
 
 
 def test_encode_requires_same_schema():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import filled
 from sdgflow.bench import make_bench_dataset
 from sdgflow.errors import ConfigError, DegenerateNull, SchemaMismatch, SeparationWarning, TooFewRows
 from sdgflow.evaluation import utility
@@ -33,7 +34,7 @@ from sdgflow.evaluation.utility import (
     univariate_fidelity,
 )
 from sdgflow.rng import derive_stream
-from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, make_dataset
+from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, encoded_width, make_dataset
 
 
 def cont_ds(n, seed=0, shift=0.0, names=("x", "y")):
@@ -78,7 +79,8 @@ def test_fit_propensity_gradient_stationarity():
     real, synth = cont_ds(300, 3), cont_ds(300, 4, shift=0.4)
     model, scores = fit_propensity(real, synth)
     assert model.converged
-    x, z, k = design_matrix(real, synth)
+    design = design_matrix(real, synth)
+    x, z = filled(design.x), design.z
     beta = np.asarray(model.coefficients)
     grad = x.T @ (z - scores)
     grad[1:] -= 1e-6 * beta[1:]  # intercept unpenalized
@@ -218,11 +220,12 @@ def newton_null(x, z, seed, B):
 @pytest.mark.parametrize("n, c", [(6000, 0.05), (6000, 0.17), (6000, 0.5), (360, 60 / 360)])
 def test_block_null_matches_newton_refits(n, c):
     real, synth = bench_split(n, c)
-    x, z, _ = design_matrix(real, synth)
+    design = design_matrix(real, synth)
+    x, z = filled(design.x), design.z
     c = synth.n / (real.n + synth.n)
     null = pmse_null(real, synth, B=20, rng=derive_stream(2, "null"))
-    labels, fits = newton_null(x, z, 2, 20)
-    beta, converged, _ = _block_refits(x, np.array([zb @ x for zb in labels]), c)
+    labels, fits = newton_null(design.x, z, 2, 20)
+    beta, converged, _ = _block_refits(design.x, np.array([zb @ x for zb in labels]), c)
     assert null.newton_refits == tuple(np.flatnonzero(~converged))
     ridge = np.full(x.shape[1], RIDGE)
     ridge[0] = 0.0
@@ -282,7 +285,7 @@ def test_block_null_splits_refits_to_bound_its_score_matrix(monkeypatch):
         return block_refits(x, xtz, c)
 
     monkeypatch.setattr(utility, "_block_refits", spy)
-    monkeypatch.setattr(utility, "NULL_BLOCK_CELLS", 3 * utility.ROW_BLOCK + 1)
+    monkeypatch.setattr(utility, "NULL_BLOCK_CELLS", 3 * utility._block_rows(real.n + synth.n) + 1)
     split = pmse_null(real, synth, B=20, rng=derive_stream(6, "null"))
     assert widths == [3] * 6 + [2]
     assert split.newton_refits == whole.newton_refits
@@ -335,7 +338,8 @@ def test_row_block_edges_match_one_shot_fit_and_newton_oracle(n):
     # one row short of a block, a whole block, and a block plus one padded
     # row: pad rows must reach neither the fit, its scores nor the null
     real, synth = bench_split(n, 0.3)
-    x, z, _ = design_matrix(real, synth)
+    design = design_matrix(real, synth)
+    x, z = filled(design.x), design.z
     model, scores = fit_propensity(real, synth)
     beta = np.asarray(model.coefficients)
     assert model.converged and scores.shape == (n,)
@@ -362,29 +366,48 @@ def test_fit_and_null_peaks_stay_below_the_design_matrix():
             tracemalloc.reset_peak()
             run()
             peak = tracemalloc.get_traced_memory()[1] - entry
-            assert peak < design.x.nbytes, f"{name} peaked {peak} bytes above entry"
+            assert peak < design.x.n * design.x.width * 8, f"{name} peaked {peak} bytes above entry"
     finally:
         tracemalloc.stop()
+
+
+def test_quality_node_peaks_below_the_dense_design():
+    # the whole utility evaluation, design included, stays below the size
+    # of the dense N x (k+1) design it no longer builds
+    real, synth = bench_split(60_000, 0.5)
+    dense_bytes = (real.n + synth.n) * (1 + encoded_width(real.schema)) * 8
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        utility.evaluate_utility(real, synth, utility.UTILITY_METRICS, "permutation", 20, derive_stream(1, "q"))
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes, f"peaked {peak} bytes above entry, dense design {dense_bytes}"
 
 
 _QUALITY_RUN = """
 import sys
 from sdgflow.bench import bench_one_size
-bench_one_size(3000, sys.argv[1], 1)
+bench_one_size(int(sys.argv[2]), sys.argv[1], 1)
 """
 
 
 def test_quality_metrics_do_not_depend_on_blas_thread_count(tmp_path):
-    # bench size 3000: 3,000 rows a side, a permutation null of 20 refits
+    # bench size 3000: 3,000 rows a side in 8,192-row blocks; size 200: 200
+    # rows a side in 1,024-row blocks; each with a permutation null of 20 refits
     src = str(Path(utility.__file__).resolve().parents[2])
-    written = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = tmp_path / f"threads-{threads}"
-        subprocess.run([sys.executable, "-c", _QUALITY_RUN, str(out)], env=env, check=True, timeout=120)
-        written.append((out / "run" / "artifacts" / "quality" / "metrics.json").read_bytes())
-    assert written[0] == written[1]
+    for size, counts in ((3000, ("1", "2")), (200, ("1", "2", "3"))):
+        written = []
+        for threads in counts:
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            out = tmp_path / f"size-{size}-threads-{threads}"
+            subprocess.run(
+                [sys.executable, "-c", _QUALITY_RUN, str(out), str(size)], env=env, check=True, timeout=120
+            )
+            written.append((out / "run" / "artifacts" / "quality" / "metrics.json").read_bytes())
+        assert written == written[:1] * len(counts), f"size {size}"
 
 
 def test_unknown_null_kind():
@@ -432,6 +455,46 @@ def brute_force_ks(a, b):
         fb = np.mean(b <= t)
         best = max(best, abs(fa - fb))
     return best
+
+
+def searchsorted_ks(a, b):
+    """The KS statistic from two searchsorted calls over the pooled values:
+    the counts ks_statistic reads from its merge, divided the same way, so
+    the two must agree exactly."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 5.0]),  # ties across the samples
+        ([-0.0, 0.0, 1.0], [0.0, 0.0, -0.0, 2.0]),  # -0.0 equals 0.0
+        ([0.5], [0.5]),
+        ([0.5], [0.25]),
+        ([7.0], [1.0, 7.0, 9.0]),
+        ([3.0] * 5, [3.0] * 2),  # all equal
+        ([3.0] * 5, [4.0] * 2),
+        ([4.0, 1.0, 3.0], [2.0, 2.0]),  # unsorted input
+    ],
+)
+def test_ks_merge_equals_searchsorted_oracle_exactly(a, b):
+    a, b = np.array(a), np.array(b)
+    assert ks_statistic(a, b) == searchsorted_ks(a, b)
+    assert ks_statistic(b, a) == searchsorted_ks(b, a)
+
+
+def test_ks_merge_equals_searchsorted_oracle_on_tie_heavy_samples():
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        levels = rng.integers(1, 12)
+        a = rng.integers(0, levels, rng.integers(1, 60)) * 0.5 - 1.0
+        b = rng.integers(0, levels, rng.integers(1, 60)) * 0.5 - 1.0
+        assert ks_statistic(a, b) == searchsorted_ks(a, b)
+        assert ks_statistic(a, b) == pytest.approx(brute_force_ks(a, b), abs=1e-12)
 
 
 def test_ks_hand_case():
@@ -496,6 +559,20 @@ def test_univariate_mixes_column_kinds():
     synth = make_dataset(schema, {"x": [1.0, 2.0], "c": [0, 0]})
     # x agrees (1.0), c has TVD 0.5 (0.5) -> mean 0.75
     assert univariate_fidelity(real, synth).score == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("metric", [univariate_fidelity, bivariate_fidelity])
+@pytest.mark.parametrize("side", ["real", "synth"])
+def test_fidelity_on_an_empty_side_raises_config_error(metric, side):
+    # a categorical first column: its TVD would divide by zero
+    schema = Schema((
+        ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a", "b")),
+        ColumnSpec("x", ColumnKind.CONTINUOUS),
+    ))
+    ds = make_dataset(schema, {"c": [0, 1, 1], "x": [1.0, 2.0, 4.0]})
+    pair = (ds.take(np.arange(0)), ds) if side == "real" else (ds, ds.take(np.arange(0)))
+    with pytest.raises(ConfigError, match="non-empty"):
+        metric(*pair)
 
 
 def test_bivariate_identical_is_one():
