@@ -19,12 +19,12 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path, PurePosixPath
-from typing import Any, Callable, Mapping, get_args, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Mapping, get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .canonical import canonical_json_bytes, sha256_hex
+from .canonical import canonical_json_bytes
 from .errors import (
     ConfigError,
     ManifestInvalid,
@@ -53,6 +53,7 @@ from .specs import (
     topological_order,
 )
 from .tabular import (
+    CSV_BLOCK_ROWS,
     ColumnKind,
     Dataset,
     dataset_to_csv_bytes,
@@ -273,15 +274,51 @@ DEFAULT_RUNNERS: dict[str, Runner] = {
 
 # ------------------------------------------------------------ serialization ---
 
+def _dataset_chunks(ds: Dataset) -> Iterator[bytes]:
+    """The dataset's CSV, CSV_BLOCK_ROWS rows a chunk; the first chunk holds
+    the header, so an empty dataset is one chunk."""
+    for lo in range(0, max(ds.n, 1), CSV_BLOCK_ROWS):
+        yield dataset_to_csv_bytes(ds, lo, lo + CSV_BLOCK_ROWS)
+
+
 # artifact name -> (its path in the run directory, `{node}` standing for the
-# node id; its serializer). The serializers look their functions up when
-# called, so a function replaced on this module is the one that runs.
-_ARTIFACTS: dict[str, tuple[str, Callable[[Any], bytes]]] = {
-    "dataset": ("artifacts/{node}/dataset.csv", lambda ds: dataset_to_csv_bytes(ds)),
-    "metrics": ("artifacts/{node}/metrics.json", lambda doc: canonical_json_bytes(doc)),
-    "report": ("report.json", lambda doc: canonical_json_bytes(doc)),
-    "report_text": ("report.txt", lambda text: text.encode("utf-8")),
+# node id; its serializer, which yields the artifact's bytes as a sequence of
+# chunks). The serializers look their functions up when called, so a
+# function replaced on this module is the one that runs.
+_ARTIFACTS: dict[str, tuple[str, Callable[[Any], Iterable[bytes]]]] = {
+    "dataset": ("artifacts/{node}/dataset.csv", lambda ds: _dataset_chunks(ds)),
+    "metrics": ("artifacts/{node}/metrics.json", lambda doc: [canonical_json_bytes(doc)]),
+    "report": ("report.json", lambda doc: [canonical_json_bytes(doc)]),
+    "report_text": ("report.txt", lambda text: [text.encode("utf-8")]),
 }
+
+
+def _write(path: Path, chunks: Iterable[bytes]) -> str:
+    """Write the chunks to `path` and return their SHA-256. They go to a
+    `.part` file beside it, renamed into place once all are written and
+    removed on failure, so no partial file ever has the artifact's name."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    part = path.with_name(path.name + ".part")
+    digest = hashlib.sha256()
+    try:
+        with open(part, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    return digest.hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    """The SHA-256 of a file, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 # -------------------------------------------------------------------- run ---
@@ -379,12 +416,9 @@ def run(
             produced = active_runners[node.kind.value](ctx)
             artifacts = {}
             for name, payload in produced.items():
-                pattern, serialize = _ARTIFACTS[name]
+                pattern, chunks = _ARTIFACTS[name]
                 rel = pattern.format(node=node.id)
-                data = serialize(payload)
-                (out / rel).parent.mkdir(parents=True, exist_ok=True)
-                (out / rel).write_bytes(data)
-                artifacts[name] = {"file": rel, "sha256": sha256_hex(data)}
+                artifacts[name] = {"file": rel, "sha256": _write(out / rel, chunks(payload))}
         except Exception:
             return finish(node, lines, start, error=traceback.format_exc())
         payloads[node.id] = produced  # read only by dependents, submitted after this returns
@@ -432,7 +466,7 @@ def run(
         finished_at=finished_at,
         node_records=tuple(records[nid] for nid in sorted(records)),
     )
-    (out / "manifest.json").write_bytes(canonical_json_bytes(manifest.to_json_obj()))
+    _write(out / "manifest.json", [canonical_json_bytes(manifest.to_json_obj())])
 
     failed = [records[nid] for nid in topological_order(spec) if records[nid].status == "failed"]
     if failed:
@@ -491,8 +525,7 @@ def verify_manifest(out_dir) -> VerificationReport:
             if not path.is_file():
                 mismatches.append(f"{rec.id}/{name}: file missing")
                 continue
-            actual = hashlib.sha256(path.read_bytes()).hexdigest()
-            if actual != info["sha256"]:
+            if _file_sha256(path) != info["sha256"]:
                 mismatches.append(f"{rec.id}/{name}: hash mismatch")
 
     by_id = {r.id: r for r in manifest.node_records}

@@ -644,26 +644,28 @@ def _reject(
     max_rounds: int,
 ) -> Dataset:
     """Rejection sampling shared by asd and hsd: each round draws the rows
-    still missing with draw(round, rows), applies the derivations, and keeps
-    the rows no rule rejects. Past max_rounds rounds it raises
-    RuleUnsatisfiable naming the most violated rule."""
+    still missing with draw(round, rows), applies the derivations, and
+    copies the rows no rule rejects into the next free rows of the output
+    columns. Past max_rounds rounds it raises RuleUnsatisfiable naming the
+    most violated rule."""
     order = _derivation_order(rules)
-    accepted: dict[str, list[np.ndarray]] = {name: [] for name in schema.names}
-    remaining = n_out
+    out = [
+        np.empty(n_out, np.float64 if spec.kind is ColumnKind.CONTINUOUS else np.int64)
+        for spec in schema.columns
+    ]
+    filled = 0
     total_counts = [0] * len(rules)
     for round_ in range(max_rounds):
-        cols = draw(round_, remaining)
+        cols = draw(round_, n_out - filled)
         _apply_derivations(cols, order)
         bad, counts = _rule_violations(cols, rules, schema)
         total_counts = [a + b for a, b in zip(total_counts, counts)]
-        keep = ~bad
-        if keep.any():
-            for name in schema.names:
-                accepted[name].append(cols[name][keep])
-            remaining -= int(keep.sum())
-        if remaining <= 0:
-            out = tuple(np.concatenate(accepted[name])[:n_out] for name in schema.names)
-            return Dataset(schema, out)
+        keep = np.flatnonzero(~bad)[: n_out - filled]
+        for name, column in zip(schema.names, out):
+            column[filled : filled + keep.size] = cols[name][keep]
+        filled += keep.size
+        if filled == n_out:
+            return Dataset(schema, tuple(out))
     raise RuleUnsatisfiable(_most_violated(rules, total_counts), attempts=max_rounds)
 
 

@@ -529,12 +529,15 @@ def _padded_lines(cells: Sequence[np.ndarray]) -> np.ndarray:
     return lines
 
 
-def dataset_to_csv_bytes(ds: Dataset) -> bytes:
-    """The dataset as UTF-8 CSV: the header row, then one LF-terminated line
-    per row, continuous cells in CONTINUOUS_FMT and labels quoted as
+def dataset_to_csv_bytes(ds: Dataset, lo: int = 0, hi: int | None = None) -> bytes:
+    """The CSV lines of rows [lo, hi) of the dataset (all rows by default),
+    the header row first when lo is 0; the default call is the whole file.
+    The file is UTF-8 CSV: the header row, then one LF-terminated line per
+    row, continuous cells in CONTINUOUS_FMT and labels quoted as
     `csv.writer` quotes them (minimally). The bytes equal those of one
     `writerow` per row; here numpy lays out CSV_BLOCK_ROWS rows at a time as
     padded cells, and one pass deletes the padding."""
+    hi = ds.n if hi is None else min(hi, ds.n)
     alone = len(ds.columns) == 1
     labels = [
         _label_cells(spec.categories, alone) if spec.kind is ColumnKind.CATEGORICAL else None
@@ -545,9 +548,10 @@ def dataset_to_csv_bytes(ds: Dataset) -> bytes:
     # one buffer that grows in place, and getvalue() returns it uncopied: the
     # CSV is never held twice, as blocks and as their join
     out = io.BytesIO()
-    out.write(_csv_line(ds.schema.names).encode("utf-8"))
-    for lo in range(0, ds.n, step):
-        rows = slice(lo, lo + step)
+    if lo == 0:
+        out.write(_csv_line(ds.schema.names).encode("utf-8"))
+    for start in range(lo, hi, step):
+        rows = slice(start, min(start + step, hi))
         # the cells die with the call, before the copy that translate needs
         lines = _padded_lines(
             [_float_cells(a[rows]) if t is None else t[a[rows]] for t, a in zip(labels, ds.columns)]

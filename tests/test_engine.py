@@ -1,8 +1,10 @@
 """Workflow execution: scheduling, failure propagation, manifests, verification."""
 import dataclasses
+import hashlib
 import json
 import sys
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdgflow.canonical import canonical_json_bytes
+from sdgflow import engine
 from sdgflow.engine import DEFAULT_RUNNERS, manifest_from_json_obj, run, verify_manifest
 from sdgflow.evaluation import utility
 from sdgflow.errors import InvalidSpec, ManifestInvalid, ManifestMissing, NodeFailure
 from sdgflow.specs import parse_spec
-from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, make_dataset
+from sdgflow.tabular import CSV_BLOCK_ROWS, ColumnKind, ColumnSpec, Schema, dataset_to_csv_bytes, make_dataset
 
 
 def spec_of(doc):
@@ -240,6 +243,79 @@ def test_manifest_reads_back_to_its_own_bytes(tmp_path):
     parsed = manifest_from_json_obj(json.loads(data))
     assert parsed == manifest  # succeeded, failed and skipped (null timings) records
     assert canonical_json_bytes(parsed.to_json_obj()) == data
+
+
+# -------------------------------------------------------------- persistence ---
+
+def wide_dataset(n):
+    rng = np.random.default_rng(n)
+    schema = Schema(
+        (
+            ColumnSpec("x", ColumnKind.CONTINUOUS),
+            ColumnSpec("y", ColumnKind.CONTINUOUS),
+            ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a", "b")),
+        )
+    )
+    return make_dataset(
+        schema, {"x": rng.normal(0.0, 1.0, n), "y": rng.uniform(0.0, 1e6, n), "c": rng.integers(0, 2, n)}
+    )
+
+
+def loads_dataset(ds):
+    return dict(STUB_RUNNERS, load=lambda ctx: {"dataset": ds})
+
+
+def test_multi_block_dataset_hashes_as_the_whole_file(tmp_path, monkeypatch):
+    ds = wide_dataset(2 * CSV_BLOCK_ROWS + 5)
+    blocks = []
+    monkeypatch.setattr(
+        engine, "dataset_to_csv_bytes", lambda *args: blocks.append(args[1:]) or dataset_to_csv_bytes(*args)
+    )
+    manifest = run(spec_of(chain_doc()), tmp_path / "run", runners=loads_dataset(ds))
+    whole = dataset_to_csv_bytes(ds)
+    assert (tmp_path / "run" / "artifacts" / "a" / "dataset.csv").read_bytes() == whole
+    assert manifest.record("a").artifacts["dataset"]["sha256"] == hashlib.sha256(whole).hexdigest()
+    step = CSV_BLOCK_ROWS
+    assert blocks[:3] == [(0, step), (step, 2 * step), (2 * step, 3 * step)]  # node a's
+    assert verify_manifest(tmp_path / "run").passed
+
+
+def test_failed_block_leaves_neither_the_artifact_nor_its_part_file(tmp_path, monkeypatch):
+    calls = []
+
+    def second_block_fails(ds, lo=0, hi=None):
+        calls.append(lo)
+        if len(calls) == 2:
+            raise RuntimeError("disk gave up")
+        return dataset_to_csv_bytes(ds, lo, hi)
+
+    monkeypatch.setattr(engine, "dataset_to_csv_bytes", second_block_fails)
+    out = tmp_path / "run"
+    with pytest.raises(NodeFailure) as exc:
+        run(spec_of(chain_doc()), out, runners=loads_dataset(wide_dataset(CSV_BLOCK_ROWS + 1)))
+    assert exc.value.node_id == "a"
+    assert "disk gave up" in exc.value.cause
+    assert calls == [0, CSV_BLOCK_ROWS]
+    assert not (out / "artifacts" / "a" / "dataset.csv").exists()
+    assert not (out / "artifacts" / "a" / "dataset.csv.part").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["artifacts", "logs", "manifest.json"]
+
+
+def test_persisting_a_dataset_holds_a_few_row_blocks(tmp_path):
+    ds = wide_dataset(100_000)
+    size = len(dataset_to_csv_bytes(ds))
+    # a row block's padded cells: two 44-byte float cells, a label, separators
+    block = CSV_BLOCK_ROWS * (2 * 45 + 2)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        run(spec_of(chain_doc()), tmp_path / "run", runners=loads_dataset(ds))
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    # the CSV is 4.1 MB; a writer that holds it whole peaks near 7 MB
+    assert peak < 4 * block < size
+    assert (tmp_path / "run" / "artifacts" / "c" / "dataset.csv").stat().st_size == size
 
 
 # -------------------------------------------------------------- determinism ---

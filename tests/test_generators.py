@@ -223,6 +223,68 @@ def test_asd_unsatisfiable_rule_reports_worst_offender():
     assert "50" in exc.value.rule_description and "a" in exc.value.rule_description
 
 
+REJECT_SCHEMA = Schema(
+    (
+        ColumnSpec("a", ColumnKind.CONTINUOUS),
+        ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("p", "q", "r")),
+        ColumnSpec("t", ColumnKind.CONTINUOUS),
+    )
+)
+
+
+def uniform_draws(seed):
+    """A draw for _reject, and the rounds it was asked for."""
+    gen, asked = np.random.default_rng(seed), []
+
+    def draw(round_, rows):
+        asked.append(rows)
+        return {"a": gen.uniform(0.0, 1.0, rows), "c": gen.integers(0, 3, rows)}
+
+    return draw, asked
+
+
+def reject_by_concatenation(draw, rules, schema, n_out, max_rounds):
+    """Every round's accepted rows kept, joined, then cut to n_out: the
+    rejection loop _reject's in-place fill must match row for row."""
+    order = generators._derivation_order(rules)
+    accepted, remaining = [], n_out
+    for round_ in range(max_rounds):
+        cols = draw(round_, remaining)
+        generators._apply_derivations(cols, order)
+        keep = ~generators._rule_violations(cols, rules, schema)[0]
+        accepted.append({name: cols[name][keep] for name in schema.names})
+        remaining -= int(keep.sum())
+        if remaining <= 0:
+            return {name: np.concatenate([a[name] for a in accepted])[:n_out] for name in schema.names}
+    raise AssertionError("the oracle ran out of rounds")
+
+
+def test_reject_fills_rows_as_concatenation_would_across_rounds():
+    rules = (
+        generators.RangeRule("a", 0.0, 0.3),
+        generators.ImplicationRule("c", "p", "c", ("p",)),  # never violated
+        generators.DerivationRule("t", {"a": 2.0}, 1.0),
+    )
+    draw, asked = uniform_draws(5)
+    got = generators._reject(draw, rules, REJECT_SCHEMA, 5_000, 40)
+    assert len(asked) > 3 and asked[0] == 5_000
+    expected = reject_by_concatenation(uniform_draws(5)[0], rules, REJECT_SCHEMA, 5_000, 40)
+    for name, column in zip(REJECT_SCHEMA.names, got.columns):
+        assert np.array_equal(column, expected[name]), name
+        assert column.dtype == (np.int64 if name == "c" else np.float64)
+    assert np.array_equal(got.column("t"), 1.0 + 2.0 * got.column("a"))
+
+
+def test_reject_out_of_rounds_names_the_most_violated_rule():
+    rules = (generators.RangeRule("a", 0.0, 0.9), generators.RangeRule("a", 0.5, 1.0))
+    draw, asked = uniform_draws(6)
+    with pytest.raises(RuleUnsatisfiable) as exc:
+        generators._reject(draw, rules, Schema(REJECT_SCHEMA.columns[:2]), 1_000, 2)
+    assert len(asked) == 2 and asked[1] < asked[0]  # some rows were kept
+    assert exc.value.attempts == 2
+    assert exc.value.rule_description == rules[1].describe()
+
+
 def test_asd_coverage_must_be_exact():
     config = cfg("asd", 10, column_models={"a": ASD_MODELS["a"]})
     with pytest.raises(ConfigError):

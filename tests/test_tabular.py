@@ -455,6 +455,66 @@ def test_csv_long_labels_shrink_the_block():
     assert [len(call.args[0][0]) for call in blocks.call_args_list] == [3, 3, 1]
 
 
+def _row_blocks_joined(ds):
+    """The dataset's CSV as the engine writes it: one dataset_to_csv_bytes
+    call per CSV_BLOCK_ROWS rows, the first holding the header."""
+    step = tabular.CSV_BLOCK_ROWS
+    return b"".join(dataset_to_csv_bytes(ds, lo, lo + step) for lo in range(0, max(ds.n, 1), step))
+
+
+def _block_datasets(n):
+    rng = np.random.default_rng(n)
+    two = make_dataset(
+        Schema(
+            (
+                ColumnSpec("x", ColumnKind.CONTINUOUS),
+                ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("", "a,b", 'q"')),
+            )
+        ),
+        {"x": rng.normal(0.0, 1e3, n) * 10.0 ** rng.integers(-6, 19, n), "c": rng.integers(0, 3, n)},
+    )
+    alone = make_dataset(
+        Schema((ColumnSpec("e", ColumnKind.CATEGORICAL, categories=("", "z")),)),
+        {"e": rng.integers(0, 2, n)},
+    )
+    wide = make_dataset(
+        Schema(
+            (
+                ColumnSpec("w", ColumnKind.CATEGORICAL, categories=("s", "é" * 50 + ",")),
+                ColumnSpec("x", ColumnKind.CONTINUOUS),
+            )
+        ),
+        {"w": rng.integers(0, 2, n), "x": rng.uniform(-1.0, 1.0, n)},
+    )
+    return {"two-column": two, "one-column-empty-label": alone, "wide-label": wide}
+
+
+@pytest.mark.parametrize("n", [0, 1, 8_191, 8_192, 8_193, 20_000])
+def test_csv_row_blocks_join_to_the_whole_file(n):
+    assert tabular.CSV_BLOCK_ROWS == 8_192  # the sizes above sit around one block
+    # the wide labels make the writer's own blocks shorter than a row block,
+    # so their edges fall inside the row blocks
+    with mock.patch.object(tabular, "_BLOCK_BYTES", 1 << 18), mock.patch.object(
+        tabular, "_padded_lines", wraps=tabular._padded_lines
+    ) as blocks:
+        for name, ds in _block_datasets(n).items():
+            blocks.reset_mock()
+            whole = dataset_to_csv_bytes(ds)
+            assert _row_blocks_joined(ds) == whole == csv_bytes_by_row(ds), name
+    rows = [len(call.args[0][0]) for call in blocks.call_args_list]
+    assert max(rows, default=0) == min(n, 1_759)  # 2**18 // (1 + 103 + 1 + 44) bytes a row
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=awkward_datasets(), cut=st.integers(1, 14), block=st.integers(1, 5))
+def test_csv_rows_split_anywhere_join_to_the_whole_file(ds, cut, block):
+    # only the block that starts at row 0 holds the header
+    with mock.patch.object(tabular, "CSV_BLOCK_ROWS", block):
+        head, tail = dataset_to_csv_bytes(ds, 0, cut), dataset_to_csv_bytes(ds, cut)
+        assert head + tail == dataset_to_csv_bytes(ds) == csv_bytes_by_row(ds)
+    assert dataset_to_csv_bytes(ds, 0, 0) == csv_bytes_by_row(ds.take(np.arange(0)))
+
+
 # ------------------------------------------------------------------ encode ---
 
 def test_encoded_width_formula():

@@ -459,7 +459,7 @@ def brute_force_ks(a, b):
 
 def searchsorted_ks(a, b):
     """The KS statistic from two searchsorted calls over the pooled values:
-    the counts ks_statistic reads from its merge, divided the same way, so
+    the counts ks_statistic reads block by block, divided the same way, so
     the two must agree exactly."""
     a, b = np.sort(a), np.sort(b)
     grid = np.concatenate([a, b])
@@ -468,19 +468,19 @@ def searchsorted_ks(a, b):
     return float(np.max(np.abs(fa - fb)))
 
 
-@pytest.mark.parametrize(
-    "a, b",
-    [
-        ([1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 5.0]),  # ties across the samples
-        ([-0.0, 0.0, 1.0], [0.0, 0.0, -0.0, 2.0]),  # -0.0 equals 0.0
-        ([0.5], [0.5]),
-        ([0.5], [0.25]),
-        ([7.0], [1.0, 7.0, 9.0]),
-        ([3.0] * 5, [3.0] * 2),  # all equal
-        ([3.0] * 5, [4.0] * 2),
-        ([4.0, 1.0, 3.0], [2.0, 2.0]),  # unsorted input
-    ],
-)
+KS_CASES = [
+    ([1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 5.0]),  # ties across the samples
+    ([-0.0, 0.0, 1.0], [0.0, 0.0, -0.0, 2.0]),  # -0.0 equals 0.0
+    ([0.5], [0.5]),
+    ([0.5], [0.25]),
+    ([7.0], [1.0, 7.0, 9.0]),
+    ([3.0] * 5, [3.0] * 2),  # all equal
+    ([3.0] * 5, [4.0] * 2),
+    ([4.0, 1.0, 3.0], [2.0, 2.0]),  # unsorted input
+]
+
+
+@pytest.mark.parametrize("a, b", KS_CASES)
 def test_ks_merge_equals_searchsorted_oracle_exactly(a, b):
     a, b = np.array(a), np.array(b)
     assert ks_statistic(a, b) == searchsorted_ks(a, b)
@@ -495,6 +495,53 @@ def test_ks_merge_equals_searchsorted_oracle_on_tie_heavy_samples():
         b = rng.integers(0, levels, rng.integers(1, 60)) * 0.5 - 1.0
         assert ks_statistic(a, b) == searchsorted_ks(a, b)
         assert ks_statistic(a, b) == pytest.approx(brute_force_ks(a, b), abs=1e-12)
+
+
+# tie runs of -0.0 and 0.0, and of plain values, that span blocks of 1-3 rows
+KS_BLOCK_EDGE_CASES = [
+    ([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0, 3.0]),
+    ([-0.0, 0.0, -0.0, 0.0, 0.0, 1.0, 1.0], [0.0, -0.0, -0.0, 1.0, 1.0, 1.0, 1.0]),
+    ([-1.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 0.0, -0.0]),
+    ([2.0] * 7, [2.0] * 3 + [4.0] * 4),
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_ks_blocks_equal_searchsorted_oracle_exactly(monkeypatch, block):
+    monkeypatch.setattr(utility, "ROW_BLOCK", block)
+    for a, b in KS_CASES + KS_BLOCK_EDGE_CASES:
+        a, b = np.array(a), np.array(b)
+        assert ks_statistic(a, b) == searchsorted_ks(a, b)
+        assert ks_statistic(b, a) == searchsorted_ks(b, a)
+    rng = np.random.default_rng(block)
+
+    def ties(levels):
+        # a few levels around zero, each zero of either sign
+        x = rng.integers(-2, levels, rng.integers(1, 30)) * 0.5
+        zero = x == 0.0
+        x[zero] *= rng.choice([-1.0, 1.0], np.count_nonzero(zero))
+        return x
+
+    for _ in range(200):
+        levels = rng.integers(1, 6)
+        a, b = ties(levels), ties(levels)
+        assert ks_statistic(a, b) == searchsorted_ks(a, b)
+
+
+def test_ks_peak_stays_a_few_blocks_above_its_inputs():
+    # the two sorted copies (4.8 MB) and block temporaries; merging the
+    # pooled samples whole peaked at 43 MB
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(0.0, 1.0, 300_000), np.round(rng.normal(0.1, 1.0, 300_000), 2)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        value = ks_statistic(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
+    assert value == searchsorted_ks(a, b)
 
 
 def test_ks_hand_case():
