@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 
 from sdgflow.rng import derive_stream
-from sdgflow.tabular import ColumnKind, ColumnSpec, Dataset, Schema, dataset_to_csv_bytes
+from sdgflow.tabular import (
+    ColumnKind,
+    ColumnSpec,
+    Dataset,
+    Schema,
+    dataset_to_csv_bytes,
+    schema_to_json_obj,
+)
 
 ROWS = 600
 
@@ -58,18 +65,8 @@ def main() -> None:
     out.mkdir(exist_ok=True)
     ds = build()
     (out / "data.csv").write_bytes(dataset_to_csv_bytes(ds))
-    schema_doc = {
-        "columns": [
-            {
-                "name": c.name,
-                "kind": c.kind.value,
-                **({"categories": list(c.categories)} if c.categories else {}),
-                **({"bounds": list(c.bounds)} if c.bounds else {}),
-            }
-            for c in SCHEMA.columns
-        ]
-    }
-    (out / "schema.json").write_text(json.dumps(schema_doc, indent=2) + "\n", encoding="utf-8")
+    schema_doc = json.dumps(schema_to_json_obj(SCHEMA), indent=2) + "\n"
+    (out / "schema.json").write_text(schema_doc, encoding="utf-8")
     print(f"wrote {ds.n} rows to {out / 'data.csv'}")
 
 

@@ -8,7 +8,7 @@ timing is the only variable.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
 
@@ -81,7 +81,7 @@ def make_bench_dataset(n: int) -> Dataset:
     )
 
 
-def build_bench_spec_doc(size: int, data_path: str, schema_path: str, permutations: int = 20) -> dict:
+def build_bench_spec_doc(size: int, data_path: str, schema_path: str) -> dict:
     """The standard pipeline: load -> preprocess -> generate (rsd), the three
     evaluation stages in parallel, then the report."""
     return {
@@ -110,7 +110,7 @@ def build_bench_spec_doc(size: int, data_path: str, schema_path: str, permutatio
                     "real": "preprocess",
                     "synthetic": "generate",
                     "null_model": "permutation",
-                    "permutations": permutations,
+                    "permutations": 20,
                 },
                 "depends_on": ["preprocess", "generate"],
             },
@@ -154,13 +154,7 @@ class SizeTiming:
     fixture_sha256: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "size": self.size,
-            "per_stage_seconds": dict(self.per_stage_seconds),
-            "total_wall_seconds": self.total_wall_seconds,
-            "serialized_stage_sum_seconds": self.serialized_stage_sum_seconds,
-            "fixture_sha256": self.fixture_sha256,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -176,11 +170,7 @@ class BenchResult:
         raise KeyError(size)
 
     def to_json_obj(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "max_parallel": self.max_parallel,
-            "per_size": [t.to_json_obj() for t in self.per_size],
-        }
+        return asdict(self)
 
 
 def _wall_seconds(manifest: RunManifest) -> float:

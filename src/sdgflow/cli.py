@@ -85,10 +85,8 @@ def _cmd_run(args) -> int:
             base_dir=base_dir,
         )
     except NodeFailure as e:
-        manifest = e.manifest
-        if manifest is not None:
-            for rec in manifest.node_records:
-                print(f"{rec.id}: {rec.status}")
+        for rec in e.manifest.node_records:
+            print(f"{rec.id}: {rec.status}")
         print(f"node failure: {e.node_id}")
         return 2
     for rec in manifest.node_records:

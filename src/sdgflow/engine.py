@@ -470,7 +470,7 @@ def run(
 
     failed = [records[nid] for nid in topological_order(spec) if records[nid].status == "failed"]
     if failed:
-        raise NodeFailure(node_id=failed[0].id, cause=failed[0].error or "unknown", manifest=manifest)
+        raise NodeFailure(node_id=failed[0].id, cause=failed[0].error, manifest=manifest)
     return manifest
 
 

@@ -87,9 +87,10 @@ class InvalidSpec(SpecError):
 
 class NodeFailure(SdgError):
     """A pipeline node raised; descendants were skipped. `cause` is the
-    node's traceback text."""
+    node's traceback text; `manifest` is the run's manifest, written before
+    the raise."""
 
-    def __init__(self, node_id: str, cause: str, manifest=None):
+    def __init__(self, node_id: str, cause: str, manifest):
         self.node_id = node_id
         self.cause = cause
         self.manifest = manifest

@@ -33,10 +33,6 @@ class DiagnosticResult:
         return asdict(self)
 
 
-def _columns_match(a, b) -> bool:
-    return a.name == b.name and a.kind == b.kind and a.categories == b.categories
-
-
 def diagnose(real: Dataset, synth: Dataset) -> DiagnosticResult:
     """Compare synth against real; a schema mismatch is a finding, not an error.
 
@@ -51,7 +47,7 @@ def diagnose(real: Dataset, synth: Dataset) -> DiagnosticResult:
     checks: list[ColumnCheck] = []
     structure_ok = len(rs) == len(ss)
     for i in range(max(len(rs), len(ss))):
-        if i < len(rs) and i < len(ss) and _columns_match(rs[i], ss[i]):
+        if i < len(rs) and i < len(ss) and rs[i].same_structure(ss[i]):
             checks.append(ColumnCheck(rs[i].name, NAME_TYPE_MATCH, 1.0))
         else:
             name = rs[i].name if i < len(rs) else ss[i].name

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -67,32 +66,16 @@ def check_null_model(kind: str, B: int) -> None:
         raise ConfigError(f"permutations must be >= {MIN_PERMUTATIONS}, got {B}")
 
 
-class Design(NamedTuple):
+def _design(real: Dataset, synth: Dataset) -> tuple[Encoding, np.ndarray]:
     """The propensity model's inputs: the N x (k+1) design matrix (intercept
-    column first) as its columns, the labels (0 real, 1 synthetic) and k."""
-
-    x: Encoding
-    z: np.ndarray
-    k: int
-
-
-def design_matrix(real: Dataset, synth: Dataset) -> Design:
-    """Build the design once per pair; fit_propensity and pmse_null both take it."""
+    column first) as its columns, and the labels (0 real, 1 synthetic)."""
     check_pair(real, synth)
     if real.n < 2 or synth.n < 2:
         raise TooFewRows("propensity fit needs at least 2 rows on each side")
     x = encode(real, synth)
     z = np.zeros(x.n, dtype=np.float64)
     z[real.n:] = 1.0
-    return Design(x, z, x.width - 1)
-
-
-def _design_for(real: Dataset, synth: Dataset, design: Design | None) -> Design:
-    if design is None:
-        return design_matrix(real, synth)
-    if design.x.n != real.n + synth.n:
-        raise ConfigError("design matrix rows do not match the datasets")
-    return design
+    return x, z
 
 
 def _block_rows(n: int) -> int:
@@ -148,10 +131,8 @@ def _pmse_rows(x: Encoding, beta: np.ndarray, c: float) -> np.ndarray:
     return total / x.n
 
 
-def _irls(
-    x: Encoding, z: np.ndarray, warn: bool = True
-) -> tuple[np.ndarray, np.ndarray, bool, int]:
-    """Ridge logistic fit; returns (beta, scores, converged, iterations).
+def _irls(x: Encoding, z: np.ndarray, warn: bool = True) -> tuple[np.ndarray, bool, int]:
+    """Ridge logistic fit; returns (beta, converged, iterations).
 
     The ridge excludes the intercept, which keeps mean(p) equal to mean(z) at
     the optimum up to the tolerance. `warn=False` reports drift toward
@@ -178,7 +159,6 @@ def _irls(
         if np.max(np.abs(step)) < COEF_TOL:
             converged = True
             break
-    scores = np.concatenate([expit(xb @ beta)[:rows] for rows, (xb,) in _row_blocks(x)])
     if np.max(np.abs(beta)) > _SEPARATION_COEF:
         if warn:
             warnings.warn(
@@ -187,20 +167,22 @@ def _irls(
                 stacklevel=3,
             )
         converged = False
-    return beta, scores, converged, iterations
+    return beta, converged, iterations
 
 
-def fit_propensity(
-    real: Dataset, synth: Dataset, design: Design | None = None
-) -> tuple[PropensityModel, np.ndarray]:
-    """Fit the real-vs-synthetic classifier; the fit is deterministic. `design`
-    is `design_matrix(real, synth)` when the caller already built it."""
-    x, z, k = _design_for(real, synth, design)
-    beta, scores, converged, iterations = _irls(x, z)
+def fit_propensity(real: Dataset, synth: Dataset) -> tuple[PropensityModel, np.ndarray]:
+    """Fit the real-vs-synthetic classifier; the fit is deterministic."""
+    x, z = _design(real, synth)
+    beta, converged, iterations = _irls(x, z)
+    scores = np.empty(x.n)
+    lo = 0
+    for rows, _, prob in _block_scores(x, beta[None]):
+        scores[lo : lo + rows] = prob[0, :rows]  # prob is overwritten by the next block
+        lo += rows
     model = PropensityModel(
         coefficients=tuple(float(b) for b in beta),
-        c=synth.n / (real.n + synth.n),
-        k=k,
+        c=synth.n / x.n,
+        k=x.width - 1,
         converged=converged,
         iterations=iterations,
     )
@@ -268,7 +250,6 @@ def pmse_null(
     kind: str = DEFAULT_NULL_MODEL,
     B: int = DEFAULT_PERMUTATIONS,
     rng: RngStream | None = None,
-    design: Design | None = None,
 ) -> NullModel:
     """Null distribution of observed pMSE under "synthetic label carries no
     signal". Permutation kind refits the model on shuffled labels; analytic
@@ -298,7 +279,7 @@ def pmse_null(
         return NullModel(kind="analytic", B=0, null_mean=mean, null_sd=sd)
     if rng is None:
         raise ConfigError("permutation null needs an rng stream")
-    x, z, _ = _design_for(real, synth, design)
+    x, z = _design(real, synth)
     gen = rng.generator
     labels = np.empty((B, n), dtype=np.int8)
     for b in range(B):
@@ -317,8 +298,8 @@ def pmse_null(
     newton = np.flatnonzero(~converged)
     unconverged = 0
     for b in newton:
-        _, scores, ok, _ = _irls(x, labels[b].astype(np.float64), warn=False)
-        samples[b] = np.mean((scores - c) ** 2)
+        beta, ok, _ = _irls(x, labels[b].astype(np.float64), warn=False)
+        samples[b] = _pmse_rows(x, beta[None], c)[0]
         unconverged += not ok
     return NullModel(
         kind="permutation",
@@ -541,17 +522,14 @@ def evaluate_utility(
     rng: RngStream,
 ) -> list[MetricResult]:
     """Run the selected metrics, in the order given. What they share is made
-    once, in this order: the design matrix, the propensity fit and its
-    observed pMSE, then the null model, drawn from `rng`'s child "null". The
-    design is freed before the metrics run."""
+    once, in this order: the propensity fit and its observed pMSE, then the
+    null model, drawn from `rng`'s child "null"."""
     check_metric_names(metrics, UTILITY_METRICS)
     selected = set(metrics)
     scores = observed = null = None
     if selected & {"pmse_observed", "pmse_standardized", "pmse_ratio", "specks"}:
-        design = design_matrix(real, synth)
-        model, scores = fit_propensity(real, synth, design)
+        model, scores = fit_propensity(real, synth)
         observed = pmse_observed(scores, model.c, model)
     if selected & {"pmse_standardized", "pmse_ratio"}:
-        null = pmse_null(real, synth, null_model, permutations, rng.child("null"), design)
-    design = None
+        null = pmse_null(real, synth, null_model, permutations, rng.child("null"))
     return [_COMPUTE[name](real, synth, scores, observed, null) for name in metrics]

@@ -32,14 +32,13 @@ class RngStream:
 
     root_seed: int
     node_id: str
-    generator: np.random.Generator = field(repr=False, default=None)  # type: ignore[assignment]
+    generator: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.root_seed <= SEED_MAX:
             raise InvalidSpec(f"root_seed must be an unsigned 64-bit integer, got {self.root_seed}")
-        if self.generator is None:
-            seq = np.random.SeedSequence(_entropy_for(self.root_seed, self.node_id))
-            self.generator = np.random.Generator(np.random.PCG64(seq))
+        seq = np.random.SeedSequence(_entropy_for(self.root_seed, self.node_id))
+        self.generator = np.random.Generator(np.random.PCG64(seq))
 
     def child(self, label: str) -> "RngStream":
         """Derive an independent sub-stream, e.g. for partitions or permutations."""

@@ -62,6 +62,10 @@ class ColumnSpec:
             if self.bounds is not None and not self.bounds[0] <= self.bounds[1]:
                 raise SchemaError(f"column {self.name!r}: bounds min must be <= max")
 
+    def same_structure(self, other: "ColumnSpec") -> bool:
+        """Equality on name, kind, and categories (bounds ignored)."""
+        return self.name == other.name and self.kind == other.kind and self.categories == other.categories
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -98,11 +102,8 @@ class Schema:
 
     def same_structure(self, other: "Schema") -> bool:
         """Equality on names, order, kinds, and categories (bounds ignored)."""
-        if len(self.columns) != len(other.columns):
-            return False
-        return all(
-            a.name == b.name and a.kind == b.kind and a.categories == b.categories
-            for a, b in zip(self.columns, other.columns)
+        return len(self.columns) == len(other.columns) and all(
+            a.same_structure(b) for a, b in zip(self.columns, other.columns)
         )
 
 

@@ -1,7 +1,6 @@
 """Tests for the scalability benchmark helpers."""
 
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -73,8 +72,7 @@ def test_run_bench_two_sizes(tmp_path):
     with pytest.raises(KeyError):
         result.timing(999)
 
-    saved = json.loads((tmp_path / "bench.json").read_text(encoding="utf-8"))
-    assert saved == result.to_json_obj()
+    assert (tmp_path / "bench.json").read_bytes() == canonical_json_bytes(result.to_json_obj())
     assert (tmp_path / "size_200" / "run" / "manifest.json").exists()
 
 

@@ -490,7 +490,8 @@ def test_seed_changes_artifacts(tmp_path):
     assert ha != hb
 
 
-def test_utility_node_encodes_once_and_records_fit_decisions(tmp_path, monkeypatch):
+def test_utility_node_encodes_per_model_and_records_fit_decisions(tmp_path, monkeypatch):
+    # the propensity fit and the permutation null each encode the pair
     calls = []
     original = utility.encode
 
@@ -503,7 +504,7 @@ def test_utility_node_encodes_once_and_records_fit_decisions(tmp_path, monkeypat
     qual = next(node for node in doc["nodes"] if node["id"] == "qual")
     qual["params"]["metrics"] = ["pmse_observed", "pmse_standardized", "pmse_ratio", "specks"]
     run(spec_of(doc), tmp_path / "run")
-    assert calls == [240]
+    assert calls == [240, 240]
     metrics = json.loads((tmp_path / "run" / "artifacts" / "qual" / "metrics.json").read_text())
     details = {m["name"]: m["details"] for m in metrics["metrics"]}
     assert details["pmse_observed"]["converged"] is True

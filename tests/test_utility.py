@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit
 
 from conftest import filled
 from sdgflow.bench import make_bench_dataset
@@ -23,7 +24,6 @@ from sdgflow.evaluation.utility import (
     _block_refits,
     _irls,
     bivariate_fidelity,
-    design_matrix,
     fit_propensity,
     ks_statistic,
     pmse_null,
@@ -79,8 +79,8 @@ def test_fit_propensity_gradient_stationarity():
     real, synth = cont_ds(300, 3), cont_ds(300, 4, shift=0.4)
     model, scores = fit_propensity(real, synth)
     assert model.converged
-    design = design_matrix(real, synth)
-    x, z = filled(design.x), design.z
+    x, z = utility._design(real, synth)
+    x = filled(x)
     beta = np.asarray(model.coefficients)
     grad = x.T @ (z - scores)
     grad[1:] -= 1e-6 * beta[1:]  # intercept unpenalized
@@ -163,9 +163,9 @@ def test_permutation_null_identity_anchor():
     real, synth = cont_ds(100, 12), cont_ds(100, 13)
     model, scores = fit_propensity(real, synth)
     observed = pmse_observed(scores, model.c).score
-    x, z, _ = design_matrix(real, synth)
-    _, refit_scores, _, _ = _irls(x, z)
-    assert float(np.mean((refit_scores - model.c) ** 2)) == pytest.approx(observed, rel=1e-12)
+    x, z = utility._design(real, synth)
+    beta, _, _ = _irls(x, z)
+    assert utility._pmse_rows(x, beta[None], model.c)[0] == pytest.approx(observed, rel=1e-12)
 
 
 def test_permutation_null_needs_twenty():
@@ -187,7 +187,7 @@ def test_permutation_null_deterministic():
 def test_permutation_null_refits_neither_warn_nor_touch_filters():
     # 8 rows and 5 predictors: many label permutations are separable
     real, synth = cont_ds(4, 30, names=tuple("abcde")), cont_ds(4, 31, names=tuple("abcde"))
-    x, z, _ = design_matrix(real, synth)
+    x, z = utility._design(real, synth)
     gen = np.random.default_rng(0)
     with warnings.catch_warnings(record=True) as direct:
         warnings.simplefilter("always")
@@ -211,21 +211,28 @@ def bench_split(n, c, seed=0):
 
 def newton_null(x, z, seed, B):
     """The Newton oracle: each permuted label vector refit alone by _irls,
-    drawn from the stream pmse_null uses; returns (labels, fits)."""
+    drawn from the stream pmse_null uses; returns (labels, fits), each fit
+    (beta, scores, converged, iterations) with the scores of the whole
+    design at beta."""
     gen = derive_stream(seed, "null").generator
     labels = [gen.permutation(z) for _ in range(B)]
-    return labels, [_irls(x, zb, warn=False) for zb in labels]
+    dense = filled(x)
+    fits = []
+    for zb in labels:
+        beta, converged, iterations = _irls(x, zb, warn=False)
+        fits.append((beta, expit(dense @ beta), converged, iterations))
+    return labels, fits
 
 
 @pytest.mark.parametrize("n, c", [(6000, 0.05), (6000, 0.17), (6000, 0.5), (360, 60 / 360)])
 def test_block_null_matches_newton_refits(n, c):
     real, synth = bench_split(n, c)
-    design = design_matrix(real, synth)
-    x, z = filled(design.x), design.z
+    encoding, z = utility._design(real, synth)
+    x = filled(encoding)
     c = synth.n / (real.n + synth.n)
     null = pmse_null(real, synth, B=20, rng=derive_stream(2, "null"))
-    labels, fits = newton_null(design.x, z, 2, 20)
-    beta, converged, _ = _block_refits(design.x, np.array([zb @ x for zb in labels]), c)
+    labels, fits = newton_null(encoding, z, 2, 20)
+    beta, converged, _ = _block_refits(encoding, np.array([zb @ x for zb in labels]), c)
     assert null.newton_refits == tuple(np.flatnonzero(~converged))
     ridge = np.full(x.shape[1], RIDGE)
     ridge[0] = 0.0
@@ -263,14 +270,21 @@ def test_block_null_finishes_small_unbalanced_pair_with_newton():
     assert 0 < len(null.newton_refits) < 20
 
 
-def test_block_null_with_no_steps_is_the_newton_null(monkeypatch):
-    real, synth = bench_split(2000, 0.3)
-    x, z, _ = design_matrix(real, synth)
+@pytest.mark.parametrize("n", [2000, 20_000])
+def test_block_null_with_no_steps_is_the_newton_null(monkeypatch, n):
+    # 2,000 rows fill one row block, where the null's block sums round as the
+    # oracle's one mean does; 20,000 rows span three blocks
+    real, synth = bench_split(n, 0.3)
+    x, z = utility._design(real, synth)
     c = synth.n / (real.n + synth.n)
     monkeypatch.setattr(utility, "BLOCK_MAX_ITER", 0)
     null = pmse_null(real, synth, B=20, rng=derive_stream(6, "null"))
     _, fits = newton_null(x, z, 6, 20)
-    assert null.samples == tuple(float(np.mean((s - c) ** 2)) for _, s, _, _ in fits)
+    oracle = tuple(float(np.mean((s - c) ** 2)) for _, s, _, _ in fits)
+    if n <= utility.ROW_BLOCK:
+        assert null.samples == oracle
+    else:
+        assert null.samples == pytest.approx(oracle, rel=1e-12)
     assert null.newton_refits == tuple(range(20)) and null.block_iterations == 0
 
 
@@ -294,17 +308,6 @@ def test_block_null_splits_refits_to_bound_its_score_matrix(monkeypatch):
     assert split.samples == pytest.approx(whole.samples, rel=1e-10)
 
 
-def test_shared_design_matrix_gives_the_same_results():
-    real, synth = cont_ds(200, 42), cont_ds(150, 43, shift=0.2)
-    design = design_matrix(real, synth)
-    assert fit_propensity(real, synth, design)[0] == fit_propensity(real, synth)[0]
-    shared = pmse_null(real, synth, B=20, rng=derive_stream(1, "null"), design=design)
-    alone = pmse_null(real, synth, B=20, rng=derive_stream(1, "null"))
-    assert shared == alone
-    with pytest.raises(ConfigError):
-        pmse_null(real, synth, B=20, rng=derive_stream(1, "null"), design=design_matrix(real, real))
-
-
 def test_fit_decisions_recorded_in_details():
     real, synth = cont_ds(200, 44), cont_ds(200, 45)
     model, scores = fit_propensity(real, synth)
@@ -323,7 +326,7 @@ def test_null_counts_newton_refits_left_unconverged():
     # 8 rows and 5 predictors: many permuted labels are separable, so _irls
     # stops at the separation guard on some of the refits the block left it
     real, synth = cont_ds(4, 30, names=tuple("abcde")), cont_ds(4, 31, names=tuple("abcde"))
-    x, z, _ = design_matrix(real, synth)
+    x, z = utility._design(real, synth)
     null = pmse_null(real, synth, B=20, rng=derive_stream(5, "null"))
     _, fits = newton_null(x, z, 5, 20)
     unconverged = sum(not fits[b][2] for b in null.newton_refits)
@@ -338,8 +341,8 @@ def test_row_block_edges_match_one_shot_fit_and_newton_oracle(n):
     # one row short of a block, a whole block, and a block plus one padded
     # row: pad rows must reach neither the fit, its scores nor the null
     real, synth = bench_split(n, 0.3)
-    design = design_matrix(real, synth)
-    x, z = filled(design.x), design.z
+    x, z = utility._design(real, synth)
+    x = filled(x)
     model, scores = fit_propensity(real, synth)
     beta = np.asarray(model.coefficients)
     assert model.converged and scores.shape == (n,)
@@ -351,13 +354,14 @@ def test_row_block_edges_match_one_shot_fit_and_newton_oracle(n):
 
 
 def test_fit_and_null_peaks_stay_below_the_design_matrix():
-    # tracemalloc sees numpy's buffers; past the design matrix and the int8
-    # labels, no temporary grows with the rows
+    # tracemalloc sees numpy's buffers; each call encodes its own design as
+    # its columns, and past those, the scores and the int8 labels, no
+    # temporary grows with the rows
     real, synth = bench_split(60_000, 0.5)
-    design = design_matrix(real, synth)
+    dense_bytes = (real.n + synth.n) * (1 + encoded_width(real.schema)) * 8
     runs = {
-        "fit_propensity": lambda: fit_propensity(real, synth, design),
-        "pmse_null": lambda: pmse_null(real, synth, B=20, rng=derive_stream(1, "null"), design=design),
+        "fit_propensity": lambda: fit_propensity(real, synth),
+        "pmse_null": lambda: pmse_null(real, synth, B=20, rng=derive_stream(1, "null")),
     }
     tracemalloc.start()
     try:
@@ -366,7 +370,7 @@ def test_fit_and_null_peaks_stay_below_the_design_matrix():
             tracemalloc.reset_peak()
             run()
             peak = tracemalloc.get_traced_memory()[1] - entry
-            assert peak < design.x.n * design.x.width * 8, f"{name} peaked {peak} bytes above entry"
+            assert peak < dense_bytes, f"{name} peaked {peak} bytes above entry"
     finally:
         tracemalloc.stop()
 
