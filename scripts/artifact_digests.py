@@ -3,11 +3,14 @@ checkouts can be compared byte for byte. Run from the repo root:
 
     python3 scripts/artifact_digests.py OUT > digests.txt
 
-It runs the bundled sample pipeline at --max-parallel 1 and 4 and
-`sdgflow bench --sizes 1000,3000,20000` under OUT (which must not exist yet),
-then prints one `sha256  path` line per file under OUT, sorted by path. The
-20000-row bench size spans more than one CSV block. The files that hold
-timings are skipped: every manifest.json, bench.json and logs/.
+It runs the bundled sample pipeline at --max-parallel 1 and 4, the bundled
+all-modes pipeline (sample/modes.json: every generator mode, column model
+and rule kind, inline schemas, numbers written as integers) at
+--max-parallel 2, and `sdgflow bench --sizes 1000,3000,20000` under OUT
+(which must not exist yet), then prints one `sha256  path` line per file
+under OUT, sorted by path. The 20000-row bench size spans more than one CSV
+block. The files that hold timings are skipped: every manifest.json,
+bench.json and logs/. Each run directory must pass `sdgflow inspect`.
 """
 
 import contextlib
@@ -34,16 +37,18 @@ def digests(out: Path) -> list[str]:
 
 
 def produce(out: Path) -> None:
-    sample = str(REPO / "sample" / "pipeline.json")
+    sample, modes = (str(REPO / "sample" / name) for name in ("pipeline.json", "modes.json"))
+    runs = {"sample-p1": (sample, "1"), "sample-p4": (sample, "4"), "modes-p2": (modes, "2")}
     commands = [
-        ["run", sample, "--out", str(out / "sample-p1"), "--max-parallel", "1"],
-        ["run", sample, "--out", str(out / "sample-p4"), "--max-parallel", "4"],
-        ["bench", "--sizes", "1000,3000,20000", "--out", str(out / "bench")],
+        ["run", doc, "--out", str(out / name), "--max-parallel", p] for name, (doc, p) in runs.items()
     ]
+    commands.append(["bench", "--sizes", "1000,3000,20000", "--out", str(out / "bench")])
+    commands += [["inspect", str(out / name)] for name in runs]
     for argv in commands:
         with contextlib.redirect_stdout(sys.stderr):  # stdout holds only the digests
             code = main(argv)
-        if code not in (0, 1):  # 1: the report's verdict failed, the run did not
+        # run may exit 1: the report's verdict failed, the run did not
+        if code not in ((0, 1) if argv[0] == "run" else (0,)):
             raise SystemExit(f"sdgflow {' '.join(argv)} exited {code}")
 
 

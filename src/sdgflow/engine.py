@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path, PurePosixPath
-from typing import Any, Callable, Iterable, Iterator, Mapping, get_args, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .evaluation.privacy import evaluate_privacy
 from .evaluation.results import metric_from_json_obj
 from .evaluation.utility import evaluate_utility
 from .generators import generate
-from .jsonfields import JsonChecks, loads, required_fields
+from .jsonfields import JsonChecks, loads
 from .reporting import compile_report, render_text
 from .rng import RngStream, derive_stream
 from .specs import (
@@ -67,7 +67,6 @@ ENGINE_VERSION = __version__
 __all__ = [
     "RunManifest",
     "run",
-    "derive_stream",
     "verify_manifest",
     "VerificationCheck",
     "VerificationReport",
@@ -113,25 +112,9 @@ class RunManifest:
 _check = JsonChecks(ManifestInvalid)
 
 
-def _from_json(cls: type, checks: Mapping[str, Callable[[Any, str], Any]], value: Any, where: str):
-    """Build dataclass `cls` from a JSON object, each field read by its check
-    in `checks`: a field without a default is required, and a field typed
-    `... | None` may be null."""
-    _check.obj(value, where, checks, required_fields(cls))
-    hints = get_type_hints(cls)
-    return cls(**{
-        key: None if v is None and type(None) in get_args(hints[key]) else checks[key](v, f"{where}: {key}")
-        for key, v in value.items()
-    })
-
-
-def _artifacts(value: Any, where: str) -> dict[str, dict[str, str]]:
-    out = {}
-    for name, info in _check.obj(value, where).items():
-        what = f"{where}[{name!r}]"
-        _check.obj(info, what, {"file", "sha256"}, required={"file", "sha256"})
-        out[name] = {k: _check.string(v, f"{what}: {k}") for k, v in info.items()}
-    return out
+def _artifact(value: Any, where: str) -> dict[str, str]:
+    _check.obj(value, where, {"file", "sha256"}, required={"file", "sha256"})
+    return {k: _check.string(v, f"{where}: {k}") for k, v in value.items()}
 
 
 _RECORD_CHECKS = {
@@ -139,32 +122,29 @@ _RECORD_CHECKS = {
     "kind": partial(_check.choice, options=[k.value for k in NodeKind]),
     "status": partial(_check.choice, options=("succeeded", "failed", "skipped")),
     "depends_on": partial(_check.strings, nonempty=False),
-    "start": _check.string,
-    "end": _check.string,
-    "duration_seconds": _check.number,
-    "artifacts": _artifacts,
-    "error": _check.string,
+    "start": _check.nullable(_check.string),
+    "end": _check.nullable(_check.string),
+    "duration_seconds": _check.nullable(_check.number),
+    "artifacts": partial(_check.each_value, _artifact),
+    "error": _check.nullable(_check.string),
 }
 _MANIFEST_CHECKS = {
     "spec_digest": partial(
-        _from_json, SpecDigest, {"hash": _check.string, "canonical_bytes_len": _check.integer}
+        _check.build, SpecDigest, {"hash": _check.string, "canonical_bytes_len": _check.integer}
     ),
     "seed": _check.integer,
     "engine_version": _check.string,
     "max_parallel": _check.integer,
     "started_at": _check.string,
     "finished_at": _check.string,
-    "node_records": lambda value, where: tuple(
-        _from_json(NodeRecord, _RECORD_CHECKS, r, f"{where}[{i}]")
-        for i, r in enumerate(_check.items(value, where))
-    ),
+    "node_records": partial(_check.each, partial(_check.build, NodeRecord, _RECORD_CHECKS)),
 }
 
 
 def manifest_from_json_obj(doc: Any) -> RunManifest:
     """Parse a manifest document; a missing, unknown or mistyped field raises
     ManifestInvalid."""
-    return _from_json(RunManifest, _MANIFEST_CHECKS, doc, "manifest")
+    return _check.build(RunManifest, _MANIFEST_CHECKS, doc, "manifest")
 
 
 # ------------------------------------------------------------- node context ---

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -84,18 +85,18 @@ class ImplicationRule:
 @dataclass(frozen=True)
 class RangeRule:
     column: str
-    low: float
-    high: float
+    min: float
+    max: float
 
     def describe(self) -> str:
-        return f"range_constraint: {self.column} in [{self.low}, {self.high}]"
+        return f"range_constraint: {self.column} in [{self.min}, {self.max}]"
 
 
 @dataclass(frozen=True)
 class DerivationRule:
     target: str
     sources: Mapping[str, float]
-    constant: float
+    constant: float = 0.0
 
     def describe(self) -> str:
         terms = " + ".join(f"{c}*{self.sources[c]}" for c in self.sources)
@@ -132,9 +133,9 @@ NoiseSpec = NormalNoise | UniformNoise
 
 @dataclass(frozen=True)
 class CsdParams:
-    causal_dag: tuple[tuple[str, str], ...]
-    weights: tuple[float, ...]
     noise: Mapping[str, NoiseSpec]
+    causal_dag: tuple[tuple[str, str], ...] = ()  # (from, to) edges
+    weights: tuple[float, ...] = ()  # one per edge
     intercepts: Mapping[str, float] = field(default_factory=dict)
 
 
@@ -156,113 +157,107 @@ class GeneratorConfig:
 
 
 # ------------------------------------------------------------ config parse ---
+# Each parser builds its class through `JsonChecks.build`, which takes the
+# keys and their defaults from the class, then applies the rules on values.
 
 _check = JsonChecks(ConfigError)
 
 
-def parse_generator_config(obj: Any, nested: bool = False) -> GeneratorConfig:
+def parse_generator_config(obj: Any) -> GeneratorConfig:
     """Validate a generator config document; raises ConfigError."""
-    _check.obj(obj, "generator config", {"mode", "n_out", "mode_params"})
-    mode = _check.choice(obj.get("mode"), "mode", _MODES)
-    if nested and mode == "hsd":
-        raise ConfigError("hsd configs cannot nest")
-    n_out = _check.integer(obj.get("n_out"), "n_out", minimum=1)
-    params = _MODES[mode].parse(obj.get("mode_params", {}), n_out)
-    return GeneratorConfig(mode=mode, n_out=n_out, mode_params=params)
+    config = _config(obj, "generator config", _CONFIGS)
+    for i, sub in enumerate(config.mode_params.sub_configs if config.mode == "hsd" else ()):
+        if sub.n_out != config.n_out:
+            raise ConfigError(
+                f"hsd sub_configs[{i}]: n_out {sub.n_out} must equal the hybrid n_out {config.n_out}"
+            )
+    return config
 
 
-def _parse_rsd(mp: Any, n_out: int) -> RsdParams:
-    _check.obj(mp, "rsd params", {"correlation_shrinkage"})
-    lam = _check.number(mp.get("correlation_shrinkage", 0.0), "rsd params: correlation_shrinkage")
+def _config(value: Any, where: str, configs: Mapping[str, tuple]) -> GeneratorConfig:
+    """A config in one of the modes of `configs`. One without mode_params
+    gives its mode's params their defaults."""
+    return _check.tagged(configs, "mode", {"mode_params": {}, **_check.obj(value, where)}, where)
+
+
+def _nonnegative(value: Any, what: str) -> float:
+    if _check.number(value, what) < 0:
+        raise ConfigError(f"{what} must be >= 0")
+    return value
+
+
+def _parse_rsd(mp: Any, where: str) -> RsdParams:
+    params = _check.build(RsdParams, {"correlation_shrinkage": _check.number}, mp, where)
+    lam = params.correlation_shrinkage
     if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"correlation_shrinkage must be in [0, 1], got {lam}")
-    return RsdParams(correlation_shrinkage=lam)
+        raise ConfigError(f"{where}: correlation_shrinkage must be in [0, 1], got {lam}")
+    return params
 
 
-_MODEL_DISTRIBUTIONS = ("uniform", "normal", "quantile_table")
+# distribution -> the model class and the checks of its keys
+_MODELS = {
+    "uniform": (UniformModel, {"low": _check.number, "high": _check.number}),
+    "normal": (NormalModel, {"mean": _check.number, "std": _nonnegative}),
+    "quantile_table": (QuantileTableModel, {"quantiles": _check.numbers, "values": _check.numbers}),
+}
+_LABEL_CHECKS = {"labels": _check.strings, "weights": _check.numbers}
 
 
-def _parse_column_model(name: str, doc: Any) -> ColumnModel:
-    where = f"column_models[{name!r}]"
-    _check.obj(doc, where)
-    if "labels" in doc or "weights" in doc:
-        _check.obj(doc, where, {"labels", "weights"}, required={"labels", "weights"})
-        labels = _check.strings(doc["labels"], f"{where}: labels")
+def _parse_column_model(doc: Any, where: str) -> ColumnModel:
+    """A label model when the object has labels or weights, else the model
+    its distribution names."""
+    if "labels" in _check.obj(doc, where) or "weights" in doc:
+        model = _check.build(CategoricalModel, _LABEL_CHECKS, doc, where)
+        labels, weights = model.labels, model.weights
         if len(set(labels)) != len(labels):
             raise ConfigError(f"{where}: duplicate labels")
-        weights = _check.numbers(doc["weights"], f"{where}: weights")
         if len(weights) != len(labels):
             raise ConfigError(f"{where}: weights must align with labels")
         if any(w <= 0 for w in weights):
             raise ConfigError(f"{where}: weights must be positive numbers")
         total = sum(weights)
         return CategoricalModel(labels=labels, weights=tuple(w / total for w in weights))
-    dist = _check.choice(doc.get("distribution"), f"{where}: distribution", _MODEL_DISTRIBUTIONS)
-    if dist == "uniform":
-        _check.obj(doc, where, {"distribution", "low", "high"}, required={"low", "high"})
-        low = _check.number(doc["low"], f"{where}: low")
-        high = _check.number(doc["high"], f"{where}: high")
-        if low > high:
-            raise ConfigError(f"{where}: low must be <= high")
-        return UniformModel(low=low, high=high)
-    if dist == "normal":
-        _check.obj(doc, where, {"distribution", "mean", "std"}, required={"mean", "std"})
-        std = _check.number(doc["std"], f"{where}: std")
-        if std < 0:
-            raise ConfigError(f"{where}: std must be >= 0")
-        return NormalModel(mean=_check.number(doc["mean"], f"{where}: mean"), std=std)
-    # quantile_table
-    _check.obj(doc, where, {"distribution", "quantiles", "values"}, required={"quantiles", "values"})
-    qs = _check.numbers(doc["quantiles"], f"{where}: quantiles")
-    vs = _check.numbers(doc["values"], f"{where}: values")
-    if len(qs) != len(vs) or len(qs) < 2:
-        raise ConfigError(f"{where}: quantiles and values must align, length >= 2")
-    if qs[0] != 0.0 or qs[-1] != 1.0 or any(a >= b for a, b in zip(qs, qs[1:])):
-        raise ConfigError(f"{where}: quantiles must increase strictly from 0 to 1")
-    if any(a > b for a, b in zip(vs, vs[1:])):
-        raise ConfigError(f"{where}: values must be non-decreasing")
-    return QuantileTableModel(quantiles=qs, values=vs)
+    model = _check.tagged(_MODELS, "distribution", doc, where)
+    if isinstance(model, UniformModel) and model.low > model.high:
+        raise ConfigError(f"{where}: low must be <= high")
+    if isinstance(model, QuantileTableModel):
+        qs, vs = model.quantiles, model.values
+        if len(qs) != len(vs) or len(qs) < 2:
+            raise ConfigError(f"{where}: quantiles and values must align, length >= 2")
+        if qs[0] != 0.0 or qs[-1] != 1.0 or any(a >= b for a, b in zip(qs, qs[1:])):
+            raise ConfigError(f"{where}: quantiles must increase strictly from 0 to 1")
+        if any(a > b for a, b in zip(vs, vs[1:])):
+            raise ConfigError(f"{where}: values must be non-decreasing")
+    return model
 
 
-# rule kind -> its fields besides "kind"; all required but a derivation's constant
-_RULE_FIELDS = {
-    "implication": {"if_column", "if_category", "then_column", "then_categories"},
-    "range_constraint": {"column", "min", "max"},
-    "derivation": {"target", "sources", "constant"},
+# rule kind -> the rule class and the checks of its keys
+_RULES = {
+    "implication": (ImplicationRule, {
+        "if_column": _check.string, "if_category": _check.string,
+        "then_column": _check.string, "then_categories": _check.strings,
+    }),
+    "range_constraint": (RangeRule, {"column": _check.string, "min": _check.number, "max": _check.number}),
+    "derivation": (DerivationRule, {
+        "target": _check.string, "sources": _check.number_map, "constant": _check.number,
+    }),
 }
 
 
 def _parse_rule(doc: Any, where: str) -> Rule:
-    kind = _check.choice(_check.obj(doc, where).get("kind"), f"{where}: kind", _RULE_FIELDS)
-    keys = _RULE_FIELDS[kind]
-    _check.obj(doc, where, keys | {"kind"}, required=keys - {"constant"})
-    if kind == "implication":
-        if_column, if_category, then_column = (
-            _check.string(doc[k], f"{where}: {k}") for k in ("if_column", "if_category", "then_column")
-        )
-        then_categories = _check.strings(doc["then_categories"], f"{where}: then_categories")
-        return ImplicationRule(if_column, if_category, then_column, then_categories)
-    if kind == "range_constraint":
-        column = _check.string(doc["column"], f"{where}: column")
-        low = _check.number(doc["min"], f"{where}: min")
-        high = _check.number(doc["max"], f"{where}: max")
-        if low > high:
-            raise ConfigError(f"{where}: min must be <= max")
-        return RangeRule(column=column, low=low, high=high)
-    target = _check.string(doc["target"], f"{where}: target")
-    sources = _check.number_map(doc["sources"], f"{where}: sources")
-    if not sources:
-        raise ConfigError(f"{where}: sources must map columns to coefficients")
-    if target in sources:
-        raise ConfigError(f"{where}: derivation target cannot be its own source")
-    constant = _check.number(doc.get("constant", 0.0), f"{where}: constant")
-    return DerivationRule(target=target, sources=sources, constant=constant)
+    rule = _check.tagged(_RULES, "kind", doc, where)
+    if isinstance(rule, RangeRule) and rule.min > rule.max:
+        raise ConfigError(f"{where}: min must be <= max")
+    if isinstance(rule, DerivationRule):
+        if not rule.sources:
+            raise ConfigError(f"{where}: sources must map columns to coefficients")
+        if rule.target in rule.sources:
+            raise ConfigError(f"{where}: derivation target cannot be its own source")
+    return rule
 
 
 def _parse_rules(docs: Any, where: str) -> tuple[Rule, ...]:
-    rules = tuple(
-        _parse_rule(d, f"{where}[{i}]") for i, d in enumerate(_check.items(docs, where))
-    )
+    rules = _check.each(_parse_rule, docs, where)
     targets = [r.target for r in rules if isinstance(r, DerivationRule)]
     if len(set(targets)) != len(targets):
         raise ConfigError(f"{where}: multiple derivations for one target")
@@ -273,108 +268,82 @@ def _parse_rules(docs: Any, where: str) -> tuple[Rule, ...]:
     return rules
 
 
-def _parse_asd(mp: Any, n_out: int) -> AsdParams:
-    _check.obj(
-        mp, "asd params", {"column_models", "rules", "max_attempts_per_row"}, required={"column_models"}
-    )
-    models_doc = _check.obj(mp["column_models"], "asd params: column_models")
-    if not models_doc:
-        raise ConfigError("asd params: column_models must be a non-empty object")
-    models = {name: _parse_column_model(name, doc) for name, doc in models_doc.items()}
-    rules = _parse_rules(mp.get("rules", []), "asd rules")
-    cap = _check.integer(
-        mp.get("max_attempts_per_row", DEFAULT_MAX_ATTEMPTS),
-        "asd params: max_attempts_per_row",
-        minimum=1,
-    )
-    for r in rules:
-        if isinstance(r, DerivationRule) and r.target in models:
-            raise ConfigError(
-                f"asd params: column {r.target!r} is both modeled and derived"
-            )
-    return AsdParams(column_models=models, rules=rules, max_attempts_per_row=cap)
+_ASD_CHECKS = {
+    "column_models": partial(_check.each_value, _parse_column_model, nonempty=True),
+    "rules": _parse_rules,
+    "max_attempts_per_row": partial(_check.integer, minimum=1),
+}
 
 
-# noise distribution -> (its one field, spec class)
-_NOISE = {"normal": ("std", NormalNoise), "uniform": ("half_width", UniformNoise)}
+def _parse_asd(mp: Any, where: str) -> AsdParams:
+    params = _check.build(AsdParams, _ASD_CHECKS, mp, where)
+    for r in params.rules:
+        if isinstance(r, DerivationRule) and r.target in params.column_models:
+            raise ConfigError(f"{where}: column {r.target!r} is both modeled and derived")
+    return params
 
 
-def _parse_noise(doc: Any, where: str) -> NoiseSpec:
-    dist = _check.choice(_check.obj(doc, where).get("distribution"), f"{where}: distribution", _NOISE)
-    key, cls = _NOISE[dist]
-    _check.obj(doc, where, {"distribution", key}, required={key})
-    value = _check.number(doc[key], f"{where}: {key}")
-    if value < 0:
-        raise ConfigError(f"{where}: {key} must be >= 0")
-    return cls(value)
+# noise distribution -> the noise class and the check of its one key
+_NOISE = {
+    "normal": (NormalNoise, {"std": _nonnegative}),
+    "uniform": (UniformNoise, {"half_width": _nonnegative}),
+}
 
 
-def _parse_csd(mp: Any, n_out: int) -> CsdParams:
-    _check.obj(mp, "csd params", {"causal_dag", "weights", "noise", "intercepts"}, required={"noise"})
-    edges: list[tuple[str, str]] = []
-    for i, e in enumerate(_check.items(mp.get("causal_dag", []), "csd params: causal_dag")):
-        where = f"csd causal_dag[{i}]"
-        _check.obj(e, where, {"from", "to"}, required={"from", "to"})
-        u, v = _check.string(e["from"], f"{where}: from"), _check.string(e["to"], f"{where}: to")
+def _edge(value: Any, where: str) -> tuple[str, str]:
+    _check.obj(value, where, {"from", "to"}, required={"from", "to"})
+    return tuple(_check.string(value[k], f"{where}: {k}") for k in ("from", "to"))
+
+
+_CSD_CHECKS = {
+    "causal_dag": partial(_check.each, _edge),
+    "weights": _check.numbers,
+    "noise": partial(_check.each_value, partial(_check.tagged, _NOISE, "distribution"), nonempty=True),
+    "intercepts": _check.number_map,
+}
+
+
+def _parse_csd(mp: Any, where: str) -> CsdParams:
+    params = _check.build(CsdParams, _CSD_CHECKS, mp, where)
+    edges = params.causal_dag
+    for i, (u, v) in enumerate(edges):
         if u == v:
-            raise ConfigError(f"{where}: self-edge on {u!r}")
-        if (u, v) in edges:
-            raise ConfigError(f"{where}: duplicate edge {u}->{v}")
-        edges.append((u, v))
-
-    weights = _check.numbers(mp.get("weights", []), "csd params: weights")
-    if len(weights) != len(edges):
-        raise ConfigError("csd params: weights must align with causal_dag edges")
-    noise_doc = _check.obj(mp["noise"], "csd params: noise")
-    if not noise_doc:
-        raise ConfigError("csd params: noise must map every column to a noise spec")
-    noise = {col: _parse_noise(nd, f"csd noise[{col!r}]") for col, nd in noise_doc.items()}
-    intercepts = _check.number_map(mp.get("intercepts", {}), "csd params: intercepts")
-
+            raise ConfigError(f"{where}: causal_dag[{i}]: self-edge on {u!r}")
+        if (u, v) in edges[:i]:
+            raise ConfigError(f"{where}: causal_dag[{i}]: duplicate edge {u}->{v}")
+    if len(params.weights) != len(edges):
+        raise ConfigError(f"{where}: weights must align with causal_dag edges")
     nodes = sorted({u for u, _ in edges} | {v for _, v in edges})
     deps = {n: [u for u, v in edges if v == n] for n in nodes}
     try:
         toposort_ids(nodes, deps)
     except CycleDetected:
-        raise ConfigError("csd params: causal_dag has a cycle") from None
-    return CsdParams(causal_dag=tuple(edges), weights=weights, noise=noise, intercepts=intercepts)
+        raise ConfigError(f"{where}: causal_dag has a cycle") from None
+    return params
 
 
-def _parse_hsd(mp: Any, n_out: int) -> HsdParams:
-    _check.obj(
-        mp, "hsd params", {"partition", "sub_configs", "post_rules"}, required={"partition", "sub_configs"}
-    )
-    groups = _check.items(mp["partition"], "hsd params: partition")
-    if not groups:
-        raise ConfigError("hsd params: partition must be a non-empty list of column groups")
-    partition: list[tuple[str, ...]] = []
+_HSD_CHECKS = {
+    "partition": partial(_check.each, _check.strings),
+    "sub_configs": partial(_check.each, lambda value, where: _config(value, where, _SUB_CONFIGS)),
+    "post_rules": _parse_rules,
+}
+
+
+def _parse_hsd(mp: Any, where: str) -> HsdParams:
+    params = _check.build(HsdParams, _HSD_CHECKS, mp, where)
+    if not params.partition:
+        raise ConfigError(f"{where}: partition must be a non-empty list of column groups")
     seen: set[str] = set()
-    for i, group in enumerate(groups):
-        group = _check.strings(group, f"hsd partition[{i}]")
+    for i, group in enumerate(params.partition):
         overlap = seen & set(group)
         if overlap or len(set(group)) != len(group):
             raise ConfigError(
-                f"hsd partition[{i}]: column assigned twice: {sorted(overlap) or list(group)}"
+                f"{where}: partition[{i}]: column assigned twice: {sorted(overlap) or list(group)}"
             )
         seen.update(group)
-        partition.append(group)
-
-    subs_doc = _check.items(mp["sub_configs"], "hsd params: sub_configs")
-    if len(subs_doc) != len(partition):
-        raise ConfigError("hsd params: sub_configs must align with partition")
-    subs = []
-    for i, sd in enumerate(subs_doc):
-        try:
-            sub = parse_generator_config(sd, nested=True)
-        except ConfigError as e:
-            raise ConfigError(f"hsd sub_configs[{i}]: {e}") from None
-        if sub.n_out != n_out:
-            raise ConfigError(
-                f"hsd sub_configs[{i}]: n_out {sub.n_out} must equal the hybrid n_out {n_out}"
-            )
-        subs.append(sub)
-    post = _parse_rules(mp.get("post_rules", []), "hsd post_rules")
-    return HsdParams(partition=tuple(partition), sub_configs=tuple(subs), post_rules=post)
+    if len(params.sub_configs) != len(params.partition):
+        raise ConfigError(f"{where}: sub_configs must align with partition")
+    return params
 
 
 # --------------------------------------------------- schema-level validation ---
@@ -582,7 +551,8 @@ def _sample_asd_batch(
             cols[spec.name] = gen.normal(model.mean, model.std, size)
         elif isinstance(model, QuantileTableModel):
             u = gen.random(size)
-            cols[spec.name] = np.interp(u, model.quantiles, model.values)
+            # an int a document writes beyond int64 would make an object array
+            cols[spec.name] = np.interp(u, model.quantiles, np.asarray(model.values, np.float64))
         else:
             label_idx = np.array([spec.categories.index(l) for l in model.labels], dtype=np.int64)
             picks = gen.choice(len(model.labels), size=size, p=np.asarray(model.weights))
@@ -614,7 +584,7 @@ def _rule_violations(
     for rule in rules:
         if isinstance(rule, RangeRule):
             v = cols[rule.column]
-            viol = (v < rule.low) | (v > rule.high)
+            viol = (v < rule.min) | (v > rule.max)
         elif isinstance(rule, ImplicationRule):
             if_spec = schema.column(rule.if_column)
             then_spec = schema.column(rule.then_column)
@@ -770,7 +740,7 @@ def generate_hsd(
 # -------------------------------------------------------------- dispatcher ---
 
 class _Mode(NamedTuple):
-    parse: Callable[[Any, int], Any]  # (mode_params document, n_out) -> params
+    parse: Callable[[Any, str], Any]  # (mode_params document, its label) -> params
     check: Callable[[Any, Schema], None]  # (params, schema); raises ConfigError
     generate: Callable[..., Dataset]  # (params, n_out, schema, real, rng) -> Dataset
 
@@ -781,6 +751,11 @@ _MODES = {
     "csd": _Mode(_parse_csd, _check_csd_schema, generate_csd),
     "hsd": _Mode(_parse_hsd, _check_hsd_schema, generate_hsd),
 }
+_CONFIG_CHECKS = {"mode": _check.string, "n_out": partial(_check.integer, minimum=1)}
+_CONFIGS = {  # mode -> the config class and the checks of its keys
+    mode: (GeneratorConfig, {**_CONFIG_CHECKS, "mode_params": m.parse}) for mode, m in _MODES.items()
+}
+_SUB_CONFIGS = {mode: c for mode, c in _CONFIGS.items() if mode != "hsd"}  # hsd configs cannot nest
 
 
 def check_schema(config: GeneratorConfig, schema: Schema) -> None:

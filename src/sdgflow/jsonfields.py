@@ -1,10 +1,13 @@
 """Field checks shared by every reader of a JSON document.
 
-Spec parsing, generator configs and schema documents read their fields
-through one `JsonChecks` each, so a string, a number or a list of them means
-the same thing in every document. A reader binds the error class it raises
-(`InvalidSpec`, `ConfigError`, `SchemaError`); each check takes the value and
-a label naming it in the document, and returns the value in parsed form.
+Spec parsing, generator configs, schema documents and run manifests read
+their fields through one `JsonChecks` each, so a string, a number or a list
+of them means the same thing in every document. A reader binds the error
+class it raises (`InvalidSpec`, `ConfigError`, `SchemaError`,
+`ManifestInvalid`); each check takes the value and a label naming it in the
+document, and returns the value in parsed form. `JsonChecks.build` reads a
+JSON object into a dataclass, so the keys an object takes and their
+defaults are the fields of its class.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ import json
 import math
 import sys
 from dataclasses import MISSING, fields
-from typing import Any, Collection, Mapping
+from typing import Any, Callable, Collection, Mapping
 
 from .errors import SdgError
+
+Check = Callable[[Any, str], Any]  # (value, its label in the document) -> the value parsed
 
 
 def loads(data: bytes | str, error: type[SdgError]) -> Any:
@@ -42,12 +47,6 @@ def loads(data: bytes | str, error: type[SdgError]) -> Any:
         raise error(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise error("nesting too deep") from None
-
-
-def required_fields(cls: type) -> set[str]:
-    """The fields of dataclass `cls` without a default: a document that a
-    reader builds `cls` from must give each of them."""
-    return {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
 
 
 class JsonChecks:
@@ -77,6 +76,47 @@ class JsonChecks:
             raise self.error(f"{where}: missing required fields {sorted(missing)}")
         return value
 
+    def build(self, cls: type, checks: Mapping[str, Check | None], value: Any, where: str, **given) -> Any:
+        """Build dataclass `cls` from the JSON object `value`.
+
+        The keys of `checks` are the keys `value` may hold. Each fills the
+        field of its name with what its check returns, and a check sees null
+        like any other value, so only a `nullable` one lets it through. A key
+        whose check is None is read by the caller, which passes the fields it
+        builds from it as `given`. A field without a default is a required
+        key unless it is given; an absent key takes its field's default.
+        """
+        required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+        self.obj(value, where, checks, required - given.keys())
+        for key, v in value.items():
+            if checks[key] is not None:
+                given[key] = checks[key](v, f"{where}: {key}")
+        return cls(**given)
+
+    def tagged(self, classes: Mapping[str, tuple[type, Mapping]], key: str, value: Any, where: str) -> Any:
+        """Build from JSON object `value` the class that its `key` names in
+        `classes`, which maps each name to a class and the checks of its
+        keys; `key` fills a field only where those checks hold it."""
+        name = self.choice(self.obj(value, where).get(key), f"{where}: {key}", classes)
+        cls, checks = classes[name]
+        return self.build(cls, {key: None, **checks}, value, where)
+
+    @staticmethod
+    def nullable(check: Check) -> Check:
+        """`check`, except that null reads as None."""
+        return lambda value, what: None if value is None else check(value, what)
+
+    def each(self, check: Check, value: Any, what: str) -> tuple:
+        """A list read item by item through `check`, as a tuple."""
+        return tuple(check(v, f"{what}[{i}]") for i, v in enumerate(self.items(value, what)))
+
+    def each_value(self, check: Check, value: Any, what: str, nonempty: bool = False) -> dict:
+        """An object whose values are read through `check`, in document order."""
+        out = {k: check(v, f"{what}[{k!r}]") for k, v in self.obj(value, what).items()}
+        if nonempty and not out:
+            raise self.error(f"{what} must be a non-empty object")
+        return out
+
     def items(self, value: Any, what: str) -> list | tuple:
         if not isinstance(value, (list, tuple)):
             raise self.error(f"{what} must be a list")
@@ -98,15 +138,14 @@ class JsonChecks:
         return value
 
     def number(self, value: Any, what: str) -> float:
-        """A finite int or float, not a bool, as a float."""
+        """A finite int or float, not a bool, as written: an int stays an
+        int, so a document that writes 0 reads back 0, not 0.0."""
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             try:
-                x = float(value)
+                if math.isfinite(value):
+                    return value
             except OverflowError:
                 pass
-            else:
-                if math.isfinite(x):
-                    return x
         raise self.error(f"{what} must be a finite number")
 
     def integer(self, value: Any, what: str, minimum: int | None = None) -> int:
@@ -126,8 +165,7 @@ class JsonChecks:
         return tuple(value)
 
     def numbers(self, value: Any, what: str) -> tuple[float, ...]:
-        return tuple(self.number(v, f"{what}[{i}]") for i, v in enumerate(self.items(value, what)))
+        return self.each(self.number, value, what)
 
     def number_map(self, value: Any, what: str) -> dict[str, float]:
-        """An object whose values are numbers, in document order."""
-        return {k: self.number(v, f"{what}[{k!r}]") for k, v in self.obj(value, what).items()}
+        return self.each_value(self.number, value, what)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import graphlib
 import heapq
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
 from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Sequence
@@ -41,7 +41,7 @@ from .evaluation.utility import (
     UTILITY_METRICS,
     check_null_model,
 )
-from .jsonfields import JsonChecks, loads, required_fields
+from .jsonfields import JsonChecks, loads
 from .rng import SEED_MAX
 from .tabular import DEFAULT_MISSING_POLICY, MISSING_POLICIES, Schema, schema_from_json_obj
 
@@ -147,19 +147,19 @@ class PipelineNode:
 
     id: str
     kind: NodeKind
-    params: Mapping[str, Any]
-    depends_on: tuple[str, ...]
     config: Any = field(compare=False, repr=False)
+    params: Mapping[str, Any] = field(default_factory=dict)
+    depends_on: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class PipelineSpec:
     version: str
-    metadata: Mapping[str, str]
-    inputs: Mapping[str, InputSource]
     seed: int
     nodes: tuple[PipelineNode, ...]
-    outputs: tuple[tuple[str, str], ...]  # (node id, artifact name)
+    metadata: Mapping[str, str] = field(default_factory=dict)
+    inputs: Mapping[str, InputSource] = field(default_factory=dict)
+    outputs: tuple[tuple[str, str], ...] = ()  # (node id, artifact name)
 
     def node(self, node_id: str) -> PipelineNode:
         for n in self.nodes:
@@ -190,9 +190,24 @@ def check_seed(value: Any, what: str = "seed") -> int:
     return value
 
 
-# the check of each param a kind takes, None where the parser of the owning
-# module checks it; the class fields without a default name the required params
+def _inline_schema(value: Any, what: str) -> Schema:
+    try:
+        return schema_from_json_obj(value)
+    except SchemaError as e:
+        raise InvalidSpec(f"{what}: {e}") from None
+
+
+# the check of each param a kind takes, None where the generator or privacy
+# config the kind holds reads it; the class fields name the defaults
 _PAIR = {"real": _check.string, "synthetic": _check.string}
+_GENERATOR_KEYS = ("mode", "n_out", "mode_params")
+_PRIVACY_CHECKS = {
+    "key_columns": partial(_check.strings, nonempty=False),
+    "sensitive_column": _check.string,
+    "numeric_match_tolerance": _check.number,
+    "tcap_homogeneity": _check.number,
+    "overlap_sample_fraction": _check.number,
+}
 _PARAMS = {
     NodeKind.LOAD: (LoadParams, {
         "input": _check.string, "missing_policy": partial(_check.choice, options=MISSING_POLICIES),
@@ -201,16 +216,14 @@ _PARAMS = {
         "source": _check.string, "drop_out_of_bounds": _check.boolean, "drop_duplicates": _check.boolean,
     }),
     NodeKind.GENERATE: (GenerateParams, {
-        "mode": None, "n_out": None, "mode_params": None, "real": _check.string, "schema": None,
+        **dict.fromkeys(_GENERATOR_KEYS), "real": _check.string, "schema": _inline_schema,
     }),
     NodeKind.EVALUATE_DIAGNOSTIC: (DiagnosticParams, _PAIR),
     NodeKind.EVALUATE_UTILITY: (UtilityParams, {
         **_PAIR, "metrics": _check.strings, "null_model": _check.string, "permutations": _check.integer,
     }),
     NodeKind.EVALUATE_PRIVACY: (PrivacyParams, {
-        **_PAIR, "metrics": _check.strings, "key_columns": partial(_check.strings, nonempty=False),
-        "sensitive_column": _check.string, "numeric_match_tolerance": _check.number,
-        "tcap_homogeneity": _check.number, "overlap_sample_fraction": _check.number,
+        **_PAIR, "metrics": _check.strings, **dict.fromkeys(_PRIVACY_CHECKS),
     }),
     NodeKind.REPORT: (ReportParams, {"thresholds": _check.number_map}),
 }
@@ -220,39 +233,27 @@ def _parse_params(kind: NodeKind, p: Mapping[str, Any], where: str) -> Any:
     """Check one node's params on their own and build its kind's params class.
     The owning modules raise ConfigError for their rules. What the params name
     elsewhere in the spec is checked by validate_spec."""
-    cls, types = _PARAMS[kind]
+    cls, checks = _PARAMS[kind]
     if kind is NodeKind.EVALUATE_PRIVACY and "proximity_row_cap" in p:
         raise InvalidSpec(
             f"{where}: proximity_row_cap was removed; min_nn_distance and "
             "new_row_synthesis are exact at every size"
         )
-    _check.obj(p, where, types, required_fields(cls) & set(types))
-    t: dict[str, Any] = {}
-    for key, value in p.items():
-        if types[key] is not None:
-            types[key](value, f"{where}: {key}")
-        # as written, not as checked: the typed params keep the document's values
-        t[key] = tuple(value) if isinstance(value, list) else value
-
+    _check.obj(p, where, checks)  # an unknown key before any value the configs below read
+    given = {}
     if kind is NodeKind.GENERATE:
         from .generators import check_generate_inputs, check_schema, parse_generator_config  # avoids a cycle
 
-        t["generator"] = parse_generator_config(
-            {key: t.pop(key) for key in ("mode", "n_out", "mode_params") if key in t}
-        )
-        if "schema" in t:
-            try:
-                t["schema"] = schema_from_json_obj(t["schema"])
-            except SchemaError as e:
-                raise InvalidSpec(f"{where}: invalid inline schema: {e}") from None
-        check_generate_inputs(t["generator"], "real" in t, "schema" in t)
-        if "schema" in t:
-            check_schema(t["generator"], t["schema"])
+        given["generator"] = parse_generator_config({k: p[k] for k in _GENERATOR_KEYS if k in p})
     if kind is NodeKind.EVALUATE_PRIVACY:
-        given = [f.name for f in fields(PrivacyConfig) if f.name in t]
-        t["privacy"] = PrivacyConfig(**{key: t.pop(key) for key in given})
-    out = cls(**t)
+        privacy = {k: v for k, v in p.items() if k in _PRIVACY_CHECKS}
+        given["privacy"] = _check.build(PrivacyConfig, _PRIVACY_CHECKS, privacy, where)
+    out = _check.build(cls, checks, p, where, **given)
 
+    if kind is NodeKind.GENERATE:
+        check_generate_inputs(out.generator, out.real is not None, out.schema is not None)
+        if out.schema is not None:
+            check_schema(out.generator, out.schema)
     if kind is NodeKind.EVALUATE_UTILITY:
         check_metric_names(out.metrics, UTILITY_METRICS)
         check_null_model(out.null_model, out.permutations)
@@ -273,70 +274,73 @@ def load_spec(path) -> PipelineSpec:
         return parse_spec(fh.read())
 
 
-def spec_from_json_obj(doc: Any) -> PipelineSpec:
-    _check.obj(
-        doc,
-        "spec",
-        allowed={"version", "metadata", "inputs", "seed", "nodes", "outputs"},
-        required={"version", "seed", "nodes"},
-    )
-    if doc["version"] != SPEC_VERSION:
-        raise InvalidSpec(f"unsupported version {doc['version']!r}, expected {SPEC_VERSION!r}")
-    metadata = {
-        k: _check.string(v, f"metadata[{k!r}]")
-        for k, v in _check.obj(doc.get("metadata", {}), "metadata").items()
-    }
-    seed = check_seed(doc["seed"])
+def _version(value: Any, what: str) -> str:
+    if value != SPEC_VERSION:
+        raise InvalidSpec(f"{what} must be {SPEC_VERSION!r}; version {value!r} is unsupported")
+    return value
 
-    inputs: dict[str, InputSource] = {}
-    for name, src in _check.obj(doc.get("inputs", {}), "inputs").items():
-        where = f"inputs[{name!r}]"
-        _check.obj(src, where, {"path", "schema"}, required={"path", "schema"})
-        inputs[name] = InputSource(
-            path=_check.string(src["path"], f"{where}: path"),
-            schema=_check.string(src["schema"], f"{where}: schema"),
+
+def _node_id(value: Any, what: str) -> str:
+    """A non-empty id that is one safe path component: the engine names the
+    node's artifact directory and log file after it, and its random stream
+    joins ids with "/"."""
+    nid = _check.string(value, what)
+    if not nid or nid in (".", "..") or "/" in nid or "\0" in nid:
+        raise InvalidSpec(
+            f"{what} must be a non-empty string without '/' or NUL, and not '.' or '..'"
         )
+    return nid
 
-    nodes_doc = _check.items(doc["nodes"], "nodes")
-    if not nodes_doc:
-        raise InvalidSpec("nodes must be a non-empty list")
-    nodes: list[PipelineNode] = []
-    seen_ids: set[str] = set()
-    for i, nd in enumerate(nodes_doc):
-        where = f"nodes[{i}]"
-        _check.obj(nd, where, {"id", "kind", "params", "depends_on"}, required={"id", "kind"})
-        nid = _check.string(nd["id"], f"{where}: id")
-        if not nid:
-            raise InvalidSpec(f"{where}: id must be a non-empty string")
-        if nid in seen_ids:
-            raise DuplicateNodeId(f"duplicate node id {nid!r}")
-        seen_ids.add(nid)
-        kind = NodeKind(_check.choice(nd["kind"], f"{where}: kind", [k.value for k in NodeKind]))
-        params = _check.obj(nd.get("params", {}), f"{where}: params")
-        deps = _check.strings(nd.get("depends_on", []), f"{where}: depends_on", nonempty=False)
-        if len(set(deps)) != len(deps):
-            raise InvalidSpec(f"{where}: depends_on has duplicates")
+
+def _depends_on(value: Any, what: str) -> tuple[str, ...]:
+    deps = _check.strings(value, what, nonempty=False)
+    if len(set(deps)) != len(deps):
+        raise InvalidSpec(f"{what} has duplicates")
+    return deps
+
+
+_NODE_CHECKS = {
+    "id": _node_id,
+    "kind": lambda value, what: NodeKind(_check.choice(value, what, [k.value for k in NodeKind])),
+    "params": _check.obj,
+    "depends_on": _depends_on,
+}
+
+
+def _nodes(value: Any, what: str) -> tuple[PipelineNode, ...]:
+    if not _check.items(value, what):
+        raise InvalidSpec(f"{what} must be a non-empty list")
+    nodes: dict[str, PipelineNode] = {}
+    for i, nd in enumerate(value):
+        node = _check.build(PipelineNode, _NODE_CHECKS, nd, f"{what}[{i}]", config=None)
+        if node.id in nodes:
+            raise DuplicateNodeId(f"duplicate node id {node.id!r}")
         try:
-            config = _parse_params(kind, params, f"node {nid!r}")
+            config = _parse_params(node.kind, node.params, f"node {node.id!r}")
         except ConfigError as e:
-            raise InvalidSpec(f"node {nid!r}: {e}") from None
-        nodes.append(PipelineNode(nid, kind, params, deps, config))
+            raise InvalidSpec(f"node {node.id!r}: {e}") from None
+        nodes[node.id] = replace(node, config=config)
+    return tuple(nodes.values())
 
-    outputs: list[tuple[str, str]] = []
-    for i, ref in enumerate(_check.items(doc.get("outputs", []), "outputs")):
-        where = f"outputs[{i}]"
-        _check.obj(ref, where, {"node", "artifact"}, required={"node", "artifact"})
-        node = _check.string(ref["node"], f"{where}: node")
-        outputs.append((node, _check.string(ref["artifact"], f"{where}: artifact")))
 
-    spec = PipelineSpec(
-        version=doc["version"],
-        metadata=metadata,
-        inputs=inputs,
-        seed=seed,
-        nodes=tuple(nodes),
-        outputs=tuple(outputs),
-    )
+def _output(value: Any, what: str) -> tuple[str, str]:
+    _check.obj(value, what, {"node", "artifact"}, required={"node", "artifact"})
+    return tuple(_check.string(value[k], f"{what}: {k}") for k in ("node", "artifact"))
+
+
+_INPUT_CHECKS = {"path": _check.string, "schema": _check.string}
+_SPEC_CHECKS = {
+    "version": _version,
+    "seed": check_seed,
+    "nodes": _nodes,
+    "metadata": partial(_check.each_value, _check.string),
+    "inputs": partial(_check.each_value, partial(_check.build, InputSource, _INPUT_CHECKS)),
+    "outputs": partial(_check.each, _output),
+}
+
+
+def spec_from_json_obj(doc: Any) -> PipelineSpec:
+    spec = _check.build(PipelineSpec, _SPEC_CHECKS, doc, "spec")
     validate_spec(spec)
     return spec
 

@@ -14,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -122,28 +123,24 @@ def schema_to_json_obj(schema: Schema) -> dict:
 _check = JsonChecks(SchemaError)
 
 
+def _bounds(value: Any, what: str) -> tuple[float, float]:
+    bounds = _check.numbers(value, what)
+    if len(bounds) != 2:
+        raise SchemaError(f"{what} must be [min, max]")
+    return bounds
+
+
+_COLUMN_CHECKS = {
+    "name": _check.string,
+    "kind": lambda value, what: ColumnKind(_check.choice(value, what, [k.value for k in ColumnKind])),
+    "categories": _check.nullable(_check.strings),
+    "bounds": _check.nullable(_bounds),
+}
+
+
 def schema_from_json_obj(obj: Any) -> Schema:
-    _check.obj(obj, "schema document", {"columns"}, required={"columns"})
-    cols = []
-    for i, c in enumerate(_check.items(obj["columns"], "schema document: columns")):
-        where = f"columns[{i}]"
-        _check.obj(c, where, {"name", "kind", "categories", "bounds"}, required={"name", "kind"})
-        kind = _check.choice(c["kind"], f"{where}: kind", [k.value for k in ColumnKind])
-        cats = c.get("categories")
-        bounds = c.get("bounds")
-        if bounds is not None:
-            bounds = _check.numbers(bounds, f"{where}: bounds")
-            if len(bounds) != 2:
-                raise SchemaError(f"{where}: bounds must be [min, max]")
-        cols.append(
-            ColumnSpec(
-                name=_check.string(c["name"], f"{where}: name"),
-                kind=ColumnKind(kind),
-                categories=_check.strings(cats, f"{where}: categories") if cats is not None else None,
-                bounds=bounds,
-            )
-        )
-    return Schema(tuple(cols))
+    column = partial(_check.build, ColumnSpec, _COLUMN_CHECKS)
+    return _check.build(Schema, {"columns": partial(_check.each, column)}, obj, "schema document")
 
 
 def read_schema(path) -> Schema:

@@ -93,6 +93,17 @@ def test_validate_cycle_exit_1(tmp_path, capsys):
     assert "clean" in out and "->" in out
 
 
+@pytest.mark.parametrize("node_id", ["a/b", "x/null", "../escape", "a\0b", ".", ".."])
+def test_validate_unsafe_node_id_exit_1(tmp_path, capsys, node_id):
+    doc = sample_doc()
+    next(n for n in doc["nodes"] if n["id"] == "privacy")["id"] = node_id
+    report = next(n for n in doc["nodes"] if n["id"] == "report")
+    report["depends_on"] = [node_id if d == "privacy" else d for d in report["depends_on"]]
+    rc = main(["validate", str(write_spec_copy(tmp_path, doc, with_data=False))])
+    assert rc == 1
+    assert "InvalidSpec" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("node_id", ["quality", "diagnostic"])
 def test_metric_from_two_evaluate_nodes_fails_validate_and_run(tmp_path, capsys, node_id):
     doc = sample_doc()

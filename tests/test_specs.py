@@ -114,6 +114,26 @@ def test_duplicate_node_id():
         parse(doc)
 
 
+# ids that are not one safe path component: the engine names files after ids,
+# and a random stream joins them with "/", so `x/null` would share a stream
+UNSAFE_NODE_IDS = ["a/b", "x/null", "../escape", "a\0b", ".", ".."]
+
+
+@pytest.mark.parametrize("node_id", UNSAFE_NODE_IDS)
+def test_node_id_must_be_a_safe_path_component(node_id):
+    doc = minimal_doc()
+    doc["nodes"][2]["id"] = node_id  # the report node, which no other node names
+    with pytest.raises(InvalidSpec, match="nodes\\[2\\]: id must be"):
+        parse(doc)
+
+
+@pytest.mark.parametrize("node_id", ["..a", "a.b", "a\\b", " "])
+def test_other_node_ids_stay_valid(node_id):
+    doc = minimal_doc()
+    doc["nodes"][2]["id"] = node_id
+    assert parse(doc).nodes[2].id == node_id
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 5000])
 def test_number_beyond_a_double_is_a_syntax_error(literal):
     # a threshold takes any number, so only the parser can stop this value
