@@ -153,9 +153,6 @@ class SizeTiming:
     serialized_stage_sum_seconds: float
     fixture_sha256: str
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class BenchResult:
@@ -168,9 +165,6 @@ class BenchResult:
             if t.size == size:
                 return t
         raise KeyError(size)
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
 
 
 def _wall_seconds(manifest: RunManifest) -> float:
@@ -209,7 +203,7 @@ def run_bench(sizes, out_dir, max_parallel: int = 4) -> BenchResult:
     out.mkdir(parents=True, exist_ok=True)
     timings = tuple(bench_one_size(s, out / f"size_{s}", max_parallel) for s in sizes)
     result = BenchResult(sizes=tuple(sizes), per_size=timings, max_parallel=max_parallel)
-    (out / "bench.json").write_bytes(canonical_json_bytes(result.to_json_obj()))
+    (out / "bench.json").write_bytes(canonical_json_bytes(asdict(result)))
     return result
 
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .evaluation.diagnostic import evaluate_diagnostic
 from .evaluation.privacy import evaluate_privacy
-from .evaluation.results import metric_from_json_obj
+from .evaluation.results import MetricResult
 from .evaluation.utility import evaluate_utility
 from .generators import generate
 from .jsonfields import JsonChecks, loads
@@ -105,9 +105,6 @@ class RunManifest:
                 return r
         raise KeyError(node_id)
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
 
 _check = JsonChecks(ManifestInvalid)
 
@@ -168,6 +165,16 @@ class NodeContext:
 Runner = Callable[[NodeContext], Mapping[str, Any]]
 
 
+@dataclass(frozen=True)
+class MetricsArtifact:
+    """An evaluate node's payload: the report reads its metrics, and its
+    `asdict` is the node's metrics.json."""
+
+    node: str
+    provenance: str
+    metrics: tuple[MetricResult, ...]
+
+
 def _resolve(base: Path, path: str) -> Path:
     p = Path(path)
     return p if p.is_absolute() else base / p
@@ -218,8 +225,7 @@ def _run_evaluate(ctx: NodeContext) -> Mapping[str, Any]:
         results = evaluate_diagnostic(real, synth)
     provenance = kind.value.removeprefix("evaluate_")
     ctx.log(f"{provenance} metrics: {[m.name for m in results]}")
-    doc = {"node": ctx.node.id, "provenance": provenance, "metrics": [m.to_json_obj() for m in results]}
-    return {"metrics": doc}
+    return {"metrics": MetricsArtifact(ctx.node.id, provenance, tuple(results))}
 
 
 def _run_report(ctx: NodeContext) -> Mapping[str, Any]:
@@ -227,10 +233,9 @@ def _run_report(ctx: NodeContext) -> Mapping[str, Any]:
     for nid in topological_order(ctx.spec):
         if ctx.spec.node(nid).kind in EVALUATE_KINDS:
             try:
-                doc = ctx.upstream[nid]["metrics"]
+                metrics.extend(ctx.upstream[nid]["metrics"].metrics)
             except KeyError:
                 raise MissingUpstream(nid) from None
-            metrics.extend(metric_from_json_obj(m) for m in doc["metrics"])
     report = compile_report(
         digest=spec_digest(ctx.spec),
         seed=ctx.spec.seed,
@@ -267,7 +272,7 @@ def _dataset_chunks(ds: Dataset) -> Iterator[bytes]:
 # function replaced on this module is the one that runs.
 _ARTIFACTS: dict[str, tuple[str, Callable[[Any], Iterable[bytes]]]] = {
     "dataset": ("artifacts/{node}/dataset.csv", lambda ds: _dataset_chunks(ds)),
-    "metrics": ("artifacts/{node}/metrics.json", lambda doc: [canonical_json_bytes(doc)]),
+    "metrics": ("artifacts/{node}/metrics.json", lambda doc: [canonical_json_bytes(asdict(doc))]),
     "report": ("report.json", lambda doc: [canonical_json_bytes(doc)]),
     "report_text": ("report.txt", lambda text: [text.encode("utf-8")]),
 }
@@ -446,7 +451,7 @@ def run(
         finished_at=finished_at,
         node_records=tuple(records[nid] for nid in sorted(records)),
     )
-    _write(out / "manifest.json", [canonical_json_bytes(manifest.to_json_obj())])
+    _write(out / "manifest.json", [canonical_json_bytes(asdict(manifest))])
 
     failed = [records[nid] for nid in topological_order(spec) if records[nid].status == "failed"]
     if failed:

@@ -29,9 +29,6 @@ class DiagnosticResult:
     per_column: tuple[ColumnCheck, ...]
     overall_score: float
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
 
 def diagnose(real: Dataset, synth: Dataset) -> DiagnosticResult:
     """Compare synth against real; a schema mismatch is a finding, not an error.
@@ -80,7 +77,7 @@ def diagnostic_metric(result: DiagnosticResult) -> MetricResult:
         score=result.overall_score,
         direction=Direction.HIGHER_BETTER,
         provenance="diagnostic",
-        details=result.to_json_obj(),
+        details=asdict(result),
     )
 
 

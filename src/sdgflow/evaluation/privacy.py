@@ -23,6 +23,10 @@ _PAIR_CHUNK = 1 << 20
 _PACK_LIMIT = 1 << 31
 # relative allowance for rounding when a search bound is derived from a value
 _WIDEN = 1e-9
+# added to log|v| in new_row_synthesis's search coordinate: above the largest
+# |log| of a double, so the coordinates of positive, negative and zero values
+# lie more than 500 apart
+_LOG_OFFSET = 1024.0
 # average k-d tree searches per synthetic row in new_row_synthesis, which
 # bounds the copies made for cells that may match a real 0
 _QUERIES_PER_ROW = 2
@@ -249,41 +253,38 @@ def _match_in_boxes(
 
     Then |s - v| <= t |v| holds only for v of the sign of s with log|v| in
     [log|s| - log1p(t), log|s| - log1p(-t)], or for v == 0 when |s| <= t. In
-    coordinates (sign, log|v|), with log|0| taken as 0, the candidates of a
-    row thus lie in an L-inf ball of one radius, inside one pattern of signs:
-    a k-d tree per (group, sign pattern) finds them. A row whose small cells
-    may also match a real 0 is searched once per such pattern, counting only
-    columns where the real rows of its group hold a 0. The searches are
-    capped at _QUERIES_PER_ROW per synthetic row on average; the rows with
-    the most patterns are checked against their whole group instead."""
+    the coordinate sign(v) * (_LOG_OFFSET + log|v|), 0 for v == 0, the
+    candidates of a row thus lie in an L-inf ball of one radius, which is far
+    narrower than the gap between values of different signs: a k-d tree per
+    group finds them. A row whose small cells may also match a real 0 is
+    searched again with those cells at coordinate 0, counting only columns
+    where the real rows of its group hold a 0. The searches are capped at
+    _QUERIES_PER_ROW per synthetic row on average; the rows with the most
+    copies are checked against their whole group instead."""
     n_cols = vr.shape[1]
+    mid = 0.5 * (np.log1p(t) + np.log1p(-t))
 
-    def split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sign = np.sign(v).astype(np.int8)
+    def coordinate(v: np.ndarray, shift: float) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return sign, np.where(sign == 0, 0.0, np.log(np.abs(v)))
+            return np.where(v == 0.0, 0.0, np.copysign(_LOG_OFFSET + np.log(np.abs(v)) - shift, v))
 
-    sign_r, coord_r = split(vr)
-    sign_q, coord_s = split(vs)
+    coord_r, center = coordinate(vr, 0.0), coordinate(vs, mid)
     radius = 0.5 * (np.log1p(t) - np.log1p(-t)) + _WIDEN
-    center = np.where(sign_q == 0, 0.0, coord_s - 0.5 * (np.log1p(t) + np.log1p(-t)))
 
     groups_r, group_of_r = np.unique(code_r, return_inverse=True)
     zero_in_group = np.zeros((len(groups_r), n_cols), dtype=bool)
-    zero_rows, zero_cols = np.nonzero(sign_r == 0)
+    zero_rows, zero_cols = np.nonzero(vr == 0.0)
     zero_in_group[group_of_r[zero_rows], zero_cols] = True
     in_real, pos = _lookup(groups_r, code_s)
-    may_be_zero = in_real[:, None] & zero_in_group[pos] & (sign_q != 0) & (np.abs(vs) <= t)
+    may_be_zero = in_real[:, None] & zero_in_group[pos] & (vs != 0.0) & (np.abs(vs) <= t)
 
     owner = np.arange(len(vs))
     spilled = np.zeros(len(vs), dtype=bool)
     budget = _QUERIES_PER_ROW * len(vs)
     for j in np.flatnonzero(may_be_zero.any(axis=0)):
         dual = may_be_zero[owner, j]
-        zero_sign, zero_center = sign_q[dual], center[dual]
-        zero_sign[:, j] = 0
+        zero_center = center[dual]
         zero_center[:, j] = 0.0
-        sign_q = np.concatenate([sign_q, zero_sign])
         center = np.concatenate([center, zero_center])
         owner = np.concatenate([owner, owner[dual]])
         if len(owner) > budget:
@@ -292,17 +293,11 @@ def _match_in_boxes(
             cut = int(np.searchsorted(np.cumsum(counts[ranked]), len(owner) - budget)) + 1
             spilled[ranked[:cut]] = True
             keep = ~spilled[owner]
-            sign_q, center, owner = sign_q[keep], center[keep], owner[keep]
-    key_r, key_q = _pack_codes(
-        len(vr),
-        len(owner),
-        [(code_r, code_s[owner], int(max(code_r.max(initial=0), code_s.max(initial=0))) + 1)]
-        + [(sign_r[:, j] + 1, sign_q[:, j] + 1, 3) for j in range(n_cols)],
-    )
+            center, owner = center[keep], owner[keep]
 
     matched = np.zeros(len(vs), dtype=bool)
-    keys_r, rows_r = _groups(key_r)
-    keys_q, rows_q = _groups(key_q)
+    keys_r, rows_r = _groups(code_r)
+    keys_q, rows_q = _groups(code_s[owner])
     _, both_r, both_q = np.intersect1d(keys_r, keys_q, return_indices=True)
     for h, g in zip(both_r, both_q):
         rr, qq = rows_r[h], rows_q[g]

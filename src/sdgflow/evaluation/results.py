@@ -30,25 +30,6 @@ class MetricResult:
         if not math.isfinite(self.score):
             raise ValueError(f"metric {self.name!r}: score must be finite")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "score": self.score,
-            "direction": self.direction.value,
-            "provenance": self.provenance,
-            "details": dict(self.details),
-        }
-
-
-def metric_from_json_obj(obj: Mapping[str, Any]) -> MetricResult:
-    return MetricResult(
-        name=obj["name"],
-        score=float(obj["score"]),
-        direction=Direction(obj["direction"]),
-        provenance=obj["provenance"],
-        details=dict(obj.get("details", {})),
-    )
-
 
 def check_metric_names(metrics: Collection[str], known: Collection[str]) -> None:
     """The rule on a metric selection, for spec parsing and every evaluate

@@ -98,10 +98,6 @@ class DerivationRule:
     sources: Mapping[str, float]
     constant: float = 0.0
 
-    def describe(self) -> str:
-        terms = " + ".join(f"{c}*{self.sources[c]}" for c in self.sources)
-        return f"derivation: {self.target} = {terms} + {self.constant}"
-
 
 Rule = ImplicationRule | RangeRule | DerivationRule
 
@@ -602,6 +598,8 @@ def _rule_violations(
 
 
 def _most_violated(rules: Sequence[Rule], counts: Sequence[int]) -> str:
+    """The worst rule's description. A derivation never violates, and the
+    rules rejected rows in every round, so the worst is never a derivation."""
     worst = max(range(len(rules)), key=lambda i: counts[i])
     return rules[worst].describe()
 
@@ -617,7 +615,8 @@ def _reject(
     still missing with draw(round, rows), applies the derivations, and
     copies the rows no rule rejects into the next free rows of the output
     columns. Past max_rounds rounds it raises RuleUnsatisfiable naming the
-    most violated rule."""
+    most violated rule. A first round that keeps every row is the output
+    as drawn."""
     order = _derivation_order(rules)
     out = [
         np.empty(n_out, np.float64 if spec.kind is ColumnKind.CONTINUOUS else np.int64)
@@ -629,6 +628,8 @@ def _reject(
         cols = draw(round_, n_out - filled)
         _apply_derivations(cols, order)
         bad, counts = _rule_violations(cols, rules, schema)
+        if not filled and not bad.any():
+            return Dataset(schema, tuple(cols[name] for name in schema.names))
         total_counts = [a + b for a, b in zip(total_counts, counts)]
         keep = np.flatnonzero(~bad)[: n_out - filled]
         for name, column in zip(schema.names, out):
@@ -731,9 +732,6 @@ def generate_hsd(
             cols.update(zip(part.schema.names, part.columns))
         return cols
 
-    if not params.post_rules:
-        cols = draw(0, n_out)
-        return Dataset(schema, tuple(cols[name] for name in schema.names))
     return _reject(draw, params.post_rules, schema, n_out, DEFAULT_MAX_ATTEMPTS)
 
 
@@ -766,11 +764,14 @@ def check_schema(config: GeneratorConfig, schema: Schema) -> None:
 
 
 def check_generate_inputs(config: GeneratorConfig, has_real: bool, has_schema: bool) -> None:
-    """rsd (and hsd with an rsd part) needs a real dataset; asd/csd need a
-    schema, taken from the real dataset when none is given."""
+    """rsd (and hsd with an rsd part) needs a real dataset, and rsd takes
+    no schema: it writes the real dataset's. asd/csd need a schema, taken
+    from the real dataset when none is given."""
     needs_real = config.mode == "rsd" or (config.mode == "hsd" and config.mode_params.needs_real())
     if needs_real and not has_real:
         raise ConfigError(f"{config.mode} requires a real dataset")
+    if config.mode == "rsd" and has_schema:
+        raise ConfigError("rsd takes no schema: it writes the real dataset's")
     if not has_real and not has_schema:
         raise ConfigError(f"{config.mode} requires a schema or a real dataset")
 
@@ -781,10 +782,16 @@ def generate(
     real: Dataset | None = None,
     schema: Schema | None = None,
 ) -> Dataset:
-    """Run the generator a config describes; see check_generate_inputs."""
+    """Run the generator a config describes; see check_generate_inputs. A
+    finite coefficient whose products overflow float64 raises ConfigError
+    naming the mode and the column; values that a rule rejects may overflow."""
     check_generate_inputs(config, real is not None, schema is not None)
     if config.n_out < 1:
         raise ConfigError("n_out must be >= 1")
     effective = schema if schema is not None else real.schema
     check_schema(config, effective)
-    return _MODES[config.mode].generate(config.mode_params, config.n_out, effective, real, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _MODES[config.mode].generate(config.mode_params, config.n_out, effective, real, rng)
+        except SchemaError as exc:  # of the output's checks, only finiteness can fail here
+            raise ConfigError(f"{config.mode} config: {exc}: its numbers overflow float64") from None

@@ -4,7 +4,7 @@ the thresholds the pipeline author put in the spec."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from .errors import ConfigError, DuplicateMetric
@@ -26,7 +26,7 @@ class EvaluationReport:
         return tuple(m for m in self.metrics if m.provenance == section)
 
     def to_json_obj(self) -> dict:
-        sections = {s: {"metrics": [m.to_json_obj() for m in self.section_metrics(s)]} for s in SECTIONS}
+        sections = {s: {"metrics": [asdict(m) for m in self.section_metrics(s)]} for s in SECTIONS}
         # the diagnostic metric's details are the diagnostic result document
         diagnostic = self.section_metrics("diagnostic")
         sections["diagnostic"]["result"] = dict(diagnostic[0].details) if diagnostic else None

@@ -1,6 +1,7 @@
 """Tests for the scalability benchmark helpers."""
 
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_run_bench_two_sizes(tmp_path):
     with pytest.raises(KeyError):
         result.timing(999)
 
-    assert (tmp_path / "bench.json").read_bytes() == canonical_json_bytes(result.to_json_obj())
+    assert (tmp_path / "bench.json").read_bytes() == canonical_json_bytes(asdict(result))
     assert (tmp_path / "size_200" / "run" / "manifest.json").exists()
 
 

@@ -104,6 +104,18 @@ def test_validate_unsafe_node_id_exit_1(tmp_path, capsys, node_id):
     assert "InvalidSpec" in capsys.readouterr().out
 
 
+def test_validate_rsd_node_with_a_schema_exit_1(tmp_path, capsys):
+    doc = sample_doc()
+    generate = next(n for n in doc["nodes"] if n["id"] == "generate")
+    generate["params"]["schema"] = {"columns": [{"name": "zzz", "kind": "continuous"}]}
+    spec_path = write_spec_copy(tmp_path, doc)
+    assert main(["validate", str(spec_path)]) == 1
+    out = capsys.readouterr().out
+    assert "InvalidSpec" in out and "rsd takes no schema" in out
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "run")]) == 3
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("node_id", ["quality", "diagnostic"])
 def test_metric_from_two_evaluate_nodes_fails_validate_and_run(tmp_path, capsys, node_id):
     doc = sample_doc()

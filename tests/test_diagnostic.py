@@ -1,4 +1,6 @@
 """Structure and validity diagnostics comparing synthetic output to its source."""
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ def test_metric_wrapper():
     ds = mixed_dataset(20)
     res = diagnose(ds, ds)
     m = diagnostic_metric(res)
-    assert m.details == res.to_json_obj()  # the report's diagnostic result
+    assert m.details == asdict(res)  # the report's diagnostic result
     assert m.name == "diagnostic_overall_score"
     assert m.direction is Direction.HIGHER_BETTER
     assert m.score == 1.0

@@ -242,7 +242,7 @@ def test_manifest_reads_back_to_its_own_bytes(tmp_path):
     data = (tmp_path / "run" / "manifest.json").read_bytes()
     parsed = manifest_from_json_obj(json.loads(data))
     assert parsed == manifest  # succeeded, failed and skipped (null timings) records
-    assert canonical_json_bytes(parsed.to_json_obj()) == data
+    assert canonical_json_bytes(dataclasses.asdict(parsed)) == data
 
 
 # -------------------------------------------------------------- persistence ---

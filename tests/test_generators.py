@@ -259,6 +259,51 @@ def reject_by_concatenation(draw, rules, schema, n_out, max_rounds):
     raise AssertionError("the oracle ran out of rounds")
 
 
+XY_SCHEMA = Schema((ColumnSpec("x", ColumnKind.CONTINUOUS), ColumnSpec("y", ColumnKind.CONTINUOUS)))
+
+
+@pytest.mark.parametrize(
+    "mode, mode_params",
+    [
+        (
+            "csd",
+            {
+                "causal_dag": [{"from": "x", "to": "y"}],
+                "weights": [1e300],
+                "noise": {"x": {"distribution": "normal", "std": 1e10}, "y": {"distribution": "normal", "std": 1.0}},
+            },
+        ),
+        (
+            "asd",
+            {
+                "column_models": {"x": {"distribution": "uniform", "low": 1e10, "high": 2e10}},
+                "rules": [{"kind": "derivation", "target": "y", "sources": {"x": 1e300}}],
+            },
+        ),
+    ],
+    ids=["csd-weight", "asd-derivation"],
+)
+def test_finite_coefficient_that_overflows_is_config_error(mode, mode_params):
+    config = cfg(mode, 50, **mode_params)
+    with pytest.raises(ConfigError, match=f"^{mode} config: column 'y': non-finite values"):
+        generate(config, derive_stream(3, "gen"), schema=XY_SCHEMA)
+
+
+def test_overflowing_rows_a_range_rule_rejects_are_dropped_quietly():
+    config = cfg(
+        "asd",
+        2_000,
+        column_models={"x": {"distribution": "uniform", "low": 0.0, "high": 10.0}},
+        rules=[
+            {"kind": "derivation", "target": "y", "sources": {"x": 1e308}},
+            {"kind": "range_constraint", "column": "y", "min": 0.0, "max": 1e308},
+        ],
+    )
+    synth = generate(config, derive_stream(4, "gen"), schema=XY_SCHEMA)
+    assert synth.n == 2_000 and col(synth, "x").max() <= 1.0
+    assert np.isfinite(col(synth, "y")).all()
+
+
 def test_reject_fills_rows_as_concatenation_would_across_rounds():
     rules = (
         generators.RangeRule("a", 0.0, 0.3),

@@ -764,3 +764,43 @@ def test_new_row_zero_patterns_stay_within_the_query_budget(monkeypatch):
     assert (m.score, m.details["matched_synthetic_rows"]) == new_row_scan(real, synth, 0.5)
     assert sum(searched) <= synth.n
     assert not group_checked
+
+
+def test_new_row_builds_one_tree_per_shared_group_on_mixed_signs(monkeypatch):
+    # normal cells take both signs in every column, with exact zeros and
+    # magnitudes near the ends of a double; real rows hold groups a-d and
+    # synthetic rows b-e, so three groups are shared
+    rng = np.random.default_rng(5)
+    n_cols = 3
+    schema = Schema(
+        tuple(ColumnSpec(f"x{j}", ColumnKind.CONTINUOUS) for j in range(n_cols))
+        + (ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a", "b", "c", "d", "e")),)
+    )
+    real_cells = rng.standard_normal((400, n_cols))
+    real_cells[rng.random(real_cells.shape) < 0.1] = 0.0
+    real_cells[:20] *= np.where(rng.random((20, 1)) < 0.5, 1e-300, 1e300)
+    synth_cells = rng.standard_normal((300, n_cols))
+    # perturbed copies of real rows, which match unless moved out of group a
+    synth_cells[:150] = real_cells[:150] * rng.uniform(0.995, 1.005, (150, n_cols))
+    real_groups = rng.integers(0, 4, 400)
+    synth_groups = np.r_[real_groups[:150], rng.integers(1, 5, 150)]
+    synth_groups[synth_groups == 0] = 4
+
+    def table(cells, groups):
+        return make_dataset(schema, {**{f"x{j}": cells[:, j] for j in range(n_cols)}, "c": groups})
+
+    real, synth = table(real_cells, real_groups), table(synth_cells, synth_groups)
+    built = []
+
+    class CountingTree(privacy.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            built.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(privacy, "cKDTree", CountingTree)
+    for tol in (0.01, 0.5):
+        built.clear()
+        m = new_row_synthesis(real, synth, tol)
+        assert (m.score, m.details["matched_synthetic_rows"]) == new_row_scan(real, synth, tol)
+        assert m.details["matched_synthetic_rows"] >= np.count_nonzero(real_groups[:150])
+        assert sorted(built) == sorted(np.bincount(real_groups)[1:4])

@@ -3,7 +3,7 @@ import pytest
 
 from sdgflow.errors import ConfigError, DuplicateMetric
 from sdgflow.evaluation.diagnostic import diagnose, diagnostic_metric
-from sdgflow.evaluation.results import Direction, MetricResult, metric_from_json_obj
+from sdgflow.evaluation.results import Direction, MetricResult
 from sdgflow.reporting import (
     SECTIONS,
     EvaluationReport,
@@ -21,7 +21,11 @@ def report_from_json_obj(doc):
     return EvaluationReport(
         digest=SpecDigest(hash=run["spec_hash"], canonical_bytes_len=run["spec_canonical_bytes_len"]),
         seed=run["seed"],
-        metrics=tuple(metric_from_json_obj(m) for s in SECTIONS for m in doc["sections"][s]["metrics"]),
+        metrics=tuple(
+            MetricResult(**{**m, "direction": Direction(m["direction"])})
+            for s in SECTIONS
+            for m in doc["sections"][s]["metrics"]
+        ),
         thresholds=dict(doc["thresholds"]),
         verdicts=dict(doc["verdicts"]),
     )

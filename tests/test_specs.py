@@ -592,17 +592,23 @@ _GENERATE_PARAMS = {
 }
 
 
-# csd generates continuous columns only
-_MODE_SCHEMA = {mode: _INLINE_SCHEMA for mode in _GENERATE_PARAMS}
+# csd generates continuous columns only; rsd writes the real dataset's
+# schema and takes none
+_MODE_SCHEMA = {mode: _INLINE_SCHEMA for mode in ("asd", "hsd")}
 _MODE_SCHEMA["csd"] = {"columns": _INLINE_SCHEMA["columns"][:2]}
 
 
+def generate_params(mode):
+    return {**_GENERATE_PARAMS[mode], **({"schema": _MODE_SCHEMA[mode]} if mode in _MODE_SCHEMA else {})}
+
+
 def sample_generating(mode, path=None, value=None):
-    """The sample document with its generate node in `mode` and an inline
-    schema; with a `path` into the node's params, the value there replaced."""
+    """The sample document with its generate node in `mode` and, but for
+    rsd, an inline schema; with a `path` into the node's params, the value
+    there replaced."""
     doc = json.loads(SAMPLE.read_text())
     node = next(n for n in doc["nodes"] if n["id"] == "generate")
-    node["params"] = json.loads(json.dumps({**_GENERATE_PARAMS[mode], "schema": _MODE_SCHEMA[mode]}))
+    node["params"] = json.loads(json.dumps(generate_params(mode)))
     if path:
         holder = node["params"]
         for key in path[:-1]:
@@ -625,13 +631,22 @@ _NESTED = [
     (mode, (root, *path))
     for mode in _GENERATE_PARAMS
     for root in ("mode_params", "schema")
-    for path in _nested_paths({**_GENERATE_PARAMS[mode], "schema": _MODE_SCHEMA[mode]}[root])
+    if root in generate_params(mode)
+    for path in _nested_paths(generate_params(mode)[root])
 ]
 
 
 @pytest.mark.parametrize("mode", sorted(_GENERATE_PARAMS))
 def test_generate_node_in_each_mode_parses(mode):
     parse(sample_generating(mode))
+
+
+def test_rsd_node_with_a_schema_is_invalid_spec():
+    # rsd writes the real dataset's schema, so a declared one would be
+    # covered by the spec digest and have no effect
+    doc = sample_generating("rsd", ("schema",), _INLINE_SCHEMA)
+    with pytest.raises(InvalidSpec, match="node 'generate': rsd takes no schema"):
+        parse(doc)
 
 
 @pytest.mark.parametrize(
