@@ -29,7 +29,6 @@ from .errors import (
     ConfigError,
     ManifestInvalid,
     ManifestMissing,
-    MissingUpstream,
     NodeFailure,
 )
 from .evaluation.diagnostic import evaluate_diagnostic
@@ -58,8 +57,8 @@ from .tabular import (
     Dataset,
     dataset_to_csv_bytes,
     load_csv,
-    row_keys,
     read_schema,
+    row_codes,
 )
 
 ENGINE_VERSION = __version__
@@ -156,10 +155,7 @@ class NodeContext:
     log: Callable[[str], None]
 
     def upstream_dataset(self, node_id: str) -> Dataset:
-        try:
-            return self.upstream[node_id]["dataset"]
-        except KeyError:
-            raise MissingUpstream(node_id) from None
+        return self.upstream[node_id]["dataset"]
 
 
 Runner = Callable[[NodeContext], Mapping[str, Any]]
@@ -200,7 +196,8 @@ def _run_preprocess(ctx: NodeContext) -> Mapping[str, Any]:
                 keep &= (arr >= spec.bounds[0]) & (arr <= spec.bounds[1])
         ds = ds.take(np.flatnonzero(keep))
     if cfg.drop_duplicates:
-        _, first = np.unique(row_keys(ds), return_index=True)
+        (codes,), _ = row_codes([ds])
+        _, first = np.unique(codes, return_index=True)
         ds = ds.take(np.sort(first))
     ctx.log(f"preprocess kept {ds.n} of {before} rows")
     return {"dataset": ds}
@@ -232,10 +229,7 @@ def _run_report(ctx: NodeContext) -> Mapping[str, Any]:
     metrics = []
     for nid in topological_order(ctx.spec):
         if ctx.spec.node(nid).kind in EVALUATE_KINDS:
-            try:
-                metrics.extend(ctx.upstream[nid]["metrics"].metrics)
-            except KeyError:
-                raise MissingUpstream(nid) from None
+            metrics.extend(ctx.upstream[nid]["metrics"].metrics)
     report = compile_report(
         digest=spec_digest(ctx.spec),
         seed=ctx.spec.seed,

@@ -138,12 +138,6 @@ class DegenerateNull(SdgError):
     """Null model has zero mean or spread; derived scores undefined."""
 
 
-class MissingUpstream(SdgError):
-    def __init__(self, node_id: str):
-        self.node_id = node_id
-        super().__init__(f"required upstream artifact missing: {node_id!r}")
-
-
 class DuplicateMetric(SdgError):
     pass
 

@@ -12,15 +12,13 @@ from scipy.spatial import cKDTree
 
 from ..errors import ConfigError, SchemaError
 from ..rng import RngStream
-from ..tabular import ColumnKind, Dataset, Schema, column_ranges, row_keys
+from ..tabular import ColumnKind, Dataset, Schema, column_ranges, row_codes
 from .results import Direction, MetricResult, check_metric_names, check_rows
 from .utility import check_pair
 
 # row pairs per vectorized block of the proximity metrics, which bounds their
 # temporaries to a few tens of MB at any input size
 _PAIR_CHUNK = 1 << 20
-# packed key codes are renumbered densely before their range would pass this
-_PACK_LIMIT = 1 << 31
 # relative allowance for rounding when a search bound is derived from a value
 _WIDEN = 1e-9
 # added to log|v| in new_row_synthesis's search coordinate: above the largest
@@ -86,97 +84,63 @@ def _require_categorical(schema: Schema, name: str, what: str) -> None:
         raise ConfigError(f"{what} {name!r} must be categorical")
 
 
-def _key_codes(
-    real: Dataset, synth: Dataset, names: tuple[str, ...] | list[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack the named categorical columns of each row into one integer, in a
-    code space both datasets share; equal codes mean equal cells."""
-    return _pack_codes(
-        real.n,
-        synth.n,
-        [(real.column(c), synth.column(c), len(real.schema.column(c).categories)) for c in names],
-    )
-
-
-def _pack_codes(
-    n_r: int, n_s: int, parts: list[tuple[np.ndarray, np.ndarray, int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack per-row codes, given as (real codes, synthetic codes, number of
-    values), into one integer per row of each side. Codes are renumbered
-    densely before their range would pass _PACK_LIMIT, so packing many parts
-    never overflows."""
-    code = np.zeros(n_r + n_s, dtype=np.int64)
-    bound = 1
-    for codes_r, codes_s, k in parts:
-        if bound * k > _PACK_LIMIT:
-            distinct, code = np.unique(code, return_inverse=True)
-            bound = len(distinct)
-        code = code * k + np.concatenate([codes_r, codes_s])
-        bound *= k
-    return code[:n_r], code[n_r:]
-
-
 def _check_datasets(real: Dataset, synth: Dataset, what: str) -> None:
     """Both sides share one schema and hold rows; raises a typed error."""
     check_pair(real, synth)
     check_rows(real, synth, what)
 
 
-def _key_attack_inputs(
-    real: Dataset, synth: Dataset, cfg: PrivacyConfig, what: str
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The key attacks' shared checks, then their inputs: the number of
-    sensitive values, the key codes of each side and the sensitive codes of
-    each side."""
+@dataclass(frozen=True)
+class _KeyGroups:
+    """The key attacks' view of a pair of datasets. Rows are grouped by their
+    key cells, in group codes both datasets share. Per group: its synthetic
+    rows (`size`), their modal sensitive code (`modal`, ties resolved to the
+    smallest code) and that code's count (`modal_count`). Per real row: its
+    group (`key_r`), its sensitive code (`sens_r`) and the synthetic rows
+    that share both (`agree_r`)."""
+
+    n_sens: int
+    size: np.ndarray
+    modal: np.ndarray
+    modal_count: np.ndarray
+    key_r: np.ndarray
+    sens_r: np.ndarray
+    agree_r: np.ndarray
+
+
+def _key_groups(real: Dataset, synth: Dataset, cfg: PrivacyConfig, what: str) -> _KeyGroups:
+    """The key attacks' shared checks, then their groups."""
     _check_datasets(real, synth, what)
     validate_privacy_config(cfg, real.schema, need_keys=True)
-    key_r, key_s = _key_codes(real, synth, cfg.key_columns)
     sens = cfg.sensitive_column
-    return len(real.schema.column(sens).categories), key_r, key_s, real.column(sens), synth.column(sens)
-
-
-def _modal_by_key(
-    key: np.ndarray, sens: np.ndarray, n_sens: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per unique key: (keys, modal sensitive code, modal count, group size).
-    Ties resolve to the smallest sensitive code."""
-    pair = key * n_sens + sens
-    upair, pcounts = np.unique(pair, return_counts=True)
-    key_of_pair = upair // n_sens
-    starts = np.flatnonzero(np.r_[True, key_of_pair[1:] != key_of_pair[:-1]])
-    seg_max = np.maximum.reduceat(pcounts, starts)
-    seg_id = np.cumsum(np.r_[True, key_of_pair[1:] != key_of_pair[:-1]]) - 1
-    candidates = np.where(pcounts == seg_max[seg_id], np.arange(len(upair)), len(upair))
-    first = np.minimum.reduceat(candidates, starts)
-    totals = np.add.reduceat(pcounts, starts)
-    return key_of_pair[starts], upair[first] % n_sens, pcounts[first], totals
-
-
-def _lookup(sorted_keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each query: (found mask, position into sorted_keys, garbage if absent)."""
-    pos = np.searchsorted(sorted_keys, queries)
-    pos_c = np.clip(pos, 0, max(len(sorted_keys) - 1, 0))
-    found = (
-        np.zeros(len(queries), dtype=bool)
-        if len(sorted_keys) == 0
-        else (pos < len(sorted_keys)) & (sorted_keys[pos_c] == queries)
+    n_sens = len(real.schema.column(sens).categories)
+    (key_r, key_s), n_keys = row_codes([real, synth], cfg.key_columns)
+    (pair_r, pair_s), n_pairs = row_codes([real, synth], (*cfg.key_columns, sens))
+    pair_count = np.bincount(pair_s, minlength=n_pairs)
+    agree_s = pair_count[pair_s]
+    modal_count = np.zeros(n_keys, dtype=np.int64)
+    np.maximum.at(modal_count, key_s, agree_s)
+    at_mode = agree_s == modal_count[key_s]
+    sens_s = synth.column(sens)
+    modal = np.full(n_keys, n_sens, dtype=np.int64)  # n_sens stays where no synthetic row is
+    np.minimum.at(modal, key_s[at_mode], sens_s[at_mode])
+    return _KeyGroups(
+        n_sens=n_sens,
+        size=np.bincount(key_s, minlength=n_keys),
+        modal=modal,
+        modal_count=modal_count,
+        key_r=key_r,
+        sens_r=real.column(sens),
+        agree_r=pair_count[pair_r],
     )
-    return found, pos_c
 
 
 def categorical_cap(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
     """Correct-attribution probability: how often the synthetic rows sharing a
     real row's keys also share its sensitive value. Score is 1 minus that
     rate, so higher means safer."""
-    n_sens, key_r, key_s, sens_r, sens_s = _key_attack_inputs(real, synth, cfg, "categorical_cap")
-
-    ukey, kcounts = np.unique(key_s, return_counts=True)
-    upair, pcounts = np.unique(key_s * n_sens + sens_s, return_counts=True)
-    found_k, pos_k = _lookup(ukey, key_r)
-    totals = np.where(found_k, kcounts[pos_k], 0)
-    found_p, pos_p = _lookup(upair, key_r * n_sens + sens_r)
-    agree = np.where(found_p, pcounts[pos_p], 0)
-
+    g = _key_groups(real, synth, cfg, "categorical_cap")
+    totals = g.size[g.key_r]
     included = totals > 0
     flags = []
     if not included.any():
@@ -184,7 +148,7 @@ def categorical_cap(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> Metric
         rate = 0.0
         flags.append("undefined-baseline")
     else:
-        attribution = agree[included] / totals[included]
+        attribution = g.agree_r[included] / totals[included]
         rate = float(np.mean(attribution))
         score = 1.0 - rate
     return MetricResult(
@@ -214,7 +178,7 @@ def new_row_synthesis(real: Dataset, synth: Dataset, tol: float) -> MetricResult
     cols = real.schema.columns
     cat = [c.name for c in cols if c.kind is ColumnKind.CATEGORICAL]
     cont = [j for j, c in enumerate(cols) if c.kind is ColumnKind.CONTINUOUS]
-    code_r, code_s = _key_codes(real, synth, cat)
+    (code_r, code_s), n_groups = row_codes([real, synth], cat)
     if cont:
         vr = np.column_stack([real.columns[j] for j in cont])
         vs = np.column_stack([synth.columns[j] for j in cont])
@@ -226,11 +190,11 @@ def new_row_synthesis(real: Dataset, synth: Dataset, tol: float) -> MetricResult
 
         t = tol * (1.0 + _WIDEN)  # allows for rounding in the scan's test
         if t < 1.0:
-            matched = _match_in_boxes(vr, vs, code_r, code_s, t, matches)
+            matched = _match_in_boxes(vr, vs, code_r, code_s, n_groups, t, matches)
         else:
             matched = _match_in_groups(code_r, code_s, matches)
     else:
-        matched, _ = _lookup(np.unique(code_r), code_s)
+        matched = np.bincount(code_r, minlength=n_groups)[code_s] > 0
     return MetricResult(
         name="new_row_synthesis",
         score=float(np.mean(~matched)),
@@ -245,11 +209,13 @@ def _match_in_boxes(
     vs: np.ndarray,
     code_r: np.ndarray,
     code_s: np.ndarray,
+    n_groups: int,
     t: float,
     matches,
 ) -> np.ndarray:
-    """Per synthetic row (continuous cells vs, group code code_s): does a real
-    row pass `matches`? Needs t < 1.
+    """Per synthetic row (continuous cells vs, group code code_s, one of the
+    n_groups codes it shares with code_r): does a real row pass `matches`?
+    Needs t < 1.
 
     Then |s - v| <= t |v| holds only for v of the sign of s with log|v| in
     [log|s| - log1p(t), log|s| - log1p(-t)], or for v == 0 when |s| <= t. In
@@ -271,12 +237,10 @@ def _match_in_boxes(
     coord_r, center = coordinate(vr, 0.0), coordinate(vs, mid)
     radius = 0.5 * (np.log1p(t) - np.log1p(-t)) + _WIDEN
 
-    groups_r, group_of_r = np.unique(code_r, return_inverse=True)
-    zero_in_group = np.zeros((len(groups_r), n_cols), dtype=bool)
+    zero_in_group = np.zeros((n_groups, n_cols), dtype=bool)
     zero_rows, zero_cols = np.nonzero(vr == 0.0)
-    zero_in_group[group_of_r[zero_rows], zero_cols] = True
-    in_real, pos = _lookup(groups_r, code_s)
-    may_be_zero = in_real[:, None] & zero_in_group[pos] & (vs != 0.0) & (np.abs(vs) <= t)
+    zero_in_group[code_r[zero_rows], zero_cols] = True
+    may_be_zero = zero_in_group[code_s] & (vs != 0.0) & (np.abs(vs) <= t)
 
     owner = np.arange(len(vs))
     spilled = np.zeros(len(vs), dtype=bool)
@@ -296,13 +260,9 @@ def _match_in_boxes(
             center, owner = center[keep], owner[keep]
 
     matched = np.zeros(len(vs), dtype=bool)
-    keys_r, rows_r = _groups(code_r)
-    keys_q, rows_q = _groups(code_s[owner])
-    _, both_r, both_q = np.intersect1d(keys_r, keys_q, return_indices=True)
-    for h, g in zip(both_r, both_q):
-        rr, qq = rows_r[h], rows_q[g]
+    for rr, qq in zip(_groups(code_r, n_groups), _groups(code_s[owner], n_groups)):
         qq = qq[~matched[owner[qq]]]
-        if not len(qq):
+        if not (len(rr) and len(qq)):
             continue
         tree = cKDTree(coord_r[rr])
         dist, nn = tree.query(center[qq], k=1, p=np.inf, distance_upper_bound=radius)
@@ -357,12 +317,10 @@ def _match_in_groups(code_r: np.ndarray, code_s: np.ndarray, matches) -> np.ndar
 def inference_attack_score(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
     """Normalized lift of a per-key modal attacker trained on the synthetic
     data over always guessing the real modal class."""
-    n_sens, key_r, key_s, sens_r, sens_s = _key_attack_inputs(real, synth, cfg, "inference_attack_score")
-
-    ukey, modal, _, _ = _modal_by_key(key_s, sens_s, n_sens)
-    found, pos = _lookup(ukey, key_r)
+    g = _key_groups(real, synth, cfg, "inference_attack_score")
+    found = g.size[g.key_r] > 0
     predicted = int(found.sum())
-    baseline = float(np.bincount(sens_r, minlength=n_sens).max() / real.n)
+    baseline = float(np.bincount(g.sens_r, minlength=g.n_sens).max() / real.n)
 
     flags = []
     if baseline >= 1.0:
@@ -372,7 +330,7 @@ def inference_attack_score(real: Dataset, synth: Dataset, cfg: PrivacyConfig) ->
         score, accuracy = 0.0, 0.0
         flags.append("no-predicted-rows")
     else:
-        correct = int((modal[pos][found] == sens_r[found]).sum())
+        correct = int((g.modal[g.key_r][found] == g.sens_r[found]).sum())
         accuracy = correct / predicted
         score = max(0.0, (accuracy - baseline) / (1.0 - baseline))
     return MetricResult(
@@ -393,19 +351,18 @@ def inference_attack_score(real: Dataset, synth: Dataset, cfg: PrivacyConfig) ->
 def tcap(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
     """Correct-attribution rate restricted to key groups whose synthetic
     sensitive values are homogeneous enough to attack."""
-    n_sens, key_r, key_s, sens_r, sens_s = _key_attack_inputs(real, synth, cfg, "tcap")
-
-    ukey, modal, modal_count, totals = _modal_by_key(key_s, sens_s, n_sens)
-    attackable = (modal_count / totals) >= cfg.tcap_homogeneity
-    found, pos = _lookup(ukey, key_r)
-    in_scope = found & attackable[pos]
+    g = _key_groups(real, synth, cfg, "tcap")
+    seen = g.size > 0  # the key groups of the synthetic rows
+    attackable = np.zeros(len(g.size), dtype=bool)
+    attackable[seen] = g.modal_count[seen] / g.size[seen] >= cfg.tcap_homogeneity
+    in_scope = attackable[g.key_r]
     n_scope = int(in_scope.sum())
     flags = []
     if n_scope == 0:
         score = 0.0
         flags.append("no-attackable-records")
     else:
-        correct = int((modal[pos][in_scope] == sens_r[in_scope]).sum())
+        correct = int((g.modal[g.key_r][in_scope] == g.sens_r[in_scope]).sum())
         score = correct / n_scope
     return MetricResult(
         name="tcap",
@@ -479,9 +436,8 @@ def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
             best = min(best, float(pairs.min()))
         return best
 
-    code_r, code_s = _key_codes(real, synth, cat)
-    keys_r, rows_r = _groups(code_r)
-    keys_s, rows_s = _groups(code_s)
+    (code_r, code_s), n_groups = row_codes([real, synth], cat)
+    rows_r, rows_s = _groups(code_r, n_groups), _groups(code_s, n_groups)
     trees: dict[int, cKDTree] = {}
 
     def pair_min(g: int, h: int, m: int, best: float) -> float:
@@ -508,25 +464,28 @@ def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
         return min(best, value)
 
     best = math.inf
-    _, shared_r, shared_s = np.intersect1d(keys_r, keys_s, return_indices=True)
-    for h, g in zip(shared_r, shared_s):
-        best = pair_min(int(g), int(h), 0, best)
-        if best == 0.0:
-            break
+    for g in range(n_groups):
+        if len(rows_r[g]) and len(rows_s[g]):
+            best = pair_min(g, g, 0, best)
+            if best == 0.0:
+                break
     # a pair of different groups totals at least 1, so can only win when the
     # same-group pairs could not get below 1
     if best > 1.0 and cat:
-        first_r = np.array([rows[0] for rows in rows_r])
+        groups_r = [h for h, rows in enumerate(rows_r) if len(rows)]
+        first_r = np.array([rows_r[h][0] for h in groups_r])
         cat_r = np.column_stack([real.column(name)[first_r] for name in cat])
         for g, rows in enumerate(rows_s):
+            if not len(rows):
+                continue
             cells = np.array([synth.column(name)[rows[0]] for name in cat])
             mismatches = (cat_r != cells).sum(axis=1)
-            for h in np.argsort(mismatches, kind="stable"):
-                m = int(mismatches[h])
+            for i in np.argsort(mismatches, kind="stable"):
+                m = int(mismatches[i])
                 if m >= best:
                     break
                 if m > 0:
-                    best = pair_min(g, int(h), m, best)
+                    best = pair_min(g, groups_r[i], m, best)
     return MetricResult(
         name="min_nn_distance",
         score=best / len(cols),
@@ -536,48 +495,43 @@ def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
     )
 
 
-def _groups(code: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Distinct codes in ascending order and the row indices holding each."""
+def _groups(code: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """The row indices holding each code in [0, n_groups), in ascending order;
+    empty for a code that no row holds."""
     order = np.argsort(code, kind="stable")
-    keys, first = np.unique(code[order], return_index=True)
-    return keys, np.split(order, first[1:])
-
-
-def _canonical_order(ds: Dataset) -> Dataset:
-    keys = []
-    for arr in reversed(ds.columns):
-        keys.append(arr + 0.0 if arr.dtype == np.float64 else arr)
-    return ds.take(np.lexsort(tuple(keys)))
+    return np.split(order, np.cumsum(np.bincount(code, minlength=n_groups))[:-1])
 
 
 def sample_overlap(
     real: Dataset, synth: Dataset, fraction: float, rng: RngStream
 ) -> MetricResult:
     """Exact-copy rate among seeded samples of both datasets. Rows are put in
-    a canonical sort order before sampling so the draw does not depend on the
-    incoming row order."""
+    a canonical sort order, by their cells, before sampling so the draw does
+    not depend on the incoming row order."""
     _check_datasets(real, synth, "sample_overlap")
     _check_fraction(fraction)
     gen = rng.generator
+    (code_r, code_s), n_groups = row_codes([real, synth])
 
-    def pick(ds: Dataset) -> Dataset:
-        m = math.ceil(fraction * ds.n)
-        if m >= ds.n:  # every row: the overlap does not depend on their order
-            return ds
-        return _canonical_order(ds).take(np.sort(gen.choice(ds.n, size=m, replace=False)))
+    def pick(code: np.ndarray) -> np.ndarray:
+        """The codes of the sampled rows; sorted codes are the rows' codes in
+        canonical order."""
+        m = math.ceil(fraction * len(code))
+        if m >= len(code):  # every row: the overlap does not depend on their order
+            return code
+        return np.sort(code)[np.sort(gen.choice(len(code), size=m, replace=False))]
 
-    picked_r = pick(real)
-    picked_s = pick(synth)
-    found, _ = _lookup(np.unique(row_keys(picked_s)), row_keys(picked_r))
-    hits = int(found.sum())
+    picked_r = pick(code_r)
+    picked_s = pick(code_s)
+    hits = int((np.bincount(picked_s, minlength=n_groups)[picked_r] > 0).sum())
     return MetricResult(
         name="sample_overlap",
-        score=hits / picked_r.n,
+        score=hits / len(picked_r),
         direction=Direction.LOWER_BETTER,
         provenance="privacy",
         details={
-            "sampled_real_rows": picked_r.n,
-            "sampled_synthetic_rows": picked_s.n,
+            "sampled_real_rows": len(picked_r),
+            "sampled_synthetic_rows": len(picked_s),
             "matched_rows": hits,
             "fraction": fraction,
         },

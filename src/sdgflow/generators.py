@@ -13,6 +13,7 @@ concurrent execution cannot change outputs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -214,8 +215,11 @@ def _parse_column_model(doc: Any, where: str) -> ColumnModel:
         total = sum(weights)
         return CategoricalModel(labels=labels, weights=tuple(w / total for w in weights))
     model = _check.tagged(_MODELS, "distribution", doc, where)
-    if isinstance(model, UniformModel) and model.low > model.high:
-        raise ConfigError(f"{where}: low must be <= high")
+    if isinstance(model, UniformModel):
+        if model.low > model.high:
+            raise ConfigError(f"{where}: low must be <= high")
+        if not math.isfinite(float(model.high) - float(model.low)):  # numpy draws over high - low
+            raise ConfigError(f"{where}: high - low must be finite")
     if isinstance(model, QuantileTableModel):
         qs, vs = model.quantiles, model.values
         if len(qs) != len(vs) or len(qs) < 2:
@@ -279,10 +283,18 @@ def _parse_asd(mp: Any, where: str) -> AsdParams:
     return params
 
 
+def _half_width(value: Any, what: str) -> float:
+    """A uniform noise's half width w: numpy draws over [-w, w], whose width
+    2w must be finite."""
+    if not math.isfinite(2.0 * _nonnegative(value, what)):
+        raise ConfigError(f"{what} must be finite when doubled")
+    return value
+
+
 # noise distribution -> the noise class and the check of its one key
 _NOISE = {
     "normal": (NormalNoise, {"std": _nonnegative}),
-    "uniform": (UniformNoise, {"half_width": _nonnegative}),
+    "uniform": (UniformNoise, {"half_width": _half_width}),
 }
 
 

@@ -31,6 +31,7 @@ from .jsonfields import JsonChecks, loads
 
 CONTINUOUS_FMT = "%.17g"  # 17 significant digits: bit-exact float64 round trip
 CSV_BLOCK_ROWS = 8_192  # rows parsed or formatted at once: bounds the per-block temporaries
+_PACK_LIMIT = 1 << 31  # row_codes renumbers its packed codes before their range would pass this
 DEFAULT_MISSING_POLICY = "error"
 MISSING_POLICIES = ("drop_row", DEFAULT_MISSING_POLICY)
 
@@ -217,13 +218,38 @@ def make_dataset(schema: Schema, values: Mapping[str, Sequence]) -> Dataset:
     return Dataset(schema, tuple(cols))
 
 
-def row_keys(ds: Dataset) -> np.ndarray:
-    """One opaque key per row, its values packed as int64 with floats by bit
-    pattern and -0.0 folded into 0.0, so keys are equal exactly when rows are."""
-    packed = np.empty((ds.n, len(ds.columns)), dtype=np.int64)
-    for j, arr in enumerate(ds.columns):
-        packed[:, j] = (arr + 0.0).view(np.int64) if arr.dtype == np.float64 else arr
-    return packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
+def row_codes(
+    datasets: Sequence[Dataset], names: Sequence[str] | None = None
+) -> tuple[list[np.ndarray], int]:
+    """(codes, n_groups): one int64 code per row of each dataset, in a code
+    space they share, where every code in [0, n_groups) is used. Two rows get
+    equal codes exactly when their named cells (all cells by default) are
+    equal, with -0.0 equal to 0.0, and codes sort rows by those cells, column
+    by column in the order named. The datasets must agree on the named
+    columns' specs.
+
+    Each column's values are coded in sort order, and the codes are packed
+    column by column as digits of one integer, renumbered densely before
+    their range would pass _PACK_LIMIT, so that packing never overflows."""
+    names = datasets[0].schema.names if names is None else names
+    sizes = [ds.n for ds in datasets]
+    code = np.zeros(sum(sizes), dtype=np.int64)
+    bound = 1
+    for name in names:
+        cells = np.concatenate([ds.column(name) for ds in datasets])
+        categories = datasets[0].schema.column(name).categories
+        if categories is None:  # np.unique compares values: -0.0 and 0.0 are one
+            values, cells = np.unique(cells, return_inverse=True)
+            k = len(values)
+        else:
+            k = len(categories)
+        if bound * k > _PACK_LIMIT:
+            distinct, code = np.unique(code, return_inverse=True)
+            bound = len(distinct)
+        code = code * k + cells
+        bound *= k
+    distinct, code = np.unique(code, return_inverse=True)
+    return np.split(code, np.cumsum(sizes)[:-1]), len(distinct)
 
 
 # ------------------------------------------------------------------ CSV I/O ---

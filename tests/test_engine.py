@@ -482,6 +482,21 @@ def test_metrics_on_a_dataset_preprocess_emptied_fail_with_config_error(tmp_path
     assert records["rep"].status == "skipped"
 
 
+def test_preprocess_drop_duplicates_keeps_the_first_of_rows_equal_but_for_a_zero_sign(tmp_path):
+    schema = Schema(
+        (ColumnSpec("x", ColumnKind.CONTINUOUS), ColumnSpec("c", ColumnKind.CATEGORICAL, ("p", "q")))
+    )
+    rows = make_dataset(schema, {"x": [-0.0, 1.0, 0.0, 0.0, -0.0, 1.0], "c": [0, 0, 0, 1, 1, 0]})
+    doc = chain_doc()
+    doc["nodes"][1]["params"]["drop_duplicates"] = True
+    runners = {"load": lambda ctx: {"dataset": rows}, "report": stub_report}
+    manifest = run(spec_of(doc), tmp_path / "run", runners=runners)
+    record = next(r for r in manifest.node_records if r.id == "b")
+    written = (tmp_path / "run" / record.artifacts["dataset"]["file"]).read_bytes()
+    assert written == dataset_to_csv_bytes(rows.take([0, 1, 3]))
+    assert written.decode().splitlines()[1:] == ["-0,p", "1,p", "0,q"]
+
+
 def test_seed_changes_artifacts(tmp_path):
     a = run(spec_of(synthetic_eval_doc(seed=11)), tmp_path / "a")
     b = run(spec_of(synthetic_eval_doc(seed=12)), tmp_path / "b")

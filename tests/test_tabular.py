@@ -32,6 +32,7 @@ from sdgflow.tabular import (
     load_csv,
     make_dataset,
     read_schema,
+    row_codes,
     schema_from_json_obj,
     schema_to_json_obj,
 )
@@ -513,6 +514,75 @@ def test_csv_rows_split_anywhere_join_to_the_whole_file(ds, cut, block):
         head, tail = dataset_to_csv_bytes(ds, 0, cut), dataset_to_csv_bytes(ds, cut)
         assert head + tail == dataset_to_csv_bytes(ds) == csv_bytes_by_row(ds)
     assert dataset_to_csv_bytes(ds, 0, 0) == csv_bytes_by_row(ds.take(np.arange(0)))
+
+
+# --------------------------------------------------------------- row codes ---
+
+def row_tuples(ds, names):
+    """The oracle of row_codes: each row's named cells as a Python tuple,
+    -0.0 mapped to 0.0."""
+    cols = [ds.column(name).tolist() for name in names]
+    return [tuple(0.0 if isinstance(c[i], float) and c[i] == 0.0 else c[i] for c in cols) for i in range(ds.n)]
+
+
+def assert_codes_match_tuples(datasets, names=None):
+    names = datasets[0].schema.names if names is None else names
+    codes, n_groups = row_codes(datasets, names)
+    assert [len(c) for c in codes] == [ds.n for ds in datasets]
+    assert all(c.dtype == np.int64 for c in codes)
+    # equal codes exactly for equal rows, dense, in the order of the tuples
+    rows = [t for ds in datasets for t in row_tuples(ds, names)]
+    rank = {t: i for i, t in enumerate(sorted(set(rows)))}
+    assert n_groups == len(rank)
+    assert np.concatenate(codes).tolist() == [rank[t] for t in rows]
+
+
+@st.composite
+def dataset_pairs(draw):
+    """Two datasets of one mixed schema whose cells come from small pools, so
+    rows repeat within and across them, with -0.0 and 0.0 both in play."""
+    columns, pools = [], []
+    for j in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append(ColumnSpec(f"c{j}", ColumnKind.CONTINUOUS))
+            pools.append(st.sampled_from([-0.0, 0.0, 1.5, -1.5, 5e-324, -(2.0**60), 1e308]))
+        else:
+            k = draw(st.integers(1, 4))
+            columns.append(ColumnSpec(f"c{j}", ColumnKind.CATEGORICAL, categories=tuple("pqrs"[:k])))
+            pools.append(st.integers(0, k - 1))
+    schema = Schema(tuple(columns))
+
+    def dataset():
+        n = draw(st.integers(0, 12))
+        cells = {c.name: draw(st.lists(pool, min_size=n, max_size=n)) for c, pool in zip(columns, pools)}
+        return make_dataset(schema, cells)
+
+    return dataset(), dataset()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=dataset_pairs(), data=st.data())
+def test_row_codes_equal_and_order_as_the_row_tuples(pair, data):
+    assert_codes_match_tuples(list(pair))
+    names = data.draw(st.permutations(pair[0].schema.names))
+    assert_codes_match_tuples(list(pair), names[: data.draw(st.integers(0, len(names)))])
+
+
+def test_row_codes_renumber_before_a_packed_range_would_overflow():
+    # 8 columns of 1,000 categories span 1000**8 packed values, past int64
+    assert 1000**8 > np.iinfo(np.int64).max
+    cats = tuple(f"v{i}" for i in range(1000))
+    schema = Schema(tuple(ColumnSpec(f"k{j}", ColumnKind.CATEGORICAL, categories=cats) for j in range(8)))
+    rng = np.random.default_rng(5)
+
+    def dataset(n):
+        cells = rng.integers(0, 1000, size=(n, 8))
+        cells[n // 2 :, :3] = 999  # rows that share a prefix and sort last by it
+        return make_dataset(schema, {f"k{j}": cells[:, j] for j in range(8)})
+
+    real = dataset(300)
+    copies = real.take(np.r_[np.arange(0, 300, 3), np.arange(100)])
+    assert_codes_match_tuples([real, copies, dataset(200)])
 
 
 # ------------------------------------------------------------------ encode ---

@@ -66,6 +66,7 @@ GENERATOR_CASES = {
         asd_model("c", {"labels": ["p", "q"], "weights": [1, 0]}), "weights must be positive numbers"
     ),
     "uniform-order": (asd_model("x", {**UNIFORM, "low": 11}), "low must be <= high"),
+    "uniform-range-finite": (asd_model("x", {**UNIFORM, "low": -1e308, "high": 1e308}), "high - low must be finite"),
     "normal-std": (asd_model("x", {"distribution": "normal", "mean": 0, "std": -1}), "std must be >= 0"),
     "quantile-align": (asd_model("x", {**QUANTILES, "values": [0, 1]}), "quantiles and values must align"),
     "quantile-span": (
@@ -103,6 +104,10 @@ GENERATOR_CASES = {
     "noise-normal-std": (csd(noise={"x": {"distribution": "normal", "std": -1}, "y": NOISE}), "std must be >= 0"),
     "noise-half-width": (
         csd(noise={"x": {"distribution": "uniform", "half_width": -1}, "y": NOISE}), "half_width must be >= 0"
+    ),
+    "noise-half-width-finite": (
+        csd(noise={"x": {"distribution": "uniform", "half_width": 1e308}, "y": NOISE}),
+        "half_width must be finite when doubled",
     ),
     "hsd-empty-partition": (hsd([], []), "partition must be a non-empty list of column groups"),
     "hsd-column-in-two-parts": (hsd([["x"], ["x"]], [ASD_X, ASD_X]), "partition[1]: column assigned twice: ['x']"),
