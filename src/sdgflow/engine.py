@@ -473,7 +473,8 @@ class VerificationReport:
 
 def verify_manifest(out_dir) -> VerificationReport:
     """Re-audit a finished run directory: artifact hashes, dependency-order
-    timestamps, failure propagation, and artifact completeness. An artifact
+    timestamps, failure propagation, and artifact completeness, which also
+    fails on a file under artifacts/ that no node record claims. An artifact
     path that is absolute, holds `..` or resolves (through a symlink) outside
     the run directory fails the hash check unread; a manifest that does not
     parse raises ManifestInvalid."""
@@ -540,6 +541,14 @@ def verify_manifest(out_dir) -> VerificationReport:
         expected = set(NODE_ARTIFACTS[NodeKind(rec.kind)])
         if set(rec.artifacts) != expected:
             incomplete.append(f"{rec.id}: has {sorted(rec.artifacts)}, expected {sorted(expected)}")
+    # a file under artifacts/ that no record claims: another run's, or a crash's
+    claimed = {
+        PurePosixPath(info["file"]) for rec in manifest.node_records for info in rec.artifacts.values()
+    }
+    for path in sorted((out / "artifacts").rglob("*")):
+        rel = PurePosixPath(path.relative_to(out).as_posix())
+        if (path.is_symlink() or not path.is_dir()) and rel not in claimed:
+            incomplete.append(f"{rel}: no node record claims it")
 
     checks = (  # name, findings, detail when there are none
         ("artifact_hashes", mismatches, "all artifact hashes match"),

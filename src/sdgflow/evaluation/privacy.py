@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -52,9 +53,8 @@ def check_privacy_config(cfg: PrivacyConfig, need_keys: bool) -> None:
         if len(set(cfg.key_columns)) != len(cfg.key_columns):
             raise ConfigError("key_columns must be distinct")
     _check_tolerance(cfg.numeric_match_tolerance)
-    if not 0.0 < cfg.tcap_homogeneity <= 1.0:
-        raise ConfigError("tcap_homogeneity must be in (0, 1]")
-    _check_fraction(cfg.overlap_sample_fraction)
+    _check_share(cfg.tcap_homogeneity, "tcap_homogeneity")
+    _check_share(cfg.overlap_sample_fraction, "overlap_sample_fraction")
 
 
 def _check_tolerance(tol: float) -> None:
@@ -62,9 +62,9 @@ def _check_tolerance(tol: float) -> None:
         raise ConfigError("numeric_match_tolerance must be >= 0")
 
 
-def _check_fraction(fraction: float) -> None:
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError("overlap_sample_fraction must be in (0, 1]")
+def _check_share(value: float, name: str) -> None:
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"{name} must be in (0, 1]")
 
 
 def validate_privacy_config(cfg: PrivacyConfig, schema: Schema, need_keys: bool) -> None:
@@ -91,7 +91,7 @@ def _check_datasets(real: Dataset, synth: Dataset, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class _KeyGroups:
+class KeyGroups:
     """The key attacks' view of a pair of datasets. Rows are grouped by their
     key cells, in group codes both datasets share. Per group: its synthetic
     rows (`size`), their modal sensitive code (`modal`, ties resolved to the
@@ -108,9 +108,9 @@ class _KeyGroups:
     agree_r: np.ndarray
 
 
-def _key_groups(real: Dataset, synth: Dataset, cfg: PrivacyConfig, what: str) -> _KeyGroups:
+def key_groups(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> KeyGroups:
     """The key attacks' shared checks, then their groups."""
-    _check_datasets(real, synth, what)
+    _check_datasets(real, synth, "key_groups")
     validate_privacy_config(cfg, real.schema, need_keys=True)
     sens = cfg.sensitive_column
     n_sens = len(real.schema.column(sens).categories)
@@ -124,7 +124,7 @@ def _key_groups(real: Dataset, synth: Dataset, cfg: PrivacyConfig, what: str) ->
     sens_s = synth.column(sens)
     modal = np.full(n_keys, n_sens, dtype=np.int64)  # n_sens stays where no synthetic row is
     np.minimum.at(modal, key_s[at_mode], sens_s[at_mode])
-    return _KeyGroups(
+    return KeyGroups(
         n_sens=n_sens,
         size=np.bincount(key_s, minlength=n_keys),
         modal=modal,
@@ -135,11 +135,10 @@ def _key_groups(real: Dataset, synth: Dataset, cfg: PrivacyConfig, what: str) ->
     )
 
 
-def categorical_cap(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
+def categorical_cap(g: KeyGroups) -> MetricResult:
     """Correct-attribution probability: how often the synthetic rows sharing a
     real row's keys also share its sensitive value. Score is 1 minus that
     rate, so higher means safer."""
-    g = _key_groups(real, synth, cfg, "categorical_cap")
     totals = g.size[g.key_r]
     included = totals > 0
     flags = []
@@ -182,13 +181,16 @@ def new_row_synthesis(real: Dataset, synth: Dataset, tol: float) -> MetricResult
     if cont:
         vr = np.column_stack([real.columns[j] for j in cont])
         vs = np.column_stack([synth.columns[j] for j in cont])
-        thresholds = np.where(vr == 0.0, tol, tol * np.abs(vr))
+        with np.errstate(over="ignore"):  # a threshold past the doubles is rightly infinite
+            thresholds = np.where(vr == 0.0, tol, tol * np.abs(vr))
+            t = tol * (1.0 + _WIDEN)  # allows for rounding in the scan's test
 
         def matches(s_idx: np.ndarray, r_idx: np.ndarray) -> np.ndarray:
-            """The pairwise scan's test, per candidate pair."""
-            return (np.abs(vs[s_idx] - vr[r_idx]) <= thresholds[r_idx]).all(axis=1)
+            """The pairwise scan's test, per candidate pair; a difference past
+            the doubles is infinite, as in the scan."""
+            with np.errstate(over="ignore"):
+                return (np.abs(vs[s_idx] - vr[r_idx]) <= thresholds[r_idx]).all(axis=1)
 
-        t = tol * (1.0 + _WIDEN)  # allows for rounding in the scan's test
         if t < 1.0:
             matched = _match_in_boxes(vr, vs, code_r, code_s, n_groups, t, matches)
         else:
@@ -314,13 +316,12 @@ def _match_in_groups(code_r: np.ndarray, code_s: np.ndarray, matches) -> np.ndar
     return matched
 
 
-def inference_attack_score(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
+def inference_attack_score(g: KeyGroups) -> MetricResult:
     """Normalized lift of a per-key modal attacker trained on the synthetic
     data over always guessing the real modal class."""
-    g = _key_groups(real, synth, cfg, "inference_attack_score")
     found = g.size[g.key_r] > 0
     predicted = int(found.sum())
-    baseline = float(np.bincount(g.sens_r, minlength=g.n_sens).max() / real.n)
+    baseline = float(np.bincount(g.sens_r, minlength=g.n_sens).max() / g.key_r.size)
 
     flags = []
     if baseline >= 1.0:
@@ -342,19 +343,19 @@ def inference_attack_score(real: Dataset, synth: Dataset, cfg: PrivacyConfig) ->
             "accuracy": accuracy,
             "baseline": baseline,
             "predicted_rows": predicted,
-            "unpredicted_rows": int(real.n - predicted),
+            "unpredicted_rows": g.key_r.size - predicted,
             "flags": flags,
         },
     )
 
 
-def tcap(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
+def tcap(g: KeyGroups, homogeneity: float) -> MetricResult:
     """Correct-attribution rate restricted to key groups whose synthetic
-    sensitive values are homogeneous enough to attack."""
-    g = _key_groups(real, synth, cfg, "tcap")
+    sensitive values are homogeneous enough (`homogeneity`) to attack."""
+    _check_share(homogeneity, "tcap_homogeneity")
     seen = g.size > 0  # the key groups of the synthetic rows
     attackable = np.zeros(len(g.size), dtype=bool)
-    attackable[seen] = g.modal_count[seen] / g.size[seen] >= cfg.tcap_homogeneity
+    attackable[seen] = g.modal_count[seen] / g.size[seen] >= homogeneity
     in_scope = attackable[g.key_r]
     n_scope = int(in_scope.sum())
     flags = []
@@ -372,7 +373,7 @@ def tcap(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> MetricResult:
         details={
             "attackable_real_rows": n_scope,
             "attackable_key_groups": int(attackable.sum()),
-            "homogeneity_threshold": cfg.tcap_homogeneity,
+            "homogeneity_threshold": homogeneity,
             "flags": flags,
         },
     )
@@ -509,7 +510,7 @@ def sample_overlap(
     a canonical sort order, by their cells, before sampling so the draw does
     not depend on the incoming row order."""
     _check_datasets(real, synth, "sample_overlap")
-    _check_fraction(fraction)
+    _check_share(fraction, "overlap_sample_fraction")
     gen = rng.generator
     (code_r, code_s), n_groups = row_codes([real, synth])
 
@@ -538,18 +539,18 @@ def sample_overlap(
     )
 
 
-# metric name -> its computation from (real, synth, cfg, rng). Each calls
-# through the module's globals, so a function replaced on the module is the
-# one called.
+# metric name -> its computation from (real, synth, cfg, rng, groups), with
+# `groups()` the pair's KeyGroups. Each calls through the module's globals, so
+# a function replaced on the module is the one called.
 _COMPUTE = {
-    "categorical_cap": lambda real, synth, cfg, rng: categorical_cap(real, synth, cfg),
-    "new_row_synthesis": lambda real, synth, cfg, rng: new_row_synthesis(
+    "categorical_cap": lambda real, synth, cfg, rng, groups: categorical_cap(groups()),
+    "new_row_synthesis": lambda real, synth, cfg, rng, groups: new_row_synthesis(
         real, synth, cfg.numeric_match_tolerance
     ),
-    "inference_attack_score": lambda real, synth, cfg, rng: inference_attack_score(real, synth, cfg),
-    "tcap": lambda real, synth, cfg, rng: tcap(real, synth, cfg),
+    "inference_attack_score": lambda real, synth, cfg, rng, groups: inference_attack_score(groups()),
+    "tcap": lambda real, synth, cfg, rng, groups: tcap(groups(), cfg.tcap_homogeneity),
     "min_nn_distance": lambda real, synth, *_: min_nn_distance(real, synth),
-    "sample_overlap": lambda real, synth, cfg, rng: sample_overlap(
+    "sample_overlap": lambda real, synth, cfg, rng, groups: sample_overlap(
         real, synth, cfg.overlap_sample_fraction, rng.child("sample_overlap")
     ),
 }
@@ -565,11 +566,12 @@ def evaluate_privacy(
     metrics: tuple[str, ...] = PRIVACY_METRICS,
     rng: RngStream | None = None,
 ) -> list[MetricResult]:
-    """Run the selected privacy metrics, in the order given. The config is
-    checked here once, for every metric; each metric checks its rows."""
+    """Run the selected privacy metrics, in the order given, with the config
+    checked once; the key attacks share one KeyGroups, built on first use."""
     check_metric_names(metrics, PRIVACY_METRICS)
     need_keys = not set(metrics).isdisjoint(KEY_BASED_PRIVACY_METRICS)
     validate_privacy_config(cfg, real.schema, need_keys=need_keys)
     if rng is None and "sample_overlap" in metrics:
         raise ConfigError("sample_overlap needs an rng stream")
-    return [_COMPUTE[name](real, synth, cfg, rng) for name in metrics]
+    groups = cache(lambda: key_groups(real, synth, cfg))
+    return [_COMPUTE[name](real, synth, cfg, rng, groups) for name in metrics]

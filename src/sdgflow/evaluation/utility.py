@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.special import expit
@@ -498,15 +499,14 @@ def bivariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
     )
 
 
-# metric name -> its computation from the datasets and what evaluate_utility
-# made for them: the propensity scores, the observed pMSE and the null model.
-# Each calls through the module's globals, so a function replaced on the
-# module is the one called.
+# metric name -> its computation from the datasets and evaluate_utility's
+# thunks `fit()`, `observed()` and `null()`. Each calls through the module's
+# globals, so a function replaced on the module is the one called.
 _COMPUTE = {
-    "pmse_observed": lambda real, synth, scores, observed, null: observed,
-    "pmse_standardized": lambda real, synth, scores, observed, null: pmse_standardized(observed.score, null),
-    "pmse_ratio": lambda real, synth, scores, observed, null: pmse_ratio(observed.score, null),
-    "specks": lambda real, synth, scores, observed, null: specks(scores[: real.n], scores[real.n :]),
+    "pmse_observed": lambda real, synth, fit, observed, null: observed(),
+    "pmse_standardized": lambda real, synth, fit, observed, null: pmse_standardized(observed().score, null()),
+    "pmse_ratio": lambda real, synth, fit, observed, null: pmse_ratio(observed().score, null()),
+    "specks": lambda real, synth, fit, *_: specks(*np.split(fit()[1], [real.n])),
     "univariate_fidelity": lambda real, synth, *_: univariate_fidelity(real, synth),
     "bivariate_fidelity": lambda real, synth, *_: bivariate_fidelity(real, synth),
 }
@@ -522,14 +522,15 @@ def evaluate_utility(
     rng: RngStream,
 ) -> list[MetricResult]:
     """Run the selected metrics, in the order given. What they share is made
-    once, in this order: the propensity fit and its observed pMSE, then the
-    null model, drawn from `rng`'s child "null"."""
+    once, when a metric first needs it; the null model draws from `rng`'s
+    child "null", so the order it is made in changes nothing."""
     check_metric_names(metrics, UTILITY_METRICS)
-    selected = set(metrics)
-    scores = observed = null = None
-    if selected & {"pmse_observed", "pmse_standardized", "pmse_ratio", "specks"}:
-        model, scores = fit_propensity(real, synth)
-        observed = pmse_observed(scores, model.c, model)
-    if selected & {"pmse_standardized", "pmse_ratio"}:
-        null = pmse_null(real, synth, null_model, permutations, rng.child("null"))
-    return [_COMPUTE[name](real, synth, scores, observed, null) for name in metrics]
+    fit = cache(lambda: fit_propensity(real, synth))
+    null = cache(lambda: pmse_null(real, synth, null_model, permutations, rng.child("null")))
+
+    @cache
+    def observed() -> MetricResult:
+        model, scores = fit()
+        return pmse_observed(scores, model.c, model)
+
+    return [_COMPUTE[name](real, synth, fit, observed, null) for name in metrics]

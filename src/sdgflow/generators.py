@@ -177,8 +177,14 @@ def _config(value: Any, where: str, configs: Mapping[str, tuple]) -> GeneratorCo
     return _check.tagged(configs, "mode", {"mode_params": {}, **_check.obj(value, where)}, where)
 
 
+def _unsigned_zero(value: Any, what: str) -> float:
+    """A number with -0.0 read as 0.0, an int kept an int: numpy rejects a
+    spread of -0.0 (a normal scale, or a uniform whose high - low is -0.0)."""
+    return _check.number(value, what) + 0
+
+
 def _nonnegative(value: Any, what: str) -> float:
-    if _check.number(value, what) < 0:
+    if (value := _unsigned_zero(value, what)) < 0:
         raise ConfigError(f"{what} must be >= 0")
     return value
 
@@ -193,7 +199,7 @@ def _parse_rsd(mp: Any, where: str) -> RsdParams:
 
 # distribution -> the model class and the checks of its keys
 _MODELS = {
-    "uniform": (UniformModel, {"low": _check.number, "high": _check.number}),
+    "uniform": (UniformModel, {"low": _unsigned_zero, "high": _unsigned_zero}),
     "normal": (NormalModel, {"mean": _check.number, "std": _nonnegative}),
     "quantile_table": (QuantileTableModel, {"quantiles": _check.numbers, "values": _check.numbers}),
 }
@@ -286,7 +292,7 @@ def _parse_asd(mp: Any, where: str) -> AsdParams:
 def _half_width(value: Any, what: str) -> float:
     """A uniform noise's half width w: numpy draws over [-w, w], whose width
     2w must be finite."""
-    if not math.isfinite(2.0 * _nonnegative(value, what)):
+    if not math.isfinite(2.0 * (value := _nonnegative(value, what))):
         raise ConfigError(f"{what} must be finite when doubled")
     return value
 

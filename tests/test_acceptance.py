@@ -27,6 +27,7 @@ from sdgflow.evaluation.diagnostic import diagnose
 from sdgflow.evaluation.privacy import (
     PrivacyConfig,
     categorical_cap,
+    key_groups,
     min_nn_distance,
     new_row_synthesis,
     sample_overlap,
@@ -256,10 +257,10 @@ def test_privacy_oracle_equivalence_and_maximal_leakage():
     rng = np.random.default_rng(20_24)
     for _ in range(200):
         real, synth, cfg, key_idx, sens_idx = _random_table(rng)
-        assert categorical_cap(real, synth, cfg).score == _cap_oracle(
+        assert categorical_cap(key_groups(real, synth, cfg)).score == _cap_oracle(
             real, synth, key_idx, sens_idx
         )
-        assert tcap(real, synth, cfg).score == _tcap_oracle(
+        assert tcap(key_groups(real, synth, cfg), cfg.tcap_homogeneity).score == _tcap_oracle(
             real, synth, key_idx, sens_idx, cfg.tcap_homogeneity
         )
 
@@ -278,7 +279,7 @@ def test_privacy_oracle_equivalence_and_maximal_leakage():
     )
     copy = real.take(np.arange(real.n))
     cfg = PrivacyConfig(key_columns=("region",), sensitive_column="level")
-    assert categorical_cap(real, copy, cfg).score == 0.0
+    assert categorical_cap(key_groups(real, copy, cfg)).score == 0.0
     assert new_row_synthesis(real, copy, 1e-9).score == 0.0
     assert min_nn_distance(real, copy).score == 0.0
     assert sample_overlap(real, copy, 1.0, derive_stream(0, "ovl")).score == 1.0

@@ -244,6 +244,22 @@ def test_inspect_tampered_run_exit_1(tmp_path, capsys):
     assert "verification: FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "stray", ["artifacts/stale/dataset.csv", "artifacts/generate/dataset.csv.part", "artifacts/notes.txt"]
+)
+def test_inspect_fails_on_an_artifact_no_record_claims(tmp_path, capsys, stray):
+    out_dir = tmp_path / "run"
+    assert main(["run", str(SAMPLE_SPEC), "--out", str(out_dir)]) == 0
+    (out_dir / stray).parent.mkdir(parents=True, exist_ok=True)
+    (out_dir / stray).write_bytes(b"a,b\n1,2\n")
+    rc = main(["inspect", str(out_dir)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "artifacts_recorded: FAIL" in out
+    assert f"{stray}: no node record claims it" in out
+    assert "verification: FAIL" in out
+
+
 def test_inspect_missing_dir_exit_2(tmp_path, capsys):
     rc = main(["inspect", str(tmp_path / "never-ran")])
     assert rc == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gower_distance, mixed_dataset
+from conftest import cont_schema, gower_distance, mixed_dataset
 from sdgflow.evaluation import privacy
 
 from sdgflow.errors import ConfigError
@@ -17,6 +17,7 @@ from sdgflow.evaluation.privacy import (
     categorical_cap,
     evaluate_privacy,
     inference_attack_score,
+    key_groups,
     min_nn_distance,
     new_row_synthesis,
     sample_overlap,
@@ -31,6 +32,7 @@ from sdgflow.tabular import (
     Schema,
     column_ranges,
     make_dataset,
+    row_codes,
 )
 
 KS = Schema(
@@ -122,7 +124,7 @@ def inference_oracle(real, synth, key_idx, sens_idx):
 def test_cap_six_row_hand_case():
     real = ks_ds([("A", "x"), ("A", "x"), ("B", "y"), ("C", "x")])
     synth = ks_ds([("A", "x"), ("A", "x"), ("A", "y"), ("B", "y")])
-    m = categorical_cap(real, synth, CFG)
+    m = categorical_cap(key_groups(real, synth, CFG))
     # attributions 2/3, 2/3, 1; C unmatched -> rate 7/9, score 2/9
     assert m.score == pytest.approx(2 / 9, rel=1e-12)
     assert m.details["matched_real_rows"] == 3
@@ -131,14 +133,14 @@ def test_cap_six_row_hand_case():
 
 def test_cap_exact_copy_is_zero():
     ds = ks_ds([("A", "x"), ("B", "y"), ("A", "x")])
-    m = categorical_cap(ds, ds, CFG)
+    m = categorical_cap(key_groups(ds, ds, CFG))
     assert m.score == 0.0
 
 
 def test_cap_no_key_overlap_flagged():
     real = ks_ds([("A", "x")])
     synth = ks_ds([("B", "y")])
-    m = categorical_cap(real, synth, CFG)
+    m = categorical_cap(key_groups(real, synth, CFG))
     assert m.score == 1.0
     assert "undefined-baseline" in m.details["flags"]
 
@@ -149,7 +151,7 @@ def test_cap_shuffled_sensitive_approaches_one_minus_inverse_m():
     k = rng.integers(0, 3, n)
     real = make_dataset(KS, {"k": k, "s": rng.integers(0, 2, n)})
     synth = make_dataset(KS, {"k": k, "s": rng.integers(0, 2, n)})
-    m = categorical_cap(real, synth, CFG)
+    m = categorical_cap(key_groups(real, synth, CFG))
     assert abs(m.score - 0.5) < 0.02  # 1 - 1/m with m = 2
 
 
@@ -159,21 +161,21 @@ def test_inference_independent_sensitive_scores_zero():
     # modal attacker predicts x everywhere; real is half x: accuracy == baseline
     real = ks_ds([("A", "x"), ("A", "y"), ("B", "x"), ("B", "y")] * 2)
     synth = ks_ds([("A", "x"), ("A", "x"), ("B", "x"), ("B", "x")] * 2)
-    m = inference_attack_score(real, synth, CFG)
+    m = inference_attack_score(key_groups(real, synth, CFG))
     assert m.score == 0.0
     assert m.details["accuracy"] == pytest.approx(m.details["baseline"])
 
 
 def test_inference_total_leakage_scores_one():
     real = ks_ds([("A", "x"), ("A", "x"), ("B", "y"), ("B", "y")])
-    m = inference_attack_score(real, real, CFG)
+    m = inference_attack_score(key_groups(real, real, CFG))
     assert m.score == 1.0
 
 
 def test_inference_constant_sensitive_flagged():
     real = ks_ds([("A", "x"), ("B", "x")])
     synth = ks_ds([("A", "x"), ("B", "x")])
-    m = inference_attack_score(real, synth, CFG)
+    m = inference_attack_score(key_groups(real, synth, CFG))
     assert m.score == 0.0
     assert "degenerate-baseline" in m.details["flags"]
 
@@ -181,7 +183,7 @@ def test_inference_constant_sensitive_flagged():
 def test_inference_no_predicted_rows_flagged():
     real = ks_ds([("A", "x"), ("A", "y")])
     synth = ks_ds([("C", "x"), ("C", "y")])
-    m = inference_attack_score(real, synth, CFG)
+    m = inference_attack_score(key_groups(real, synth, CFG))
     assert m.score == 0.0
     assert "no-predicted-rows" in m.details["flags"]
 
@@ -195,7 +197,7 @@ def test_tcap_ten_row_hand_case():
     )
     real = ks_ds([("A", "x"), ("A", "x"), ("A", "y"), ("A", "x"), ("B", "y"), ("C", "x")])
     cfg = PrivacyConfig(key_columns=("k",), sensitive_column="s", tcap_homogeneity=0.8)
-    m = tcap(real, synth, cfg)
+    m = tcap(key_groups(real, synth, cfg), cfg.tcap_homogeneity)
     assert m.score == pytest.approx(3 / 4)
     assert m.details["attackable_real_rows"] == 4
     oracle = tcap_oracle(real, synth, (0,), 1, 0.8)
@@ -205,14 +207,14 @@ def test_tcap_ten_row_hand_case():
 def test_tcap_all_groups_mixed_flagged():
     synth = ks_ds([("A", "x"), ("A", "y"), ("B", "x"), ("B", "y")])
     real = ks_ds([("A", "x"), ("B", "y")])
-    m = tcap(real, synth, CFG)  # homogeneity 1.0: no pure groups
+    m = tcap(key_groups(real, synth, CFG), CFG.tcap_homogeneity)  # homogeneity 1.0: no pure groups
     assert m.score == 0.0
     assert "no-attackable-records" in m.details["flags"]
 
 
 def test_tcap_copy_with_deterministic_mapping():
     ds = ks_ds([("A", "x"), ("A", "x"), ("B", "y"), ("B", "y")])
-    assert tcap(ds, ds, CFG).score == 1.0
+    assert tcap(key_groups(ds, ds, CFG), CFG.tcap_homogeneity).score == 1.0
 
 
 # --------------------------------------------------- random-table equivalence ---
@@ -243,11 +245,13 @@ def test_cap_tcap_inference_match_oracles_on_random_tables():
     rng = np.random.default_rng(77)
     for _ in range(60):
         real, synth, cfg, key_idx, sens_idx = random_table(rng)
-        assert categorical_cap(real, synth, cfg).score == cap_oracle(real, synth, key_idx, sens_idx)
-        assert tcap(real, synth, cfg).score == tcap_oracle(
+        assert categorical_cap(key_groups(real, synth, cfg)).score == cap_oracle(
+            real, synth, key_idx, sens_idx
+        )
+        assert tcap(key_groups(real, synth, cfg), cfg.tcap_homogeneity).score == tcap_oracle(
             real, synth, key_idx, sens_idx, cfg.tcap_homogeneity
         )
-        assert inference_attack_score(real, synth, cfg).score == inference_oracle(
+        assert inference_attack_score(key_groups(real, synth, cfg)).score == inference_oracle(
             real, synth, key_idx, sens_idx
         )
 
@@ -443,7 +447,9 @@ def call_directly(metric, real, synth, cfg):
         return sample_overlap(real, synth, cfg.overlap_sample_fraction, derive_stream(0, "ov"))
     if metric == "min_nn_distance":
         return min_nn_distance(real, synth)
-    return getattr(privacy, metric)(real, synth, cfg)
+    if metric == "tcap":
+        return tcap(key_groups(real, synth, cfg), cfg.tcap_homogeneity)
+    return getattr(privacy, metric)(key_groups(real, synth, cfg))
 
 
 @pytest.mark.parametrize("via", ["direct", "evaluate_privacy"])
@@ -476,6 +482,38 @@ def test_orchestrator_deterministic():
     a = evaluate_privacy(real, synth, CFG, rng=derive_stream(2, "priv"))
     b = evaluate_privacy(real, synth, CFG, rng=derive_stream(2, "priv"))
     assert [(m.name, m.score) for m in a] == [(m.name, m.score) for m in b]
+
+
+@pytest.mark.parametrize(
+    "metrics", [privacy.KEY_BASED_PRIVACY_METRICS, ("tcap",), ("inference_attack_score", "categorical_cap")]
+)
+def test_key_attacks_share_one_key_grouping(monkeypatch, metrics):
+    # the key codes and the key+sensitive codes, once per node
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return row_codes(*args, **kwargs)
+
+    monkeypatch.setattr(privacy, "row_codes", spy)
+    real = ks_ds([("A", "x"), ("B", "y"), ("A", "y"), ("C", "x")] * 3)
+    synth = ks_ds([("A", "x"), ("B", "x"), ("C", "y"), ("A", "x")] * 3)
+    out = evaluate_privacy(real, synth, CFG, metrics=metrics)
+    assert len(calls) == 2
+    groups = key_groups(real, synth, CFG)
+    direct = {
+        "categorical_cap": categorical_cap(groups),
+        "inference_attack_score": inference_attack_score(groups),
+        "tcap": tcap(groups, CFG.tcap_homogeneity),
+    }
+    assert out == [direct[name] for name in metrics]
+
+
+@pytest.mark.parametrize("homogeneity", [0.0, -0.5, 1.5, math.nan])
+def test_tcap_rejects_homogeneity_outside_unit_interval(homogeneity):
+    ds = ks_ds([("A", "x"), ("B", "y")])
+    with pytest.raises(ConfigError, match="tcap_homogeneity"):
+        tcap(key_groups(ds, ds, CFG), homogeneity)
 
 
 # ------------------------------------- proximity metrics vs brute-force scans ---
@@ -621,6 +659,28 @@ def test_proximity_equal_scans_across_pair_chunks(monkeypatch, chunk, shift):
         assert (m.score, m.details["matched_synthetic_rows"]) == new_row_scan(real, synth, tol)
 
 
+@pytest.mark.parametrize("tol", [1e308, np.finfo(np.float64).max])
+def test_new_row_with_a_tolerance_past_the_doubles_equals_the_scan(tol):
+    # tol * |v| overflows: the threshold is infinite, and no warning is raised
+    real, synth = clustered_pair(60, 50, seed=13, shift=2.0)
+    m = new_row_synthesis(real, synth, tol)
+    with np.errstate(over="ignore"):
+        expected = new_row_scan(real, synth, tol)
+    assert (m.score, m.details["matched_synthetic_rows"]) == expected
+
+
+@pytest.mark.parametrize("tol", [1.0, 3.0, 1e308])
+def test_new_row_with_differences_past_the_doubles_equals_the_scan(tol):
+    # s - r overflows for cells near opposite ends of the doubles
+    schema = cont_schema("v")
+    real = make_dataset(schema, {"v": [1e308, 1.0, -0.0]})
+    synth = make_dataset(schema, {"v": [-1e308, 2.0, 1.5e308]})
+    m = new_row_synthesis(real, synth, tol)
+    with np.errstate(over="ignore"):
+        expected = new_row_scan(real, synth, tol)
+    assert (m.score, m.details["matched_synthetic_rows"]) == expected
+
+
 def test_min_nn_with_no_shared_group_uses_fewest_mismatches():
     real, synth = clustered_pair(200, 150, seed=12)
     g = real.schema.index_of("g")
@@ -677,11 +737,10 @@ def test_many_categorical_columns_pack_without_collisions():
     real, synth = table([0, 0, 1], [0, 0, 1]), table([1, 1, 0], [0, 0, 1])
     cfg = PrivacyConfig(key_columns=names, sensitive_column="s")
     key_idx = tuple(range(len(names)))
-    assert categorical_cap(real, synth, cfg).score == cap_oracle(real, synth, key_idx, len(names))
-    assert tcap(real, synth, cfg).score == tcap_oracle(real, synth, key_idx, len(names), 1.0)
-    assert inference_attack_score(real, synth, cfg).score == inference_oracle(
-        real, synth, key_idx, len(names)
-    )
+    groups = key_groups(real, synth, cfg)
+    assert categorical_cap(groups).score == cap_oracle(real, synth, key_idx, len(names))
+    assert tcap(groups, cfg.tcap_homogeneity).score == tcap_oracle(real, synth, key_idx, len(names), 1.0)
+    assert inference_attack_score(groups).score == inference_oracle(real, synth, key_idx, len(names))
     assert new_row_synthesis(real, synth, 0.01).score == new_row_scan(real, synth, 0.01)[0] == 1.0
     assert min_nn_distance(real, synth).score == nn_scan(real, synth) == 1 / len(schema.columns)
 

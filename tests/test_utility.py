@@ -691,3 +691,38 @@ def test_fidelity_row_order_invariant():
     assert bivariate_fidelity(real, synth).score == pytest.approx(
         bivariate_fidelity(real, shuffled).score, rel=1e-12
     )
+
+
+# ------------------------------------------------------------ shared inputs ---
+
+@pytest.mark.parametrize(
+    "metrics, fits, nulls",
+    [
+        (("specks",), 1, 0),
+        (("univariate_fidelity", "bivariate_fidelity"), 0, 0),
+        (("pmse_ratio", "specks", "pmse_observed", "pmse_standardized"), 1, 1),
+        (utility.UTILITY_METRICS, 1, 1),
+    ],
+)
+def test_evaluate_utility_builds_each_shared_input_once(monkeypatch, metrics, fits, nulls):
+    calls = {"fit_propensity": 0, "pmse_null": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(utility, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(utility, name, spy)
+    real, synth = cont_ds(80, 1), cont_ds(80, 2, shift=0.3)
+    out = utility.evaluate_utility(real, synth, metrics, "permutation", 20, derive_stream(3, "q"))
+    assert [m.name for m in out] == list(metrics)
+    assert calls == {"fit_propensity": fits, "pmse_null": nulls}
+
+
+def test_evaluate_utility_results_do_not_depend_on_metric_order():
+    real, synth = cont_ds(80, 1), cont_ds(80, 2, shift=0.3)
+
+    def scores(metrics):
+        out = utility.evaluate_utility(real, synth, metrics, "permutation", 20, derive_stream(3, "q"))
+        return {m.name: (m.score, m.details) for m in out}
+
+    assert scores(utility.UTILITY_METRICS) == scores(tuple(reversed(utility.UTILITY_METRICS)))
+    assert scores(("pmse_ratio",))["pmse_ratio"] == scores(utility.UTILITY_METRICS)["pmse_ratio"]

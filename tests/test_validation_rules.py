@@ -269,3 +269,21 @@ def test_unsatisfiable_implication_is_named_in_the_error():
         generate(config, derive_stream(1, "gen"), schema=schema_from_json_obj(SCHEMA))
     assert exc.value.attempts == 3
     assert "most violated: implication: c=p => c in ['q']" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        asd_model("x", {"distribution": "normal", "mean": 1, "std": -0.0}),
+        asd_model("x", {"distribution": "uniform", "low": 0, "high": -0.0}),
+        csd(noise={"x": NOISE, "y": {"distribution": "normal", "std": -0.0}}),
+        csd(noise={"x": NOISE, "y": {"distribution": "uniform", "half_width": -0.0}}),
+    ],
+    ids=["normal-std", "uniform-high", "noise-std", "noise-half-width"],
+)
+def test_a_spread_of_negative_zero_reads_as_zero(doc):
+    # numpy rejects a scale or a width of -0.0, so parsing reads it as 0.0
+    config = parse_generator_config(doc)
+    columns = SCHEMA["columns"] if config.mode == "asd" else SCHEMA["columns"][:2]
+    ds = generate(config, derive_stream(1, "gen"), schema=schema_from_json_obj({"columns": columns}))
+    assert ds.n == 5
