@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .canonical import canonical_json_bytes
-from .engine import RunManifest, run
+from .engine import RunManifest, check_out_dir, run
 from .rng import derive_stream
 from .specs import parse_spec
 from .tabular import (
@@ -75,7 +75,7 @@ def make_bench_dataset(n: int) -> Dataset:
         0.5 * latent[:, 2] + 0.5 * noise[:, 2],
         side="right",
     )
-    return Dataset(
+    return Dataset._adopt(
         BENCH_SCHEMA,
         (age, income, score, region.astype(np.int64), status.astype(np.int64), grade.astype(np.int64)),
     )
@@ -199,6 +199,7 @@ def bench_one_size(size: int, out_dir, max_parallel: int) -> SizeTiming:
 def run_bench(sizes, out_dir, max_parallel: int = 4) -> BenchResult:
     if len(sizes) < 2:
         raise ValueError("bench needs at least 2 sizes")
+    check_out_dir(out_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings = tuple(bench_one_size(s, out / f"size_{s}", max_parallel) for s in sizes)

@@ -3,8 +3,9 @@
 Exit codes are part of the contract:
   validate: 0 clean, 1 validation findings, 2 I/O or syntax trouble
   run:      0 success and report passed, 1 report failed, 2 node failure,
-            3 spec validation or invalid option
-  bench:    0 done, 2 node failure, 3 invalid option
+            3 spec validation, invalid option or an --out that is not empty
+  bench:    0 done, 2 node failure, 3 invalid option or an --out that is
+            not empty
   inspect:  0 all checks pass, 1 verification failure, 2 missing/corrupt files
 """
 
@@ -24,6 +25,7 @@ from .errors import (
     ManifestInvalid,
     ManifestMissing,
     NodeFailure,
+    RunDirNotEmpty,
     SpecError,
     SpecSyntaxError,
 )
@@ -84,6 +86,9 @@ def _cmd_run(args) -> int:
             max_parallel=args.max_parallel,
             base_dir=base_dir,
         )
+    except RunDirNotEmpty as e:
+        print(f"invalid option: --out {e}")
+        return 3
     except NodeFailure as e:
         for rec in e.manifest.node_records:
             print(f"{rec.id}: {rec.status}")
@@ -115,6 +120,9 @@ def _cmd_bench(args) -> int:
         return 3
     try:
         result = run_bench(args.sizes, args.out, max_parallel=args.max_parallel)
+    except RunDirNotEmpty as e:
+        print(f"invalid option: --out {e}")
+        return 3
     except NodeFailure as e:
         print(f"node failure: {e.node_id}")
         return 2

@@ -30,6 +30,7 @@ from .errors import (
     ManifestInvalid,
     ManifestMissing,
     NodeFailure,
+    RunDirNotEmpty,
 )
 from .evaluation.diagnostic import evaluate_diagnostic
 from .evaluation.privacy import evaluate_privacy
@@ -321,6 +322,13 @@ def check_max_parallel(value: int, what: str = "max_parallel") -> None:
         raise ConfigError(f"{what} must be >= 1")
 
 
+def check_out_dir(out_dir) -> None:
+    """Raise RunDirNotEmpty unless out_dir is missing or an empty directory."""
+    out = Path(out_dir)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise RunDirNotEmpty(f"{out} exists and is not an empty directory")
+
+
 def run(
     spec: PipelineSpec,
     out_dir,
@@ -332,16 +340,22 @@ def run(
 
     Relative input paths resolve against `base_dir` (default: current
     directory). `runners` swaps node implementations by kind, which tests use
-    for timing stubs. A bad max_parallel or seed raises before any node
+    for timing stubs. A bad max_parallel or seed, or an out_dir that is
+    neither missing nor empty (RunDirNotEmpty), raises before any node
     starts. On a node failure every descendant is skipped, the
     manifest is still written, and NodeFailure (carrying the manifest) is
     raised.
     """
     check_max_parallel(max_parallel)
     check_seed(spec.seed)
+    check_out_dir(out_dir)
     out = Path(out_dir)
-    (out / "artifacts").mkdir(parents=True, exist_ok=True)
-    (out / "logs").mkdir(exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
+    try:  # made exclusively: of two runs started at once, one gets the directory
+        (out / "artifacts").mkdir()
+    except FileExistsError:
+        raise RunDirNotEmpty(f"{out} is taken by another run") from None
+    (out / "logs").mkdir()
     base = Path(base_dir) if base_dir is not None else Path.cwd()
     active_runners = dict(DEFAULT_RUNNERS)
     if runners:

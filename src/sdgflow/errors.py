@@ -97,6 +97,11 @@ class NodeFailure(SdgError):
         super().__init__(f"node {node_id!r} failed: {cause}")
 
 
+class RunDirNotEmpty(SdgError):
+    """The output directory of a run already holds files: a run directory
+    holds one run."""
+
+
 class ManifestMissing(SdgError):
     pass
 

@@ -14,7 +14,14 @@ from scipy.spatial import cKDTree
 from ..errors import ConfigError, SchemaError
 from ..rng import RngStream
 from ..tabular import ColumnKind, Dataset, Schema, column_ranges, row_codes
-from .results import Direction, MetricResult, check_metric_names, check_rows
+from .results import (
+    Direction,
+    MetricResult,
+    check_metric_names,
+    check_rows,
+    compute_metrics,
+    metric_inputs,
+)
 from .utility import check_pair
 
 # row pairs per vectorized block of the proximity metrics, which bounds their
@@ -539,24 +546,27 @@ def sample_overlap(
     )
 
 
-# metric name -> its computation from (real, synth, cfg, rng, groups), with
-# `groups()` the pair's KeyGroups. Each calls through the module's globals, so
-# a function replaced on the module is the one called.
+# metric name -> its computation, whose parameters name what it reads of
+# evaluate_privacy's inputs: the datasets `real` and `synth`, `cfg`, `rng`,
+# and `groups()`, the pair's KeyGroups. Each calls through the module's
+# globals, so a function replaced on the module is the one called.
 _COMPUTE = {
-    "categorical_cap": lambda real, synth, cfg, rng, groups: categorical_cap(groups()),
-    "new_row_synthesis": lambda real, synth, cfg, rng, groups: new_row_synthesis(
+    "categorical_cap": lambda groups: categorical_cap(groups()),
+    "new_row_synthesis": lambda real, synth, cfg: new_row_synthesis(
         real, synth, cfg.numeric_match_tolerance
     ),
-    "inference_attack_score": lambda real, synth, cfg, rng, groups: inference_attack_score(groups()),
-    "tcap": lambda real, synth, cfg, rng, groups: tcap(groups(), cfg.tcap_homogeneity),
-    "min_nn_distance": lambda real, synth, *_: min_nn_distance(real, synth),
-    "sample_overlap": lambda real, synth, cfg, rng, groups: sample_overlap(
+    "inference_attack_score": lambda groups: inference_attack_score(groups()),
+    "tcap": lambda groups, cfg: tcap(groups(), cfg.tcap_homogeneity),
+    "min_nn_distance": lambda real, synth: min_nn_distance(real, synth),
+    "sample_overlap": lambda real, synth, cfg, rng: sample_overlap(
         real, synth, cfg.overlap_sample_fraction, rng.child("sample_overlap")
     ),
 }
 PRIVACY_METRICS = tuple(_COMPUTE)
-# the metrics that need key and sensitive columns
-KEY_BASED_PRIVACY_METRICS = ("categorical_cap", "inference_attack_score", "tcap")
+# the metrics that read the KeyGroups, so need key and sensitive columns
+KEY_BASED_PRIVACY_METRICS = tuple(
+    name for name, compute in _COMPUTE.items() if "groups" in metric_inputs(compute)
+)
 
 
 def evaluate_privacy(
@@ -574,4 +584,5 @@ def evaluate_privacy(
     if rng is None and "sample_overlap" in metrics:
         raise ConfigError("sample_overlap needs an rng stream")
     groups = cache(lambda: key_groups(real, synth, cfg))
-    return [_COMPUTE[name](real, synth, cfg, rng, groups) for name in metrics]
+    inputs = {"real": real, "synth": synth, "cfg": cfg, "rng": rng, "groups": groups}
+    return compute_metrics(_COMPUTE, metrics, inputs)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Collection, Mapping
+from typing import Any, Callable, Collection, Mapping
 
 from ..errors import ConfigError
 from ..tabular import Dataset
@@ -39,6 +40,20 @@ def check_metric_names(metrics: Collection[str], known: Collection[str]) -> None
         raise ConfigError(f"unknown metrics {sorted(unknown)}")
     if len(set(metrics)) != len(metrics):
         raise ConfigError("metrics must not repeat a name")
+
+
+def metric_inputs(compute: Callable) -> tuple[str, ...]:
+    """The inputs a computation of a metric table reads: its parameters'
+    names."""
+    return tuple(inspect.signature(compute).parameters)
+
+
+def compute_metrics(
+    table: Mapping[str, Callable], metrics: Collection[str], inputs: Mapping[str, Any]
+) -> list[MetricResult]:
+    """The selected metrics of `table`, in the order given, each computed
+    from the entries of `inputs` that it reads (metric_inputs)."""
+    return [table[name](**{k: inputs[k] for k in metric_inputs(table[name])}) for name in metrics]
 
 
 def check_rows(real: Dataset, synth: Dataset, what: str) -> None:

@@ -18,7 +18,7 @@ from scipy.special import expit
 from ..errors import ConfigError, DegenerateNull, SchemaMismatch, SeparationWarning, TooFewRows
 from ..rng import RngStream
 from ..tabular import ColumnKind, Dataset, Encoding, encode, encoded_width
-from .results import Direction, MetricResult, check_metric_names, check_rows
+from .results import Direction, MetricResult, check_metric_names, check_rows, compute_metrics
 
 RIDGE = 1e-6
 MAX_ITER = 100
@@ -353,17 +353,21 @@ def pmse_ratio(observed: float, null: NullModel) -> MetricResult:
     )
 
 
-def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+def ks_statistic(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None = None) -> float:
     """Exact two-sample Kolmogorov-Smirnov statistic: the largest gap between
-    the two empirical CDFs over the pooled values. Each sorted sample is
-    walked ROW_BLOCK values at a time: at the last of each run of equal
-    values, the count at or below it is its position in its own sample and
-    a right searchsorted in the other, so the temporaries stay one block
-    long."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
+    the two empirical CDFs over the pooled values. Each sample is sorted into
+    a row of `scratch` (two float64 rows at least as long as the longer
+    sample; new rows by default), and each sorted sample is walked ROW_BLOCK
+    values at a time: at the last of each run of equal values, the count at
+    or below it is its position in its own sample and a right searchsorted
+    in the other, so the temporaries stay one block long."""
+    if np.size(a) == 0 or np.size(b) == 0:
         raise ConfigError("ks_statistic needs non-empty samples")
+    if scratch is None:
+        scratch = np.empty((2, max(np.size(a), np.size(b))))
+    a, b = (_copied_into(row, x) for row, x in zip(scratch, (a, b)))
+    a.sort()
+    b.sort()
     gap = 0.0
     # |p - q| rounds to the same double as |q - p|, so the order of the
     # samples in the difference does not matter
@@ -379,6 +383,22 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return gap
 
 
+def _copied_into(row: np.ndarray, values, dtype=np.float64) -> np.ndarray:
+    """A writable copy of the values as dtype (8 bytes wide), in the front of
+    the float64 row. np.bincount reads such an array in place, where it
+    copies a read-only one, as every Dataset column is."""
+    out = row[: np.size(values)].view(dtype)
+    out[...] = values
+    return out
+
+
+def _scratch_rows(real: Dataset, synth: Dataset) -> np.ndarray:
+    """Two float64 rows as long as the longer dataset: the fidelity metrics
+    sort, count and multiply in them, not in a full-length temporary per
+    column or per pair."""
+    return np.empty((2, max(real.n, synth.n)))
+
+
 def specks(scores_real: np.ndarray, scores_synth: np.ndarray) -> MetricResult:
     """KS distance between the propensity-score distributions of the two sides."""
     value = ks_statistic(scores_real, scores_synth)
@@ -391,24 +411,25 @@ def specks(scores_real: np.ndarray, scores_synth: np.ndarray) -> MetricResult:
     )
 
 
-def _tvd(real_codes: np.ndarray, synth_codes: np.ndarray, n_categories: int) -> float:
-    p = np.bincount(real_codes, minlength=n_categories) / real_codes.size
-    q = np.bincount(synth_codes, minlength=n_categories) / synth_codes.size
+def _tvd(real_codes: np.ndarray, synth_codes: np.ndarray, n_categories: int, row: np.ndarray) -> float:
+    p = np.bincount(_copied_into(row, real_codes, np.int64), minlength=n_categories) / real_codes.size
+    q = np.bincount(_copied_into(row, synth_codes, np.int64), minlength=n_categories) / synth_codes.size
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def univariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
+def univariate_fidelity(real: Dataset, synth: Dataset, scratch: np.ndarray | None = None) -> MetricResult:
     """Mean per-column marginal agreement: 1-KS for continuous columns,
-    1-TVD for categorical columns."""
+    1-TVD for categorical columns. The samples are sorted and counted in
+    `scratch`, rows as _scratch_rows makes them (new ones by default)."""
     check_pair(real, synth)
     check_rows(real, synth, "univariate_fidelity")
+    rows = _scratch_rows(real, synth) if scratch is None else scratch
     per_column = {}
-    for spec in real.schema.columns:
-        r, s = real.column(spec.name), synth.column(spec.name)
+    for spec, r, s in zip(real.schema.columns, real.columns, synth.columns):
         if spec.kind is ColumnKind.CONTINUOUS:
-            per_column[spec.name] = 1.0 - ks_statistic(r, s)
+            per_column[spec.name] = 1.0 - ks_statistic(r, s, rows)
         else:
-            per_column[spec.name] = 1.0 - _tvd(r, s, len(spec.categories))
+            per_column[spec.name] = 1.0 - _tvd(r, s, len(spec.categories), rows[0])
     return MetricResult(
         name="univariate_fidelity",
         score=float(np.mean(list(per_column.values()))),
@@ -418,53 +439,80 @@ def univariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
     )
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
-    sx, sy = x.std(), y.std()
+def _column_stats(ds: Dataset, row: np.ndarray) -> list:
+    """Per column, what the pair statistics read of it alone: a continuous
+    column's (mean, std, SST), SST being its sum of squared deviations from
+    the mean, and a categorical column's category counts as floats. The
+    deviations are squared in `row`; std is sqrt(SST / n), the sum np.std
+    makes."""
+    stats = []
+    for spec, x in zip(ds.schema.columns, ds.columns):
+        if spec.kind is ColumnKind.CATEGORICAL:
+            counts = np.bincount(_copied_into(row, x, np.int64), minlength=len(spec.categories))
+            stats.append(counts.astype(np.float64))
+        else:
+            mean = x.mean()
+            dev = np.subtract(x, mean, out=row[: x.size])
+            sst = float(np.multiply(dev, dev, out=dev).sum())
+            stats.append((mean, math.sqrt(sst / x.size), sst))
+    return stats
+
+
+def _pearson(x: np.ndarray, y: np.ndarray, x_stats, y_stats, rows: np.ndarray) -> tuple[float, bool]:
+    (mx, sx, _), (my, sy, _) = x_stats, y_stats
     if sx < 1e-12 or sy < 1e-12:
         return 0.0, True
-    r = float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
+    dx = np.subtract(x, mx, out=rows[0, : x.size])
+    dy = np.subtract(y, my, out=rows[1, : y.size])
+    r = float(np.mean(np.multiply(dx, dy, out=dx)) / (sx * sy))
     return max(-1.0, min(1.0, r)), False
 
 
-def _cramers_v(a: np.ndarray, b: np.ndarray, ka: int, kb: int) -> tuple[float, bool]:
+def _cramers_v(a: np.ndarray, b: np.ndarray, ka: int, kb: int, row: np.ndarray) -> tuple[float, bool]:
     low = min(ka - 1, kb - 1)
     if low == 0:
         return 0.0, True
     n = a.size
-    table = np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb).astype(np.float64)
-    row = table.sum(axis=1, keepdims=True)
-    col = table.sum(axis=0, keepdims=True)
-    expected = row @ col / n
+    cells = np.multiply(a, kb, out=row[:n].view(np.int64))
+    table = np.bincount(np.add(cells, b, out=cells), minlength=ka * kb).reshape(ka, kb).astype(np.float64)
+    row_sums = table.sum(axis=1, keepdims=True)
+    col_sums = table.sum(axis=0, keepdims=True)
+    expected = row_sums @ col_sums / n
     mask = expected > 0
     chi2 = float((((table - expected) ** 2)[mask] / expected[mask]).sum())
     return math.sqrt(chi2 / (n * low)), False
 
 
-def _correlation_ratio(codes: np.ndarray, values: np.ndarray, k: int) -> tuple[float, bool]:
-    grand = values.mean()
-    sst = float(((values - grand) ** 2).sum())
+def _correlation_ratio(
+    codes: np.ndarray, values: np.ndarray, counts: np.ndarray, values_stats, rows: np.ndarray
+) -> tuple[float, bool]:
+    grand, _, sst = values_stats
     if sst <= 0.0:
         return 0.0, True
-    counts = np.bincount(codes, minlength=k).astype(np.float64)
-    sums = np.bincount(codes, weights=values, minlength=k)
+    codes, values = _copied_into(rows[0], codes, np.int64), _copied_into(rows[1], values)
+    sums = np.bincount(codes, weights=values, minlength=counts.size)
     nonzero = counts > 0
     ssb = float((counts[nonzero] * (sums[nonzero] / counts[nonzero] - grand) ** 2).sum())
     return math.sqrt(min(ssb / sst, 1.0)), False
 
 
-def bivariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
+def bivariate_fidelity(real: Dataset, synth: Dataset, scratch: np.ndarray | None = None) -> MetricResult:
     """Mean pairwise-association agreement over all column pairs.
 
     Pearson for continuous pairs, Cramer's V for categorical pairs, the
     correlation ratio for mixed pairs. Degenerate inputs (constant column,
     single category, zero variance) contribute an association of 0 and are
-    flagged in the details.
+    flagged in the details. Each column's own statistics are made once per
+    dataset; the pair products are made in `scratch`, rows as _scratch_rows
+    makes them (new ones by default).
     """
     check_pair(real, synth)
     check_rows(real, synth, "bivariate_fidelity")
     schema = real.schema
     if len(schema.columns) < 2:
         raise ConfigError("bivariate_fidelity needs at least 2 columns")
+    rows = _scratch_rows(real, synth) if scratch is None else scratch
+    sides = [(ds.columns, _column_stats(ds, rows[0])) for ds in (real, synth)]
     per_pair = {}
     flags = []
     for i in range(len(schema.columns)):
@@ -472,19 +520,19 @@ def bivariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
             a, b = schema.columns[i], schema.columns[j]
             pair = f"{a.name}|{b.name}"
             stats = []
-            for ds in (real, synth):
-                xa, xb = ds.column(a.name), ds.column(b.name)
+            for columns, col_stats in sides:
+                xa, xb, sa, sb = columns[i], columns[j], col_stats[i], col_stats[j]
                 if a.kind is ColumnKind.CONTINUOUS and b.kind is ColumnKind.CONTINUOUS:
-                    v, degen = _pearson(xa, xb)
+                    v, degen = _pearson(xa, xb, sa, sb, rows)
                     scale = 2.0
                 elif a.kind is ColumnKind.CATEGORICAL and b.kind is ColumnKind.CATEGORICAL:
-                    v, degen = _cramers_v(xa, xb, len(a.categories), len(b.categories))
+                    v, degen = _cramers_v(xa, xb, len(a.categories), len(b.categories), rows[0])
                     scale = 1.0
                 elif a.kind is ColumnKind.CATEGORICAL:
-                    v, degen = _correlation_ratio(xa, xb, len(a.categories))
+                    v, degen = _correlation_ratio(xa, xb, sa, sb, rows)
                     scale = 1.0
                 else:
-                    v, degen = _correlation_ratio(xb, xa, len(b.categories))
+                    v, degen = _correlation_ratio(xb, xa, sb, sa, rows)
                     scale = 1.0
                 stats.append(v)
                 if degen:
@@ -499,16 +547,18 @@ def bivariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
     )
 
 
-# metric name -> its computation from the datasets and evaluate_utility's
-# thunks `fit()`, `observed()` and `null()`. Each calls through the module's
-# globals, so a function replaced on the module is the one called.
+# metric name -> its computation, whose parameters name what it reads of
+# evaluate_utility's inputs: the datasets `real` and `synth`, and the thunks
+# `fit()`, `observed()`, `null()` and `scratch()` (_scratch_rows). Each calls
+# through the module's globals, so a function replaced on the module is the
+# one called.
 _COMPUTE = {
-    "pmse_observed": lambda real, synth, fit, observed, null: observed(),
-    "pmse_standardized": lambda real, synth, fit, observed, null: pmse_standardized(observed().score, null()),
-    "pmse_ratio": lambda real, synth, fit, observed, null: pmse_ratio(observed().score, null()),
-    "specks": lambda real, synth, fit, *_: specks(*np.split(fit()[1], [real.n])),
-    "univariate_fidelity": lambda real, synth, *_: univariate_fidelity(real, synth),
-    "bivariate_fidelity": lambda real, synth, *_: bivariate_fidelity(real, synth),
+    "pmse_observed": lambda observed: observed(),
+    "pmse_standardized": lambda observed, null: pmse_standardized(observed().score, null()),
+    "pmse_ratio": lambda observed, null: pmse_ratio(observed().score, null()),
+    "specks": lambda real, fit: specks(*np.split(fit()[1], [real.n])),
+    "univariate_fidelity": lambda real, synth, scratch: univariate_fidelity(real, synth, scratch()),
+    "bivariate_fidelity": lambda real, synth, scratch: bivariate_fidelity(real, synth, scratch()),
 }
 UTILITY_METRICS = tuple(_COMPUTE)
 
@@ -533,4 +583,12 @@ def evaluate_utility(
         model, scores = fit()
         return pmse_observed(scores, model.c, model)
 
-    return [_COMPUTE[name](real, synth, fit, observed, null) for name in metrics]
+    inputs = {
+        "real": real,
+        "synth": synth,
+        "fit": fit,
+        "observed": observed,
+        "null": null,
+        "scratch": cache(lambda: _scratch_rows(real, synth)),
+    }
+    return compute_metrics(_COMPUTE, metrics, inputs)

@@ -546,7 +546,7 @@ def generate_rsd(
             cum = np.cumsum(counts / n)
             idx = np.searchsorted(cum, u, side="right")
             out_cols.append(np.clip(idx, 0, k - 1).astype(np.int64))
-    return Dataset(real.schema, tuple(out_cols))
+    return Dataset._adopt(real.schema, out_cols)
 
 
 # ------------------------------------------------------------------ asd ---
@@ -584,7 +584,7 @@ def _apply_derivations(cols: dict[str, np.ndarray], order: Sequence[DerivationRu
     for rule in order:
         total = np.full_like(next(iter(cols.values())), rule.constant, dtype=np.float64)
         for src, coef in rule.sources.items():
-            total = total + coef * cols[src]
+            total += coef * cols[src]
         cols[rule.target] = total
 
 
@@ -630,31 +630,32 @@ def _reject(
     max_rounds: int,
 ) -> Dataset:
     """Rejection sampling shared by asd and hsd: each round draws the rows
-    still missing with draw(round, rows), applies the derivations, and
-    copies the rows no rule rejects into the next free rows of the output
-    columns. Past max_rounds rounds it raises RuleUnsatisfiable naming the
-    most violated rule. A first round that keeps every row is the output
-    as drawn."""
+    still missing with draw(round, rows) and applies the derivations. The
+    first round's columns become the output: the rows no rule rejects move
+    to their front, in place, and each later round copies its kept rows
+    into the next free rows. A column that arrives frozen (an hsd part) is
+    copied once, when it must be written. Past max_rounds rounds it raises
+    RuleUnsatisfiable naming the most violated rule."""
     order = _derivation_order(rules)
-    out = [
-        np.empty(n_out, np.float64 if spec.kind is ColumnKind.CONTINUOUS else np.int64)
-        for spec in schema.columns
-    ]
+    out: list[np.ndarray] = []
     filled = 0
     total_counts = [0] * len(rules)
     for round_ in range(max_rounds):
         cols = draw(round_, n_out - filled)
         _apply_derivations(cols, order)
         bad, counts = _rule_violations(cols, rules, schema)
-        if not filled and not bad.any():
-            return Dataset(schema, tuple(cols[name] for name in schema.names))
         total_counts = [a + b for a, b in zip(total_counts, counts)]
-        keep = np.flatnonzero(~bad)[: n_out - filled]
-        for name, column in zip(schema.names, out):
-            column[filled : filled + keep.size] = cols[name][keep]
+        keep = np.flatnonzero(~bad)
+        if not out:
+            out = [cols[name] for name in schema.names]
+        if filled or keep.size < n_out:  # else the first round kept every row as drawn
+            for i, name in enumerate(schema.names):
+                if not out[i].flags.writeable:
+                    out[i] = out[i].copy()
+                out[i][filled : filled + keep.size] = cols[name][keep]
         filled += keep.size
         if filled == n_out:
-            return Dataset(schema, tuple(out))
+            return Dataset._adopt(schema, out)
     raise RuleUnsatisfiable(_most_violated(rules, total_counts), attempts=max_rounds)
 
 
@@ -706,9 +707,10 @@ def generate_csd(
     for name in toposort_ids(list(schema.names), deps):
         x = np.full(n_out, params.intercepts.get(name, 0.0), dtype=np.float64)
         for parent, w in parents[name]:
-            x = x + w * values[parent]
-        values[name] = x + eps[name]
-    return Dataset(schema, tuple(values[name] for name in schema.names))
+            x += w * values[parent]
+        x += eps.pop(name)  # each noise column dies once added
+        values[name] = x
+    return Dataset._adopt(schema, [values[name] for name in schema.names])
 
 
 # ------------------------------------------------------------------ hsd ---

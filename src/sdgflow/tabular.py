@@ -154,36 +154,26 @@ class Dataset:
     """Immutable typed table: one numpy array per schema column.
 
     Continuous columns are float64, categorical columns are int64 indices into
-    the column's categories.
+    the column's categories. The constructor copies the arrays it is given,
+    so the caller's arrays stay the caller's; the package's own producers,
+    whose arrays nobody else holds, hand them over through `_adopt`.
     """
 
     schema: Schema
     columns: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.columns) != len(self.schema.columns):
-            raise SchemaError("column count does not match schema")
-        n = None
-        frozen = []
-        for spec, arr in zip(self.schema.columns, self.columns):
-            if spec.kind is ColumnKind.CONTINUOUS:
-                arr = np.asarray(arr, dtype=np.float64)
-                if arr.size and not np.all(np.isfinite(arr)):
-                    raise SchemaError(f"column {spec.name!r}: non-finite values")
-            else:
-                arr = np.asarray(arr, dtype=np.int64)
-                if arr.size and (arr.min() < 0 or arr.max() >= len(spec.categories)):
-                    raise SchemaError(f"column {spec.name!r}: category index out of range")
-            if arr.ndim != 1:
-                raise SchemaError(f"column {spec.name!r}: arrays must be 1-d")
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape[0] != n:
-                raise SchemaError("all columns must have equal length")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "columns", tuple(frozen))
+        object.__setattr__(self, "columns", _frozen_columns(self.schema, self.columns, copy=True))
+
+    @classmethod
+    def _adopt(cls, schema: Schema, columns: Sequence[np.ndarray]) -> "Dataset":
+        """The Dataset of `columns` with the constructor's checks, each array
+        frozen in place, not copied. Only for arrays that no one else will
+        write: fresh ones, or columns of another Dataset."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "schema", schema)
+        object.__setattr__(ds, "columns", _frozen_columns(schema, columns, copy=False))
+        return ds
 
     @property
     def n(self) -> int:
@@ -194,11 +184,37 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices)
-        return Dataset(self.schema, tuple(arr[idx] for arr in self.columns))
+        return Dataset._adopt(self.schema, [arr[idx] for arr in self.columns])
 
     def restrict(self, names: Sequence[str]) -> "Dataset":
         sub = self.schema.restrict(names)
-        return Dataset(sub, tuple(self.column(c.name) for c in sub.columns))
+        return Dataset._adopt(sub, [self.column(c.name) for c in sub.columns])
+
+
+def _frozen_columns(schema: Schema, columns: Sequence, copy: bool) -> tuple[np.ndarray, ...]:
+    """The columns as read-only arrays of their kind's dtype, copied when
+    `copy`; raises SchemaError unless they fit the schema."""
+    if len(columns) != len(schema.columns):
+        raise SchemaError("column count does not match schema")
+    n = None
+    frozen = []
+    for spec, arr in zip(schema.columns, columns):
+        dtype = np.float64 if spec.kind is ColumnKind.CONTINUOUS else np.int64
+        arr = np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype=dtype)
+        if spec.kind is ColumnKind.CONTINUOUS:
+            if arr.size and not np.all(np.isfinite(arr)):
+                raise SchemaError(f"column {spec.name!r}: non-finite values")
+        elif arr.size and (arr.min() < 0 or arr.max() >= len(spec.categories)):
+            raise SchemaError(f"column {spec.name!r}: category index out of range")
+        if arr.ndim != 1:
+            raise SchemaError(f"column {spec.name!r}: arrays must be 1-d")
+        if n is None:
+            n = arr.shape[0]
+        elif arr.shape[0] != n:
+            raise SchemaError("all columns must have equal length")
+        arr.flags.writeable = False
+        frozen.append(arr)
+    return tuple(frozen)
 
 
 def make_dataset(schema: Schema, values: Mapping[str, Sequence]) -> Dataset:
@@ -288,10 +304,7 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
             for parts, col in zip(blocks, columns):
                 parts.append(col)
             first_row += len(block)
-    return Dataset(
-        schema,
-        tuple(np.concatenate(parts) if parts else np.empty(0) for parts in blocks),
-    )
+    return Dataset._adopt(schema, [np.concatenate(parts) if parts else np.empty(0) for parts in blocks])
 
 
 def _records(fh):

@@ -221,6 +221,29 @@ def test_run_seed_override_changes_output(tmp_path):
     assert (a / rel).read_bytes() != (b / rel).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_an_out_dir_holding_files_exits_3_and_is_left_alone(tmp_path, capsys, command):
+    out_dir = tmp_path / "used"
+    (out_dir / "artifacts" / "stale").mkdir(parents=True)
+    (out_dir / "artifacts" / "stale" / "dataset.csv").write_text("x\n1\n")
+    args = [str(SAMPLE_SPEC)] if command == "run" else ["--sizes", "200,400"]
+    assert main([command, *args, "--out", str(out_dir)]) == 3
+    assert "invalid option: --out" in capsys.readouterr().out
+    assert sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*")) == [
+        "artifacts", "artifacts/stale", "artifacts/stale/dataset.csv"
+    ]
+
+
+def test_a_second_run_into_the_same_out_dir_exits_3(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()  # an empty directory is a new run's
+    assert main(["run", str(SAMPLE_SPEC), "--out", str(out_dir)]) == 0
+    manifest = (out_dir / "manifest.json").read_bytes()
+    assert main(["run", str(SAMPLE_SPEC), "--out", str(out_dir), "--seed", "43"]) == 3
+    assert (out_dir / "manifest.json").read_bytes() == manifest
+    assert main(["inspect", str(out_dir)]) == 0
+
+
 # ------------------------------------------------------------------ inspect ---
 
 def test_inspect_fresh_run_exit_0(tmp_path, capsys):

@@ -16,7 +16,7 @@ from sdgflow.canonical import canonical_json_bytes
 from sdgflow import engine
 from sdgflow.engine import DEFAULT_RUNNERS, manifest_from_json_obj, run, verify_manifest
 from sdgflow.evaluation import utility
-from sdgflow.errors import InvalidSpec, ManifestInvalid, ManifestMissing, NodeFailure
+from sdgflow.errors import InvalidSpec, ManifestInvalid, ManifestMissing, NodeFailure, RunDirNotEmpty
 from sdgflow.specs import parse_spec
 from sdgflow.tabular import CSV_BLOCK_ROWS, ColumnKind, ColumnSpec, Schema, dataset_to_csv_bytes, make_dataset
 
@@ -134,6 +134,37 @@ def synthetic_eval_doc(n=120, seed=11):
         ],
         "outputs": [{"node": "syn", "artifact": "dataset"}, {"node": "rep", "artifact": "report"}],
     }
+
+
+# ------------------------------------------------------------ run directory ---
+
+@pytest.mark.parametrize("used", ["file", "subdir", "not-a-dir"])
+def test_run_refuses_a_used_out_dir_before_any_node_starts(tmp_path, used):
+    out = tmp_path / "run"
+    if used == "not-a-dir":
+        out.write_text("")
+    else:
+        out.mkdir()
+        (out / "logs").mkdir() if used == "subdir" else (out / "stray.txt").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    started = []
+
+    def starting(fn):
+        return lambda *args: started.append(args) or fn(*args)
+
+    with pytest.raises(RunDirNotEmpty, match="not an empty directory"):
+        run(spec_of(chain_doc()), out, runners={k: starting(fn) for k, fn in STUB_RUNNERS.items()})
+    assert started == [] and sorted(tmp_path.rglob("*")) == before
+
+
+def test_of_two_runs_that_both_found_the_out_dir_empty_the_second_raises(tmp_path, monkeypatch):
+    # the second run passed check_out_dir before the first made artifacts/
+    out = tmp_path / "run"
+    (out / "artifacts").mkdir(parents=True)
+    monkeypatch.setattr(engine, "check_out_dir", lambda out_dir: None)
+    with pytest.raises(RunDirNotEmpty, match="taken by another run"):
+        run(spec_of(chain_doc()), out, runners=STUB_RUNNERS)
+    assert [p.name for p in out.iterdir()] == ["artifacts"]
 
 
 # --------------------------------------------------------------- scheduling ---

@@ -1,4 +1,6 @@
 """Four synthesis modes: resampling, assertion-driven, causal, and hybrid."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -692,3 +694,146 @@ def test_hsd_deterministic():
     a = generate(hsd_config(500), derive_stream(35, "gen"), schema=HSD_SCHEMA)
     b = generate(hsd_config(500), derive_stream(35, "gen"), schema=HSD_SCHEMA)
     assert dataset_to_csv_bytes(a) == dataset_to_csv_bytes(b)
+
+
+# ---------------------------------------------------------------- ownership ---
+
+FANOUT_SCHEMA = Schema(
+    (
+        *(ColumnSpec(name, ColumnKind.CONTINUOUS) for name in ("x1", "x2", "x3", "y")),
+        ColumnSpec("region", ColumnKind.CATEGORICAL, categories=("north", "south", "east", "west")),
+        ColumnSpec("tier", ColumnKind.CATEGORICAL, categories=("gold", "silver", "bronze")),
+    )
+)
+FANOUT_LABELS = {
+    "region": {"labels": ["north", "south", "east", "west"], "weights": [0.4, 0.3, 0.2, 0.1]},
+    "tier": {"labels": ["gold", "silver", "bronze"], "weights": [0.2, 0.3, 0.5]},
+}
+
+
+def fanout_asd(n_out):
+    """asd with a range, an implication and a derivation rule, about a fifth
+    of the rows rejected per round."""
+    return cfg(
+        "asd",
+        n_out,
+        column_models={
+            "x1": {"distribution": "normal", "mean": 50.0, "std": 12.0},
+            "x2": {"distribution": "uniform", "low": 0.0, "high": 100.0},
+            "x3": {"distribution": "quantile_table", "quantiles": [0.0, 0.5, 1.0], "values": [-3.0, 0.0, 3.0]},
+            **FANOUT_LABELS,
+        },
+        rules=[
+            {"kind": "range_constraint", "column": "x1", "min": 30.0, "max": 75.0},
+            {
+                "kind": "implication",
+                "if_column": "region",
+                "if_category": "north",
+                "then_column": "tier",
+                "then_categories": ["gold", "silver"],
+            },
+            {"kind": "derivation", "target": "y", "sources": {"x1": 0.5, "x2": 0.25}, "constant": 10.0},
+        ],
+    )
+
+
+def fanout_hsd(n_out, post_rules=None):
+    """hsd of a csd part over the continuous columns and an asd part over
+    the labels."""
+    return cfg(
+        "hsd",
+        n_out,
+        partition=[["x1", "x2", "x3", "y"], ["region", "tier"]],
+        sub_configs=[
+            {
+                "mode": "csd",
+                "n_out": n_out,
+                "mode_params": {
+                    "causal_dag": [
+                        {"from": "x1", "to": "x2"},
+                        {"from": "x1", "to": "y"},
+                        {"from": "x2", "to": "y"},
+                    ],
+                    "weights": [0.8, 0.5, 0.25],
+                    "noise": {
+                        "x1": {"distribution": "normal", "std": 12.0},
+                        "x2": {"distribution": "uniform", "half_width": 30.0},
+                        "x3": {"distribution": "normal", "std": 1.0},
+                        "y": {"distribution": "normal", "std": 2.0},
+                    },
+                    "intercepts": {"x1": 50.0, "x2": 10.0, "y": 10.0},
+                },
+            },
+            {"mode": "asd", "n_out": n_out, "mode_params": {"column_models": FANOUT_LABELS}},
+        ],
+        **({"post_rules": post_rules} if post_rules else {}),
+    )
+
+
+HSD_POST_RULES = [{"kind": "range_constraint", "column": "x1", "min": 30.0, "max": 75.0}]
+
+
+CSD_XY = {
+    "causal_dag": [{"from": "x", "to": "y"}],
+    "weights": [2.0],
+    "noise": {"x": {"distribution": "normal", "std": 1.0}, "y": {"distribution": "normal", "std": 0.1}},
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (cfg("rsd", 300), {"real": bivariate_real(n=400)}),
+        lambda: (fanout_asd(3_000), {"schema": FANOUT_SCHEMA}),
+        lambda: (cfg("csd", 300, **CSD_XY), {"schema": csd_schema("x", "y")}),
+        lambda: (fanout_hsd(3_000), {"schema": FANOUT_SCHEMA}),
+        lambda: (fanout_hsd(3_000, HSD_POST_RULES), {"schema": FANOUT_SCHEMA}),
+    ],
+    ids=["rsd", "asd-rules", "csd", "hsd", "hsd-post-rules"],
+)
+def test_generator_output_columns_are_read_only(make):
+    config, inputs = make()
+    synth = generate(config, derive_stream(40, "gen"), **inputs)
+    for name, column in zip(synth.schema.names, synth.columns):
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            column[:1] = column[:1]
+
+
+def test_hsd_post_rules_match_the_concatenation_oracle_across_frozen_parts():
+    # the parts arrive frozen; the first round's rows are compacted in copies
+    config = fanout_hsd(3_000, HSD_POST_RULES)
+    synth = generate(config, derive_stream(41, "gen"), schema=FANOUT_SCHEMA)
+    params, rng = config.mode_params, derive_stream(41, "gen")
+    parts = list(zip(params.partition, params.sub_configs))
+
+    def draw(round_, rows):
+        suffix = f"/retry{round_}" if round_ else ""
+        cols = {}
+        for i, (group, sub) in enumerate(parts):
+            sub_schema = FANOUT_SCHEMA.restrict(group)
+            stream = rng.child(f"part{i}{suffix}")
+            part = generators._MODES[sub.mode].generate(sub.mode_params, rows, sub_schema, None, stream)
+            cols.update(zip(part.schema.names, part.columns))
+        return cols
+
+    rules = params.post_rules
+    expected = reject_by_concatenation(draw, rules, FANOUT_SCHEMA, 3_000, generators.DEFAULT_MAX_ATTEMPTS)
+    for name in FANOUT_SCHEMA.names:
+        assert np.array_equal(synth.column(name), expected[name]), name
+
+
+@pytest.mark.parametrize("config", [fanout_asd, fanout_hsd], ids=["asd-rules", "hsd"])
+def test_generation_peaks_below_twice_its_output(config):
+    # the output columns are the drawn columns, compacted in place and never
+    # copied into a Dataset: tracemalloc sees numpy's buffers
+    n = 60_000
+    generate(config(1_000), derive_stream(42, "gen"), schema=FANOUT_SCHEMA)
+    tracemalloc.start()
+    try:
+        synth = generate(config(n), derive_stream(42, "gen"), schema=FANOUT_SCHEMA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(column.nbytes for column in synth.columns)
+    assert synth.n == n and peak < 2 * out_bytes, f"peak {peak / out_bytes:.2f}x the output"

@@ -1,6 +1,8 @@
 """Disclosure-risk metrics, each pinned against a brute-force oracle."""
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import cont_schema, gower_distance, mixed_dataset
 from sdgflow.evaluation import privacy
 
-from sdgflow.errors import ConfigError
+from sdgflow.errors import ConfigError, InvalidSpec
 from sdgflow.evaluation.privacy import (
     PRIVACY_METRICS,
     PrivacyConfig,
@@ -25,6 +27,7 @@ from sdgflow.evaluation.privacy import (
     validate_privacy_config,
 )
 from sdgflow.rng import derive_stream
+from sdgflow.specs import parse_spec
 from sdgflow.tabular import (
     ColumnKind,
     ColumnSpec,
@@ -42,6 +45,7 @@ KS = Schema(
     )
 )
 CFG = PrivacyConfig(key_columns=("k",), sensitive_column="s")
+SAMPLE_SPEC = Path(__file__).resolve().parent.parent / "sample" / "pipeline.json"
 
 
 def ks_ds(pairs):
@@ -507,6 +511,35 @@ def test_key_attacks_share_one_key_grouping(monkeypatch, metrics):
         "tcap": tcap(groups, CFG.tcap_homogeneity),
     }
     assert out == [direct[name] for name in metrics]
+
+
+@pytest.mark.parametrize("metric", PRIVACY_METRICS)
+def test_a_metric_that_reads_the_key_groups_needs_key_columns_at_validate(monkeypatch, metric):
+    built = []
+
+    def spy(*args, _real=privacy.key_groups):
+        built.append(metric)
+        return _real(*args)
+
+    monkeypatch.setattr(privacy, "key_groups", spy)
+    real = ks_ds([("A", "x"), ("B", "y"), ("A", "y"), ("C", "x")] * 3)
+    synth = ks_ds([("A", "x"), ("B", "x"), ("C", "y"), ("A", "x")] * 3)
+    evaluate_privacy(real, synth, CFG, metrics=(metric,), rng=derive_stream(0, "priv"))
+    assert (metric in privacy.KEY_BASED_PRIVACY_METRICS) == bool(built)
+
+    doc = json.loads(SAMPLE_SPEC.read_text())
+    for node in doc["nodes"]:
+        if node["kind"] == "evaluate_privacy":
+            keys = ("key_columns", "sensitive_column")
+            node["params"] = {k: v for k, v in node["params"].items() if k not in keys}
+            node["params"]["metrics"] = [metric]
+        if node["kind"] == "report":
+            node["params"]["thresholds"] = {}
+    if built:
+        with pytest.raises(InvalidSpec, match="key_columns"):
+            parse_spec(json.dumps(doc))
+    else:
+        parse_spec(json.dumps(doc))
 
 
 @pytest.mark.parametrize("homogeneity", [0.0, -0.5, 1.5, math.nan])

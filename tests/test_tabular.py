@@ -24,6 +24,7 @@ from sdgflow.errors import (
 from sdgflow.tabular import (
     ColumnKind,
     ColumnSpec,
+    Dataset,
     Schema,
     column_ranges,
     dataset_to_csv_bytes,
@@ -118,6 +119,54 @@ def test_columns_are_immutable():
     ds = mixed_dataset(5)
     with pytest.raises((ValueError, RuntimeError)):
         ds.columns[0][0] = 99.0
+
+
+def test_constructor_and_make_dataset_copy_the_callers_arrays():
+    schema = Schema(
+        (ColumnSpec("x", ColumnKind.CONTINUOUS), ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a", "b")))
+    )
+    x, c = np.array([1.0, 2.0, 3.0]), np.array([0, 1, 0])
+    built = [Dataset(schema, (x, c)), make_dataset(schema, {"x": x, "c": c})]
+    x[:] = 9.0
+    c[:] = 1
+    for ds in built:
+        assert ds.column("x").tolist() == [1.0, 2.0, 3.0] and ds.column("c").tolist() == [0, 1, 0]
+        assert x.flags.writeable and c.flags.writeable
+
+
+def assert_read_only(ds):
+    for name, column in zip(ds.schema.names, ds.columns):
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            column[:1] = column[:1]
+
+
+def test_take_restrict_and_load_csv_columns_are_read_only(tmp_path):
+    ds = mixed_dataset(40)
+    write_csv(ds, tmp_path / "t.csv")
+    loaded = load_csv(tmp_path / "t.csv", ds.schema)
+    for derived in (ds.take(np.arange(0, 40, 3)), ds.restrict(ds.schema.names[1:]), loaded):
+        assert_read_only(derived)
+
+
+def test_adopt_checks_as_the_constructor_does():
+    schema = Schema((ColumnSpec("x", ColumnKind.CONTINUOUS), ColumnSpec("y", ColumnKind.CONTINUOUS)))
+    bad = [
+        [np.array([1.0])],
+        [np.array([1.0, np.inf]), np.array([1.0, 2.0])],
+        [np.array([1.0, 2.0]), np.array([1.0])],
+        [np.ones((2, 1)), np.ones((2, 1))],
+    ]
+    for columns in bad:
+        for build in (Dataset, Dataset._adopt):
+            with pytest.raises(SchemaError):
+                build(schema, columns)
+    fresh = [np.array([1.0, 2.0]), np.array([3, 4])]
+    adopted = Dataset._adopt(schema, fresh)
+    assert adopted.columns[0] is fresh[0]  # frozen in place, not copied
+    assert adopted.columns[1].dtype == np.float64
+    assert all(np.array_equal(a, b) for a, b in zip(adopted.columns, Dataset(schema, fresh).columns))
+    assert_read_only(adopted)
 
 
 # --------------------------------------------------------------------- CSV ---

@@ -693,6 +693,104 @@ def test_fidelity_row_order_invariant():
     )
 
 
+def per_pair_associations(ds):
+    """The pair associations as computed before the scratch rows: each pair
+    from its two columns, with fresh temporaries. The oracle, bit for bit,
+    for bivariate_fidelity's per-dataset statistics and scratch products."""
+    out = {}
+    cols = ds.schema.columns
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            a, b = cols[i], cols[j]
+            xa, xb = ds.column(a.name), ds.column(b.name)
+            if a.kind is ColumnKind.CONTINUOUS and b.kind is ColumnKind.CONTINUOUS:
+                sx, sy = xa.std(), xb.std()
+                v = 0.0 if sx < 1e-12 or sy < 1e-12 else float(
+                    np.mean((xa - xa.mean()) * (xb - xb.mean())) / (sx * sy)
+                )
+                v = max(-1.0, min(1.0, v))
+            elif a.kind is ColumnKind.CATEGORICAL and b.kind is ColumnKind.CATEGORICAL:
+                ka, kb = len(a.categories), len(b.categories)
+                if min(ka, kb) == 1:
+                    v = 0.0
+                else:
+                    table = np.bincount(xa * kb + xb, minlength=ka * kb).reshape(ka, kb).astype(np.float64)
+                    expected = table.sum(axis=1, keepdims=True) @ table.sum(axis=0, keepdims=True) / xa.size
+                    mask = expected > 0
+                    chi2 = float((((table - expected) ** 2)[mask] / expected[mask]).sum())
+                    v = np.sqrt(chi2 / (xa.size * (min(ka, kb) - 1)))
+            else:
+                (codes, spec), values = ((xa, a), xb) if a.kind is ColumnKind.CATEGORICAL else ((xb, b), xa)
+                grand = values.mean()
+                sst = float(((values - grand) ** 2).sum())
+                k = len(spec.categories)
+                counts = np.bincount(codes, minlength=k).astype(np.float64)
+                sums = np.bincount(codes, weights=values, minlength=k)
+                nz = counts > 0
+                ssb = float((counts[nz] * (sums[nz] / counts[nz] - grand) ** 2).sum())
+                v = 0.0 if sst <= 0.0 else float(np.sqrt(min(ssb / sst, 1.0)))
+            out[f"{a.name}|{b.name}"] = (v, 2.0 if a.kind is b.kind is ColumnKind.CONTINUOUS else 1.0)
+    return out
+
+
+@pytest.mark.parametrize("n_real, n_synth", [(1, 1), (500, 333), (2_000, 9_001)])
+def test_fidelity_equals_the_per_pair_reference_bit_for_bit(n_real, n_synth):
+    schema = Schema(
+        (
+            ColumnSpec("x", ColumnKind.CONTINUOUS),
+            ColumnSpec("g", ColumnKind.CATEGORICAL, categories=("a", "b", "c")),
+            ColumnSpec("y", ColumnKind.CONTINUOUS),
+            ColumnSpec("one", ColumnKind.CATEGORICAL, categories=("only",)),
+            ColumnSpec("z", ColumnKind.CONTINUOUS),
+            ColumnSpec("h", ColumnKind.CATEGORICAL, categories=("p", "q")),
+        )
+    )
+
+    def table(n, seed, constant_z):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(1e4, 3e3, n), 2)
+        return make_dataset(
+            schema,
+            {
+                "x": x,
+                "g": rng.integers(0, 3, n),
+                "y": 0.3 * x + rng.standard_normal(n),
+                "one": np.zeros(n, dtype=np.int64),
+                "z": np.full(n, 2.5) if constant_z else rng.uniform(-1.0, 1.0, n),
+                "h": (x > 1e4).astype(np.int64),
+            },
+        )
+
+    real, synth = table(n_real, 1, False), table(n_synth, 2, True)
+    ref_r, ref_s = per_pair_associations(real), per_pair_associations(synth)
+    expected = {p: 1.0 - abs(ref_r[p][0] - ref_s[p][0]) / ref_r[p][1] for p in ref_r}
+    # one scratch for both metrics, left dirty by the first, as a node shares it
+    scratch = utility._scratch_rows(real, synth)
+    for rows in (None, scratch):
+        biv = bivariate_fidelity(real, synth, rows)
+        assert biv.details["per_pair"] == expected
+        assert biv.score == float(np.mean(list(expected.values())))
+        uni = univariate_fidelity(real, synth, rows)
+        for name in ("x", "y", "z"):
+            assert uni.details["per_column"][name] == 1.0 - ks_statistic(real.column(name), synth.column(name))
+
+
+def test_evaluate_utility_shares_one_scratch_between_the_fidelity_metrics(monkeypatch):
+    made = []
+
+    def spy(real, synth, _real=utility._scratch_rows):
+        made.append(_real(real, synth))
+        return made[-1]
+
+    monkeypatch.setattr(utility, "_scratch_rows", spy)
+    real, synth = cont_ds(80, 1), cont_ds(120, 2, shift=0.3)
+    metrics = ("univariate_fidelity", "bivariate_fidelity")
+    out = utility.evaluate_utility(real, synth, metrics, "permutation", 20, derive_stream(3, "q"))
+    assert [m.name for m in out] == list(metrics)
+    assert len(made) == 1 and made[0].shape == (2, 120)
+    assert out[0] == univariate_fidelity(real, synth) and out[1] == bivariate_fidelity(real, synth)
+
+
 # ------------------------------------------------------------ shared inputs ---
 
 @pytest.mark.parametrize(
