@@ -199,6 +199,8 @@ def bench_one_size(size: int, out_dir, max_parallel: int) -> SizeTiming:
 def run_bench(sizes, out_dir, max_parallel: int = 4) -> BenchResult:
     if len(sizes) < 2:
         raise ValueError("bench needs at least 2 sizes")
+    if len(set(sizes)) < len(sizes):
+        raise ValueError("bench sizes must not repeat")
     check_out_dir(out_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -118,6 +118,10 @@ def _parse_sizes(text: str) -> list[int]:
 def _cmd_bench(args) -> int:
     if _bad_options(args):
         return 3
+    if len(set(args.sizes)) < len(args.sizes):
+        # a repeated size would run into its own first run's directory
+        print("invalid option: --sizes must not repeat")
+        return 3
     try:
         result = run_bench(args.sizes, args.out, max_parallel=args.max_parallel)
     except RunDirNotEmpty as e:

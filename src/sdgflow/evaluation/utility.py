@@ -353,21 +353,22 @@ def pmse_ratio(observed: float, null: NullModel) -> MetricResult:
     )
 
 
-def ks_statistic(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None = None) -> float:
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Exact two-sample Kolmogorov-Smirnov statistic: the largest gap between
-    the two empirical CDFs over the pooled values. Each sample is sorted into
-    a row of `scratch` (two float64 rows at least as long as the longer
-    sample; new rows by default), and each sorted sample is walked ROW_BLOCK
-    values at a time: at the last of each run of equal values, the count at
-    or below it is its position in its own sample and a right searchsorted
-    in the other, so the temporaries stay one block long."""
-    if np.size(a) == 0 or np.size(b) == 0:
+    the two empirical CDFs over the pooled values. Each sorted sample is
+    walked ROW_BLOCK values at a time: at the last of each run of equal
+    values, the count at or below it is its position in its own sample and
+    a right searchsorted in the other, so the temporaries stay one block
+    long."""
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
+    return _ks_of_sorted(a, b)
+
+
+def _ks_of_sorted(a: np.ndarray, b: np.ndarray) -> float:
+    """ks_statistic of two float64 samples already sorted ascending."""
+    if a.size == 0 or b.size == 0:
         raise ConfigError("ks_statistic needs non-empty samples")
-    if scratch is None:
-        scratch = np.empty((2, max(np.size(a), np.size(b))))
-    a, b = (_copied_into(row, x) for row, x in zip(scratch, (a, b)))
-    a.sort()
-    b.sort()
     gap = 0.0
     # |p - q| rounds to the same double as |q - p|, so the order of the
     # samples in the difference does not matter
@@ -393,9 +394,9 @@ def _copied_into(row: np.ndarray, values, dtype=np.float64) -> np.ndarray:
 
 
 def _scratch_rows(real: Dataset, synth: Dataset) -> np.ndarray:
-    """Two float64 rows as long as the longer dataset: the fidelity metrics
-    sort, count and multiply in them, not in a full-length temporary per
-    column or per pair."""
+    """Two float64 rows as long as the longer dataset: each fidelity metric
+    sorts, counts and multiplies in them, for every column or pair of both
+    datasets, not in a full-length temporary per column or per pair."""
     return np.empty((2, max(real.n, synth.n)))
 
 
@@ -417,17 +418,20 @@ def _tvd(real_codes: np.ndarray, synth_codes: np.ndarray, n_categories: int, row
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def univariate_fidelity(real: Dataset, synth: Dataset, scratch: np.ndarray | None = None) -> MetricResult:
+def univariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
     """Mean per-column marginal agreement: 1-KS for continuous columns,
     1-TVD for categorical columns. The samples are sorted and counted in
-    `scratch`, rows as _scratch_rows makes them (new ones by default)."""
+    one set of _scratch_rows."""
     check_pair(real, synth)
     check_rows(real, synth, "univariate_fidelity")
-    rows = _scratch_rows(real, synth) if scratch is None else scratch
+    rows = _scratch_rows(real, synth)
     per_column = {}
     for spec, r, s in zip(real.schema.columns, real.columns, synth.columns):
         if spec.kind is ColumnKind.CONTINUOUS:
-            per_column[spec.name] = 1.0 - ks_statistic(r, s, rows)
+            a, b = _copied_into(rows[0], r), _copied_into(rows[1], s)
+            a.sort()
+            b.sort()
+            per_column[spec.name] = 1.0 - _ks_of_sorted(a, b)
         else:
             per_column[spec.name] = 1.0 - _tvd(r, s, len(spec.categories), rows[0])
     return MetricResult(
@@ -496,22 +500,21 @@ def _correlation_ratio(
     return math.sqrt(min(ssb / sst, 1.0)), False
 
 
-def bivariate_fidelity(real: Dataset, synth: Dataset, scratch: np.ndarray | None = None) -> MetricResult:
+def bivariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
     """Mean pairwise-association agreement over all column pairs.
 
     Pearson for continuous pairs, Cramer's V for categorical pairs, the
     correlation ratio for mixed pairs. Degenerate inputs (constant column,
     single category, zero variance) contribute an association of 0 and are
     flagged in the details. Each column's own statistics are made once per
-    dataset; the pair products are made in `scratch`, rows as _scratch_rows
-    makes them (new ones by default).
+    dataset; the pair products are made in one set of _scratch_rows.
     """
     check_pair(real, synth)
     check_rows(real, synth, "bivariate_fidelity")
     schema = real.schema
     if len(schema.columns) < 2:
         raise ConfigError("bivariate_fidelity needs at least 2 columns")
-    rows = _scratch_rows(real, synth) if scratch is None else scratch
+    rows = _scratch_rows(real, synth)
     sides = [(ds.columns, _column_stats(ds, rows[0])) for ds in (real, synth)]
     per_pair = {}
     flags = []
@@ -549,16 +552,15 @@ def bivariate_fidelity(real: Dataset, synth: Dataset, scratch: np.ndarray | None
 
 # metric name -> its computation, whose parameters name what it reads of
 # evaluate_utility's inputs: the datasets `real` and `synth`, and the thunks
-# `fit()`, `observed()`, `null()` and `scratch()` (_scratch_rows). Each calls
-# through the module's globals, so a function replaced on the module is the
-# one called.
+# `fit()`, `observed()` and `null()`. Each calls through the module's
+# globals, so a function replaced on the module is the one called.
 _COMPUTE = {
     "pmse_observed": lambda observed: observed(),
     "pmse_standardized": lambda observed, null: pmse_standardized(observed().score, null()),
     "pmse_ratio": lambda observed, null: pmse_ratio(observed().score, null()),
     "specks": lambda real, fit: specks(*np.split(fit()[1], [real.n])),
-    "univariate_fidelity": lambda real, synth, scratch: univariate_fidelity(real, synth, scratch()),
-    "bivariate_fidelity": lambda real, synth, scratch: bivariate_fidelity(real, synth, scratch()),
+    "univariate_fidelity": lambda real, synth: univariate_fidelity(real, synth),
+    "bivariate_fidelity": lambda real, synth: bivariate_fidelity(real, synth),
 }
 UTILITY_METRICS = tuple(_COMPUTE)
 
@@ -589,6 +591,5 @@ def evaluate_utility(
         "fit": fit,
         "observed": observed,
         "null": null,
-        "scratch": cache(lambda: _scratch_rows(real, synth)),
     }
     return compute_metrics(_COMPUTE, metrics, inputs)

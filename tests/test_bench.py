@@ -82,6 +82,12 @@ def test_run_bench_rejects_single_size(tmp_path):
         run_bench([200], tmp_path)
 
 
+def test_run_bench_rejects_repeated_sizes(tmp_path):
+    with pytest.raises(ValueError, match="must not repeat"):
+        run_bench([200, 400, 200], tmp_path / "bench")
+    assert not (tmp_path / "bench").exists()
+
+
 def test_render_bench_table(tmp_path):
     result = run_bench([200, 300], tmp_path)
     table = render_bench_table(result)

@@ -373,6 +373,13 @@ def test_bench_invalid_max_parallel_exit_3(tmp_path, capsys):
     assert not (tmp_path / "bench").exists()
 
 
+def test_bench_repeated_size_exits_3_and_leaves_out_alone(tmp_path, capsys):
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--sizes", "200,200", "--out", str(out_dir)]) == 3
+    assert "invalid option: --sizes must not repeat" in capsys.readouterr().out
+    assert not out_dir.exists()
+
+
 def test_bench_two_sizes(tmp_path, capsys):
     out_dir = tmp_path / "bench"
     rc = main(["bench", "--sizes", "200,400", "--out", str(out_dir)])

@@ -764,31 +764,12 @@ def test_fidelity_equals_the_per_pair_reference_bit_for_bit(n_real, n_synth):
     real, synth = table(n_real, 1, False), table(n_synth, 2, True)
     ref_r, ref_s = per_pair_associations(real), per_pair_associations(synth)
     expected = {p: 1.0 - abs(ref_r[p][0] - ref_s[p][0]) / ref_r[p][1] for p in ref_r}
-    # one scratch for both metrics, left dirty by the first, as a node shares it
-    scratch = utility._scratch_rows(real, synth)
-    for rows in (None, scratch):
-        biv = bivariate_fidelity(real, synth, rows)
-        assert biv.details["per_pair"] == expected
-        assert biv.score == float(np.mean(list(expected.values())))
-        uni = univariate_fidelity(real, synth, rows)
-        for name in ("x", "y", "z"):
-            assert uni.details["per_column"][name] == 1.0 - ks_statistic(real.column(name), synth.column(name))
-
-
-def test_evaluate_utility_shares_one_scratch_between_the_fidelity_metrics(monkeypatch):
-    made = []
-
-    def spy(real, synth, _real=utility._scratch_rows):
-        made.append(_real(real, synth))
-        return made[-1]
-
-    monkeypatch.setattr(utility, "_scratch_rows", spy)
-    real, synth = cont_ds(80, 1), cont_ds(120, 2, shift=0.3)
-    metrics = ("univariate_fidelity", "bivariate_fidelity")
-    out = utility.evaluate_utility(real, synth, metrics, "permutation", 20, derive_stream(3, "q"))
-    assert [m.name for m in out] == list(metrics)
-    assert len(made) == 1 and made[0].shape == (2, 120)
-    assert out[0] == univariate_fidelity(real, synth) and out[1] == bivariate_fidelity(real, synth)
+    biv = bivariate_fidelity(real, synth)
+    assert biv.details["per_pair"] == expected
+    assert biv.score == float(np.mean(list(expected.values())))
+    uni = univariate_fidelity(real, synth)
+    for name in ("x", "y", "z"):
+        assert uni.details["per_column"][name] == 1.0 - ks_statistic(real.column(name), synth.column(name))
 
 
 # ------------------------------------------------------------ shared inputs ---
