@@ -104,26 +104,32 @@ def _cmd_run(args) -> int:
 
 
 def _parse_sizes(text: str) -> list[int]:
+    """--sizes as a list of at least 2 distinct positive integers; raises
+    ConfigError unless it is one, separated by commas."""
     try:
         sizes = [int(part) for part in text.split(",") if part]
     except ValueError:
-        raise argparse.ArgumentTypeError("sizes must be comma-separated integers") from None
+        raise ConfigError("--sizes must be comma-separated integers") from None
     if len(sizes) < 2:
-        raise argparse.ArgumentTypeError("need at least 2 sizes")
+        raise ConfigError("--sizes needs at least 2 sizes")
     if any(s < 1 for s in sizes):
-        raise argparse.ArgumentTypeError("sizes must be positive")
+        raise ConfigError("--sizes must be positive")
+    if len(set(sizes)) < len(sizes):
+        # a repeated size would run into its own first run's directory
+        raise ConfigError("--sizes must not repeat")
     return sizes
 
 
 def _cmd_bench(args) -> int:
     if _bad_options(args):
         return 3
-    if len(set(args.sizes)) < len(args.sizes):
-        # a repeated size would run into its own first run's directory
-        print("invalid option: --sizes must not repeat")
+    try:
+        sizes = _parse_sizes(args.sizes)
+    except ConfigError as e:
+        print(f"invalid option: {e}")
         return 3
     try:
-        result = run_bench(args.sizes, args.out, max_parallel=args.max_parallel)
+        result = run_bench(sizes, args.out, max_parallel=args.max_parallel)
     except RunDirNotEmpty as e:
         print(f"invalid option: --out {e}")
         return 3
@@ -162,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("bench", help="time the standard pipeline across dataset sizes")
-    p.add_argument("--sizes", type=_parse_sizes, required=True)
+    p.add_argument("--sizes", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-parallel", type=int, default=4)
     p.set_defaults(func=_cmd_bench)

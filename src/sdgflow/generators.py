@@ -430,8 +430,9 @@ def _check_csd_schema(params: CsdParams, schema: Schema) -> None:
 def _average_ranks(arr: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing the mean of their ranks: the values of
     scipy.stats.rankdata(arr, method="average"), bit for bit, since each is
-    an integer or half-integer."""
-    order = np.argsort(arr, kind="stable")
+    an integer or half-integer. Every rank of a tie run is its mean, so the
+    order within a run does not matter, and the sort need not be stable."""
+    order = np.argsort(arr)
     ordered = arr[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     ends = np.append(starts[1:], arr.size)  # one past each tie run's last rank
@@ -440,23 +441,32 @@ def _average_ranks(arr: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _normal_scores(ds: Dataset) -> tuple[np.ndarray, list[int]]:
+def _category_counts(ds: Dataset) -> list[np.ndarray | None]:
+    """Each categorical column's count of rows per category, as float64;
+    None for a continuous column."""
+    return [
+        None if spec.categories is None
+        else np.bincount(arr, minlength=len(spec.categories)).astype(np.float64)
+        for spec, arr in zip(ds.schema.columns, ds.columns)
+    ]
+
+
+def _normal_scores(
+    ds: Dataset, counts: Sequence[np.ndarray | None]
+) -> tuple[np.ndarray, list[int]]:
     """Map each column to standard-normal scores; returns an (n, d) matrix
-    plus the indices of degenerate (constant) columns."""
+    plus the indices of degenerate (constant) columns. `counts` are the
+    columns' _category_counts."""
     n = ds.n
     cols = []
     degenerate = []
     for j, (spec, arr) in enumerate(zip(ds.schema.columns, ds.columns)):
         if spec.kind is ColumnKind.CONTINUOUS:
-            ranks = _average_ranks(arr)
-            u = (ranks - 0.5) / n
-        else:
-            k = len(spec.categories)
-            counts = np.bincount(arr, minlength=k).astype(np.float64)
-            p = counts / n
-            cum = np.concatenate([[0.0], np.cumsum(p)])
-            u = cum[arr] + p[arr] / 2.0
-        z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+            u, rows = (_average_ranks(arr) - 0.5) / n, slice(None)
+        else:  # a category's rows share its score: score each category once
+            p = counts[j] / n
+            u, rows = np.concatenate([[0.0], np.cumsum(p)[:-1]]) + p / 2.0, arr
+        z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))[rows]
         if np.std(z) < 1e-12:
             degenerate.append(j)
         cols.append(z)
@@ -500,6 +510,17 @@ def _cholesky_with_jitter(corr: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("correlation matrix not decomposable after jitter")
 
 
+def _interp_sorted_queries(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x, xp, fp), run on x in sorted order and scattered back.
+    np.interp computes each value from its own query alone, so the bits are
+    those of the unsorted call; sorted queries walk xp in order, which is
+    faster on long xp."""
+    order = np.argsort(x)
+    out = np.empty(x.shape)
+    out[order] = np.interp(x[order], xp, fp)
+    return out
+
+
 def generate_rsd(
     params: RsdParams, n_out: int, schema: Schema, real: Dataset, rng: RngStream
 ) -> Dataset:
@@ -513,7 +534,8 @@ def generate_rsd(
     if real.n < MIN_FIT_ROWS:
         raise TooFewRows(f"rsd needs at least {MIN_FIT_ROWS} rows, got {real.n}")
 
-    z, degenerate = _normal_scores(real)
+    counts = _category_counts(real)
+    z, degenerate = _normal_scores(real, counts)
     for j in degenerate:
         warnings.warn(
             f"column {real.schema.columns[j].name!r} is constant; "
@@ -538,12 +560,11 @@ def generate_rsd(
         u = u_syn[:, j]
         if spec.kind is ColumnKind.CONTINUOUS:
             ordered = np.sort(arr)
-            vals = np.interp(u, grid, ordered)
+            vals = _interp_sorted_queries(u, grid, ordered)
             out_cols.append(np.clip(vals, ordered[0], ordered[-1]))
         else:
             k = len(spec.categories)
-            counts = np.bincount(arr, minlength=k).astype(np.float64)
-            cum = np.cumsum(counts / n)
+            cum = np.cumsum(counts[j] / n)
             idx = np.searchsorted(cum, u, side="right")
             out_cols.append(np.clip(idx, 0, k - 1).astype(np.int64))
     return Dataset._adopt(real.schema, out_cols)

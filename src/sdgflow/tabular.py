@@ -276,12 +276,141 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
     missing_policy: "drop_row" silently drops rows with any empty cell;
     "error" raises MissingValue at the first one.
 
-    Rows are parsed CSV_BLOCK_ROWS at a time, a column at a time; a block
-    holding anything the column parse does not accept goes through the
-    per-cell loop, which raises the typed error for its first bad cell.
+    A plain file (see _plain_columns) is parsed by numpy's text reader; any
+    other file is read again from the start by the csv module's reader
+    (_record_columns), which gives the same columns for a plain file and
+    raises the typed error for the first bad cell of any other.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
+    columns = _plain_columns(path, schema)
+    if columns is None:
+        columns = _record_columns(path, schema, missing_policy)
+    return Dataset._adopt(schema, columns)
+
+
+_PLAIN_BLOCK_BYTES = 1 << 18  # bytes read at once by the plain path, cut after their last line
+
+
+def _plain_columns(path, schema: Schema) -> list[np.ndarray] | None:
+    """The columns of a plain CSV, or None when the file is not plain.
+
+    A file is plain when its header line is the schema's names joined by
+    ",", and, block by block, it is UTF-8 with no '"', CR or NUL, no blank
+    line and no line longer than the csv module's field size limit, each
+    line has one cell per column, every continuous cell parses and is
+    finite, and every categorical cell is exactly a non-empty label. Such a
+    file reads the same through the csv module: no quoting, no empty
+    (missing) cell, and numpy converts a number with the correctly rounded
+    routine behind float(), after stripping the same whitespace, accepting
+    a subset of what float() accepts (no "_", no non-ASCII digits)."""
+    labels = []  # per column: None, or (plain labels sorted, their category indices)
+    for spec in schema.columns:
+        if spec.categories is None:
+            labels.append(None)
+            continue
+        # "" reads as a missing cell, and numpy drops a label's trailing NULs
+        plain = [(lab, i) for i, lab in enumerate(spec.categories) if lab and "\x00" not in lab]
+        if not plain:
+            return None
+        plain.sort()
+        labels.append((np.array([lab for lab, _ in plain]), np.array([i for _, i in plain])))
+    dtype = np.dtype(
+        [
+            (f"f{j}", "f8" if lab is None else f"U{lab[0].itemsize // 4 + 1}")  # longer cells truncate
+            for j, lab in enumerate(labels)
+        ]
+    )
+    limit = csv.field_size_limit()
+    parts: list[list[np.ndarray]] = [[] for _ in schema.columns]
+    header = None
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh, limit):
+            text = None if block is None else _plain_text(block, limit)
+            if text is None:
+                return None
+            if header is None:
+                header, _, text = text.partition("\n")
+                if header.split(",") != list(schema.names):
+                    return None
+            if not text:
+                continue
+            columns = _plain_block(text, dtype, labels)
+            if columns is None:
+                return None
+            for col_parts, col in zip(parts, columns):
+                col_parts.append(col)
+    return None if header is None else _joined(parts)
+
+
+def _line_blocks(fh, limit: int):
+    """fh's bytes in blocks of about _PLAIN_BLOCK_BYTES, each cut after its
+    last LF; a last line without one gets one. None in place of a block
+    means a line longer than `limit` bytes that no block holds whole."""
+    rest = b""
+    while chunk := fh.read(_PLAIN_BLOCK_BYTES):
+        data = rest + chunk
+        cut = data.rfind(b"\n") + 1
+        rest = data[cut:]
+        if len(rest) > limit:
+            yield None
+            return
+        if cut:
+            yield data[:cut]
+    if rest:
+        yield rest + b"\n"
+
+
+def _plain_text(block: bytes, limit: int) -> str | None:
+    """The block as text, or None unless it is UTF-8 with no '"', CR or NUL,
+    no blank line and no line over `limit` bytes (a line's characters are
+    at most its bytes). The block starts at a line and ends with LF."""
+    if b'"' in block or b"\r" in block or b"\x00" in block:
+        return None
+    ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() == 0 or lengths.max() > limit:
+        return None
+    try:
+        return block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def _plain_block(text: str, dtype: np.dtype, labels) -> list[np.ndarray] | None:
+    """The columns of a block of whole lines of a plain file, or None when
+    one of its cells makes the file not plain, or when the block's parsed
+    rows would pass _BLOCK_BYTES (very long labels)."""
+    lines = text.count("\n")
+    if lines * dtype.itemsize > _BLOCK_BYTES:
+        return None
+    try:
+        rows = np.loadtxt(
+            io.StringIO(text), dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
+        )
+    except ValueError:  # a wrong cell count or a number that does not parse
+        return None
+    out = []
+    for name, lab in zip(dtype.names, labels):
+        cells = rows[name]
+        if lab is None:
+            if not np.all(np.isfinite(cells)):
+                return None
+            out.append(cells.copy())
+            continue
+        ordered, index = lab
+        pos = np.minimum(np.searchsorted(ordered, cells), len(ordered) - 1)
+        if not np.array_equal(ordered[pos], cells):
+            return None
+        out.append(index[pos])
+    return out
+
+
+def _record_columns(path, schema: Schema, missing_policy: str) -> list[np.ndarray]:
+    """The columns of a CSV read by the csv module's reader. Rows are parsed
+    CSV_BLOCK_ROWS at a time, a column at a time; a block holding anything
+    the column parse does not accept goes through the per-cell loop, which
+    raises the typed error for its first bad cell."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _records(fh)
         header = next(reader, None)
@@ -304,7 +433,12 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
             for parts, col in zip(blocks, columns):
                 parts.append(col)
             first_row += len(block)
-    return Dataset._adopt(schema, [np.concatenate(parts) if parts else np.empty(0) for parts in blocks])
+    return _joined(blocks)
+
+
+def _joined(blocks: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Each column's parts, one per block, as one array."""
+    return [np.concatenate(parts) if parts else np.empty(0) for parts in blocks]
 
 
 def _records(fh):
@@ -414,7 +548,7 @@ def _csv_line(cells: Sequence[str]) -> str:
 # bytes per cell; _PAD fills what a cell does not use, anywhere in it, and
 # deleting every _PAD byte leaves the CSV text. 0xFF is never a byte of UTF-8.
 _PAD = b"\xff"
-_BLOCK_BYTES = 1 << 24  # cap on a block's matrix, so that long labels shrink the block
+_BLOCK_BYTES = 1 << 24  # cap on a block's matrix: long labels shrink a written block, and send a read one to the csv module
 
 
 def _words(cells: Sequence[bytes]) -> np.ndarray:

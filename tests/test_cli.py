@@ -360,10 +360,21 @@ def test_inspect_nul_in_artifact_path_fails(tmp_path, capsys):
 
 # -------------------------------------------------------------------- bench ---
 
-def test_bench_rejects_single_size(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--sizes", "200", "--out", str(tmp_path / "bench")])
-    assert exc.value.code == 2
+def test_bench_rejects_single_size(tmp_path, capsys):
+    assert main(["bench", "--sizes", "200", "--out", str(tmp_path / "bench")]) == 3
+    assert "invalid option: --sizes needs at least 2 sizes" in capsys.readouterr().out
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [("200,4e2", "--sizes must be comma-separated integers"), ("200,0", "--sizes must be positive")],
+    ids=["malformed", "non-positive"],
+)
+def test_bench_rejects_bad_sizes_with_exit_3(tmp_path, capsys, sizes, message):
+    assert main(["bench", "--sizes", sizes, "--out", str(tmp_path / "bench")]) == 3
+    assert f"invalid option: {message}" in capsys.readouterr().out
+    assert not (tmp_path / "bench").exists()
 
 
 def test_bench_invalid_max_parallel_exit_3(tmp_path, capsys):

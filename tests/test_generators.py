@@ -60,6 +60,25 @@ def test_average_ranks_equal_rankdata(values):
     assert np.array_equal(ranks, stats.rankdata(arr, method="average"))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    real=st.lists(st.sampled_from([-1e300, -2.5, -0.0, 0.0, 1.0, 1.5, 7.0]), min_size=1, max_size=60),
+    on_grid=st.lists(st.integers(0, 59), max_size=40),
+    between=st.lists(st.floats(0.0, 1.0), max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interp_on_sorted_queries_equals_np_interp(real, on_grid, between, seed):
+    # tie-heavy real columns (signed zeros among them), and queries that land
+    # exactly on grid points, at its ends and between them, in random order
+    n = len(real)
+    grid = (np.arange(n) + 0.5) / n
+    ordered = np.sort(np.asarray(real))
+    u = np.concatenate([grid[[i % n for i in on_grid]], [0.0, 1.0], between])
+    u = np.random.default_rng(seed).permutation(u)
+    got = generators._interp_sorted_queries(u, grid, ordered)
+    assert got.tobytes() == np.interp(u, grid, ordered).tobytes()
+
+
 def test_rsd_stays_within_observed_bounds():
     real = bivariate_real(n=2_000)
     synth = generate(cfg("rsd", 5_000), derive_stream(2, "gen"), real=real)
