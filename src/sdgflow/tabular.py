@@ -276,34 +276,41 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
     missing_policy: "drop_row" silently drops rows with any empty cell;
     "error" raises MissingValue at the first one.
 
-    A plain file (see _plain_columns) is parsed by numpy's text reader; any
-    other file is read again from the start by the csv module's reader
-    (_record_columns), which gives the same columns for a plain file and
-    raises the typed error for the first bad cell of any other.
+    numpy's text reader parses the file while it is plain (see
+    _plain_parts); from the first block that is not, the csv module's reader
+    (_record_parts) reads the rest, which would give the same columns for
+    the plain blocks and raises the typed error for the first bad cell.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
-    columns = _plain_columns(path, schema)
-    if columns is None:
-        columns = _record_columns(path, schema, missing_policy)
-    return Dataset._adopt(schema, columns)
+    parts: list[list[np.ndarray]] = [[] for _ in schema.columns]
+    with open(path, "rb") as fh:
+        row = _plain_parts(fh, schema, parts)
+        if row is not None:
+            _record_parts(fh, row, schema, missing_policy, parts)
+    return Dataset._adopt(schema, _joined(parts))
 
 
 _PLAIN_BLOCK_BYTES = 1 << 18  # bytes read at once by the plain path, cut after their last line
 
 
-def _plain_columns(path, schema: Schema) -> list[np.ndarray] | None:
-    """The columns of a plain CSV, or None when the file is not plain.
+def _plain_parts(fh, schema: Schema, parts: list[list[np.ndarray]]) -> int | None:
+    """Append the columns of the plain blocks of binary file fh to `parts`,
+    a list per column, and return None when the whole file is plain;
+    otherwise leave fh at the start of the first block that is not and
+    return the row of its first line, counted from the header as row 0.
 
-    A file is plain when its header line is the schema's names joined by
-    ",", and, block by block, it is UTF-8 with no '"', CR or NUL, no blank
-    line and no line longer than the csv module's field size limit, each
-    line has one cell per column, every continuous cell parses and is
-    finite, and every categorical cell is exactly a non-empty label. Such a
-    file reads the same through the csv module: no quoting, no empty
-    (missing) cell, and numpy converts a number with the correctly rounded
-    routine behind float(), after stripping the same whitespace, accepting
-    a subset of what float() accepts (no "_", no non-ASCII digits)."""
+    The header is plain when it is the schema's names joined by ",". A
+    block is plain when it is UTF-8 with no '"', CR or NUL, no blank line,
+    no empty cell and no line longer than the csv module's field size
+    limit, each line has one cell per column, every continuous cell parses
+    and is finite, and every categorical cell is exactly a label. Each of its
+    lines is then one csv record that the csv module reads alike: no
+    quoting, no empty (missing) cell, and numpy converts a number with the
+    correctly rounded routine behind float(), after stripping the same
+    whitespace, accepting a subset of what float() accepts (no "_", no
+    non-ASCII digits). So the csv module's reader can take over at the
+    start of any block."""
     labels = []  # per column: None, or (plain labels sorted, their category indices)
     for spec in schema.columns:
         if spec.categories is None:
@@ -312,7 +319,7 @@ def _plain_columns(path, schema: Schema) -> list[np.ndarray] | None:
         # "" reads as a missing cell, and numpy drops a label's trailing NULs
         plain = [(lab, i) for i, lab in enumerate(spec.categories) if lab and "\x00" not in lab]
         if not plain:
-            return None
+            return 0
         plain.sort()
         labels.append((np.array([lab for lab, _ in plain]), np.array([i for _, i in plain])))
     dtype = np.dtype(
@@ -322,31 +329,30 @@ def _plain_columns(path, schema: Schema) -> list[np.ndarray] | None:
         ]
     )
     limit = csv.field_size_limit()
-    parts: list[list[np.ndarray]] = [[] for _ in schema.columns]
-    header = None
-    with open(path, "rb") as fh:
-        for block in _line_blocks(fh, limit):
-            text = None if block is None else _plain_text(block, limit)
-            if text is None:
-                return None
-            if header is None:
-                header, _, text = text.partition("\n")
-                if header.split(",") != list(schema.names):
-                    return None
-            if not text:
-                continue
-            columns = _plain_block(text, dtype, labels)
-            if columns is None:
-                return None
-            for col_parts, col in zip(parts, columns):
-                col_parts.append(col)
-    return None if header is None else _joined(parts)
+    header = fh.readline(limit + 1)
+    text = _plain_text(header, limit) if header.endswith(b"\n") else None
+    if text is None or text[:-1].split(",") != list(schema.names):
+        fh.seek(0)
+        return 0
+    offset, row = len(header), 1
+    for block in _line_blocks(fh, limit):
+        text = None if block is None else _plain_text(block, limit)
+        columns = None if text is None else _plain_block(text, dtype, labels)
+        if columns is None:
+            fh.seek(offset)
+            return row
+        for col_parts, col in zip(parts, columns):
+            col_parts.append(col)
+        offset += len(block)
+        row += len(columns[0])
+    return None
 
 
 def _line_blocks(fh, limit: int):
-    """fh's bytes in blocks of about _PLAIN_BLOCK_BYTES, each cut after its
-    last LF; a last line without one gets one. None in place of a block
-    means a line longer than `limit` bytes that no block holds whole."""
+    """fh's bytes from its position on, in blocks of about
+    _PLAIN_BLOCK_BYTES, each cut after its last LF; a last line without one
+    gets one. None in place of a block means a line longer than `limit`
+    bytes that no block holds whole."""
     rest = b""
     while chunk := fh.read(_PLAIN_BLOCK_BYTES):
         data = rest + chunk
@@ -363,9 +369,13 @@ def _line_blocks(fh, limit: int):
 
 def _plain_text(block: bytes, limit: int) -> str | None:
     """The block as text, or None unless it is UTF-8 with no '"', CR or NUL,
-    no blank line and no line over `limit` bytes (a line's characters are
-    at most its bytes). The block starts at a line and ends with LF."""
+    no blank line, no empty cell and no line over `limit` bytes (a line's
+    characters are at most its bytes). The block starts at a line and ends
+    with LF. An empty cell would fail the parse too, but only after numpy
+    had parsed the cells before it; these scans cost little."""
     if b'"' in block or b"\r" in block or b"\x00" in block:
+        return None
+    if block.startswith(b",") or b",," in block or b"\n," in block or b",\n" in block:
         return None
     ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
     lengths = np.diff(ends, prepend=-1) - 1
@@ -379,8 +389,8 @@ def _plain_text(block: bytes, limit: int) -> str | None:
 
 def _plain_block(text: str, dtype: np.dtype, labels) -> list[np.ndarray] | None:
     """The columns of a block of whole lines of a plain file, or None when
-    one of its cells makes the file not plain, or when the block's parsed
-    rows would pass _BLOCK_BYTES (very long labels)."""
+    one of its cells makes the block not plain, or when its parsed rows
+    would pass _BLOCK_BYTES (very long labels)."""
     lines = text.count("\n")
     if lines * dtype.itemsize > _BLOCK_BYTES:
         return None
@@ -406,13 +416,15 @@ def _plain_block(text: str, dtype: np.dtype, labels) -> list[np.ndarray] | None:
     return out
 
 
-def _record_columns(path, schema: Schema, missing_policy: str) -> list[np.ndarray]:
-    """The columns of a CSV read by the csv module's reader. Rows are parsed
-    CSV_BLOCK_ROWS at a time, a column at a time; a block holding anything
-    the column parse does not accept goes through the per-cell loop, which
-    raises the typed error for its first bad cell."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _records(fh)
+def _record_parts(fh, row: int, schema: Schema, missing_policy: str, parts: list[list[np.ndarray]]) -> None:
+    """Append to `parts` the columns of the CSV records of binary file fh
+    from its position on, read by the csv module's reader; `row` is the
+    first record's row, 0 when it is the header, which is then checked.
+    Rows are parsed CSV_BLOCK_ROWS at a time, a column at a time; a block
+    holding anything the column parse does not accept goes through the
+    per-cell loop, which raises the typed error for its first bad cell."""
+    reader = _records(io.TextIOWrapper(fh, encoding="utf-8", newline=""), row)
+    if row == 0:
         header = next(reader, None)
         if header is None:
             raise HeaderMismatch("file is empty, header row required")
@@ -420,20 +432,18 @@ def _record_columns(path, schema: Schema, missing_policy: str) -> list[np.ndarra
             raise HeaderMismatch(
                 f"header {header!r} does not match schema columns {list(schema.names)!r}"
             )
-        cat_lookup = [
-            {lab: i for i, lab in enumerate(c.categories)} if c.categories else None
-            for c in schema.columns
-        ]
-        blocks: list[list] = [[] for _ in schema.columns]
-        first_row = 1
-        while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
-            columns = _parse_columns(block, schema, cat_lookup, missing_policy)
-            if columns is None:
-                columns = _parse_cells(block, first_row, schema, cat_lookup, missing_policy)
-            for parts, col in zip(blocks, columns):
-                parts.append(col)
-            first_row += len(block)
-    return _joined(blocks)
+        row = 1
+    cat_lookup = [
+        {lab: i for i, lab in enumerate(c.categories)} if c.categories else None
+        for c in schema.columns
+    ]
+    while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
+        columns = _parse_columns(block, schema, cat_lookup, missing_policy)
+        if columns is None:
+            columns = _parse_cells(block, row, schema, cat_lookup, missing_policy)
+        for col_parts, col in zip(parts, columns):
+            col_parts.append(col)
+        row += len(block)
 
 
 def _joined(blocks: list[list[np.ndarray]]) -> list[np.ndarray]:
@@ -441,12 +451,12 @@ def _joined(blocks: list[list[np.ndarray]]) -> list[np.ndarray]:
     return [np.concatenate(parts) if parts else np.empty(0) for parts in blocks]
 
 
-def _records(fh):
-    """The CSV records of fh; a record the csv module rejects (a cell over
-    its field size limit) and bytes that are not UTF-8 raise CellTypeError
-    at their row, counted from the header as row 0."""
+def _records(fh, row: int = 0):
+    """The CSV records of text file fh from its position on, the first at
+    `row` (the header is row 0); a record the csv module rejects (a cell
+    over its field size limit) and bytes that are not UTF-8 raise
+    CellTypeError at their row."""
     reader = csv.reader(fh)
-    row = 0
     try:
         for record in reader:
             yield record

@@ -273,6 +273,12 @@ _ROWS = st.one_of(
 )
 
 
+def _not_plain(fh, schema, parts):
+    """_plain_parts of a file whose header is not plain: the csv module's
+    reader reads it all."""
+    return 0
+
+
 def _load_outcome(path, policy, schema=_LOAD_SCHEMA):
     try:
         ds = load_csv(path, schema, missing_policy=policy)
@@ -289,17 +295,19 @@ def _load_outcome(path, policy, schema=_LOAD_SCHEMA):
 )
 def test_load_csv_equals_per_cell_loop(rows, policy, block):
     # the oracle is the per-cell loop over the whole file as one block; the
-    # loader under test reads blocks of 1-5 rows, a column at a time
+    # csv module path under test reads blocks of 1-5 rows, a column at a time
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([list(_LOAD_SCHEMA.names)] + rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.csv"
         path.write_text(buf.getvalue(), encoding="utf-8")
-        with mock.patch.object(tabular, "_plain_columns", lambda *args: None), mock.patch.object(
+        with mock.patch.object(tabular, "_plain_parts", _not_plain), mock.patch.object(
             tabular, "_parse_columns", lambda *args: None
         ):
             expected = _load_outcome(path, policy)
-        with mock.patch.object(tabular, "CSV_BLOCK_ROWS", block):
+        with mock.patch.object(tabular, "_plain_parts", _not_plain), mock.patch.object(
+            tabular, "CSV_BLOCK_ROWS", block
+        ):
             got = _load_outcome(path, policy)
     assert got == expected
 
@@ -417,11 +425,22 @@ def _assert_loads_as_csv_module_reader(schema, data, policy, block):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "raw.csv"
         path.write_bytes(data)
-        with mock.patch.object(tabular, "_plain_columns", lambda *args: None):
+        with mock.patch.object(tabular, "_plain_parts", _not_plain):
             expected = _load_outcome(path, policy, schema)
         with mock.patch.object(tabular, "_PLAIN_BLOCK_BYTES", block):
             got = _load_outcome(path, policy, schema)
     assert got == expected
+
+
+@pytest.mark.parametrize("data", [b",a,2\n", b"1,,2\n", b"1,a,\n", b"1,a,2\n1,a,\n3,a,4\n"])
+def test_load_csv_refuses_a_block_with_an_empty_cell_before_parsing_it(tmp_path, data):
+    # numpy would refuse such a block only after parsing the cells before the empty one
+    path = tmp_path / "gaps.csv"
+    path.write_bytes(_HEADER + data)
+    with mock.patch.object(tabular, "_plain_parts", _not_plain):
+        expected = _load_outcome(path, "drop_row", _PLAIN_SCHEMA)
+    with mock.patch.object(tabular, "_plain_block", side_effect=AssertionError("parsed")):
+        assert _load_outcome(path, "drop_row", _PLAIN_SCHEMA) == expected
 
 
 _FIXTURE_SCHEMA = Schema(
@@ -469,6 +488,38 @@ def test_plain_files_load_without_the_csv_module_reader(tmp_path, writer):
     assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(loaded.columns, ds.columns))
 
 
+@pytest.mark.parametrize("policy", tabular.MISSING_POLICIES)
+@pytest.mark.parametrize(
+    "line",
+    [b"1,,2,east,single,g1\n", b'1,2,3,"east",single,g1\n', b"1,2,3,east,single,g1\r\n",
+     b"1,2,3,East,single,g1\n", b"1,2,x,east,single,g1\n", b"1,2,3,east,single\n"],
+    ids=["empty-cell", "quoted-label", "crlf", "unknown-label", "bad-number", "short-line"],
+)
+def test_load_csv_reads_from_the_first_block_that_is_not_plain(tmp_path, line, policy):
+    # a file plain but for one line near its end: numpy's reader takes the
+    # blocks before that line's, and the csv module's reader only the rest
+    _, data = _repr_float_csv(3_000, seed=2)
+    lines = data.splitlines(keepends=True)
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"".join(lines[:2_900] + [line] + lines[2_900:]))
+    with mock.patch.object(tabular, "_plain_parts", _not_plain):
+        expected = _load_outcome(path, policy, _FIXTURE_SCHEMA)
+    records = []
+    read_records = tabular._records
+
+    def counted_records(fh, row=0):
+        for record in read_records(fh, row):
+            records.append(record)
+            yield record
+
+    with mock.patch.object(tabular, "_PLAIN_BLOCK_BYTES", 4_096), mock.patch.object(
+        tabular, "_records", counted_records
+    ):
+        got = _load_outcome(path, policy, _FIXTURE_SCHEMA)
+    assert got == expected
+    assert 0 < len(records) < 300  # of 3,002 records, the header first
+
+
 # The csv module's reader peaked at 11.3 MB under tracemalloc loading the
 # benchmark's 100k-row fixture, and peaks at 11.8 MB on the file below
 # (Python 3.11.7, numpy 2.4.6); the plain path reads 9.7 MB here.
@@ -494,8 +545,11 @@ def test_load_csv_of_a_plain_file_peaks_below_the_csv_module_reader(tmp_path):
         (b"x,c,y\n1.0,a,\xff\n", 1),
         (b"x,c,y\n" + b"1.0,a,2.0\n" * 2_000 + b'"1.0",a,\xff\n', 2_001),
         (b"x,c,y\n1.0,a,2.0\n" + b"3" * 140_000 + b",a,1\n", 2),
+        (b"x,c,y\n" + b"1.0,a,2.0\n" * 40_000 + b"1.0,a,\xff\n", 40_001),
+        (b"x,c,y\n" + b"1.0,a,2.0\n" * 40_000 + b"3" * 140_000 + b",a,1\n", 40_001),
     ],
-    ids=["not-utf8", "not-utf8-past-8k", "over-field-limit"],
+    ids=["not-utf8", "not-utf8-past-8k", "over-field-limit", "not-utf8-past-a-plain-block",
+         "over-field-limit-past-a-plain-block"],
 )
 def test_load_csv_unreadable_file_is_cell_type_error(tmp_path, data, row):
     path = tmp_path / "bad.csv"
