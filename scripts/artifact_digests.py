@@ -3,8 +3,11 @@ checkouts can be compared byte for byte. Run from the repo root:
 
     python3 scripts/artifact_digests.py OUT > digests.txt
 
-It runs the bundled sample pipeline at --max-parallel 1 and 4, the bundled
-all-modes pipeline (sample/modes.json: every generator mode, column model
+It runs the bundled sample pipeline at --max-parallel 1 and 4, the same
+pipeline at --max-parallel 1 on a copy of its data that only the csv
+module's reader parses (sample-csv-p1: CRLF line ends, every label
+quoted; its run artifacts equal sample-p1's), the bundled all-modes
+pipeline (sample/modes.json: every generator mode, column model
 and rule kind, inline schemas, numbers written as integers) at
 --max-parallel 2, and `sdgflow bench --sizes 1000,3000,20000` under OUT
 (which must not exist yet), then prints one `sha256  path` line per file
@@ -14,7 +17,10 @@ bench.json and logs/. Each run directory must pass `sdgflow inspect`.
 """
 
 import contextlib
+import csv
 import hashlib
+import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -36,9 +42,34 @@ def digests(out: Path) -> list[str]:
     return lines
 
 
+def quoted_copy(dest: Path) -> Path:
+    """Copy the sample pipeline and schema into dest, beside its data
+    rewritten with CRLF line ends, every label and header cell quoted and
+    the continuous cells as floats; returns the copied pipeline's path."""
+    dest.mkdir(parents=True)
+    for name in ("pipeline.json", "schema.json"):
+        shutil.copyfile(REPO / "sample" / name, dest / name)
+    kinds = [c["kind"] for c in json.loads((REPO / "sample" / "schema.json").read_text())["columns"]]
+    with open(REPO / "sample" / "data.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(dest / "data.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n", quoting=csv.QUOTE_NONNUMERIC)
+        writer.writerow(header)
+        writer.writerows(
+            [float(cell) if kind == "continuous" else cell for kind, cell in zip(kinds, row)] for row in rows
+        )
+    return dest / "pipeline.json"
+
+
 def produce(out: Path) -> None:
     sample, modes = (str(REPO / "sample" / name) for name in ("pipeline.json", "modes.json"))
-    runs = {"sample-p1": (sample, "1"), "sample-p4": (sample, "4"), "modes-p2": (modes, "2")}
+    quoted = str(quoted_copy(out / "csv-input"))
+    runs = {
+        "sample-p1": (sample, "1"),
+        "sample-p4": (sample, "4"),
+        "sample-csv-p1": (quoted, "1"),
+        "modes-p2": (modes, "2"),
+    }
     commands = [
         ["run", doc, "--out", str(out / name), "--max-parallel", p] for name, (doc, p) in runs.items()
     ]

@@ -17,6 +17,7 @@ from scipy.special import ndtr
 
 from .canonical import canonical_json_bytes
 from .engine import RunManifest, check_out_dir, run
+from .errors import ConfigError
 from .rng import derive_stream
 from .specs import parse_spec
 from .tabular import (
@@ -197,10 +198,15 @@ def bench_one_size(size: int, out_dir, max_parallel: int) -> SizeTiming:
 
 
 def run_bench(sizes, out_dir, max_parallel: int = 4) -> BenchResult:
+    """Bench each of at least 2 distinct positive sizes into out_dir/size_N;
+    raises ConfigError before anything runs unless the sizes are such."""
     if len(sizes) < 2:
-        raise ValueError("bench needs at least 2 sizes")
+        raise ConfigError("sizes needs at least 2 sizes")
+    if any(s < 1 for s in sizes):
+        raise ConfigError("sizes must be positive")
     if len(set(sizes)) < len(sizes):
-        raise ValueError("bench sizes must not repeat")
+        # a repeated size would run into its own first run's directory
+        raise ConfigError("sizes must not repeat")
     check_out_dir(out_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,14 +18,13 @@ class HeaderMismatch(SdgError):
 
 
 class CellTypeError(SdgError):
-    """A cell could not be parsed for its column kind; row is None when the
-    file is not UTF-8 text."""
+    """A cell could not be parsed for its column kind; column is None when
+    the fault is the whole record's."""
 
-    def __init__(self, row: int | None, column: str | None, detail: str):
+    def __init__(self, row: int, column: str | None, detail: str):
         self.row = row
         self.column = column
-        where = "file" if row is None else f"row {row}, column {column!r}"
-        super().__init__(f"{where}: {detail}")
+        super().__init__(f"row {row}, column {column!r}: {detail}")
 
 
 class UnknownCategory(SdgError):

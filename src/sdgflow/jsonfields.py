@@ -26,8 +26,10 @@ Check = Callable[[Any, str], Any]  # (value, its label in the document) -> the v
 def loads(data: bytes | str, error: type[SdgError]) -> Any:
     """Parse JSON text whose numbers all fit a finite double: a canonical
     digest has no form for NaN or infinities, and a larger integer overflows
-    a field read as a float. Bad UTF-8, syntax, numbers or nesting deeper
-    than the interpreter's recursion limit raise `error`."""
+    a field read as a float. Bad UTF-8, a string or key holding a lone
+    surrogate (an escape such as "\\udc80" that pairs with nothing, which no
+    UTF-8 text holds), syntax, numbers or nesting deeper than the
+    interpreter's recursion limit raise `error`."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -40,9 +42,13 @@ def loads(data: bytes | str, error: type[SdgError]) -> Any:
         raise error(f"number {literal} is not a finite double")
 
     try:
-        return json.loads(
+        value = json.loads(
             data, parse_constant=double, parse_float=double, parse_int=lambda s: double(s, int)
         )
+        json.dumps(value, ensure_ascii=False).encode("utf-8")  # fails on a lone surrogate
+        return value
+    except UnicodeEncodeError as e:
+        raise error(f"lone surrogate {e.object[e.start:e.end]!r}: not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise error(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:

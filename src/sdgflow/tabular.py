@@ -51,6 +51,8 @@ class ColumnSpec:
     def __post_init__(self):
         if not self.name:
             raise SchemaError("column name must be non-empty")
+        if _lone_surrogate((self.name, *(self.categories or ()))):
+            raise SchemaError(f"column {self.name!r}: names and labels must be UTF-8 text")
         if self.kind is ColumnKind.CATEGORICAL:
             if not self.categories:
                 raise SchemaError(f"column {self.name!r}: categorical needs categories")
@@ -279,7 +281,7 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
     numpy's text reader parses the file while it is plain (see
     _plain_parts); from the first block that is not, the csv module's reader
     (_record_parts) reads the rest, which would give the same columns for
-    the plain blocks and raises the typed error for the first bad cell.
+    the plain blocks and raises the typed error of the first faulty record.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
@@ -423,11 +425,12 @@ def _record_parts(fh, row: int, schema: Schema, missing_policy: str, parts: list
     Rows are parsed CSV_BLOCK_ROWS at a time, a column at a time; a block
     holding anything the column parse does not accept goes through the
     per-cell loop, which raises the typed error for its first bad cell."""
-    reader = _records(io.TextIOWrapper(fh, encoding="utf-8", newline=""), row)
+    reader = _records(io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=""), row)
     if row == 0:
         header = next(reader, None)
         if header is None:
             raise HeaderMismatch("file is empty, header row required")
+        _check_record(header, 0)
         if tuple(header) != schema.names:
             raise HeaderMismatch(
                 f"header {header!r} does not match schema columns {list(schema.names)!r}"
@@ -447,58 +450,56 @@ def _record_parts(fh, row: int, schema: Schema, missing_policy: str, parts: list
 
 
 def _joined(blocks: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Each column's parts, one per block, as one array."""
-    return [np.concatenate(parts) if parts else np.empty(0) for parts in blocks]
+    """Each column's parts, one per block, as one array; a column's parts
+    are freed once it is joined, so that the columns are not held twice."""
+    joined = []
+    for parts in blocks:
+        joined.append(np.concatenate(parts) if parts else np.empty(0))
+        parts.clear()
+    return joined
 
 
 def _records(fh, row: int = 0):
     """The CSV records of text file fh from its position on, the first at
     `row` (the header is row 0); a record the csv module rejects (a cell
-    over its field size limit) and bytes that are not UTF-8 raise
-    CellTypeError at their row."""
-    reader = csv.reader(fh)
+    over its field size limit) ends them, as the CellTypeError of its row."""
     try:
-        for record in reader:
+        for record in csv.reader(fh):
             yield record
             row += 1
     except csv.Error as e:
-        raise CellTypeError(row, None, str(e)) from None
-    except UnicodeDecodeError as e:
-        fh.buffer.seek(0)
-        raise _not_utf8(fh.buffer.read(), e) from None
+        yield CellTypeError(row, None, str(e))
 
 
-def _not_utf8(data: bytes, error: UnicodeDecodeError) -> CellTypeError:
-    """The error for the first byte of `data` that is not UTF-8. The text
-    layer decodes ahead of the csv reader, so `error` knows no row: a strict
-    decode of the whole file gives the byte's offset, and the csv records of
-    the valid prefix, with one character standing in for the bad byte, end
-    at the byte's record."""
-    row = None
+def _lone_surrogate(cells: Sequence[str]) -> str | None:
+    """The first lone surrogate in the cells, or None. No UTF-8 text and no
+    label (ColumnSpec) holds one, so the column parse refuses a byte that is
+    not UTF-8, which the surrogateescape decode keeps as one."""
+    text = "".join(cells)
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as strict:
-        error = strict
-        prefix = io.StringIO(data[: strict.start].decode("utf-8") + "_", newline="")
-        row = -1
-        try:
-            for row, _ in enumerate(csv.reader(prefix)):
-                pass
-        except csv.Error as e:
-            return CellTypeError(row + 1, None, str(e))
-    bad = error.object[error.start : error.end]
-    return CellTypeError(row, None, f"not UTF-8: {error.reason} at byte {bad!r}")
+        text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        return text[e.start]
+    return None
+
+
+def _check_record(record, row: int) -> None:
+    """Raise the record if it is a CellTypeError, or one at `row` for a byte not UTF-8."""
+    if isinstance(record, CellTypeError):
+        raise record
+    if char := _lone_surrogate(record):
+        raise CellTypeError(row, None, f"not UTF-8: byte {char.encode('utf-8', 'surrogateescape')!r}")
 
 
 def _parse_columns(block, schema, cat_lookup, missing_policy) -> list[np.ndarray] | None:
-    """One block of records, a column at a time; None when a record has the
-    wrong field count, a cell is missing under "error", or a cell does not
-    parse, so that the per-cell loop names the first such cell."""
+    """One block of records, a column at a time; None when a record was
+    rejected by the csv module or has the wrong field count, a cell is missing
+    under "error", or one does not parse, for the per-cell loop to name."""
     width = len(schema.columns)
-    if any(len(record) != width for record in block):
+    if isinstance(block[-1], CellTypeError) or any(len(record) != width for record in block):
         return None
-    if missing_policy == "drop_row":
-        block = [record for record in block if "" not in record]
+    if missing_policy == "drop_row":  # a byte not UTF-8 keeps its record, to fail the parse
+        block = [record for record in block if "" not in record or _lone_surrogate(record)]
     elif any("" in record for record in block):
         return None
     out = []
@@ -522,6 +523,7 @@ def _parse_cells(block, first_row, schema, cat_lookup, missing_policy) -> list[n
     raises the typed error for the first bad cell."""
     out: list[list] = [[] for _ in schema.columns]
     for rownum, record in enumerate(block, start=first_row):
+        _check_record(record, rownum)
         if len(record) != len(schema.columns):
             raise CellTypeError(
                 rownum, None, f"expected {len(schema.columns)} fields, got {len(record)}"

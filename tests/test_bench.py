@@ -15,6 +15,7 @@ from sdgflow.bench import (
     run_bench,
 )
 from sdgflow.canonical import canonical_json_bytes
+from sdgflow.errors import ConfigError
 from sdgflow.specs import parse_spec
 from sdgflow.tabular import ColumnKind, dataset_to_csv_bytes
 
@@ -78,13 +79,19 @@ def test_run_bench_two_sizes(tmp_path):
 
 
 def test_run_bench_rejects_single_size(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_bench([200], tmp_path)
 
 
 def test_run_bench_rejects_repeated_sizes(tmp_path):
-    with pytest.raises(ValueError, match="must not repeat"):
+    with pytest.raises(ConfigError, match="must not repeat"):
         run_bench([200, 400, 200], tmp_path / "bench")
+    assert not (tmp_path / "bench").exists()
+
+
+def test_run_bench_rejects_a_non_positive_size_before_it_runs(tmp_path):
+    with pytest.raises(ConfigError, match="must be positive"):
+        run_bench([0, 200], tmp_path / "bench")
     assert not (tmp_path / "bench").exists()
 
 

@@ -75,6 +75,20 @@ def test_validate_non_finite_number_exit_2(tmp_path, capsys):
     assert "syntax: number NaN is not a finite double" in capsys.readouterr().out
 
 
+def lone_surrogate_spec(tmp_path):
+    """The sample with a metadata string escaping a lone surrogate, which
+    no UTF-8 text holds (json.dumps writes it as the escape \\udc80)."""
+    doc = sample_doc()
+    doc["metadata"]["author"] = "sample\udc80"
+    return write_spec_copy(tmp_path, doc, with_data=False)
+
+
+def test_validate_lone_surrogate_exit_2(tmp_path, capsys):
+    rc = main(["validate", str(lone_surrogate_spec(tmp_path))])
+    assert rc == 2
+    assert "syntax: lone surrogate '\\udc80': not UTF-8 text" in capsys.readouterr().out
+
+
 def test_validate_missing_file_exit_2(tmp_path, capsys):
     rc = main(["validate", str(tmp_path / "nope.json")])
     assert rc == 2
@@ -186,6 +200,13 @@ def test_run_non_finite_number_exit_3(tmp_path, capsys):
     rc = main(["run", str(non_finite_spec(tmp_path)), "--out", str(tmp_path / "run")])
     assert rc == 3
     assert "invalid spec: number NaN is not a finite double" in capsys.readouterr().out
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_lone_surrogate_exit_3_and_writes_nothing(tmp_path, capsys):
+    rc = main(["run", str(lone_surrogate_spec(tmp_path)), "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert "invalid spec: lone surrogate '\\udc80': not UTF-8 text" in capsys.readouterr().out
     assert not (tmp_path / "run").exists()
 
 

@@ -13,6 +13,7 @@ from sdgflow import generators as g
 from sdgflow.engine import NodeRecord, RunManifest, manifest_from_json_obj, run
 from sdgflow.errors import ConfigError, InvalidSpec, ManifestInvalid, SchemaError, SdgError, UnknownField
 from sdgflow.evaluation.privacy import PrivacyConfig
+from sdgflow.jsonfields import loads
 from sdgflow.specs import (
     DiagnosticParams,
     GenerateParams,
@@ -260,3 +261,18 @@ def test_numbers_keep_the_type_the_document_wrote(tmp_path):
     assert repr(report["thresholds"]["sample_overlap"]) == "0"
     text = (tmp_path / "report.txt").read_text(encoding="utf-8")
     assert "sample_overlap  score=0.0  direction=lower_better  threshold <= 0  PASS" in text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"a": "\\udc80"}', '{"\\udfff": 1}', '[["x\\ud800y"]]', '{"a": ["\\ude00\\ud83d"]}'],
+    ids=["value", "key", "nested-list", "pair-reversed"],
+)
+def test_loads_refuses_a_lone_surrogate_in_every_reader(text):
+    for error in (InvalidSpec, ConfigError, SchemaError, ManifestInvalid):
+        with pytest.raises(error, match="lone surrogate"):
+            loads(text.encode(), error)
+
+
+def test_loads_keeps_an_escaped_surrogate_pair():
+    assert loads(b'["\\ud83d\\ude00"]', InvalidSpec) == ["\U0001F600"]

@@ -261,8 +261,11 @@ _LOAD_SCHEMA = Schema(
         ColumnSpec("y", ColumnKind.CONTINUOUS),
     )
 )
+_HUGE_NUMBER = "0." + "0" * 139_998 + "1"  # finite, and over the csv field size limit
+# "\udcff" is written as the byte 0xFF, which is not UTF-8
 _CELLS = st.sampled_from(
     ["", "1", "-0.0", "2.5e3", " 7", "1_0", "0x1", "nan", "inf", "1e999", "a", "b,c", "A", '"']
+    + ["\udcff", _HUGE_NUMBER]
 )
 _NUMBER_CELLS = st.one_of(
     st.sampled_from(["", "1", "-0.0", "2.5e3", " 7", "1_0", "5e-324"]), _FLOAT_CELLS
@@ -295,12 +298,14 @@ def _load_outcome(path, policy, schema=_LOAD_SCHEMA):
 )
 def test_load_csv_equals_per_cell_loop(rows, policy, block):
     # the oracle is the per-cell loop over the whole file as one block; the
-    # csv module path under test reads blocks of 1-5 rows, a column at a time
+    # csv module path under test reads blocks of 1-5 rows, a column at a
+    # time, and must name the same first fault, a bad byte or a cell over
+    # the field size limit included
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([list(_LOAD_SCHEMA.names)] + rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.csv"
-        path.write_text(buf.getvalue(), encoding="utf-8")
+        path.write_text(buf.getvalue(), encoding="utf-8", errors="surrogateescape")
         with mock.patch.object(tabular, "_plain_parts", _not_plain), mock.patch.object(
             tabular, "_parse_columns", lambda *args: None
         ):
@@ -345,7 +350,6 @@ _PLAIN_SCHEMA = Schema(
     )
 )
 _COMMA_SCHEMA = Schema(_PLAIN_SCHEMA.columns[:2] + (ColumnSpec("y,z", ColumnKind.CONTINUOUS),))
-_HUGE_NUMBER = "0." + "0" * 139_998 + "1"  # finite, and over the csv field size limit
 _ODD_CELLS = [
     "nan", "inf", "-inf", "1e999", "0x1", "1_0", "١", "", " ", "1 2", "e", ".", "+", "-", "1e",
     _HUGE_NUMBER, "1\x00", '"1"', "1\r", "\x0b7", "7\x1c", "\x857", "\u20287", "\xa07\u3000",
@@ -522,7 +526,8 @@ def test_load_csv_reads_from_the_first_block_that_is_not_plain(tmp_path, line, p
 
 # The csv module's reader peaked at 11.3 MB under tracemalloc loading the
 # benchmark's 100k-row fixture, and peaks at 11.8 MB on the file below
-# (Python 3.11.7, numpy 2.4.6); the plain path reads 9.7 MB here.
+# (Python 3.11.7, numpy 2.4.6); the plain path reads 7.2 MB here, for
+# 4.8 MB of loaded columns.
 _RECORD_READER_PEAK_BYTES = 11_300_000
 
 
@@ -532,11 +537,14 @@ def test_load_csv_of_a_plain_file_peaks_below_the_csv_module_reader(tmp_path):
     path.write_bytes(data)
     tracemalloc.start()
     try:
-        load_csv(path, _FIXTURE_SCHEMA)
+        loaded = load_csv(path, _FIXTURE_SCHEMA)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= _RECORD_READER_PEAK_BYTES
+    # the columns are never all held twice, as block parts and as their join
+    # (2.0 times their bytes when they were): once, plus one block's parse
+    assert peak <= 1.6 * sum(column.nbytes for column in loaded.columns)
 
 
 @pytest.mark.parametrize(
@@ -547,9 +555,10 @@ def test_load_csv_of_a_plain_file_peaks_below_the_csv_module_reader(tmp_path):
         (b"x,c,y\n1.0,a,2.0\n" + b"3" * 140_000 + b",a,1\n", 2),
         (b"x,c,y\n" + b"1.0,a,2.0\n" * 40_000 + b"1.0,a,\xff\n", 40_001),
         (b"x,c,y\n" + b"1.0,a,2.0\n" * 40_000 + b"3" * 140_000 + b",a,1\n", 40_001),
+        (b"x,c\xff,y\n1.0,a,2.0\n", 0),
     ],
     ids=["not-utf8", "not-utf8-past-8k", "over-field-limit", "not-utf8-past-a-plain-block",
-         "over-field-limit-past-a-plain-block"],
+         "over-field-limit-past-a-plain-block", "not-utf8-in-header"],
 )
 def test_load_csv_unreadable_file_is_cell_type_error(tmp_path, data, row):
     path = tmp_path / "bad.csv"
@@ -557,6 +566,57 @@ def test_load_csv_unreadable_file_is_cell_type_error(tmp_path, data, row):
     with pytest.raises(CellTypeError) as info:
         load_csv(path, _LOAD_SCHEMA)
     assert info.value.row == row
+
+
+def _lines_with(n, faults):
+    """A file of n rows of _LOAD_SCHEMA, with the line of each row in
+    `faults` (header is row 0) replaced."""
+    lines = [b"x,c,y\n"] + [b"1.0,a,2.0\n"] * n
+    for row, line in faults.items():
+        lines[row] = line
+    return b"".join(lines)
+
+
+_MISSING_THEN_BAD_BYTE = _lines_with(40_000, {30_000: b"1.0,a,\n", 33_600: b"1.0,a,\xff\n"})
+_UNKNOWN_THEN_LONG_CELL = _lines_with(8_000, {100: b"1.0,zz,2.0\n", 5_000: b"3" * 140_000 + b",a,1\n"})
+
+
+@pytest.mark.parametrize(
+    "data, policy, error, row",
+    [
+        (_MISSING_THEN_BAD_BYTE, "error", MissingValue, 30_000),
+        (_MISSING_THEN_BAD_BYTE, "drop_row", CellTypeError, 33_600),
+        (_UNKNOWN_THEN_LONG_CELL, "error", UnknownCategory, 100),
+        (_UNKNOWN_THEN_LONG_CELL, "drop_row", UnknownCategory, 100),
+        (_lines_with(3, {2: b"1.0,,\xff\n"}), "drop_row", CellTypeError, 2),
+        (_lines_with(3, {2: b"\xff,a,\n", 3: b"1.0,zz,2.0\n"}), "drop_row", CellTypeError, 2),
+    ],
+    ids=["missing-before-bad-byte", "dropped-missing-before-bad-byte", "unknown-label-before-long-cell",
+         "unknown-label-before-long-cell-drop-row", "bad-byte-in-a-dropped-row",
+         "bad-byte-in-a-dropped-row-before-a-fault"],
+)
+def test_load_csv_names_the_first_faulty_record_in_file_order(tmp_path, data, policy, error, row):
+    # a byte that is not UTF-8 is a fault of its record, wherever the text
+    # layer's read-ahead or the plain path's hand-over falls
+    path = tmp_path / "faults.csv"
+    path.write_bytes(data)
+    with pytest.raises(error) as info:
+        load_csv(path, _LOAD_SCHEMA, missing_policy=policy)
+    assert info.value.row == row
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lambda: ColumnSpec("x\udcff", ColumnKind.CONTINUOUS),
+        lambda: ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a", "\udc80")),
+    ],
+    ids=["name", "label"],
+)
+def test_names_and_labels_with_a_lone_surrogate_are_schema_errors(spec):
+    # a byte that is not UTF-8 reads as a lone surrogate, so no label may equal one
+    with pytest.raises(SchemaError, match="UTF-8"):
+        spec()
 
 
 @settings(max_examples=300, deadline=None)
