@@ -5,11 +5,12 @@ which way is safer without per-metric folklore."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..errors import ConfigError, SchemaError
 from ..rng import RngStream
@@ -24,6 +25,9 @@ from .results import (
 )
 from .utility import check_pair
 
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
+
 # row pairs per vectorized block of the proximity metrics, which bounds their
 # temporaries to a few tens of MB at any input size
 _PAIR_CHUNK = 1 << 20
@@ -36,6 +40,22 @@ _LOG_OFFSET = 1024.0
 # average k-d tree searches per synthetic row in new_row_synthesis, which
 # bounds the copies made for cells that may match a real 0
 _QUERIES_PER_ROW = 2
+
+
+def __getattr__(name: str):
+    """`cKDTree`, the k-d tree class of the proximity metrics, imported on
+    first use (see specs._import_scipy)."""
+    if name != "cKDTree":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.spatial import cKDTree
+
+    return cKDTree
+
+
+def _kd_tree(points: np.ndarray) -> cKDTree:
+    """A k-d tree over `points`, built by the module's `cKDTree`, so a class
+    set on the module is the one built."""
+    return getattr(sys.modules[__name__], "cKDTree")(points)
 
 
 @dataclass(frozen=True)
@@ -273,7 +293,7 @@ def _match_in_boxes(
         qq = qq[~matched[owner[qq]]]
         if not (len(rr) and len(qq)):
             continue
-        tree = cKDTree(coord_r[rr])
+        tree = _kd_tree(coord_r[rr])
         dist, nn = tree.query(center[qq], k=1, p=np.inf, distance_upper_bound=radius)
         near = np.isfinite(dist)
         ok = matches(owner[qq[near]], rr[nn[near]])
@@ -454,7 +474,7 @@ def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
         if not finite:
             return min(best, scan(r_idx, s_idx))
         if h not in trees:
-            trees[h] = cKDTree(xr[r_idx])
+            trees[h] = _kd_tree(xr[r_idx])
         tree = trees[h]
         t, nn = tree.query(xs[s_idx], k=1, p=1)
         t_min = float(t.min())
@@ -563,6 +583,8 @@ _COMPUTE = {
     ),
 }
 PRIVACY_METRICS = tuple(_COMPUTE)
+# the metrics that search k-d trees (cKDTree)
+PROXIMITY_METRICS = ("new_row_synthesis", "min_nn_distance")
 # the metrics that read the KeyGroups, so need key and sensitive columns
 KEY_BASED_PRIVACY_METRICS = tuple(
     name for name, compute in _COMPUTE.items() if "groups" in metric_inputs(compute)

@@ -13,12 +13,18 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ConfigError, DegenerateNull, SchemaMismatch, SeparationWarning, TooFewRows
 from ..rng import RngStream
 from ..tabular import ColumnKind, Dataset, Encoding, encode, encoded_width
-from .results import Direction, MetricResult, check_metric_names, check_rows, compute_metrics
+from .results import (
+    Direction,
+    MetricResult,
+    check_metric_names,
+    check_rows,
+    compute_metrics,
+    metric_inputs,
+)
 
 RIDGE = 1e-6
 MAX_ITER = 100
@@ -116,6 +122,8 @@ def _block_scores(x: Encoding, beta: np.ndarray):
     """Yield (rows, xb, expit(beta @ xb.T)) for each row block xb of x, one
     row of scores per row of beta, all in one buffer that each block
     overwrites; the scores of pad rows are expit(0)."""
+    from scipy.special import expit  # imported on use: see specs._import_scipy
+
     prob = np.empty((len(beta), _block_rows(x.n)))
     for rows, (xb,) in _row_blocks(x):
         yield rows, xb, expit(np.matmul(beta, xb.T, out=prob), out=prob)
@@ -139,6 +147,8 @@ def _irls(x: Encoding, z: np.ndarray, warn: bool = True) -> tuple[np.ndarray, bo
     the optimum up to the tolerance. `warn=False` reports drift toward
     separation only through `converged`, without a SeparationWarning.
     """
+    from scipy.special import expit  # imported on use: see specs._import_scipy
+
     p = x.width
     ridge = np.full(p, RIDGE)
     ridge[0] = 0.0
@@ -563,6 +573,12 @@ _COMPUTE = {
     "bivariate_fidelity": lambda real, synth: bivariate_fidelity(real, synth),
 }
 UTILITY_METRICS = tuple(_COMPUTE)
+# the metrics that fit the propensity model, whose scores call scipy's expit
+PROPENSITY_METRICS = tuple(
+    name
+    for name, compute in _COMPUTE.items()
+    if not {"fit", "observed", "null"}.isdisjoint(metric_inputs(compute))
+)
 
 
 def evaluate_utility(

@@ -20,7 +20,6 @@ from functools import partial
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     ConfigError,
@@ -151,6 +150,10 @@ class GeneratorConfig:
     mode: str
     n_out: int
     mode_params: RsdParams | AsdParams | CsdParams | HsdParams
+
+    def needs_real(self) -> bool:
+        """rsd, and hsd with an rsd part, fit a real dataset."""
+        return self.mode == "rsd" or (self.mode == "hsd" and self.mode_params.needs_real())
 
 
 # ------------------------------------------------------------ config parse ---
@@ -457,6 +460,8 @@ def _normal_scores(
     """Map each column to standard-normal scores; returns an (n, d) matrix
     plus the indices of degenerate (constant) columns. `counts` are the
     columns' _category_counts."""
+    from scipy.special import ndtri  # imported on use: see specs._import_scipy
+
     n = ds.n
     cols = []
     degenerate = []
@@ -531,6 +536,8 @@ def generate_rsd(
     a multivariate normal, and back-transforms through the inverse marginals.
     Continuous outputs stay within each real column's observed [min, max].
     """
+    from scipy.special import ndtr  # imported on use: see specs._import_scipy
+
     if real.n < MIN_FIT_ROWS:
         raise TooFewRows(f"rsd needs at least {MIN_FIT_ROWS} rows, got {real.n}")
 
@@ -805,11 +812,10 @@ def check_schema(config: GeneratorConfig, schema: Schema) -> None:
 
 
 def check_generate_inputs(config: GeneratorConfig, has_real: bool, has_schema: bool) -> None:
-    """rsd (and hsd with an rsd part) needs a real dataset, and rsd takes
-    no schema: it writes the real dataset's. asd/csd need a schema, taken
-    from the real dataset when none is given."""
-    needs_real = config.mode == "rsd" or (config.mode == "hsd" and config.mode_params.needs_real())
-    if needs_real and not has_real:
+    """A config that needs_real needs a real dataset, and rsd takes no
+    schema: it writes the real dataset's. asd/csd need a schema, taken from
+    the real dataset when none is given."""
+    if config.needs_real() and not has_real:
         raise ConfigError(f"{config.mode} requires a real dataset")
     if config.mode == "rsd" and has_schema:
         raise ConfigError("rsd takes no schema: it writes the real dataset's")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import graphlib
 import heapq
+import importlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -31,6 +32,7 @@ from .evaluation.diagnostic import DIAGNOSTIC_METRICS
 from .evaluation.privacy import (
     KEY_BASED_PRIVACY_METRICS,
     PRIVACY_METRICS,
+    PROXIMITY_METRICS,
     PrivacyConfig,
     check_privacy_config,
 )
@@ -38,6 +40,7 @@ from .evaluation.results import check_metric_names, check_threshold_names
 from .evaluation.utility import (
     DEFAULT_NULL_MODEL,
     DEFAULT_PERMUTATIONS,
+    PROPENSITY_METRICS,
     UTILITY_METRICS,
     check_null_model,
 )
@@ -342,7 +345,27 @@ _SPEC_CHECKS = {
 def spec_from_json_obj(doc: Any) -> PipelineSpec:
     spec = _check.build(PipelineSpec, _SPEC_CHECKS, doc, "spec")
     validate_spec(spec)
+    _import_scipy(spec)
     return spec
+
+
+def _import_scipy(spec: PipelineSpec) -> None:
+    """Import the scipy modules that the nodes' kernels call. No module
+    imports scipy at load, because it costs more than the rest of the
+    package; the kernels import it on first call. Importing it here puts that
+    cost in parse, not in the run, and only for a document that needs it."""
+    spatial = special = False
+    for n in spec.nodes:
+        if n.kind is NodeKind.GENERATE:
+            special |= n.config.generator.needs_real()  # rsd's normal scores
+        elif n.kind is NodeKind.EVALUATE_UTILITY:
+            special |= not set(n.config.metrics).isdisjoint(PROPENSITY_METRICS)
+        elif n.kind is NodeKind.EVALUATE_PRIVACY:
+            spatial |= not set(n.config.metrics).isdisjoint(PROXIMITY_METRICS)
+    if spatial:
+        importlib.import_module("scipy.spatial")
+    if special:
+        importlib.import_module("scipy.special")
 
 
 def spec_to_json_obj(spec: PipelineSpec) -> dict:

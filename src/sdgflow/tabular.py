@@ -49,6 +49,9 @@ class ColumnSpec:
     bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
+        _check.string(self.name, "column name")  # the schema document's rules, for API callers
+        if self.categories is not None:
+            _check.strings(self.categories, f"column {self.name!r}: categories", nonempty=False)
         if not self.name:
             raise SchemaError("column name must be non-empty")
         if _lone_surrogate((self.name, *(self.categories or ()))):
@@ -294,6 +297,10 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
 
 
 _PLAIN_BLOCK_BYTES = 1 << 18  # bytes read at once by the plain path, cut after their last line
+# bytes that make a block not plain: '"', CR and NUL, which the csv module
+# reads its own way, and \x1c-\x1f, which numpy strips around a number and
+# float() does not
+_NOT_PLAIN_BYTES = (b'"', b"\r", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _plain_parts(fh, schema: Schema, parts: list[list[np.ndarray]]) -> int | None:
@@ -303,8 +310,8 @@ def _plain_parts(fh, schema: Schema, parts: list[list[np.ndarray]]) -> int | Non
     return the row of its first line, counted from the header as row 0.
 
     The header is plain when it is the schema's names joined by ",". A
-    block is plain when it is UTF-8 with no '"', CR or NUL, no blank line,
-    no empty cell and no line longer than the csv module's field size
+    block is plain when it is UTF-8 with none of _NOT_PLAIN_BYTES, no blank
+    line, no empty cell and no line longer than the csv module's field size
     limit, each line has one cell per column, every continuous cell parses
     and is finite, and every categorical cell is exactly a label. Each of its
     lines is then one csv record that the csv module reads alike: no
@@ -370,12 +377,12 @@ def _line_blocks(fh, limit: int):
 
 
 def _plain_text(block: bytes, limit: int) -> str | None:
-    """The block as text, or None unless it is UTF-8 with no '"', CR or NUL,
-    no blank line, no empty cell and no line over `limit` bytes (a line's
-    characters are at most its bytes). The block starts at a line and ends
+    """The block as text, or None unless it is UTF-8 with none of
+    _NOT_PLAIN_BYTES, no blank line, no empty cell and no line over `limit`
+    bytes (a line's characters are at most its bytes). The block starts at a line and ends
     with LF. An empty cell would fail the parse too, but only after numpy
     had parsed the cells before it; these scans cost little."""
-    if b'"' in block or b"\r" in block or b"\x00" in block:
+    if any(b in block for b in _NOT_PLAIN_BYTES):
         return None
     if block.startswith(b",") or b",," in block or b"\n," in block or b",\n" in block:
         return None

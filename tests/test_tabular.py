@@ -414,10 +414,12 @@ _HEADER = b"x,c,y\n"
         (_COMMA_SCHEMA, b"x,c,y,z\n1,a,2\n", None),
         (_PLAIN_SCHEMA, _HEADER + b"1,\xff,2\n", None),
         (_PLAIN_SCHEMA, _HEADER + b"nan,a,1\n", None),
+        (_PLAIN_SCHEMA, _HEADER + b"7\x1c,a,2\n1,a,\x1f2\n", None),
         (_PLAIN_SCHEMA, _HEADER + b"1,a,2\n\n3,a,4\n", len(_HEADER + b"1,a,2\n")),
     ],
     ids=["quoted-label", "crlf", "cr", "nul", "nul-trimmed-label", "empty-label", "wider-than-cells",
-         "over-field-limit", "comma-in-name", "not-utf8", "nan", "blank-line-at-block-cut"],
+         "over-field-limit", "comma-in-name", "not-utf8", "nan", "separator-control-bytes",
+         "blank-line-at-block-cut"],
 )
 def test_load_csv_equals_csv_module_reader_on_files_that_are_not_plain(schema, data, block, policy):
     _assert_loads_as_csv_module_reader(schema, data, policy, block or tabular._PLAIN_BLOCK_BYTES)

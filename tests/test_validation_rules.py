@@ -11,11 +11,12 @@ from sdgflow.errors import (
     DanglingDependency,
     InvalidSpec,
     RuleUnsatisfiable,
+    SchemaError,
 )
 from sdgflow.generators import generate, parse_generator_config
 from sdgflow.rng import derive_stream
 from sdgflow.specs import parse_spec
-from sdgflow.tabular import schema_from_json_obj
+from sdgflow.tabular import ColumnKind, ColumnSpec, schema_from_json_obj
 
 UNIFORM = {"distribution": "uniform", "low": 0, "high": 10}
 LABELS = {"labels": ["p", "q"], "weights": [1, 1]}
@@ -249,6 +250,26 @@ def test_spec_rule(edit, error, message):
     edit(doc)
     with pytest.raises(error) as exc:
         parse_spec(json.dumps(doc))
+    assert message in str(exc.value)
+
+
+# ColumnSpec built by an API caller, which no schema document's checks saw
+COLUMN_SPEC_CASES = {
+    "int-name": ((3, ColumnKind.CONTINUOUS), "column name must be a string"),
+    "none-name": ((None, ColumnKind.CONTINUOUS), "column name must be a string"),
+    "int-label": (
+        ("c", ColumnKind.CATEGORICAL, (1, 2)), "column 'c': categories must be a list of strings"
+    ),
+    "bytes-label": (
+        ("c", ColumnKind.CATEGORICAL, ("p", b"q")), "column 'c': categories must be a list of strings"
+    ),
+}
+
+
+@pytest.mark.parametrize("fields, message", COLUMN_SPEC_CASES.values(), ids=COLUMN_SPEC_CASES)
+def test_column_spec_rule(fields, message):
+    with pytest.raises(SchemaError) as exc:
+        ColumnSpec(*fields)
     assert message in str(exc.value)
 
 
