@@ -4,9 +4,10 @@ checkouts can be compared byte for byte. Run from the repo root:
     python3 scripts/artifact_digests.py OUT > digests.txt
 
 It runs the bundled sample pipeline at --max-parallel 1 and 4, the same
-pipeline at --max-parallel 1 on a copy of its data that only the csv
-module's reader parses (sample-csv-p1: CRLF line ends, every label
-quoted; its run artifacts equal sample-p1's), the bundled all-modes
+pipeline at --max-parallel 1 on a copy of its data written the way a
+spreadsheet exports it (sample-csv-p1: CRLF line ends, every label and
+header cell quoted), which numpy's reader parses as it does the original,
+so its run artifacts equal sample-p1's, the bundled all-modes
 pipeline (sample/modes.json: every generator mode, column model
 and rule kind, inline schemas, numbers written as integers) at
 --max-parallel 2, and `sdgflow bench --sizes 1000,3000,20000` under OUT

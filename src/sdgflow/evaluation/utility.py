@@ -37,6 +37,7 @@ DEFAULT_NULL_MODEL = "permutation"
 NULL_MODELS = (DEFAULT_NULL_MODEL, "analytic")
 DEFAULT_PERMUTATIONS = 50
 MIN_PERMUTATIONS = 20
+MAX_PERMUTATIONS = 10_000  # ceiling on the null's refits, which bounds its run time
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ def check_null_model(kind: str, B: int) -> None:
     """The null-model rules pmse_null and spec parsing share; raises ConfigError."""
     if kind not in NULL_MODELS:
         raise ConfigError(f"null model kind must be {'|'.join(NULL_MODELS)}, got {kind!r}")
-    if B < MIN_PERMUTATIONS:
-        raise ConfigError(f"permutations must be >= {MIN_PERMUTATIONS}, got {B}")
+    if not MIN_PERMUTATIONS <= B <= MAX_PERMUTATIONS:
+        raise ConfigError(f"permutations must be in [{MIN_PERMUTATIONS}, {MAX_PERMUTATIONS}], got {B}")
 
 
 def _design(real: Dataset, synth: Dataset) -> tuple[Encoding, np.ndarray]:

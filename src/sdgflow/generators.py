@@ -36,6 +36,8 @@ from .tabular import ColumnKind, Dataset, Schema
 
 MIN_FIT_ROWS = 10
 DEFAULT_MAX_ATTEMPTS = 1000  # rejection rounds: asd's default cap, hsd's cap
+MAX_ATTEMPTS_PER_ROW = 10_000  # ceiling on asd's cap, which bounds its run time
+MAX_N_OUT = 10_000_000  # ceiling on a generate node's rows, which bounds their memory
 _EIG_FLOOR = 1e-8
 
 
@@ -280,7 +282,7 @@ def _parse_rules(docs: Any, where: str) -> tuple[Rule, ...]:
 _ASD_CHECKS = {
     "column_models": partial(_check.each_value, _parse_column_model, nonempty=True),
     "rules": _parse_rules,
-    "max_attempts_per_row": partial(_check.integer, minimum=1),
+    "max_attempts_per_row": partial(_check.integer, minimum=1, maximum=MAX_ATTEMPTS_PER_ROW),
 }
 
 
@@ -797,7 +799,7 @@ _MODES = {
     "csd": _Mode(_parse_csd, _check_csd_schema, generate_csd),
     "hsd": _Mode(_parse_hsd, _check_hsd_schema, generate_hsd),
 }
-_CONFIG_CHECKS = {"mode": _check.string, "n_out": partial(_check.integer, minimum=1)}
+_CONFIG_CHECKS = {"mode": _check.string, "n_out": partial(_check.integer, minimum=1, maximum=MAX_N_OUT)}
 _CONFIGS = {  # mode -> the config class and the checks of its keys
     mode: (GeneratorConfig, {**_CONFIG_CHECKS, "mode_params": m.parse}) for mode, m in _MODES.items()
 }
@@ -833,8 +835,7 @@ def generate(
     finite coefficient whose products overflow float64 raises ConfigError
     naming the mode and the column; values that a rule rejects may overflow."""
     check_generate_inputs(config, real is not None, schema is not None)
-    if config.n_out < 1:
-        raise ConfigError("n_out must be >= 1")
+    _CONFIG_CHECKS["n_out"](config.n_out, "n_out")  # a config built without parsing
     effective = schema if schema is not None else real.schema
     check_schema(config, effective)
     with np.errstate(over="ignore", invalid="ignore"):

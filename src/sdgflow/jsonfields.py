@@ -154,11 +154,12 @@ class JsonChecks:
                 pass
         raise self.error(f"{what} must be a finite number")
 
-    def integer(self, value: Any, what: str, minimum: int | None = None) -> int:
-        """An int, not a bool, of at least `minimum` when given."""
-        bound = "" if minimum is None else f" >= {minimum}"
-        if not isinstance(value, int) or isinstance(value, bool) or (bound and value < minimum):
-            raise self.error(f"{what} must be an integer{bound}")
+    def integer(self, value: Any, what: str, minimum: int | None = None, maximum: int | None = None) -> int:
+        """An int, not a bool, of at least `minimum` and at most `maximum` where given."""
+        bounds = [f" {op} {b}" for op, b in ((">=", minimum), ("<=", maximum)) if b is not None]
+        low, high = -math.inf if minimum is None else minimum, math.inf if maximum is None else maximum
+        if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= high:
+            raise self.error(f"{what} must be an integer{' and'.join(bounds)}")
         return value
 
     def strings(self, value: Any, what: str, nonempty: bool = True) -> tuple[str, ...]:

@@ -11,7 +11,6 @@ import csv
 import io
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -290,36 +289,33 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
     parts: list[list[np.ndarray]] = [[] for _ in schema.columns]
     with open(path, "rb") as fh:
-        row = _plain_parts(fh, schema, parts)
+        row = _plain_parts(fh, schema, parts, missing_policy == "drop_row")
         if row is not None:
             _record_parts(fh, row, schema, missing_policy, parts)
     return Dataset._adopt(schema, _joined(parts))
 
 
 _PLAIN_BLOCK_BYTES = 1 << 18  # bytes read at once by the plain path, cut after their last line
-# bytes that make a block not plain: '"', CR and NUL, which the csv module
-# reads its own way, and \x1c-\x1f, which numpy strips around a number and
-# float() does not
-_NOT_PLAIN_BYTES = (b'"', b"\r", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# bytes that make a block not plain: NUL, which the csv module reads its own
+# way, and \x1c-\x1f, which numpy strips around a number and float() does not
+_NOT_PLAIN_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _plain_parts(fh, schema: Schema, parts: list[list[np.ndarray]]) -> int | None:
+def _plain_parts(fh, schema: Schema, parts: list[list[np.ndarray]], drop: bool) -> int | None:
     """Append the columns of the plain blocks of binary file fh to `parts`,
     a list per column, and return None when the whole file is plain;
     otherwise leave fh at the start of the first block that is not and
     return the row of its first line, counted from the header as row 0.
 
-    The header is plain when it is the schema's names joined by ",". A
-    block is plain when it is UTF-8 with none of _NOT_PLAIN_BYTES, no blank
-    line, no empty cell and no line longer than the csv module's field size
-    limit, each line has one cell per column, every continuous cell parses
-    and is finite, and every categorical cell is exactly a label. Each of its
-    lines is then one csv record that the csv module reads alike: no
-    quoting, no empty (missing) cell, and numpy converts a number with the
+    The header is plain when _plain_text takes it and its cells are the
+    schema's names. A block is plain when _plain_text takes it, every
+    continuous cell left parses and is finite, and every categorical cell
+    left is exactly a label. Each line numpy reads is then one csv record
+    that the csv module reads alike, and numpy converts a number with the
     correctly rounded routine behind float(), after stripping the same
     whitespace, accepting a subset of what float() accepts (no "_", no
-    non-ASCII digits). So the csv module's reader can take over at the
-    start of any block."""
+    non-ASCII digits). Rows count the lines read, dropped ones too, so the
+    csv module's reader can take over at the start of any block."""
     labels = []  # per column: None, or (plain labels sorted, their category indices)
     for spec in schema.columns:
         if spec.categories is None:
@@ -339,21 +335,21 @@ def _plain_parts(fh, schema: Schema, parts: list[list[np.ndarray]]) -> int | Non
     )
     limit = csv.field_size_limit()
     header = fh.readline(limit + 1)
-    text = _plain_text(header, limit) if header.endswith(b"\n") else None
-    if text is None or text[:-1].split(",") != list(schema.names):
+    read = _plain_text(header, limit, len(labels), False) if header.endswith(b"\n") else None
+    if read is None or next(csv.reader([read[0]])) != list(schema.names):
         fh.seek(0)
         return 0
     offset, row = len(header), 1
     for block in _line_blocks(fh, limit):
-        text = None if block is None else _plain_text(block, limit)
-        columns = None if text is None else _plain_block(text, dtype, labels)
+        read = None if block is None else _plain_text(block, limit, len(labels), drop)
+        columns = None if read is None else _plain_block(*read, dtype, labels)
         if columns is None:
             fh.seek(offset)
             return row
         for col_parts, col in zip(parts, columns):
             col_parts.append(col)
         offset += len(block)
-        row += len(columns[0])
+        row += read[1]
     return None
 
 
@@ -376,37 +372,70 @@ def _line_blocks(fh, limit: int):
         yield rest + b"\n"
 
 
-def _plain_text(block: bytes, limit: int) -> str | None:
-    """The block as text, or None unless it is UTF-8 with none of
-    _NOT_PLAIN_BYTES, no blank line, no empty cell and no line over `limit`
-    bytes (a line's characters are at most its bytes). The block starts at a line and ends
-    with LF. An empty cell would fail the parse too, but only after numpy
-    had parsed the cells before it; these scans cost little."""
+def _plain_text(block: bytes, limit: int, width: int, drop: bool) -> tuple[str, int] | None:
+    """The block, whole lines ending with LF, as text for numpy's reader,
+    and its count of lines, dropped ones too: CRLF reads as LF and, under
+    `drop`, lines with an empty cell (no bytes, or "") are left out. None
+    unless it is UTF-8 with none of _NOT_PLAIN_BYTES, no lone CR, no blank
+    line, no line over `limit` bytes (nor a cell over as many characters)
+    and, unless `drop`, no empty cell.
+    Cheap byte scans pass a block with no quote and no empty cell; any other
+    must have `width` cells a line, and each quote must open or close a whole
+    cell that holds no quote and no line end. Those checks work on the
+    positions of its quotes, its commas outside quotes and its line ends."""
     if any(b in block for b in _NOT_PLAIN_BYTES):
         return None
-    if block.startswith(b",") or b",," in block or b"\n," in block or b",\n" in block:
-        return None
-    ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+    if b"\r" in block:
+        if block.count(b"\r") != block.count(b"\r\n"):  # a lone CR ends a csv record
+            return None
+        block = block.replace(b"\r\n", b"\n")
+    data = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
     lengths = np.diff(ends, prepend=-1) - 1
     if lengths.min() == 0 or lengths.max() > limit:
         return None
     try:
-        return block.decode("utf-8")
+        text = block.decode("utf-8")  # before a line is dropped: a bad byte is its row's fault
     except UnicodeDecodeError:
         return None
+    if b'"' not in block and not (
+        block.startswith(b",") or b",," in block or b"\n," in block or b",\n" in block
+    ):
+        return text, len(ends)
+    quotes = np.flatnonzero(data == ord('"'))
+    opens, closes = quotes[::2], quotes[1::2]
+    # each pair of quotes is a whole cell of one line: a comma or LF on either
+    # side (data[-1] is an LF, read before a quote at 0), none inside; an odd
+    # count of quotes fails array_equal
+    around = data[np.concatenate((opens - 1, closes + 1))].tobytes()
+    if around.strip(b",\n") or not np.array_equal(np.searchsorted(ends, opens), np.searchsorted(ends, closes)):
+        return None
+    commas = np.flatnonzero(data == ord(","))
+    commas = commas[np.searchsorted(quotes, commas) % 2 == 0]
+    if np.any(np.diff(np.searchsorted(commas, ends), prepend=0) != width - 1):
+        return None
+    seps = np.sort(np.concatenate((commas, ends)))
+    cells = np.diff(seps, prepend=-1) - 1
+    empty = (cells == 0) | ((cells == 2) & (data[seps - 1] == ord('"')))  # no bytes, or ""
+    gaps = np.searchsorted(ends, seps[empty])  # the line of each empty cell
+    if len(gaps) and not drop:
+        return None
+    starts = np.concatenate(([0], ends + 1))  # line i is block[starts[i]:starts[i + 1]]
+    # the runs of lines between gaps; a line with two gaps adds an empty run
+    kept = zip(starts[np.append(0, gaps + 1)].tolist(), starts[np.append(gaps, -1)].tolist())
+    return b"".join(block[lo:hi] for lo, hi in kept).decode("utf-8"), len(ends)
 
 
-def _plain_block(text: str, dtype: np.dtype, labels) -> list[np.ndarray] | None:
-    """The columns of a block of whole lines of a plain file, or None when
-    one of its cells makes the block not plain, or when its parsed rows
-    would pass _BLOCK_BYTES (very long labels)."""
-    lines = text.count("\n")
+def _plain_block(text: str, lines: int, dtype: np.dtype, labels) -> list[np.ndarray] | None:
+    """The columns of a block of at most `lines` whole lines of a plain file,
+    or None when a cell makes the block not plain, or when that many parsed
+    rows would pass _BLOCK_BYTES (very long labels)."""
     if lines * dtype.itemsize > _BLOCK_BYTES:
         return None
     try:
         rows = np.loadtxt(
-            io.StringIO(text), dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
-        )
+            io.StringIO(text), dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+        ) if text else np.empty(0, dtype)
     except ValueError:  # a wrong cell count or a number that does not parse
         return None
     out = []
@@ -429,9 +458,8 @@ def _record_parts(fh, row: int, schema: Schema, missing_policy: str, parts: list
     """Append to `parts` the columns of the CSV records of binary file fh
     from its position on, read by the csv module's reader; `row` is the
     first record's row, 0 when it is the header, which is then checked.
-    Rows are parsed CSV_BLOCK_ROWS at a time, a column at a time; a block
-    holding anything the column parse does not accept goes through the
-    per-cell loop, which raises the typed error for its first bad cell."""
+    Rows are parsed CSV_BLOCK_ROWS at a time by the per-cell loop, which
+    raises the typed error for the first bad cell."""
     reader = _records(io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=""), row)
     if row == 0:
         header = next(reader, None)
@@ -448,10 +476,7 @@ def _record_parts(fh, row: int, schema: Schema, missing_policy: str, parts: list
         for c in schema.columns
     ]
     while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
-        columns = _parse_columns(block, schema, cat_lookup, missing_policy)
-        if columns is None:
-            columns = _parse_cells(block, row, schema, cat_lookup, missing_policy)
-        for col_parts, col in zip(parts, columns):
+        for col_parts, col in zip(parts, _parse_cells(block, row, schema, cat_lookup, missing_policy)):
             col_parts.append(col)
         row += len(block)
 
@@ -479,9 +504,8 @@ def _records(fh, row: int = 0):
 
 
 def _lone_surrogate(cells: Sequence[str]) -> str | None:
-    """The first lone surrogate in the cells, or None. No UTF-8 text and no
-    label (ColumnSpec) holds one, so the column parse refuses a byte that is
-    not UTF-8, which the surrogateescape decode keeps as one."""
+    """The first lone surrogate in the cells, or None: what the surrogateescape
+    decode reads a byte that is not UTF-8 as, and no label (ColumnSpec) holds."""
     text = "".join(cells)
     try:
         text.encode("utf-8")
@@ -496,33 +520,6 @@ def _check_record(record, row: int) -> None:
         raise record
     if char := _lone_surrogate(record):
         raise CellTypeError(row, None, f"not UTF-8: byte {char.encode('utf-8', 'surrogateescape')!r}")
-
-
-def _parse_columns(block, schema, cat_lookup, missing_policy) -> list[np.ndarray] | None:
-    """One block of records, a column at a time; None when a record was
-    rejected by the csv module or has the wrong field count, a cell is missing
-    under "error", or one does not parse, for the per-cell loop to name."""
-    width = len(schema.columns)
-    if isinstance(block[-1], CellTypeError) or any(len(record) != width for record in block):
-        return None
-    if missing_policy == "drop_row":  # a byte not UTF-8 keeps its record, to fail the parse
-        block = [record for record in block if "" not in record or _lone_surrogate(record)]
-    elif any("" in record for record in block):
-        return None
-    out = []
-    for j, (spec, lookup) in enumerate(zip(schema.columns, cat_lookup)):
-        cells = map(operator.itemgetter(j), block)
-        try:
-            if spec.kind is ColumnKind.CONTINUOUS:
-                col = np.fromiter(map(float, cells), np.float64, len(block))
-                if not np.all(np.isfinite(col)):
-                    return None
-            else:
-                col = np.fromiter(map(lookup.__getitem__, cells), np.int64, len(block))
-        except (ValueError, KeyError):
-            return None
-        out.append(col)
-    return out
 
 
 def _parse_cells(block, first_row, schema, cat_lookup, missing_policy) -> list[np.ndarray]:

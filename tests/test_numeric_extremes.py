@@ -2,9 +2,10 @@
 field of sample/modes.json is set to an extreme value and the document is
 run at max_parallel 1, under the suite's RuntimeWarning-as-error filter.
 
-Size fields stay out (`seed`, `n_out`, `permutations`,
-`max_attempts_per_row`): `n_out` has no upper bound, so a huge value would
-allocate before it could fail."""
+Size fields stay out of that test (`seed`, `n_out`, `permutations`,
+`max_attempts_per_row`): a huge value would run for long or allocate much
+before it could fail. Instead, each size field but the seed is drawn past its
+ceiling, and the document must be refused at parse; no such value runs."""
 import copy
 import json
 import sys
@@ -16,21 +17,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdgflow.engine import run
-from sdgflow.errors import NodeFailure, SdgError, SpecError
+from sdgflow.errors import ConfigError, InvalidSpec, NodeFailure, SdgError, SpecError
+from sdgflow.evaluation.utility import MAX_PERMUTATIONS
+from sdgflow.generators import MAX_ATTEMPTS_PER_ROW, MAX_N_OUT
 from sdgflow.specs import parse_spec
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
 MODES = json.loads((SAMPLE_DIR / "modes.json").read_text(encoding="utf-8"))
-SIZE_FIELDS = {"seed", "n_out", "permutations", "max_attempts_per_row"}
+CEILINGS = {"n_out": MAX_N_OUT, "permutations": MAX_PERMUTATIONS, "max_attempts_per_row": MAX_ATTEMPTS_PER_ROW}
+SIZE_FIELDS = {"seed", *CEILINGS}
 EXTREMES = (1e308, -1e308, 5e-324, -5e-324, 2**53 + 1, -(2**53 + 1), 1e-300, 0, -0.0)
 
 
 def numeric_fields(value, path=()):
-    """The path of every number in a JSON value, size fields left out."""
+    """The path of every number in a JSON value."""
     if isinstance(value, dict):
         for key, item in value.items():
-            if key not in SIZE_FIELDS:
-                yield from numeric_fields(item, (*path, key))
+            yield from numeric_fields(item, (*path, key))
     elif isinstance(value, list):
         for i, item in enumerate(value):
             yield from numeric_fields(item, (*path, i))
@@ -38,7 +41,8 @@ def numeric_fields(value, path=()):
         yield path
 
 
-FIELDS = tuple(numeric_fields(MODES))
+FIELDS = tuple(path for path in numeric_fields(MODES) if path[-1] not in SIZE_FIELDS)
+CEILING_FIELDS = tuple(path for path in numeric_fields(MODES) if path[-1] in CEILINGS)
 
 
 def raised_class(traceback_text):
@@ -87,3 +91,19 @@ def test_one_extreme_numeric_field_runs_or_fails_typed(path, value):
                 assert isinstance(cls, type) and issubclass(cls, SdgError), (
                     f"{path} = {value!r}: node {record.id} failed untyped:\n{record.error}"
                 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CEILING_FIELDS), st.one_of(st.integers(1, 10), st.integers(1, 10**300)))
+def test_a_size_field_past_its_ceiling_is_refused_at_parse(path, excess):
+    doc = copy.deepcopy(MODES)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = CEILINGS[path[-1]] + excess
+    with pytest.raises((InvalidSpec, ConfigError)):
+        parse_spec(json.dumps(doc))
+
+
+def test_every_size_field_has_a_ceiling_drawn():
+    assert {path[-1] for path in CEILING_FIELDS} == set(CEILINGS)

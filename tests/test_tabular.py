@@ -276,7 +276,7 @@ _ROWS = st.one_of(
 )
 
 
-def _not_plain(fh, schema, parts):
+def _not_plain(fh, schema, parts, drop):
     """_plain_parts of a file whose header is not plain: the csv module's
     reader reads it all."""
     return 0
@@ -296,19 +296,17 @@ def _load_outcome(path, policy, schema=_LOAD_SCHEMA):
     policy=st.sampled_from(tabular.MISSING_POLICIES),
     block=st.integers(1, 5),
 )
-def test_load_csv_equals_per_cell_loop(rows, policy, block):
-    # the oracle is the per-cell loop over the whole file as one block; the
-    # csv module path under test reads blocks of 1-5 rows, a column at a
-    # time, and must name the same first fault, a bad byte or a cell over
-    # the field size limit included
+def test_load_csv_outcome_does_not_depend_on_csv_block_rows(rows, policy, block):
+    # the oracle is the csv module's reader with the per-cell loop over the
+    # whole file as one block; read in blocks of 1-5 rows, the file must give
+    # the same columns and name the same first fault, a bad byte or a cell
+    # over the field size limit included
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([list(_LOAD_SCHEMA.names)] + rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.csv"
         path.write_text(buf.getvalue(), encoding="utf-8", errors="surrogateescape")
-        with mock.patch.object(tabular, "_plain_parts", _not_plain), mock.patch.object(
-            tabular, "_parse_columns", lambda *args: None
-        ):
+        with mock.patch.object(tabular, "_plain_parts", _not_plain):
             expected = _load_outcome(path, policy)
         with mock.patch.object(tabular, "_plain_parts", _not_plain), mock.patch.object(
             tabular, "CSV_BLOCK_ROWS", block
@@ -318,22 +316,25 @@ def test_load_csv_equals_per_cell_loop(rows, policy, block):
 
 
 def test_load_csv_parses_clean_blocks_without_the_per_cell_loop(tmp_path):
-    # rows with a missing cell are dropped by the column parse itself
+    # rows with a missing cell, empty or "", are dropped by the plain path
+    # itself, in CRLF and LF blocks alike
     ds = mixed_dataset(300, seed=3)
     header, *lines = dataset_to_csv_bytes(ds).decode().splitlines(keepends=True)
-    blank = "," * (len(ds.schema.columns) - 1) + "\n"
+    gaps = {0: "," * (len(ds.schema.columns) - 1) + "\n", 25: '""' + lines[0][lines[0].index(","):]}
+    text = header + "".join(line + gaps.get(i % 50, "") for i, line in enumerate(lines))
     path = tmp_path / "clean.csv"
-    path.write_text(header + "".join(line + blank * (i % 50 == 0) for i, line in enumerate(lines)))
-    with mock.patch.object(tabular, "CSV_BLOCK_ROWS", 64):
-        with mock.patch.object(tabular, "_parse_cells", side_effect=AssertionError("per-cell loop")):
+    path.write_bytes(text.encode()[:4_000] + text.encode()[4_000:].replace(b"\n", b"\r\n"))
+    with mock.patch.object(tabular, "_PLAIN_BLOCK_BYTES", 1_024):
+        with mock.patch.object(tabular, "_records", side_effect=AssertionError("csv module reader")):
             loaded = load_csv(path, ds.schema, missing_policy="drop_row")
     assert dataset_to_csv_bytes(loaded) == dataset_to_csv_bytes(ds)
 
 
 # Raw CSV texts for the plain path: clean rows with a few odd cells, line
 # ends and headers put in, so that each check of the plain path meets a file
-# it must refuse. Labels are prefixes of each other, "abc" is the longest
-# plain one (cells of 4 characters and more are wider than numpy's cells),
+# it must refuse, and each shape it now takes meets a case it must still
+# refuse. Labels are prefixes of each other, "abc" and "a,b" are the longest
+# plain ones (cells of 4 characters and more are wider than numpy's cells),
 # and categories hold what a plain cell can never be: "", a NUL ("z\x00",
 # which numpy would read as "z", and "y", which "y\x00" would read as), a
 # quote, U+FFFD (what a byte that is not UTF-8 decodes to when errors are
@@ -344,7 +345,7 @@ _PLAIN_SCHEMA = Schema(
         ColumnSpec(
             "c",
             ColumnKind.CATEGORICAL,
-            categories=("ab", "a", "abc", "", "é١", "nan", "z\x00", "y", '"q"', "q", "\ufffd"),
+            categories=("ab", "a", "abc", "", "é١", "nan", "z\x00", "y", '"q"', "q", "\ufffd", "a,b"),
         ),
         ColumnSpec("y", ColumnKind.CONTINUOUS),
     )
@@ -354,24 +355,26 @@ _ODD_CELLS = [
     "nan", "inf", "-inf", "1e999", "0x1", "1_0", "١", "", " ", "1 2", "e", ".", "+", "-", "1e",
     _HUGE_NUMBER, "1\x00", '"1"', "1\r", "\x0b7", "7\x1c", "\x857", "\u20287", "\xa07\u3000",
     "z", "z\x00", "y\x00", "abc", "abcd", "abcé", " a", "a ", '"q"', "q", "A", "é", '"a,b"', "a,b",
-    "\ufffd", "x, c", "\ufeffx",
+    "\ufffd", "x, c", "\ufeffx", '"a"', '"1.5"', '"a,b"', '""', '"a""b"', '"a"b', ' "a"', '"a\nb"',
+    '"a"\r', '"1\r"', '"',
 ]
 _CLEAN_CELLS = (
     st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(["1", "-0.0", " 7"])),
-    st.sampled_from(["a", "ab", "abc", "é١", "nan"]),
+    st.sampled_from(["a", "ab", "abc", "é١", "nan", '"a,b"']),
     st.sampled_from(["2.5e3", "7\t", "5e-324", "+.5", "-1"]),
 )
-_ODD_LINE_ENDS = ["\n\n", "\r\n", "\r", ""]
+_ODD_LINE_ENDS = ["\n\n", "\r\n", "\r", "", "\n", "\r\r\n"]
 
 
 @st.composite
 def raw_csv_bytes(draw):
-    """(schema, file bytes): clean rows, then a few odd cells, line ends or
-    header cells put in; now and then a byte that is not UTF-8."""
+    """(schema, file bytes): clean rows with LF or CRLF line ends, then a few
+    odd cells, line ends or header cells put in; now and then a byte that is
+    not UTF-8."""
     schema = draw(st.sampled_from([_PLAIN_SCHEMA] * 9 + [_COMMA_SCHEMA]))
     n = draw(st.integers(0, 10))
     lines = [list(schema.names)] + [[draw(cells) for cells in _CLEAN_CELLS] for _ in range(n)]
-    ends = ["\n"] * len(lines)
+    ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, n))
         if draw(st.booleans()):
@@ -397,6 +400,8 @@ def test_load_csv_equals_csv_module_reader_on_raw_texts(raw, policy, block):
 
 
 _HEADER = b"x,c,y\n"
+# one column, so that a quoted line break leaves every line one cell
+_LINE_BREAK_SCHEMA = Schema((ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a\nbc", "a")),))
 
 
 @pytest.mark.parametrize("policy", tabular.MISSING_POLICIES)
@@ -416,10 +421,11 @@ _HEADER = b"x,c,y\n"
         (_PLAIN_SCHEMA, _HEADER + b"nan,a,1\n", None),
         (_PLAIN_SCHEMA, _HEADER + b"7\x1c,a,2\n1,a,\x1f2\n", None),
         (_PLAIN_SCHEMA, _HEADER + b"1,a,2\n\n3,a,4\n", len(_HEADER + b"1,a,2\n")),
+        (_LINE_BREAK_SCHEMA, b'c\n"a\nbc"\nzz\n', len(b'"a\nbc"\n')),
     ],
     ids=["quoted-label", "crlf", "cr", "nul", "nul-trimmed-label", "empty-label", "wider-than-cells",
          "over-field-limit", "comma-in-name", "not-utf8", "nan", "separator-control-bytes",
-         "blank-line-at-block-cut"],
+         "blank-line-at-block-cut", "quoted-line-break-in-one-column"],
 )
 def test_load_csv_equals_csv_module_reader_on_files_that_are_not_plain(schema, data, block, policy):
     _assert_loads_as_csv_module_reader(schema, data, policy, block or tabular._PLAIN_BLOCK_BYTES)
@@ -440,13 +446,14 @@ def _assert_loads_as_csv_module_reader(schema, data, policy, block):
 
 @pytest.mark.parametrize("data", [b",a,2\n", b"1,,2\n", b"1,a,\n", b"1,a,2\n1,a,\n3,a,4\n"])
 def test_load_csv_refuses_a_block_with_an_empty_cell_before_parsing_it(tmp_path, data):
-    # numpy would refuse such a block only after parsing the cells before the empty one
+    # numpy would refuse such a block only after parsing the cells before the
+    # empty one; under "error" the per-cell loop names it
     path = tmp_path / "gaps.csv"
     path.write_bytes(_HEADER + data)
     with mock.patch.object(tabular, "_plain_parts", _not_plain):
-        expected = _load_outcome(path, "drop_row", _PLAIN_SCHEMA)
+        expected = _load_outcome(path, "error", _PLAIN_SCHEMA)
     with mock.patch.object(tabular, "_plain_block", side_effect=AssertionError("parsed")):
-        assert _load_outcome(path, "drop_row", _PLAIN_SCHEMA) == expected
+        assert _load_outcome(path, "error", _PLAIN_SCHEMA) == expected
 
 
 _FIXTURE_SCHEMA = Schema(
@@ -478,13 +485,18 @@ def _repr_float_csv(n, seed=0):
     return ds, text.encode("utf-8")
 
 
-@pytest.mark.parametrize("writer", ["dataset_to_csv_bytes", "repr"])
+@pytest.mark.parametrize("writer", ["dataset_to_csv_bytes", "repr", "crlf-comma-label"])
 def test_plain_files_load_without_the_csv_module_reader(tmp_path, writer):
     if writer == "repr":
         ds, data = _repr_float_csv(3_000)
     else:
         ds = mixed_dataset(3_000, seed=4)
+        if writer == "crlf-comma-label":
+            region = ColumnSpec("region", ColumnKind.CATEGORICAL, categories=("north", "south, coast", "east"))
+            ds = Dataset(Schema(ds.schema.columns[:2] + (region,) + ds.schema.columns[3:]), ds.columns)
         data = dataset_to_csv_bytes(ds)
+    if writer == "crlf-comma-label":
+        data = data.replace(b"\n", b"\r\n")
     path = tmp_path / "plain.csv"
     path.write_bytes(data)
     with mock.patch.object(tabular, "_PLAIN_BLOCK_BYTES", 4_096), mock.patch.object(
@@ -496,14 +508,25 @@ def test_plain_files_load_without_the_csv_module_reader(tmp_path, writer):
 
 @pytest.mark.parametrize("policy", tabular.MISSING_POLICIES)
 @pytest.mark.parametrize(
-    "line",
-    [b"1,,2,east,single,g1\n", b'1,2,3,"east",single,g1\n', b"1,2,3,east,single,g1\r\n",
-     b"1,2,3,East,single,g1\n", b"1,2,x,east,single,g1\n", b"1,2,3,east,single\n"],
-    ids=["empty-cell", "quoted-label", "crlf", "unknown-label", "bad-number", "short-line"],
+    "line, plain_under",
+    [
+        (b"1,,2,east,single,g1\n", ("drop_row",)),
+        (b'1,2,3,"east",single,g1\n', tabular.MISSING_POLICIES),
+        (b"1,2,3,east,single,g1\r\n", tabular.MISSING_POLICIES),
+        (b"1,2,3,east,single,g1\r", ()),
+        (b'1,2,3,"ea""st",single,g1\n', ()),
+        (b'1,2,3,"ea"st,single,g1\n', ()),
+        (b"1,2,3,East,single,g1\n", ()),
+        (b"1,2,x,east,single,g1\n", ()),
+        (b"1,2,3,east,single\n", ()),
+    ],
+    ids=["empty-cell", "quoted-label", "crlf", "lone-cr", "doubled-quote", "quote-inside-cell", "unknown-label",
+         "bad-number", "short-line"],
 )
-def test_load_csv_reads_from_the_first_block_that_is_not_plain(tmp_path, line, policy):
+def test_load_csv_reads_from_the_first_block_that_is_not_plain(tmp_path, line, plain_under, policy):
     # a file plain but for one line near its end: numpy's reader takes the
-    # blocks before that line's, and the csv module's reader only the rest
+    # blocks before that line's, and the csv module's reader only the rest;
+    # a line numpy's reader takes under the policy leaves it all to numpy
     _, data = _repr_float_csv(3_000, seed=2)
     lines = data.splitlines(keepends=True)
     path = tmp_path / "late.csv"
@@ -523,18 +546,29 @@ def test_load_csv_reads_from_the_first_block_that_is_not_plain(tmp_path, line, p
     ):
         got = _load_outcome(path, policy, _FIXTURE_SCHEMA)
     assert got == expected
-    assert 0 < len(records) < 300  # of 3,002 records, the header first
+    if policy in plain_under:
+        assert records == []
+    else:
+        assert 0 < len(records) < 300  # of 3,002 records, the header first
 
 
 # The csv module's reader peaked at 11.3 MB under tracemalloc loading the
-# benchmark's 100k-row fixture, and peaks at 11.8 MB on the file below
-# (Python 3.11.7, numpy 2.4.6); the plain path reads 7.2 MB here, for
-# 4.8 MB of loaded columns.
+# benchmark's 100k-row fixture, and peaks at 11.8 MB on the files below
+# (Python 3.11.7, numpy 2.4.6); the plain path reads the LF file in 7.2 MB
+# and its CRLF, quoted copy in 7.5 MB, for 4.8 MB of loaded columns.
 _RECORD_READER_PEAK_BYTES = 11_300_000
 
 
-def test_load_csv_of_a_plain_file_peaks_below_the_csv_module_reader(tmp_path):
+@pytest.mark.parametrize("crlf_quoted", [False, True], ids=["lf", "crlf-quoted"])
+def test_load_csv_of_a_plain_file_peaks_below_the_csv_module_reader(tmp_path, crlf_quoted):
     _, data = _repr_float_csv(100_000, seed=1)
+    if crlf_quoted:  # a spreadsheet's export: CRLF line ends, labels and header quoted
+        header, *rows = csv.reader(io.StringIO(data.decode()))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_NONNUMERIC)
+        writer.writerow(header)
+        writer.writerows([float(cell) for cell in row[:3]] + row[3:] for row in rows)
+        data = buf.getvalue().encode()
     path = tmp_path / "plain100k.csv"
     path.write_bytes(data)
     tracemalloc.start()
@@ -581,6 +615,8 @@ def _lines_with(n, faults):
 
 _MISSING_THEN_BAD_BYTE = _lines_with(40_000, {30_000: b"1.0,a,\n", 33_600: b"1.0,a,\xff\n"})
 _UNKNOWN_THEN_LONG_CELL = _lines_with(8_000, {100: b"1.0,zz,2.0\n", 5_000: b"3" * 140_000 + b",a,1\n"})
+# the missing cell is in the first plain block, the bad byte past it
+_DROPPED_THEN_BAD_BYTE = _lines_with(40_000, {100: b"1.0,a,\n", 33_600: b"1.0,a,\xff\n"})
 
 
 @pytest.mark.parametrize(
@@ -588,12 +624,14 @@ _UNKNOWN_THEN_LONG_CELL = _lines_with(8_000, {100: b"1.0,zz,2.0\n", 5_000: b"3" 
     [
         (_MISSING_THEN_BAD_BYTE, "error", MissingValue, 30_000),
         (_MISSING_THEN_BAD_BYTE, "drop_row", CellTypeError, 33_600),
+        (_DROPPED_THEN_BAD_BYTE, "drop_row", CellTypeError, 33_600),
         (_UNKNOWN_THEN_LONG_CELL, "error", UnknownCategory, 100),
         (_UNKNOWN_THEN_LONG_CELL, "drop_row", UnknownCategory, 100),
         (_lines_with(3, {2: b"1.0,,\xff\n"}), "drop_row", CellTypeError, 2),
         (_lines_with(3, {2: b"\xff,a,\n", 3: b"1.0,zz,2.0\n"}), "drop_row", CellTypeError, 2),
     ],
-    ids=["missing-before-bad-byte", "dropped-missing-before-bad-byte", "unknown-label-before-long-cell",
+    ids=["missing-before-bad-byte", "dropped-missing-before-bad-byte", "dropped-in-a-plain-block-before-bad-byte",
+         "unknown-label-before-long-cell",
          "unknown-label-before-long-cell-drop-row", "bad-byte-in-a-dropped-row",
          "bad-byte-in-a-dropped-row-before-a-fault"],
 )

@@ -275,7 +275,7 @@ def test_column_spec_rule(fields, message):
 
 def test_generate_rejects_a_config_built_with_no_rows():
     config = dataclasses.replace(parse_generator_config(asd()), n_out=0)
-    with pytest.raises(ConfigError, match="n_out must be >= 1"):
+    with pytest.raises(ConfigError, match="n_out must be an integer >= 1"):
         generate(config, derive_stream(1, "gen"), schema=schema_from_json_obj(SCHEMA))
 
 
