@@ -15,12 +15,19 @@ and rule kind, inline schemas, numbers written as integers) at
 under OUT, sorted by path. The 20000-row bench size spans more than one CSV
 block. The files that hold timings are skipped: every manifest.json,
 bench.json and logs/. Each run directory must pass `sdgflow inspect`.
+
+The digests are led by `# ` lines naming the numeric environment that the
+runs had: the numpy version and the `get_config` string of each OpenBLAS
+loaded in this process once they are done, which is what the runs imported
+and nothing else.
 """
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -40,6 +47,23 @@ def digests(out: Path) -> list[str]:
         if rel.name in TIMED or "logs" in rel.parts:
             continue
         lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {rel.as_posix()}")
+    return lines
+
+
+def fingerprint() -> list[str]:
+    """The numpy version and the get_config string of each OpenBLAS this
+    process has loaded, as `# ` lines."""
+    import numpy
+
+    lines = [f"# numpy {numpy.__version__}"]
+    with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line and "/" in line})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        names = (p + s for p in ("scipy_openblas_", "openblas_") for s in ("get_config64_", "get_config"))
+        fn = next(getattr(lib, name) for name in names if hasattr(lib, name))
+        fn.argtypes, fn.restype = [], ctypes.c_char_p
+        lines.append(f"# {os.path.basename(path)}: {fn().decode()}")
     return lines
 
 
@@ -91,4 +115,4 @@ if __name__ == "__main__":
     if out.exists():
         raise SystemExit(f"{out} exists; give a new directory")
     produce(out)
-    print("\n".join(digests(out)))
+    print("\n".join(fingerprint() + digests(out)))

@@ -18,6 +18,7 @@ from .canonical import canonical_json_bytes
 from .engine import RunManifest, check_out_dir, run
 from .errors import ConfigError
 from .rng import derive_stream
+from .special import ndtr
 from .specs import parse_spec
 from .tabular import (
     ColumnKind,
@@ -58,8 +59,6 @@ _LATENT_CHOL = np.linalg.cholesky(
 def make_bench_dataset(n: int) -> Dataset:
     """Deterministic correlated fixture with 3 continuous and 3 categorical
     columns (4-8 categories)."""
-    from scipy.special import ndtr  # imported on use: see specs._import_scipy
-
     g = derive_stream(BENCH_SEED, f"fixture/{n}").generator
     latent = g.standard_normal((n, 3)) @ _LATENT_CHOL.T
     noise = g.standard_normal((n, 3))

@@ -62,8 +62,9 @@ def diagnose(real: Dataset, synth: Dataset) -> DiagnosticResult:
             lo, hi = float(r.min()), float(r.max())
             frac = float(np.mean((s >= lo) & (s <= hi)))
             checks.append(ColumnCheck(spec.name, RANGE_VALIDITY, frac))
-        else:
-            frac = float(np.mean(np.isin(s, np.unique(r))))
+        else:  # a table of the categories that occur in r, looked up by s
+            present = np.bincount(r, minlength=len(spec.categories)) > 0
+            frac = float(np.mean(present[s]))
             checks.append(ColumnCheck(spec.name, CATEGORY_ADHERENCE, frac))
 
     overall = float(np.mean([c.pass_fraction for c in checks]))

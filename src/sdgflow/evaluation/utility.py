@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import ConfigError, DegenerateNull, SchemaMismatch, SeparationWarning, TooFewRows
 from ..rng import RngStream
+from ..special import expit
 from ..tabular import ColumnKind, Dataset, Encoding, encode, encoded_width
 from .results import (
     Direction,
@@ -23,7 +24,6 @@ from .results import (
     check_metric_names,
     check_rows,
     compute_metrics,
-    metric_inputs,
 )
 
 RIDGE = 1e-6
@@ -123,8 +123,6 @@ def _block_scores(x: Encoding, beta: np.ndarray):
     """Yield (rows, xb, expit(beta @ xb.T)) for each row block xb of x, one
     row of scores per row of beta, all in one buffer that each block
     overwrites; the scores of pad rows are expit(0)."""
-    from scipy.special import expit  # imported on use: see specs._import_scipy
-
     prob = np.empty((len(beta), _block_rows(x.n)))
     for rows, (xb,) in _row_blocks(x):
         yield rows, xb, expit(np.matmul(beta, xb.T, out=prob), out=prob)
@@ -141,6 +139,13 @@ def _pmse_rows(x: Encoding, beta: np.ndarray, c: float) -> np.ndarray:
     return total / x.n
 
 
+def _ridge(p: int) -> np.ndarray:
+    """The ridge of each of p coefficients: RIDGE, and none on the intercept."""
+    ridge = np.full(p, RIDGE)
+    ridge[0] = 0.0
+    return ridge
+
+
 def _irls(x: Encoding, z: np.ndarray, warn: bool = True) -> tuple[np.ndarray, bool, int]:
     """Ridge logistic fit; returns (beta, converged, iterations).
 
@@ -148,11 +153,8 @@ def _irls(x: Encoding, z: np.ndarray, warn: bool = True) -> tuple[np.ndarray, bo
     the optimum up to the tolerance. `warn=False` reports drift toward
     separation only through `converged`, without a SeparationWarning.
     """
-    from scipy.special import expit  # imported on use: see specs._import_scipy
-
     p = x.width
-    ridge = np.full(p, RIDGE)
-    ridge[0] = 0.0
+    ridge = _ridge(p)
     beta = np.zeros(p)
     converged = False
     iterations = 0
@@ -160,7 +162,8 @@ def _irls(x: Encoding, z: np.ndarray, warn: bool = True) -> tuple[np.ndarray, bo
         grad = np.zeros(p)
         hess = np.zeros((p, p))
         for _, (xb, zb) in _row_blocks(x, z):
-            prob = expit(xb @ beta)
+            prob = xb @ beta
+            expit(prob, out=prob)
             w = np.clip(prob * (1.0 - prob), 1e-12, None)
             grad += xb.T @ (zb - prob)
             hess += xb.T @ (xb * w[:, None])
@@ -222,23 +225,21 @@ def pmse_observed(
     )
 
 
-def _block_refits(x: Encoding, xtz: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _block_refits(
+    x: Encoding, xtz: np.ndarray, c: float, h0_inv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Fit every row of `xtz` (X'z_b, one row per permuted label vector) at
     once; returns (beta, converged, iterations), beta one row per refit.
 
     Every refit starts at the intercept-only fit (logit c, 0, ..., 0), where
-    the Hessian is exactly c(1-c) X'X + ridge, and keeps that matrix fixed:
-    beta += H0^-1 (X'z - X'expit(X beta) - ridge beta) (Bohning & Lindsay
-    1988). Permuted labels carry no signal, so each fit stays near the start
-    and the iteration contracts fast. A refit leaves the block on the rule
-    _irls uses (largest step below COEF_TOL); the block stops after
-    BLOCK_MAX_ITER steps."""
+    the Hessian is exactly H0 = c(1-c) X'X + ridge, and keeps that matrix
+    fixed, given as its inverse `h0_inv`: beta += H0^-1 (X'z - X'expit(X
+    beta) - ridge beta) (Bohning & Lindsay 1988). Permuted labels carry no
+    signal, so each fit stays near the start and the iteration contracts
+    fast. A refit leaves the block on the rule _irls uses (largest step
+    below COEF_TOL); the block stops after BLOCK_MAX_ITER steps."""
     n_refits, p = xtz.shape
-    ridge = np.full(p, RIDGE)
-    ridge[0] = 0.0
-    h0 = c * (1.0 - c) * sum(xb.T @ xb for _, (xb,) in _row_blocks(x))
-    h0[np.diag_indices_from(h0)] += ridge
-    h0_inv = np.linalg.inv(h0)
+    ridge = _ridge(p)
     beta = np.zeros((n_refits, p))
     beta[:, 0] = math.log(c / (1.0 - c))
     converged = np.zeros(n_refits, dtype=bool)
@@ -254,6 +255,24 @@ def _block_refits(x: Encoding, xtz: np.ndarray, c: float) -> tuple[np.ndarray, n
         converged[active[done]] = True
         active = active[~done]
     return beta, converged, iterations
+
+
+def _null_sums(x: Encoding, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X'z_b for each row z_b of labels, X'X), summed block by block in one
+    pass over the row blocks of x."""
+    xtz = xtx = 0
+    for _, (xb, lb) in _row_blocks(x, labels.T):
+        xtz = xtz + lb.T.astype(np.float64) @ xb
+        xtx = xtx + xb.T @ xb
+    return xtz, xtx
+
+
+def _h0_inverse(xtx: np.ndarray, c: float) -> np.ndarray:
+    """The inverse of H0 = c(1-c) X'X + ridge, the Hessian at the null fit,
+    which every refit of _block_refits keeps."""
+    h0 = c * (1.0 - c) * xtx
+    h0[np.diag_indices_from(h0)] += _ridge(len(h0))
+    return np.linalg.inv(h0)
 
 
 def pmse_null(
@@ -296,14 +315,15 @@ def pmse_null(
     labels = np.empty((B, n), dtype=np.int8)
     for b in range(B):
         labels[b] = gen.permutation(z)
-    xtz = sum(lb.T.astype(np.float64) @ xb for _, (xb, lb) in _row_blocks(x, labels.T))
+    xtz, xtx = _null_sums(x, labels)
+    h0_inv = _h0_inverse(xtx, c)
     samples = np.empty(B)
     converged = np.zeros(B, dtype=bool)
     iterations = 0
     width = NULL_BLOCK_CELLS // _block_rows(n)
     for lo in range(0, B, width):
         part = slice(lo, lo + width)
-        beta, done, steps = _block_refits(x, xtz[part], c)
+        beta, done, steps = _block_refits(x, xtz[part], c, h0_inv)
         iterations = max(iterations, steps)
         samples[part][done] = _pmse_rows(x, beta[done], c)
         converged[part] = done
@@ -574,12 +594,6 @@ _COMPUTE = {
     "bivariate_fidelity": lambda real, synth: bivariate_fidelity(real, synth),
 }
 UTILITY_METRICS = tuple(_COMPUTE)
-# the metrics that fit the propensity model, whose scores call scipy's expit
-PROPENSITY_METRICS = tuple(
-    name
-    for name, compute in _COMPUTE.items()
-    if not {"fit", "observed", "null"}.isdisjoint(metric_inputs(compute))
-)
 
 
 def evaluate_utility(

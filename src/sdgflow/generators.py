@@ -31,6 +31,7 @@ from .errors import (
 )
 from .jsonfields import JsonChecks
 from .rng import RngStream
+from .special import ndtr, ndtri
 from .specs import toposort_ids
 from .tabular import ColumnKind, Dataset, Schema
 
@@ -432,18 +433,19 @@ def _check_csd_schema(params: CsdParams, schema: Schema) -> None:
 
 # --------------------------------------------------------------- rsd (copula) ---
 
-def _average_ranks(arr: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the mean of their ranks: the values of
-    scipy.stats.rankdata(arr, method="average"), bit for bit, since each is
-    an integer or half-integer. Every rank of a tie run is its mean, so the
-    order within a run does not matter, and the sort need not be stable."""
+def _rank_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, ranks, counts): arr[order] is arr sorted, in runs of equal
+    values, and ranks and counts give each run's 1-based average rank and
+    its length. Repeated by counts and put back through order, the ranks
+    are scipy.stats.rankdata(arr, method="average"), bit for bit, since
+    each is an integer or half-integer. Every rank of a run is its mean, so
+    the order within a run does not matter, and the sort need not be
+    stable."""
     order = np.argsort(arr)
     ordered = arr[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], arr.size)  # one past each tie run's last rank
-    ranks = np.empty(arr.size)
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
+    ends = np.append(starts[1:], arr.size)  # one past each run's last rank
+    return order, (starts + 1 + ends) / 2.0, ends - starts
 
 
 def _category_counts(ds: Dataset) -> list[np.ndarray | None]:
@@ -456,24 +458,30 @@ def _category_counts(ds: Dataset) -> list[np.ndarray | None]:
     ]
 
 
+def _normal_score(u: np.ndarray) -> np.ndarray:
+    """The standard-normal quantile of each share in u, kept 1e-12 from 0
+    and 1."""
+    return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+
+
 def _normal_scores(
     ds: Dataset, counts: Sequence[np.ndarray | None]
 ) -> tuple[np.ndarray, list[int]]:
     """Map each column to standard-normal scores; returns an (n, d) matrix
     plus the indices of degenerate (constant) columns. `counts` are the
-    columns' _category_counts."""
-    from scipy.special import ndtri  # imported on use: see specs._import_scipy
-
+    columns' _category_counts. Rows of equal value share a score, so each
+    run of equal values (each category) is scored once."""
     n = ds.n
     cols = []
     degenerate = []
     for j, (spec, arr) in enumerate(zip(ds.schema.columns, ds.columns)):
         if spec.kind is ColumnKind.CONTINUOUS:
-            u, rows = (_average_ranks(arr) - 0.5) / n, slice(None)
-        else:  # a category's rows share its score: score each category once
+            order, ranks, run_rows = _rank_runs(arr)
+            z = np.empty(n)
+            z[order] = np.repeat(_normal_score((ranks - 0.5) / n), run_rows)
+        else:
             p = counts[j] / n
-            u, rows = np.concatenate([[0.0], np.cumsum(p)[:-1]]) + p / 2.0, arr
-        z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))[rows]
+            z = _normal_score(np.concatenate([[0.0], np.cumsum(p)[:-1]]) + p / 2.0)[arr]
         if np.std(z) < 1e-12:
             degenerate.append(j)
         cols.append(z)
@@ -538,8 +546,6 @@ def generate_rsd(
     a multivariate normal, and back-transforms through the inverse marginals.
     Continuous outputs stay within each real column's observed [min, max].
     """
-    from scipy.special import ndtr  # imported on use: see specs._import_scipy
-
     if real.n < MIN_FIT_ROWS:
         raise TooFewRows(f"rsd needs at least {MIN_FIT_ROWS} rows, got {real.n}")
 
@@ -560,21 +566,23 @@ def generate_rsd(
     chol = _cholesky_with_jitter(corr)
 
     z_syn = rng.generator.standard_normal((n_out, corr.shape[0])) @ chol.T
-    u_syn = ndtr(z_syn)
 
     out_cols = []
     n = real.n
     grid = (np.arange(n) + 0.5) / n
     for j, (spec, arr) in enumerate(zip(real.schema.columns, real.columns)):
-        u = u_syn[:, j]
+        z = z_syn[:, j]
         if spec.kind is ColumnKind.CONTINUOUS:
             ordered = np.sort(arr)
-            vals = _interp_sorted_queries(u, grid, ordered)
+            vals = _interp_sorted_queries(ndtr(z), grid, ordered)
             out_cols.append(np.clip(vals, ordered[0], ordered[-1]))
         else:
+            # the first category whose cumulative share exceeds ndtr(z), found
+            # as the first whose normal quantile exceeds z: k values through
+            # ndtri, not n_out through ndtr
             k = len(spec.categories)
-            cum = np.cumsum(counts[j] / n)
-            idx = np.searchsorted(cum, u, side="right")
+            cuts = ndtri(np.cumsum(counts[j] / n))
+            idx = np.searchsorted(cuts, z, side="right")
             out_cols.append(np.clip(idx, 0, k - 1).astype(np.int64))
     return Dataset._adopt(real.schema, out_cols)
 

@@ -40,7 +40,6 @@ from .evaluation.results import check_metric_names, check_threshold_names
 from .evaluation.utility import (
     DEFAULT_NULL_MODEL,
     DEFAULT_PERMUTATIONS,
-    PROPENSITY_METRICS,
     UTILITY_METRICS,
     check_null_model,
 )
@@ -350,22 +349,16 @@ def spec_from_json_obj(doc: Any) -> PipelineSpec:
 
 
 def _import_scipy(spec: PipelineSpec) -> None:
-    """Import the scipy modules that the nodes' kernels call. No module
-    imports scipy at load, because it costs more than the rest of the
-    package; the kernels import it on first call. Importing it here puts that
-    cost in parse, not in the run, and only for a document that needs it."""
-    spatial = special = False
-    for n in spec.nodes:
-        if n.kind is NodeKind.GENERATE:
-            special |= n.config.generator.needs_real()  # rsd's normal scores
-        elif n.kind is NodeKind.EVALUATE_UTILITY:
-            special |= not set(n.config.metrics).isdisjoint(PROPENSITY_METRICS)
-        elif n.kind is NodeKind.EVALUATE_PRIVACY:
-            spatial |= not set(n.config.metrics).isdisjoint(PROXIMITY_METRICS)
-    if spatial:
+    """Import scipy.spatial when a privacy node selects a proximity metric,
+    whose k-d tree it builds; no other kernel calls scipy. No module imports
+    scipy at load, because it costs more than the rest of the package; the
+    kernel imports it on first call. Importing it here puts that cost in
+    parse, not in the run, and only for a document that needs it."""
+    if any(
+        n.kind is NodeKind.EVALUATE_PRIVACY and not set(n.config.metrics).isdisjoint(PROXIMITY_METRICS)
+        for n in spec.nodes
+    ):
         importlib.import_module("scipy.spatial")
-    if special:
-        importlib.import_module("scipy.special")
 
 
 def spec_to_json_obj(spec: PipelineSpec) -> dict:

@@ -55,8 +55,10 @@ def test_rsd_recovers_correlation_and_marginals():
 def test_average_ranks_equal_rankdata(values):
     # few distinct values, so most arrays hold long runs of ties
     arr = np.asarray(values, dtype=np.float64)
-    ranks = generators._average_ranks(arr)
-    assert ranks.dtype == np.float64
+    order, run_ranks, counts = generators._rank_runs(arr)
+    assert run_ranks.dtype == np.float64
+    ranks = np.empty(arr.size)
+    ranks[order] = np.repeat(run_ranks, counts)
     assert np.array_equal(ranks, stats.rankdata(arr, method="average"))
 
 

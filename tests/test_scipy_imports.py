@@ -1,8 +1,10 @@
-"""When scipy loads. `import sdgflow.cli` loads none of it; parsing a
-document loads the scipy modules that its nodes' kernels call, and running
-it loads no more; a kernel called with no parse imports what it needs.
-Each case runs in a fresh interpreter, because a module once imported stays
-in sys.modules."""
+"""When scipy loads. `import sdgflow.cli` loads none of it. Only the
+proximity metrics call scipy (its k-d tree): parsing a document that selects
+one loads scipy.spatial, parsing any other loads no scipy, and running it
+loads no more; a proximity kernel called with no parse imports scipy.spatial
+itself, and every other kernel runs without scipy. A run without proximity
+metrics does not load numpy.ma either. Each case runs in a fresh
+interpreter, because a module once imported stays in sys.modules."""
 
 import copy
 import json
@@ -19,7 +21,7 @@ from sdgflow.specs import load_spec
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
 SRC = str(Path(sdgflow.__file__).resolve().parents[1])
-SPATIAL, SPECIAL = "scipy.spatial", "scipy.special"
+SPATIAL = "scipy.spatial"
 
 LOADED = """
 def loaded():
@@ -80,13 +82,20 @@ def asd_and_csd(metrics: list) -> dict:
     return {"version": "1", "seed": 3, "nodes": [asd, asd2, csd, quality, report]}
 
 
-def key_attacks_only() -> dict:
-    """The sample pipeline (rsd) with a privacy node that runs the key
-    attacks alone, and a utility node that runs the fidelity metrics alone."""
+def without_proximity() -> dict:
+    """The sample pipeline (rsd, the propensity metrics, the diagnostic)
+    with a privacy node that runs the key attacks alone."""
     doc = sample("pipeline.json")
-    node(doc, "quality")["params"]["metrics"] = FIDELITY
     node(doc, "privacy")["params"]["metrics"] = ["categorical_cap", "inference_attack_score", "tcap"]
     del node(doc, "report")["params"]["thresholds"]["sample_overlap"]
+    return doc
+
+
+def key_attacks_only() -> dict:
+    """without_proximity, with a utility node that runs the fidelity metrics
+    alone."""
+    doc = without_proximity()
+    node(doc, "quality")["params"]["metrics"] = FIDELITY
     return doc
 
 
@@ -101,25 +110,29 @@ with tempfile.TemporaryDirectory() as tmp:
     for p in (1, 3):
         engine.run(spec, Path(tmp) / f"p{p}", max_parallel=p, base_dir=sys.argv[2])
         out[f"run at max_parallel {p}"] = loaded()
+out["numpy.ma"] = "numpy.ma" in sys.modules
 print(json.dumps(out))
 """
 
-DOCUMENTS = {
-    "asd-csd-fidelity-only": (lambda: asd_and_csd(FIDELITY), ()),
-    "asd-csd-propensity": (lambda: asd_and_csd(["specks", "univariate_fidelity"]), (SPECIAL,)),
-    "rsd-key-attacks-only": (key_attacks_only, (SPECIAL,)),
-    "sample-pipeline": (lambda: sample("pipeline.json"), (SPATIAL, SPECIAL)),
-    "sample-modes": (lambda: sample("modes.json"), (SPATIAL, SPECIAL)),
+DOCUMENTS = {  # document -> whether it selects a proximity metric
+    "asd-csd-fidelity-only": (lambda: asd_and_csd(FIDELITY), False),
+    "asd-csd-propensity": (lambda: asd_and_csd(["specks", "univariate_fidelity"]), False),
+    "rsd-key-attacks-only": (key_attacks_only, False),
+    "sample-without-proximity": (without_proximity, False),
+    "sample-pipeline": (lambda: sample("pipeline.json"), True),
+    "sample-modes": (lambda: sample("modes.json"), True),
 }
 
 
-@pytest.mark.parametrize("doc, needed", DOCUMENTS.values(), ids=DOCUMENTS)
-def test_parse_loads_what_the_nodes_call_and_the_run_loads_nothing_more(doc, needed):
+@pytest.mark.parametrize("doc, proximity", DOCUMENTS.values(), ids=DOCUMENTS)
+def test_parse_loads_what_the_nodes_call_and_the_run_loads_nothing_more(doc, proximity):
     out = in_fresh_process(PARSE_AND_RUN, json.dumps(doc()), str(SAMPLE_DIR))
     parsed = out.pop("parse")
-    assert [m for m in (SPATIAL, SPECIAL) if m in parsed] == list(needed)
-    if not needed:
+    ma = out.pop("numpy.ma")
+    assert (SPATIAL in parsed) is proximity
+    if not proximity:
         assert parsed == []
+        assert not ma  # np.unique without return_inverse would import it
     for after_run in out.values():
         assert after_run == parsed  # a kernel without a parse-time rule imports during the run
 
@@ -154,20 +167,32 @@ CALLS = {
 }
 out = {"before": loaded()}
 out.update((name, CALLS[name]()) for name in kernels)
+out["after"] = loaded()
 print(json.dumps(out))
 """
-KERNELS = ("min_nn_distance", "new_row_synthesis", "fit_propensity", "rsd", "make_bench_dataset")
+KERNELS = {  # kernel -> whether it calls scipy
+    "min_nn_distance": True,
+    "new_row_synthesis": True,
+    "fit_propensity": False,
+    "rsd": False,
+    "make_bench_dataset": False,
+}
 
 
 @pytest.fixture(scope="module")
 def after_parse():
     out = in_fresh_process(KERNEL_CALLS, str(SAMPLE_DIR), "parse", *KERNELS)
-    assert {SPATIAL, SPECIAL} <= set(out.pop("before"))
+    assert SPATIAL in out.pop("before")
+    del out["after"]
     return out
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_a_kernel_called_with_no_parse_imports_scipy_itself(kernel, after_parse):
+@pytest.mark.parametrize("kernel, calls_scipy", KERNELS.items(), ids=KERNELS)
+def test_a_kernel_called_with_no_parse_imports_scipy_itself(kernel, calls_scipy, after_parse):
     out = in_fresh_process(KERNEL_CALLS, str(SAMPLE_DIR), "no-parse", kernel)
     assert out.pop("before") == []
+    after = out.pop("after")
+    assert (SPATIAL in after) is calls_scipy
+    if not calls_scipy:
+        assert after == []
     assert out == {kernel: after_parse[kernel]}

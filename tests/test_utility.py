@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import expit
 
 from conftest import filled
 from sdgflow.bench import make_bench_dataset
@@ -34,6 +33,7 @@ from sdgflow.evaluation.utility import (
     univariate_fidelity,
 )
 from sdgflow.rng import derive_stream
+from sdgflow.special import expit
 from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, encoded_width, make_dataset
 
 
@@ -213,7 +213,7 @@ def newton_null(x, z, seed, B):
     """The Newton oracle: each permuted label vector refit alone by _irls,
     drawn from the stream pmse_null uses; returns (labels, fits), each fit
     (beta, scores, converged, iterations) with the scores of the whole
-    design at beta."""
+    design at beta, through the expit the null calls."""
     gen = derive_stream(seed, "null").generator
     labels = [gen.permutation(z) for _ in range(B)]
     dense = filled(x)
@@ -232,7 +232,8 @@ def test_block_null_matches_newton_refits(n, c):
     c = synth.n / (real.n + synth.n)
     null = pmse_null(real, synth, B=20, rng=derive_stream(2, "null"))
     labels, fits = newton_null(encoding, z, 2, 20)
-    beta, converged, _ = _block_refits(encoding, np.array([zb @ x for zb in labels]), c)
+    h0_inv = utility._h0_inverse(sum(xb.T @ xb for _, (xb,) in utility._row_blocks(encoding)), c)
+    beta, converged, _ = _block_refits(encoding, np.array([zb @ x for zb in labels]), c, h0_inv)
     assert null.newton_refits == tuple(np.flatnonzero(~converged))
     ridge = np.full(x.shape[1], RIDGE)
     ridge[0] = 0.0
@@ -294,9 +295,9 @@ def test_block_null_splits_refits_to_bound_its_score_matrix(monkeypatch):
     widths = []
     block_refits = utility._block_refits
 
-    def spy(x, xtz, c):
+    def spy(x, xtz, c, h0_inv):
         widths.append(xtz.shape[0])
-        return block_refits(x, xtz, c)
+        return block_refits(x, xtz, c, h0_inv)
 
     monkeypatch.setattr(utility, "_block_refits", spy)
     monkeypatch.setattr(utility, "NULL_BLOCK_CELLS", 3 * utility._block_rows(real.n + synth.n) + 1)
@@ -306,6 +307,28 @@ def test_block_null_splits_refits_to_bound_its_score_matrix(monkeypatch):
     # the same iteration on the same data; blocks of another width round
     # differently inside BLAS, which moves a sample by ~1e-12 relative
     assert split.samples == pytest.approx(whole.samples, rel=1e-10)
+
+
+def test_null_makes_h0_once_and_each_group_refits_as_it_did_alone(monkeypatch):
+    # B = 20 refits in groups of 16 and 4: each group's samples are, bit for
+    # bit, those _block_refits gives it with H0 from an X'X pass of its own
+    real, synth = bench_split(2000, 0.3)
+    x, z = utility._design(real, synth)
+    n = real.n + synth.n
+    c = synth.n / n
+    monkeypatch.setattr(utility, "NULL_BLOCK_CELLS", 16 * utility._block_rows(n))
+    null = pmse_null(real, synth, B=20, rng=derive_stream(6, "null"))
+    gen = derive_stream(6, "null").generator
+    labels = np.empty((20, n), dtype=np.int8)
+    for b in range(20):
+        labels[b] = gen.permutation(z)
+    xtz = sum(lb.T.astype(np.float64) @ xb for _, (xb, lb) in utility._row_blocks(x, labels.T))
+    samples = np.asarray(null.samples)
+    for part in (slice(0, 16), slice(16, 20)):
+        xtx = sum(xb.T @ xb for _, (xb,) in utility._row_blocks(x))
+        beta, done, _ = _block_refits(x, xtz[part], c, utility._h0_inverse(xtx, c))
+        assert done.any()
+        assert samples[part][done].tolist() == utility._pmse_rows(x, beta[done], c).tolist()
 
 
 def test_fit_decisions_recorded_in_details():
