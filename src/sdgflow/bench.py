@@ -76,10 +76,8 @@ def make_bench_dataset(n: int) -> Dataset:
         0.5 * latent[:, 2] + 0.5 * noise[:, 2],
         side="right",
     )
-    return Dataset._adopt(
-        BENCH_SCHEMA,
-        (age, income, score, region.astype(np.int64), status.astype(np.int64), grade.astype(np.int64)),
-    )
+    codes = (c.astype(spec.dtype) for c, spec in zip((region, status, grade), BENCH_SCHEMA.columns[3:]))
+    return Dataset._adopt(BENCH_SCHEMA, (age, income, score, *codes))
 
 
 def build_bench_spec_doc(size: int, data_path: str, schema_path: str) -> dict:

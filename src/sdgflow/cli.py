@@ -29,7 +29,8 @@ from .errors import (
     SpecError,
     SpecSyntaxError,
 )
-from .specs import check_seed, data_flow_audit, load_spec, spec_digest
+from .rng import check_seed
+from .specs import data_flow_audit, load_spec, spec_digest
 
 
 def _cmd_validate(args) -> int:

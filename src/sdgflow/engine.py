@@ -39,7 +39,7 @@ from .evaluation.utility import evaluate_utility
 from .generators import generate
 from .jsonfields import JsonChecks, loads
 from .reporting import compile_report, render_text
-from .rng import RngStream, derive_stream
+from .rng import RngStream, check_seed, derive_stream
 from .specs import (
     EVALUATE_KINDS,
     NODE_ARTIFACTS,
@@ -47,7 +47,6 @@ from .specs import (
     PipelineNode,
     PipelineSpec,
     SpecDigest,
-    check_seed,
     dependents,
     spec_digest,
     topological_order,

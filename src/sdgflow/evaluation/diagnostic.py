@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..tabular import ColumnKind, Dataset
+from ..tabular import ColumnKind, Dataset, category_counts
 from .results import Direction, MetricResult, check_rows
 
 RANGE_VALIDITY = "range_validity"
@@ -62,9 +62,9 @@ def diagnose(real: Dataset, synth: Dataset) -> DiagnosticResult:
             lo, hi = float(r.min()), float(r.max())
             frac = float(np.mean((s >= lo) & (s <= hi)))
             checks.append(ColumnCheck(spec.name, RANGE_VALIDITY, frac))
-        else:  # a table of the categories that occur in r, looked up by s
-            present = np.bincount(r, minlength=len(spec.categories)) > 0
-            frac = float(np.mean(present[s]))
+        else:  # the rows of s whose category occurs in r
+            present = category_counts(r, len(spec.categories)) > 0
+            frac = float(category_counts(s, len(spec.categories))[present].sum() / s.size)
             checks.append(ColumnCheck(spec.name, CATEGORY_ADHERENCE, frac))
 
     overall = float(np.mean([c.pass_fraction for c in checks]))

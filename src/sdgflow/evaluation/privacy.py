@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ConfigError, SchemaError
 from ..rng import RngStream
-from ..tabular import ColumnKind, Dataset, Schema, column_ranges, row_codes
+from ..tabular import ColumnKind, Dataset, Schema, category_counts, column_ranges, row_codes
 from .results import (
     Direction,
     MetricResult,
@@ -348,7 +348,7 @@ def inference_attack_score(g: KeyGroups) -> MetricResult:
     data over always guessing the real modal class."""
     found = g.size[g.key_r] > 0
     predicted = int(found.sum())
-    baseline = float(np.bincount(g.sens_r, minlength=g.n_sens).max() / g.key_r.size)
+    baseline = float(category_counts(g.sens_r, g.n_sens).max() / g.key_r.size)
 
     flags = []
     if baseline >= 1.0:

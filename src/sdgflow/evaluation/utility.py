@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import ConfigError, DegenerateNull, SchemaMismatch, SeparationWarning, TooFewRows
 from ..rng import RngStream
 from ..special import expit
-from ..tabular import ColumnKind, Dataset, Encoding, encode, encoded_width
+from ..tabular import ColumnKind, Dataset, Encoding, category_counts, encode, encoded_width
 from .results import (
     Direction,
     MetricResult,
@@ -417,8 +417,8 @@ def _ks_of_sorted(a: np.ndarray, b: np.ndarray) -> float:
 
 def _copied_into(row: np.ndarray, values, dtype=np.float64) -> np.ndarray:
     """A writable copy of the values as dtype (8 bytes wide), in the front of
-    the float64 row. np.bincount reads such an array in place, where it
-    copies a read-only one, as every Dataset column is."""
+    the float64 row: the codes of a categorical column, widened there to
+    int64 before any arithmetic, or continuous values to sort in place."""
     out = row[: np.size(values)].view(dtype)
     out[...] = values
     return out
@@ -443,16 +443,16 @@ def specks(scores_real: np.ndarray, scores_synth: np.ndarray) -> MetricResult:
     )
 
 
-def _tvd(real_codes: np.ndarray, synth_codes: np.ndarray, n_categories: int, row: np.ndarray) -> float:
-    p = np.bincount(_copied_into(row, real_codes, np.int64), minlength=n_categories) / real_codes.size
-    q = np.bincount(_copied_into(row, synth_codes, np.int64), minlength=n_categories) / synth_codes.size
+def _tvd(real_codes: np.ndarray, synth_codes: np.ndarray, n_categories: int) -> float:
+    p = category_counts(real_codes, n_categories) / real_codes.size
+    q = category_counts(synth_codes, n_categories) / synth_codes.size
     return 0.5 * float(np.abs(p - q).sum())
 
 
 def univariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
     """Mean per-column marginal agreement: 1-KS for continuous columns,
-    1-TVD for categorical columns. The samples are sorted and counted in
-    one set of _scratch_rows."""
+    1-TVD for categorical columns. The continuous samples are sorted in one
+    set of _scratch_rows."""
     check_pair(real, synth)
     check_rows(real, synth, "univariate_fidelity")
     rows = _scratch_rows(real, synth)
@@ -464,7 +464,7 @@ def univariate_fidelity(real: Dataset, synth: Dataset) -> MetricResult:
             b.sort()
             per_column[spec.name] = 1.0 - _ks_of_sorted(a, b)
         else:
-            per_column[spec.name] = 1.0 - _tvd(r, s, len(spec.categories), rows[0])
+            per_column[spec.name] = 1.0 - _tvd(r, s, len(spec.categories))
     return MetricResult(
         name="univariate_fidelity",
         score=float(np.mean(list(per_column.values()))),
@@ -483,8 +483,7 @@ def _column_stats(ds: Dataset, row: np.ndarray) -> list:
     stats = []
     for spec, x in zip(ds.schema.columns, ds.columns):
         if spec.kind is ColumnKind.CATEGORICAL:
-            counts = np.bincount(_copied_into(row, x, np.int64), minlength=len(spec.categories))
-            stats.append(counts.astype(np.float64))
+            stats.append(category_counts(x, len(spec.categories)).astype(np.float64))
         else:
             mean = x.mean()
             dev = np.subtract(x, mean, out=row[: x.size])
@@ -508,8 +507,11 @@ def _cramers_v(a: np.ndarray, b: np.ndarray, ka: int, kb: int, row: np.ndarray) 
     if low == 0:
         return 0.0, True
     n = a.size
-    cells = np.multiply(a, kb, out=row[:n].view(np.int64))
-    table = np.bincount(np.add(cells, b, out=cells), minlength=ka * kb).reshape(ka, kb).astype(np.float64)
+    # the codes widen before the product: made in their narrow dtype, a * kb would wrap
+    cells = _copied_into(row, a, np.int64)
+    cells *= kb
+    cells += b
+    table = np.bincount(cells, minlength=ka * kb).reshape(ka, kb).astype(np.float64)
     row_sums = table.sum(axis=1, keepdims=True)
     col_sums = table.sum(axis=0, keepdims=True)
     expected = row_sums @ col_sums / n

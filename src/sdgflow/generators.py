@@ -33,7 +33,7 @@ from .jsonfields import JsonChecks
 from .rng import RngStream
 from .special import ndtr, ndtri
 from .specs import toposort_ids
-from .tabular import ColumnKind, Dataset, Schema
+from .tabular import ColumnKind, Dataset, Schema, category_counts
 
 MIN_FIT_ROWS = 10
 DEFAULT_MAX_ATTEMPTS = 1000  # rejection rounds: asd's default cap, hsd's cap
@@ -453,7 +453,7 @@ def _category_counts(ds: Dataset) -> list[np.ndarray | None]:
     None for a continuous column."""
     return [
         None if spec.categories is None
-        else np.bincount(arr, minlength=len(spec.categories)).astype(np.float64)
+        else category_counts(arr, len(spec.categories)).astype(np.float64)
         for spec, arr in zip(ds.schema.columns, ds.columns)
     ]
 
@@ -583,7 +583,7 @@ def generate_rsd(
             k = len(spec.categories)
             cuts = ndtri(np.cumsum(counts[j] / n))
             idx = np.searchsorted(cuts, z, side="right")
-            out_cols.append(np.clip(idx, 0, k - 1).astype(np.int64))
+            out_cols.append(np.minimum(idx, k - 1, out=idx).astype(spec.dtype))
     return Dataset._adopt(real.schema, out_cols)
 
 
@@ -592,6 +592,10 @@ def generate_rsd(
 def _sample_asd_batch(
     params: AsdParams, schema: Schema, size: int, gen: np.random.Generator
 ) -> dict[str, np.ndarray]:
+    """One batch of `size` rows of the modeled columns. A column's draws
+    (the uniforms of a quantile table, the int64 picks of a label model) are
+    not named, so they die with their column's step, before the next
+    column draws."""
     cols: dict[str, np.ndarray] = {}
     for spec in schema.columns:
         model = params.column_models.get(spec.name)
@@ -602,13 +606,11 @@ def _sample_asd_batch(
         elif isinstance(model, NormalModel):
             cols[spec.name] = gen.normal(model.mean, model.std, size)
         elif isinstance(model, QuantileTableModel):
-            u = gen.random(size)
             # an int a document writes beyond int64 would make an object array
-            cols[spec.name] = np.interp(u, model.quantiles, np.asarray(model.values, np.float64))
+            cols[spec.name] = np.interp(gen.random(size), model.quantiles, np.asarray(model.values, np.float64))
         else:
-            label_idx = np.array([spec.categories.index(l) for l in model.labels], dtype=np.int64)
-            picks = gen.choice(len(model.labels), size=size, p=np.asarray(model.weights))
-            cols[spec.name] = label_idx[picks]
+            label_idx = np.array([spec.categories.index(l) for l in model.labels], dtype=spec.dtype)
+            cols[spec.name] = label_idx[gen.choice(len(model.labels), size=size, p=np.asarray(model.weights))]
     return cols
 
 
@@ -638,13 +640,11 @@ def _rule_violations(
             v = cols[rule.column]
             viol = (v < rule.min) | (v > rule.max)
         elif isinstance(rule, ImplicationRule):
-            if_spec = schema.column(rule.if_column)
-            then_spec = schema.column(rule.then_column)
-            if_code = if_spec.categories.index(rule.if_category)
-            ok_codes = np.array(
-                [then_spec.categories.index(c) for c in rule.then_categories], dtype=np.int64
-            )
-            viol = (cols[rule.if_column] == if_code) & ~np.isin(cols[rule.then_column], ok_codes)
+            if_code = schema.column(rule.if_column).categories.index(rule.if_category)
+            then_categories = schema.column(rule.then_column).categories
+            allowed = np.zeros(len(then_categories), dtype=bool)  # looked up by the then-codes
+            allowed[[then_categories.index(c) for c in rule.then_categories]] = True
+            viol = (cols[rule.if_column] == if_code) & ~allowed[cols[rule.then_column]]
         else:
             counts.append(0)
             continue
@@ -683,15 +683,16 @@ def _reject(
         _apply_derivations(cols, order)
         bad, counts = _rule_violations(cols, rules, schema)
         total_counts = [a + b for a, b in zip(total_counts, counts)]
-        keep = np.flatnonzero(~bad)
+        keep = np.logical_not(bad, out=bad)  # a mask, not int64 row numbers
+        kept = int(np.count_nonzero(keep))
         if not out:
             out = [cols[name] for name in schema.names]
-        if filled or keep.size < n_out:  # else the first round kept every row as drawn
+        if filled or kept < n_out:  # else the first round kept every row as drawn
             for i, name in enumerate(schema.names):
                 if not out[i].flags.writeable:
                     out[i] = out[i].copy()
-                out[i][filled : filled + keep.size] = cols[name][keep]
-        filled += keep.size
+                out[i][filled : filled + kept] = cols[name][keep]
+        filled += kept
         if filled == n_out:
             return Dataset._adopt(schema, out)
     raise RuleUnsatisfiable(_most_violated(rules, total_counts), attempts=max_rounds)

@@ -15,8 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec
+from .jsonfields import JsonChecks
 
 SEED_MAX = 2**64 - 1  # a root seed is hashed as 8 big-endian bytes
+_check = JsonChecks(InvalidSpec)
+
+
+def check_seed(value, what: str = "seed") -> int:
+    """The root seed rule, shared by documents, the CLI's --seed, `engine.run`
+    and every RngStream: an int in [0, SEED_MAX]; raises InvalidSpec."""
+    return _check.integer(value, what, minimum=0, maximum=SEED_MAX)
 
 
 def _entropy_for(root_seed: int, node_id: str) -> int:
@@ -35,8 +43,7 @@ class RngStream:
     generator: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 <= self.root_seed <= SEED_MAX:
-            raise InvalidSpec(f"root_seed must be an unsigned 64-bit integer, got {self.root_seed}")
+        check_seed(self.root_seed, "root_seed")
         seq = np.random.SeedSequence(_entropy_for(self.root_seed, self.node_id))
         self.generator = np.random.Generator(np.random.PCG64(seq))
 

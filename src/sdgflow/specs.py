@@ -44,7 +44,7 @@ from .evaluation.utility import (
     check_null_model,
 )
 from .jsonfields import JsonChecks, loads
-from .rng import SEED_MAX
+from .rng import check_seed
 from .tabular import DEFAULT_MISSING_POLICY, MISSING_POLICIES, Schema, schema_from_json_obj
 
 if TYPE_CHECKING:
@@ -183,13 +183,6 @@ class SpecDigest:
 # ------------------------------------------------------------------ parsing ---
 
 _check = JsonChecks(InvalidSpec, unknown=UnknownField)
-
-
-def check_seed(value: Any, what: str = "seed") -> int:
-    """The root seed rule, shared by documents, the CLI's --seed and `engine.run`."""
-    if _check.integer(value, what) < 0 or value > SEED_MAX:
-        raise InvalidSpec(f"{what} must be an unsigned 64-bit integer")
-    return value
 
 
 def _inline_schema(value: Any, what: str) -> Schema:

@@ -1,7 +1,8 @@
 """Immutable tabular data model: schemas, datasets, CSV I/O, encoding, Gower.
 
 Continuous values are 64-bit floats; categorical values are stored as integer
-indices into the column's ordered category list. Datasets are immutable after
+indices into the column's ordered category list, in the narrowest unsigned
+dtype that holds them (ColumnSpec.dtype). Datasets are immutable after
 construction and safe to share across concurrent pipeline nodes.
 """
 
@@ -31,6 +32,7 @@ from .jsonfields import JsonChecks, loads
 CONTINUOUS_FMT = "%.17g"  # 17 significant digits: bit-exact float64 round trip
 CSV_BLOCK_ROWS = 8_192  # rows parsed or formatted at once: bounds the per-block temporaries
 _PACK_LIMIT = 1 << 31  # row_codes renumbers its packed codes before their range would pass this
+_COUNT_BLOCK = 1 << 16  # codes category_counts counts at once: bounds np.bincount's widened copy
 DEFAULT_MISSING_POLICY = "error"
 MISSING_POLICIES = ("drop_row", DEFAULT_MISSING_POLICY)
 
@@ -67,6 +69,17 @@ class ColumnSpec:
                 raise SchemaError(f"column {self.name!r}: categories only apply to categorical")
             if self.bounds is not None and not self.bounds[0] <= self.bounds[1]:
                 raise SchemaError(f"column {self.name!r}: bounds min must be <= max")
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the column's arrays: float64, or for a categorical
+        column the narrowest unsigned integer that holds every category
+        index (uint8 up to 256 categories, uint16 up to 65,536). Arithmetic
+        on such codes is made in their own dtype and wraps, so a reader
+        widens them first."""
+        if self.categories is None:
+            return np.dtype(np.float64)
+        return np.min_scalar_type(len(self.categories) - 1)
 
     def same_structure(self, other: "ColumnSpec") -> bool:
         """Equality on name, kind, and categories (bounds ignored)."""
@@ -157,10 +170,12 @@ def read_schema(path) -> Schema:
 class Dataset:
     """Immutable typed table: one numpy array per schema column.
 
-    Continuous columns are float64, categorical columns are int64 indices into
-    the column's categories. The constructor copies the arrays it is given,
-    so the caller's arrays stay the caller's; the package's own producers,
-    whose arrays nobody else holds, hand them over through `_adopt`.
+    Continuous columns are float64, categorical columns are indices into the
+    column's categories, of the narrow unsigned dtype ColumnSpec.dtype
+    gives. The constructor copies the arrays it is given, as that dtype, so
+    the caller's arrays stay the caller's; the package's own producers,
+    which build their codes in that dtype and whose arrays nobody else
+    holds, hand them over through `_adopt`.
     """
 
     schema: Schema
@@ -196,20 +211,25 @@ class Dataset:
 
 
 def _frozen_columns(schema: Schema, columns: Sequence, copy: bool) -> tuple[np.ndarray, ...]:
-    """The columns as read-only arrays of their kind's dtype, copied when
-    `copy`; raises SchemaError unless they fit the schema."""
+    """The columns as read-only arrays of their spec's dtype, copied when
+    `copy`; raises SchemaError unless they fit the schema. Categorical
+    values not already of that dtype are range-checked as int64, before
+    they narrow, so that -1 or a code past the categories cannot wrap into
+    range."""
     if len(columns) != len(schema.columns):
         raise SchemaError("column count does not match schema")
     n = None
     frozen = []
     for spec, arr in zip(schema.columns, columns):
-        dtype = np.float64 if spec.kind is ColumnKind.CONTINUOUS else np.int64
+        dtype = spec.dtype
+        if spec.kind is ColumnKind.CATEGORICAL:
+            if getattr(arr, "dtype", None) != dtype:
+                arr = np.asarray(arr, dtype=np.int64)
+            if arr.size and (arr.min() < 0 or arr.max() >= len(spec.categories)):
+                raise SchemaError(f"column {spec.name!r}: category index out of range")
         arr = np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype=dtype)
-        if spec.kind is ColumnKind.CONTINUOUS:
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise SchemaError(f"column {spec.name!r}: non-finite values")
-        elif arr.size and (arr.min() < 0 or arr.max() >= len(spec.categories)):
-            raise SchemaError(f"column {spec.name!r}: category index out of range")
+        if spec.kind is ColumnKind.CONTINUOUS and arr.size and not np.all(np.isfinite(arr)):
+            raise SchemaError(f"column {spec.name!r}: non-finite values")
         if arr.ndim != 1:
             raise SchemaError(f"column {spec.name!r}: arrays must be 1-d")
         if n is None:
@@ -231,7 +251,7 @@ def make_dataset(schema: Schema, values: Mapping[str, Sequence]) -> Dataset:
         if spec.kind is ColumnKind.CATEGORICAL and len(raw) and isinstance(raw[0], str):
             lookup = {lab: i for i, lab in enumerate(spec.categories)}
             try:
-                raw = [lookup[v] for v in raw]
+                raw = np.fromiter((lookup[v] for v in raw), spec.dtype, len(raw))
             except KeyError as e:
                 raise SchemaError(f"column {spec.name!r}: unknown label {e.args[0]!r}") from None
         cols.append(np.asarray(raw))
@@ -266,10 +286,22 @@ def row_codes(
         if bound * k > _PACK_LIMIT:
             distinct, code = np.unique(code, return_inverse=True)
             bound = len(distinct)
-        code = code * k + cells
+        code *= k
+        code += cells  # in code's int64: narrow cells widen, the code does not narrow
         bound *= k
     distinct, code = np.unique(code, return_inverse=True)
     return np.split(code, np.cumsum(sizes)[:-1]), len(distinct)
+
+
+def category_counts(codes: np.ndarray, k: int) -> np.ndarray:
+    """The int64 count of each category index in [0, k) among `codes`.
+    np.bincount reads its input as intp, so it copies narrow codes whole at
+    8 bytes each; counted _COUNT_BLOCK codes at a time, that copy is one
+    block long."""
+    counts = np.zeros(k, dtype=np.int64)
+    for lo in range(0, codes.size, _COUNT_BLOCK):
+        counts += np.bincount(codes[lo : lo + _COUNT_BLOCK], minlength=k)
+    return counts
 
 
 # ------------------------------------------------------------------ CSV I/O ---
@@ -292,10 +324,10 @@ def load_csv(path, schema: Schema, missing_policy: str = DEFAULT_MISSING_POLICY)
         row = _plain_parts(fh, schema, parts, missing_policy == "drop_row")
         if row is not None:
             _record_parts(fh, row, schema, missing_policy, parts)
-    return Dataset._adopt(schema, _joined(parts))
+    return Dataset._adopt(schema, _joined(parts, schema))
 
 
-_PLAIN_BLOCK_BYTES = 1 << 18  # bytes read at once by the plain path, cut after their last line
+_PLAIN_BLOCK_BYTES = 1 << 17  # bytes read at once by the plain path, cut after their last line
 # bytes that make a block not plain: NUL, which the csv module reads its own
 # way, and \x1c-\x1f, which numpy strips around a number and float() does not
 _NOT_PLAIN_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -326,7 +358,7 @@ def _plain_parts(fh, schema: Schema, parts: list[list[np.ndarray]], drop: bool) 
         if not plain:
             return 0
         plain.sort()
-        labels.append((np.array([lab for lab, _ in plain]), np.array([i for _, i in plain])))
+        labels.append((np.array([lab for lab, _ in plain]), np.array([i for _, i in plain], spec.dtype)))
     dtype = np.dtype(
         [
             (f"f{j}", "f8" if lab is None else f"U{lab[0].itemsize // 4 + 1}")  # longer cells truncate
@@ -336,7 +368,7 @@ def _plain_parts(fh, schema: Schema, parts: list[list[np.ndarray]], drop: bool) 
     limit = csv.field_size_limit()
     header = fh.readline(limit + 1)
     read = _plain_text(header, limit, len(labels), False) if header.endswith(b"\n") else None
-    if read is None or next(csv.reader([read[0]])) != list(schema.names):
+    if read is None or next(csv.reader([read[0].decode("utf-8")])) != list(schema.names):
         fh.seek(0)
         return 0
     offset, row = len(header), 1
@@ -357,24 +389,26 @@ def _line_blocks(fh, limit: int):
     """fh's bytes from its position on, in blocks of about
     _PLAIN_BLOCK_BYTES, each cut after its last LF; a last line without one
     gets one. None in place of a block means a line longer than `limit`
-    bytes that no block holds whole."""
+    bytes that no block holds whole. Only the block is held while the
+    caller parses it, not the bytes it was cut from."""
     rest = b""
     while chunk := fh.read(_PLAIN_BLOCK_BYTES):
-        data = rest + chunk
+        data, chunk = rest + chunk, None
         cut = data.rfind(b"\n") + 1
         rest = data[cut:]
         if len(rest) > limit:
             yield None
             return
         if cut:
-            yield data[:cut]
+            block, data = data[:cut], None
+            yield block
     if rest:
         yield rest + b"\n"
 
 
-def _plain_text(block: bytes, limit: int, width: int, drop: bool) -> tuple[str, int] | None:
-    """The block, whole lines ending with LF, as text for numpy's reader,
-    and its count of lines, dropped ones too: CRLF reads as LF and, under
+def _plain_text(block: bytes, limit: int, width: int, drop: bool) -> tuple[bytes, int] | None:
+    """The block, whole lines ending with LF, as the UTF-8 bytes numpy's
+    reader takes, and its count of lines, dropped ones too: CRLF reads as LF and, under
     `drop`, lines with an empty cell (no bytes, or "") are left out. None
     unless it is UTF-8 with none of _NOT_PLAIN_BYTES, no lone CR, no blank
     line, no line over `limit` bytes (nor a cell over as many characters)
@@ -395,13 +429,13 @@ def _plain_text(block: bytes, limit: int, width: int, drop: bool) -> tuple[str, 
     if lengths.min() == 0 or lengths.max() > limit:
         return None
     try:
-        text = block.decode("utf-8")  # before a line is dropped: a bad byte is its row's fault
+        block.decode("utf-8")  # before a line is dropped: a bad byte is its row's fault
     except UnicodeDecodeError:
         return None
     if b'"' not in block and not (
         block.startswith(b",") or b",," in block or b"\n," in block or b",\n" in block
     ):
-        return text, len(ends)
+        return block, len(ends)
     quotes = np.flatnonzero(data == ord('"'))
     opens, closes = quotes[::2], quotes[1::2]
     # each pair of quotes is a whole cell of one line: a comma or LF on either
@@ -423,18 +457,21 @@ def _plain_text(block: bytes, limit: int, width: int, drop: bool) -> tuple[str, 
     starts = np.concatenate(([0], ends + 1))  # line i is block[starts[i]:starts[i + 1]]
     # the runs of lines between gaps; a line with two gaps adds an empty run
     kept = zip(starts[np.append(0, gaps + 1)].tolist(), starts[np.append(gaps, -1)].tolist())
-    return b"".join(block[lo:hi] for lo, hi in kept).decode("utf-8"), len(ends)
+    return b"".join(block[lo:hi] for lo, hi in kept), len(ends)
 
 
-def _plain_block(text: str, lines: int, dtype: np.dtype, labels) -> list[np.ndarray] | None:
+def _plain_block(text: bytes, lines: int, dtype: np.dtype, labels) -> list[np.ndarray] | None:
     """The columns of a block of at most `lines` whole lines of a plain file,
-    or None when a cell makes the block not plain, or when that many parsed
-    rows would pass _BLOCK_BYTES (very long labels)."""
+    given as UTF-8 bytes, or None when a cell makes the block not plain, or
+    when that many parsed rows would pass _BLOCK_BYTES (very long labels).
+    numpy reads the lines from the bytes and decodes one at a time: a
+    StringIO would hold the block again, at 4 bytes a character."""
     if lines * dtype.itemsize > _BLOCK_BYTES:
         return None
     try:
         rows = np.loadtxt(
-            io.StringIO(text), dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+            io.BytesIO(text), dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1,
+            encoding="utf-8",
         ) if text else np.empty(0, dtype)
     except ValueError:  # a wrong cell count or a number that does not parse
         return None
@@ -481,12 +518,13 @@ def _record_parts(fh, row: int, schema: Schema, missing_policy: str, parts: list
         row += len(block)
 
 
-def _joined(blocks: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Each column's parts, one per block, as one array; a column's parts
-    are freed once it is joined, so that the columns are not held twice."""
+def _joined(blocks: list[list[np.ndarray]], schema: Schema) -> list[np.ndarray]:
+    """Each column's parts, one per block, as one array of its spec's dtype;
+    a column's parts are freed once it is joined, so that the columns are
+    not held twice."""
     joined = []
-    for parts in blocks:
-        joined.append(np.concatenate(parts) if parts else np.empty(0))
+    for parts, spec in zip(blocks, schema.columns):
+        joined.append(np.concatenate(parts) if parts else np.empty(0, spec.dtype))
         parts.clear()
     return joined
 
@@ -551,7 +589,7 @@ def _parse_cells(block, first_row, schema, cat_lookup, missing_policy) -> list[n
                 if idx is None:
                     raise UnknownCategory(rownum, spec.name, cell)
                 out[j].append(idx)
-    return [np.asarray(col) for col in out]
+    return [np.array(col, spec.dtype) for col, spec in zip(out, schema.columns)]
 
 
 def _csv_line(cells: Sequence[str]) -> str:
@@ -809,7 +847,7 @@ def encode(a: Dataset, b: Dataset) -> Encoding:
         if spec.kind is ColumnKind.CATEGORICAL:
             levels = len(spec.categories)
             if levels > 1:
-                columns.append((arr.astype(np.min_scalar_type(levels - 1)), levels))
+                columns.append((arr, levels))
             continue
         mean = float(arr.mean())
         sd = float(arr.std())

@@ -214,8 +214,8 @@ def test_run_lone_surrogate_exit_3_and_writes_nothing(tmp_path, capsys):
     "option, message",
     [
         (["--max-parallel", "0"], "--max-parallel must be >= 1"),
-        (["--seed", "-1"], "--seed must be an unsigned 64-bit integer"),
-        (["--seed", str(2**64)], "--seed must be an unsigned 64-bit integer"),
+        (["--seed", "-1"], "--seed must be an integer >= 0 and <= 18446744073709551615"),
+        (["--seed", str(2**64)], "--seed must be an integer >= 0 and <= 18446744073709551615"),
     ],
     ids=["max-parallel-0", "seed-negative", "seed-2**64"],
 )

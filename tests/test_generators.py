@@ -339,7 +339,7 @@ def test_reject_fills_rows_as_concatenation_would_across_rounds():
     expected = reject_by_concatenation(uniform_draws(5)[0], rules, REJECT_SCHEMA, 5_000, 40)
     for name, column in zip(REJECT_SCHEMA.names, got.columns):
         assert np.array_equal(column, expected[name]), name
-        assert column.dtype == (np.int64 if name == "c" else np.float64)
+        assert column.dtype == (np.uint8 if name == "c" else np.float64)
     assert np.array_equal(got.column("t"), 1.0 + 2.0 * got.column("a"))
 
 

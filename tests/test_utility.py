@@ -737,7 +737,8 @@ def per_pair_associations(ds):
                 if min(ka, kb) == 1:
                     v = 0.0
                 else:
-                    table = np.bincount(xa * kb + xb, minlength=ka * kb).reshape(ka, kb).astype(np.float64)
+                    cells = xa.astype(np.int64) * kb + xb  # codes widen first: narrow, the product wraps
+                    table = np.bincount(cells, minlength=ka * kb).reshape(ka, kb).astype(np.float64)
                     expected = table.sum(axis=1, keepdims=True) @ table.sum(axis=0, keepdims=True) / xa.size
                     mask = expected > 0
                     chi2 = float((((table - expected) ** 2)[mask] / expected[mask]).sum())
