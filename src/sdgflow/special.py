@@ -16,9 +16,10 @@ e_log.c.
 - `ndtri` is Wichura's AS241 (PPND16, Appl. Statist. 37:477, 1988), then
   one Newton step on ndtr.
 
-Both walk their input BLOCK values at a time through scratch rows that each
-block reuses, so a call allocates no temporary as long as its input, and a
-value's bits do not depend on its neighbours.
+Both walk their input BLOCK values at a time, and each helper is a function
+of one block's arrays that returns new ones, so a call allocates no
+temporary as long as its input, and a value's bits do not depend on its
+neighbours.
 
 `expit` is 1 / (1 + exp(-t)) through numpy's exp. Its bits follow numpy's
 SIMD dispatch; the propensity model calls it on about 20 million scores
@@ -30,13 +31,12 @@ from __future__ import annotations
 import numpy as np
 
 BLOCK = 16_384  # values per block of ndtr and ndtri
-_ROWS = 18  # scratch rows per block; the last is the kernels' integer row
 
 
 def _pair(num: tuple[float, ...], den: tuple[float, ...]) -> list[np.ndarray]:
     """Two polynomials of one degree as one list of (2, 1) coefficient
     columns, highest power first, which _horner evaluates on both at once
-    in a two-row accumulator."""
+    as two rows."""
     return list(np.array((num, den)).T[:, :, None])
 
 
@@ -126,46 +126,32 @@ def expit(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def ndtr(x, out: np.ndarray | None = None) -> np.ndarray:
-    """The standard normal CDF of each value of x, as float64, in `out` (a
-    C-contiguous float64 array of x's shape, which may be x itself)."""
-    return _blockwise(_ndtr_block, x, out)
+def ndtr(x) -> np.ndarray:
+    """The standard normal CDF of each value of x, as float64."""
+    return _blockwise(_ndtr_block, x)
 
 
-def ndtri(p, out: np.ndarray | None = None) -> np.ndarray:
+def ndtri(p) -> np.ndarray:
     """The inverse of ndtr at each value of p, as float64: -inf at 0, inf at
-    1, nan outside [0, 1]. `out` is as for ndtr."""
-    return _blockwise(_ndtri_block, p, out)
+    1, nan outside [0, 1]."""
+    return _blockwise(_ndtri_block, p)
 
 
-def _blockwise(kernel, values, out: np.ndarray | None) -> np.ndarray:
-    """Run kernel(scratch, dst) over the flattened input BLOCK values at a
-    time: each block is copied into scratch[0] first, so `out` may be the
-    input, and the other rows of scratch are the kernel's buffers."""
+def _blockwise(kernel, values) -> np.ndarray:
+    """kernel(block) over the flattened input BLOCK values at a time, in an
+    array of the input's shape."""
     x = np.asarray(values, dtype=np.float64)
-    if out is None:
-        out = np.empty(x.shape)
-    elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous float64 array of the input's shape")
-    src, dst = x.reshape(-1), out.reshape(-1)
-    scratch = np.empty((_ROWS, min(BLOCK, src.size)))
+    src = x.reshape(-1)
+    out = np.empty(src.size)
     for lo in range(0, src.size, BLOCK):
-        block = scratch[:, : min(BLOCK, src.size - lo)]
-        np.copyto(block[0], src[lo : lo + BLOCK])
-        kernel(block, dst[lo : lo + BLOCK])
-    return out
+        out[lo : lo + BLOCK] = kernel(src[lo : lo + BLOCK])
+    return out.reshape(x.shape)
 
 
-def _ints(s: np.ndarray, dtype, n: int) -> np.ndarray:
-    """n integers of dtype in the last row of s."""
-    return s[-1].view(dtype)[:n]
-
-
-def _horner(y: np.ndarray, coefs, acc: np.ndarray) -> np.ndarray:
+def _horner(y: np.ndarray, coefs) -> np.ndarray:
     """The polynomial with `coefs`, highest power first, at y by Horner's
-    rule, in acc (not y): one row for scalar coefficients, two for a
-    _pair."""
-    np.multiply(y, coefs[0], out=acc)
+    rule: one row for scalar coefficients, two for a _pair."""
+    acc = y * coefs[0]
     for c in coefs[1:-1]:
         acc += c
         acc *= y
@@ -173,269 +159,181 @@ def _horner(y: np.ndarray, coefs, acc: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _ratio(y: np.ndarray, coefs: list[np.ndarray], acc: np.ndarray) -> np.ndarray:
-    """num(y) / den(y) of a _pair (num, den), in acc[0]."""
-    _horner(y, coefs, acc)
-    acc[0] /= acc[1]
-    return acc[0]
+def _ratio(y: np.ndarray, coefs: list[np.ndarray]) -> np.ndarray:
+    """num(y) / den(y) of a _pair (num, den)."""
+    num, den = _horner(y, coefs)
+    return num / den
 
 
-def _flip(v: np.ndarray, upper: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """v becomes 1 - v where upper is 1.0 and stays where it is 0.0, without
-    a branch: upper + (1 - 2 upper) v rounds as 1 - v or equals v."""
-    np.multiply(upper, -2.0, out=t)
-    t += 1.0
-    v *= t
-    v += upper
-    return v
+def _flip(v: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """1 - v where upper is 1.0 and v where it is 0.0, without a branch:
+    upper + (1 - 2 upper) v rounds as 1 - v or equals v."""
+    return v * (upper * -2.0 + 1.0) + upper
 
 
 def _rounded(v: np.ndarray) -> np.ndarray:
-    """v, with |v| < 2**51, rounded in place to the nearest integer."""
-    v += _ROUND
-    v -= _ROUND
-    return v
+    """v, with |v| < 2**51, rounded to the nearest integer."""
+    return (v + _ROUND) - _ROUND
+
+
+def _pow2(table: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """table[k] for the integral floats k."""
+    return table[k.astype(np.int64)]
 
 
 # ----------------------------------------------------------------- ndtr ---
 
-def _ndtr_block(s: np.ndarray, dst: np.ndarray) -> None:
-    x = s[0]
-    y = np.abs(x, out=s[1])
-    y *= _SQRT1_2  # Cody's argument: ndtr(x) = erfc(-x / sqrt 2) / 2
+def _ndtr_block(x: np.ndarray) -> np.ndarray:
+    y = np.abs(x) * _SQRT1_2  # Cody's argument: ndtr(x) = erfc(-x / sqrt 2) / 2
+    out = np.empty(x.size)
     inner = np.flatnonzero(y <= _ERF_MAX)
     outer = np.flatnonzero((y > _ERF_MAX) & (y <= _NDTR_MAX * _SQRT1_2))
     if inner.size:
-        xi = np.take(x, inner, out=s[2, : inner.size])
-        xi *= _SQRT1_2
-        v = _erf(xi, s[3:])
-        v *= 0.5
-        v += 0.5
-        dst[inner] = v
+        out[inner] = _erf(x[inner] * _SQRT1_2) * 0.5 + 0.5
     if outer.size:
-        n = outer.size
-        a = np.take(x, outer, out=s[2, :n])
-        upper = np.greater(a, 0.0, out=s[3, :n])
-        np.abs(a, out=a)
-        v = _erfc_ratio(np.take(y, outer, out=s[4, :n]), s[5:])
-        c, k = _exp_neg_half_square(a, s[6:])
-        v *= c
-        v *= 0.5  # ndtr(-a) 2**k
-        np.minimum(k, _POW2.size - 1, out=k)
-        v *= _pow2(_POW2, k, s, c)  # one rounding, if the result is subnormal
-        dst[outer] = _flip(v, upper, c)  # ndtr(x) = 1 - ndtr(-x)
+        a = x[outer]
+        upper = (a > 0.0).astype(np.float64)
+        a = np.abs(a)
+        v = _erfc_ratio(y[outer])
+        c, k = _exp_neg_half_square(a)
+        v = v * c * 0.5  # ndtr(-a) 2**k
+        v *= _pow2(_POW2, np.minimum(k, _POW2.size - 1))  # one rounding, if the result is subnormal
+        out[outer] = _flip(v, upper)  # ndtr(x) = 1 - ndtr(-x)
     if inner.size + outer.size < x.size:
         rest = np.flatnonzero(~(y <= _NDTR_MAX * _SQRT1_2))  # nan, an infinity or |x| > _NDTR_MAX
-        dst[rest] = np.sign(x[rest]) * 0.5 + 0.5
+        out[rest] = np.sign(x[rest]) * 0.5 + 0.5
+    return out
 
 
-def _pow2(table: np.ndarray, k: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """table[k] for the integral floats k, in out, through s's integer row."""
-    i = _ints(s, np.int64, k.size)
-    np.copyto(i, k, casting="unsafe")
-    return np.take(table, i, out=out)
+def _erf(v: np.ndarray) -> np.ndarray:
+    """erf(v) for |v| <= _ERF_MAX."""
+    return _ratio(v * v, _ERF) * v  # Cody takes v num(z) / den(z); here num(z) / den(z) v
 
 
-def _erf(v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """erf(v) for |v| <= _ERF_MAX, in s[1]."""
-    z = np.multiply(v, v, out=s[0, : v.size])
-    e = _ratio(z, _ERF, s[1:3, : v.size])
-    e *= v  # Cody takes v num(z) / den(z); here num(z) / den(z) v
-    return e
-
-
-def _erfc_ratio(y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """erfc(y) exp(y^2) for _ERF_MAX < y, in s[0]: one rational function
-    up to 4 and another in 1 / y^2 beyond."""
-    n = y.size
-    v = _ratio(y, _ERFC, s[:2, :n])
+def _erfc_ratio(y: np.ndarray) -> np.ndarray:
+    """erfc(y) exp(y^2) for _ERF_MAX < y: one rational function up to 4 and
+    another in 1 / y^2 beyond."""
+    v = _ratio(y, _ERFC)
     far = np.flatnonzero(y > 4.0)
     if far.size:
-        m = far.size
-        yf = np.take(y, far, out=s[2, :m])
-        z = np.multiply(yf, yf, out=s[3, :m])
-        np.reciprocal(z, out=z)
-        w = _ratio(z, _TAIL, s[4:6, :m])
-        w *= z
-        np.subtract(_ONE_OVER_SQRT_PI, w, out=w)
-        w /= yf
-        v[far] = w
+        yf = y[far]
+        z = np.reciprocal(yf * yf)
+        v[far] = (_ONE_OVER_SQRT_PI - _ratio(z, _TAIL) * z) / yf
     return v
 
 
-def _exp_neg_half_square(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exp_neg_half_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(-a^2 / 2) = c 2**-k for 0 <= a <= _NDTR_MAX: returns (c, k),
-    k an integral float, in s[0] and s[1]; a is kept.
+    k an integral float.
 
     a = xs + d with xs a multiple of 1/256, so a^2 / 2 = h + l with
     h = xs^2 / 2 exact and l = d (a + xs) / 2, where d is exact and |l| is
     below 0.08. exp(-(h + l)) is fdlibm's: k = round((h + l) / ln 2) and
     r = k ln 2 - (h + l) held as hi - lo, where hi = k _LN2_HI - h is exact."""
-    n = a.size
-    xs = np.multiply(a, 256.0, out=s[2, :n])
-    _rounded(xs)
-    xs /= 256.0
-    d = np.subtract(a, xs, out=s[3, :n])  # exact
-    l = np.add(a, xs, out=s[4, :n])
-    l *= d
-    l *= 0.5
-    h = np.multiply(xs, xs, out=xs)
-    h *= 0.5
-    k = np.add(h, l, out=s[1, :n])
-    k *= _INV_LN2
-    _rounded(k)
-    hi = np.multiply(k, _LN2_HI, out=d)
-    hi -= h
-    lo = np.multiply(k, _LN2_LO, out=h)
-    np.subtract(l, lo, out=lo)
-    r = np.subtract(hi, lo, out=l)
-    t = np.multiply(r, r, out=s[5, :n])
-    c = _horner(t, _EXP_P, s[0, :n])  # t (P1 + t (P2 + ...))
-    np.subtract(r, c, out=c)
-    np.subtract(2.0, c, out=t)
-    c *= r
-    c /= t
-    np.subtract(lo, c, out=c)
-    c -= hi
-    np.subtract(1.0, c, out=c)
+    xs = _rounded(a * 256.0) / 256.0
+    d = a - xs  # exact
+    l = (a + xs) * d * 0.5
+    h = xs * xs * 0.5
+    k = _rounded((h + l) * _INV_LN2)
+    hi = k * _LN2_HI - h
+    lo = l - k * _LN2_LO
+    r = hi - lo
+    c = r - _horner(r * r, _EXP_P)  # r - t (P1 + t (P2 + ...)), t = r^2
+    c = 1.0 - ((lo - c * r / (2.0 - c)) - hi)
     return c, k
 
 
 # ---------------------------------------------------------------- ndtri ---
 
-def _ndtri_block(s: np.ndarray, dst: np.ndarray) -> None:
+def _ndtri_block(p: np.ndarray) -> np.ndarray:
     """AS241, then one Newton step on ndtr, which takes AS241's rounding
     error in double (up to 7 ulp) down to ndtr's. The step takes ndtr from
     erf where |q| <= 0.25, so |z| / sqrt 2 <= 0.477, and from erfc beyond,
     each inside the range Cody fitted it on."""
-    p = s[0]
-    q = np.subtract(p, 0.5, out=s[1])
-    aq = np.abs(q, out=s[2])
+    q = p - 0.5
+    aq = np.abs(q)
+    out = np.empty(p.size)
     inner = np.flatnonzero(aq <= 0.25)
     outer = np.flatnonzero((aq > 0.25) & (aq <= 0.425))
     if inner.size:
-        n = inner.size
-        qi = np.take(q, inner, out=s[3, :n])
-        dst[inner] = _newton_inner(_ndtri_central(qi, s[4:]), qi, s[7:])
+        qi = q[inner]
+        out[inner] = _newton_inner(_ndtri_central(qi), qi)
     if outer.size:
-        n = outer.size
-        upper, pm = _lower_half(np.take(p, outer, out=s[3, :n]), np.take(q, outer, out=s[4, :n]), s[5])
-        a = _ndtri_central(np.take(aq, outer, out=s[5, :n]), s[6:])  # |z|: AS241 is odd in q
-        dst[outer] = _signed(_newton_outer(a, pm, s[9:]), upper)
+        upper, pm = _lower_half(p[outer], q[outer])
+        a = _ndtri_central(aq[outer])  # |z|: AS241 is odd in q
+        out[outer] = _signed(_newton_outer(a, pm), upper)
     if inner.size + outer.size < p.size:
         tail = np.flatnonzero((aq > 0.425) & (p > 0.0) & (p < 1.0))
-        n = tail.size
-        upper, pm = _lower_half(np.take(p, tail, out=s[3, :n]), np.take(q, tail, out=s[4, :n]), s[5])
-        dst[tail] = _signed(_newton_outer(_ndtri_tail(pm, s[5:]), pm, s[9:]), upper)
+        upper, pm = _lower_half(p[tail], q[tail])
+        out[tail] = _signed(_newton_outer(_ndtri_tail(pm), pm), upper)
         rest = np.flatnonzero(~((aq <= 0.425) | ((p > 0.0) & (p < 1.0))))  # 0, 1, nan, outside [0, 1]
         pr = p[rest]
-        dst[rest] = np.where(pr == 0.0, -np.inf, np.where(pr == 1.0, np.inf, np.nan))
+        out[rest] = np.where(pr == 0.0, -np.inf, np.where(pr == 1.0, np.inf, np.nan))
+    return out
 
 
-def _lower_half(p: np.ndarray, q: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lower_half(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(upper, min(p, 1 - p)), upper 1.0 where q = p - 0.5 > 0 and 0.0
-    elsewhere, in q and p; 1 - p is exact for p >= 0.5."""
-    upper = np.greater(q, 0.0, out=q)
-    return upper, _flip(p, upper, row[: p.size])
+    elsewhere; 1 - p is exact for p >= 0.5."""
+    upper = (q > 0.0).astype(np.float64)
+    return upper, _flip(p, upper)
 
 
 def _signed(a: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """a where upper is 1.0 and -a where it is 0.0, in a; upper is spent."""
-    upper *= 2.0
-    upper -= 1.0
-    a *= upper
-    return a
+    """a where upper is 1.0 and -a where it is 0.0."""
+    return a * (upper * 2.0 - 1.0)
 
 
-def _newton_inner(z: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """z - (ndtr(z) - 0.5 - q) / pdf(z) for |z / sqrt 2| <= 0.5, in z; q is
-    exact there. The density's Taylor polynomial moves the step by a few
+def _newton_inner(z: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """z - (ndtr(z) - 0.5 - q) / pdf(z) for |z / sqrt 2| <= 0.5; q is exact
+    there. The density's Taylor polynomial moves the step by a few
     millionths of itself, far below an ulp of z."""
-    n = z.size
-    v = np.multiply(z, _SQRT1_2, out=s[0, :n])
-    e = _erf(v, s[1:])  # in s[2]; s[1] holds v^2 = z^2 / 2
-    e *= 0.5
-    e -= q
-    e *= _SQRT_2PI
-    e /= _horner(s[1, :n], _EXP_TAYLOR, s[3, :n])
-    z -= e
-    return z
+    v = z * _SQRT1_2
+    e = (_erf(v) * 0.5 - q) * _SQRT_2PI / _horner(v * v, _EXP_TAYLOR)  # v^2 = z^2 / 2
+    return z - e
 
 
-def _newton_outer(a: np.ndarray, p: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _newton_outer(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """a + (ndtr(-a) - p) / pdf(a) for _ERF_MAX < a / sqrt 2 <= _NDTR_MAX /
-    sqrt 2 and p <= 0.5, in a (which s may not hold); p is spent. Both
-    sides are scaled by 2**k = exp(-a^2 / 2) / c, so a subnormal p loses
-    nothing."""
-    n = a.size
-    v = _erfc_ratio(np.multiply(a, _SQRT1_2, out=s[0, :n]), s[1:])  # in s[1]
-    c, k = _exp_neg_half_square(a, s[2:])  # in s[2], s[3]
-    v *= c
-    v *= 0.5  # ndtr(-a) 2**k
-    half = np.multiply(k, 0.5, out=s[4, :n])
-    _rounded(half)
-    k -= half
-    p *= _pow2(_POW2_UP, half, s, half)
-    p *= _pow2(_POW2_UP, k, s, k)
-    v -= p  # exact, the two being close
-    v *= _SQRT_2PI
-    v /= c
-    a += v
-    return a
+    sqrt 2 and p <= 0.5. Both sides are scaled by 2**k = exp(-a^2 / 2) / c,
+    so a subnormal p loses nothing."""
+    v = _erfc_ratio(a * _SQRT1_2)
+    c, k = _exp_neg_half_square(a)
+    v = v * c * 0.5  # ndtr(-a) 2**k
+    half = _rounded(k * 0.5)
+    p = p * _pow2(_POW2_UP, half) * _pow2(_POW2_UP, k - half)
+    return a + (v - p) * _SQRT_2PI / c  # v - p is exact, the two being close
 
 
-def _ndtri_central(q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """AS241's ndtri(0.5 + q) for |q| <= 0.425, in s[1]."""
-    r = np.multiply(q, q, out=s[0, : q.size])
-    np.subtract(0.180625, r, out=r)
-    v = _ratio(r, _CENTRAL, s[1:3, : q.size])
-    v *= q  # AS241 takes q num(r) / den(r); here num(r) / den(r) q
-    return v
+def _ndtri_central(q: np.ndarray) -> np.ndarray:
+    """AS241's ndtri(0.5 + q) for |q| <= 0.425."""
+    return _ratio(0.180625 - q * q, _CENTRAL) * q  # AS241 takes q num(r) / den(r); here num(r) / den(r) q
 
 
-def _ndtri_tail(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """AS241's -ndtri(p) for 0 < p < 0.075, in s[3]; p is kept."""
-    n = p.size
-    r = _neg_log(p, s[1:])  # in s[2]
-    np.sqrt(r, out=r)
-    t = np.subtract(r, 1.6, out=s[0, :n])
-    v = _ratio(t, _NEAR, s[3:5, :n])
+def _ndtri_tail(p: np.ndarray) -> np.ndarray:
+    """AS241's -ndtri(p) for 0 < p < 0.075."""
+    r = np.sqrt(_neg_log(p))
+    v = _ratio(r - 1.6, _NEAR)
     far = np.flatnonzero(r > 5.0)
     if far.size:
-        t = np.take(r, far, out=s[5, : far.size])
-        t -= 5.0
-        v[far] = _ratio(t, _FAR, s[6:8, : far.size])
+        v[far] = _ratio(r[far] - 5.0, _FAR)
     return v
 
 
-def _neg_log(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """-log(x) for 0 < x < inf (subnormal x too), in s[1]; fdlibm's e_log.c
-    on x = 2**e m with sqrt(1/2) <= m < sqrt 2. x is kept."""
-    n = x.size
-    m, e = s[0, :n], _ints(s, np.int32, n)
-    np.frexp(x, out=(m, e))
+def _neg_log(x: np.ndarray) -> np.ndarray:
+    """-log(x) for 0 < x < inf (subnormal x too): fdlibm's e_log.c on
+    x = 2**e m with sqrt(1/2) <= m < sqrt 2."""
+    m, e = np.frexp(x)
     low = m < _SQRT1_2
     m[low] *= 2.0
     e[low] -= 1
-    f = m
-    f -= 1.0  # exact
-    dk = s[1, :n]
-    np.copyto(dk, e)
-    sf = np.add(f, 2.0, out=s[2, :n])
-    np.divide(f, sf, out=sf)  # f / (2 + f)
-    z = np.multiply(sf, sf, out=s[3, :n])
-    w = np.multiply(z, z, out=s[4, :n])
-    terms = _horner(w, _LOG, s[5:7, :n])
-    terms[0] *= z
-    terms[1] *= w
-    big_r = np.add(terms[0], terms[1], out=terms[0])
-    hfsq = np.multiply(f, f, out=z)
-    hfsq *= 0.5
-    u = np.add(hfsq, big_r, out=big_r)
-    u *= sf
-    u += np.multiply(dk, _LN2_LO, out=w)
-    np.subtract(hfsq, u, out=u)
-    u -= f  # log(x) = dk _LN2_HI - u
-    dk *= _LN2_HI
-    np.subtract(u, dk, out=dk)
-    return dk
+    f = m - 1.0  # exact
+    dk = e.astype(np.float64)
+    sf = f / (f + 2.0)
+    z = sf * sf
+    w = z * z
+    odd, even = _horner(w, _LOG)
+    hfsq = f * f * 0.5
+    u = (hfsq + (odd * z + even * w)) * sf + dk * _LN2_LO
+    u = (hfsq - u) - f  # log(x) = dk _LN2_HI - u
+    return u - dk * _LN2_HI

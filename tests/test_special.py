@@ -1,7 +1,8 @@
 """sdgflow.special against scipy.special, with mpmath deciding where they
 disagree; the values at the ends of the domains; and bits that neither
-glibc's FMA variant nor numpy's SIMD dispatch can move."""
+glibc's FMA variant nor numpy's SIMD dispatch can move, pinned by digest."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -131,20 +132,36 @@ def test_a_value_does_not_depend_on_its_block_or_neighbours():
         np.testing.assert_array_equal(f(grid.reshape(-1, 1))[:, 0], values)
 
 
-def test_out_may_be_the_input_and_no_temporary_is_as_long_as_it():
-    x = np.random.default_rng(2).standard_normal(600_000)
-    want = special.ndtr(x)
-    tracemalloc.start()
-    try:
-        got = special.ndtr(x, out=x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got is x
-    np.testing.assert_array_equal(got, want)
-    assert peak < x.nbytes  # the scratch rows of one block, not a full-length temporary
-    with pytest.raises(ValueError, match="C-contiguous float64"):
-        special.ndtri(np.zeros((4, 4)), out=np.zeros((4, 4))[:, :2])
+def test_no_temporary_is_as_long_as_the_input():
+    rng = np.random.default_rng(2)
+    for f, values in ((special.ndtr, rng.standard_normal(600_000)), (special.ndtri, rng.random(600_000))):
+        want = f(values)
+        tracemalloc.start()
+        try:
+            got = f(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, want)
+        # the arrays of one block beside the result, not a full-length temporary
+        assert peak - got.nbytes < values.nbytes
+
+
+def test_the_bits_are_pinned():
+    # inputs from integers by exact scalings and correctly rounded
+    # divisions: x on a 1/4096 grid down to ndtr's subnormal results, p
+    # through every binade of the subnormal and normal range and its
+    # mirror below 1
+    x = np.arange(-158_106, 36_865) / 4096.0
+    m = (np.arange(201) + 201) / 402.0
+    tiny = np.ldexp(m[None, :], np.arange(-1074, 0)[:, None]).ravel()
+    p = np.concatenate([tiny, 1.0 - tiny[tiny >= 2.0**-53], np.arange(100_001) / 100_000.0])
+    assert hashlib.sha256(special.ndtr(x).tobytes()).hexdigest() == (
+        "afb01e07c2b8d5a3603ffcd1d0df7afa232fe5128f366dc909ea16790d63b527"
+    )
+    assert hashlib.sha256(special.ndtri(p).tobytes()).hexdigest() == (
+        "9690822b60cc7c60e8f087e4924250fbc33aefe79088d054dddae7bf100b354b"
+    )
 
 
 # The same fixed inputs in child processes under other libm and SIMD code

@@ -604,6 +604,79 @@ def test_load_csv_unreadable_file_is_cell_type_error(tmp_path, data, row):
     assert info.value.row == row
 
 
+def _outcome_and_reader_starts(path, schema):
+    """_load_outcome of the file, and the row at which each read of the csv
+    module's reader began."""
+    starts = []
+    read_records = tabular._records
+
+    def records_from(fh, row=0):
+        starts.append(row)
+        return read_records(fh, row)
+
+    with mock.patch.object(tabular, "_records", records_from):
+        return _load_outcome(path, "error", schema), starts
+
+
+def _as_loaded(ds):
+    return tuple((c.dtype.str, c.tobytes()) for c in ds.columns)
+
+
+def test_load_csv_hands_a_column_of_nul_labels_to_the_csv_module_reader(tmp_path):
+    # numpy drops a label's trailing NULs, so a column whose every label
+    # holds one has no label to read plain, and the csv module's reader
+    # reads the whole file
+    schema = Schema(
+        (
+            ColumnSpec("x", ColumnKind.CONTINUOUS),
+            ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a\x00", "\x00b")),
+        )
+    )
+    ds = make_dataset(schema, {"x": np.arange(5.0), "c": ["a\x00", "\x00b", "a\x00", "a\x00", "\x00b"]})
+    path = tmp_path / "nul.csv"
+    write_csv(ds, path)
+    assert _outcome_and_reader_starts(path, schema) == (_as_loaded(ds), [0])
+
+
+def test_load_csv_hands_a_line_no_block_holds_to_the_csv_module_reader(tmp_path):
+    # a 300,000-byte cell runs on past a whole block beyond the field size
+    # limit, so the block reader gives None for it and the csv module's
+    # reader, from its row on, names it
+    path = tmp_path / "huge.csv"
+    path.write_bytes(b"x,c,y\n1.0,a,2.0\n" + b"3" * 300_000 + b",a,1\n")
+    gave_none = []
+    line_blocks = tabular._line_blocks
+
+    def recorded_blocks(fh, limit):
+        for block in line_blocks(fh, limit):
+            gave_none.append(block is None)
+            yield block
+
+    with mock.patch.object(tabular, "_line_blocks", recorded_blocks):
+        (error, message), starts = _outcome_and_reader_starts(path, _LOAD_SCHEMA)
+    assert gave_none == [False, True]
+    assert starts == [2]
+    assert error is CellTypeError
+    assert message.startswith("row 2") and "field larger than field limit (131072)" in message
+
+
+def test_load_csv_hands_rows_too_wide_for_a_block_to_the_csv_module_reader(tmp_path):
+    # numpy's cells for a 20,000-character label take 80 kB a row, so a
+    # block of short lines would pass _BLOCK_BYTES once parsed, and the
+    # csv module's reader reads the file from row 1
+    schema = Schema(
+        (
+            ColumnSpec("x", ColumnKind.CONTINUOUS),
+            ColumnSpec("c", ColumnKind.CATEGORICAL, categories=("a", "b", "L" * 20_000)),
+        )
+    )
+    rng = np.random.default_rng(4)
+    ds = make_dataset(schema, {"x": rng.standard_normal(20_000), "c": list(rng.choice(["a", "b"], 20_000))})
+    path = tmp_path / "wide.csv"
+    write_csv(ds, path)
+    assert _outcome_and_reader_starts(path, schema) == (_as_loaded(ds), [1])
+
+
 def _lines_with(n, faults):
     """A file of n rows of _LOAD_SCHEMA, with the line of each row in
     `faults` (header is row 0) replaced."""

@@ -3,9 +3,12 @@ raises its SdgError subclass, with a message that names the rule."""
 import copy
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from sdgflow.cli import main
 from sdgflow.errors import (
     ConfigError,
     DanglingDependency,
@@ -308,3 +311,48 @@ def test_a_spread_of_negative_zero_reads_as_zero(doc):
     columns = SCHEMA["columns"] if config.mode == "asd" else SCHEMA["columns"][:2]
     ds = generate(config, derive_stream(1, "gen"), schema=schema_from_json_obj({"columns": columns}))
     assert ds.n == 5
+
+
+# rules that only a document with evaluate nodes reaches, from the bundled sample
+SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
+
+
+def sample_doc():
+    return json.loads((SAMPLE_DIR / "pipeline.json").read_text(encoding="utf-8"))
+
+
+SAMPLE_CASES = {
+    "real-outside-depends-on": (
+        lambda doc: node(doc, "diagnostic")["params"].update(real="load"),
+        "node 'diagnostic': params.real='load' must be in depends_on",
+    ),
+    "key-metrics-without-sensitive-column": (
+        lambda doc: node(doc, "privacy")["params"].pop("sensitive_column"),
+        "node 'privacy': sensitive_column is required",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", SAMPLE_CASES.values(), ids=SAMPLE_CASES)
+def test_sample_document_rule(edit, message):
+    doc = sample_doc()
+    edit(doc)
+    with pytest.raises(InvalidSpec) as exc:
+        parse_spec(json.dumps(doc))
+    assert message in str(exc.value)
+
+
+def test_a_continuous_key_column_fails_the_privacy_node_at_run_time(tmp_path, capsys):
+    # the schema comes with the input, so parsing cannot tell the kind of a
+    # key column; the privacy node fails and the run exits 2
+    for name in ("data.csv", "schema.json"):
+        shutil.copy(SAMPLE_DIR / name, tmp_path / name)
+    doc = sample_doc()
+    node(doc, "privacy")["params"]["key_columns"] = ["age", "employment"]
+    spec_path = tmp_path / "pipeline.json"
+    spec_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "run")]) == 2
+    assert "node failure: privacy" in capsys.readouterr().out
+    records = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))["node_records"]
+    error = next(r for r in records if r["id"] == "privacy")["error"]
+    assert error.rstrip().endswith("ConfigError: key column 'age' must be categorical")
