@@ -18,13 +18,14 @@ class HeaderMismatch(SdgError):
 
 
 class CellTypeError(SdgError):
-    """A cell could not be parsed for its column kind; column is None when
-    the fault is the whole record's."""
+    """A cell could not be parsed for its column kind; column is None, and
+    the message names the row alone, when the fault is the whole record's."""
 
     def __init__(self, row: int, column: str | None, detail: str):
         self.row = row
         self.column = column
-        super().__init__(f"row {row}, column {column!r}: {detail}")
+        where = f"row {row}" if column is None else f"row {row}, column {column!r}"
+        super().__init__(f"{where}: {detail}")
 
 
 class UnknownCategory(SdgError):

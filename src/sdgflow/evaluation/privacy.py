@@ -5,10 +5,8 @@ which way is safer without per-metric folklore."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from functools import cache
-from typing import TYPE_CHECKING
+from functools import cache, partial
 
 import numpy as np
 
@@ -25,9 +23,6 @@ from .results import (
 )
 from .utility import check_pair
 
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
-
 # row pairs per vectorized block of the proximity metrics, which bounds their
 # temporaries to a few tens of MB at any input size
 _PAIR_CHUNK = 1 << 20
@@ -40,22 +35,6 @@ _LOG_OFFSET = 1024.0
 # average k-d tree searches per synthetic row in new_row_synthesis, which
 # bounds the copies made for cells that may match a real 0
 _QUERIES_PER_ROW = 2
-
-
-def __getattr__(name: str):
-    """`cKDTree`, the k-d tree class of the proximity metrics, imported on
-    first use (see specs._import_scipy)."""
-    if name != "cKDTree":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.spatial import cKDTree
-
-    return cKDTree
-
-
-def _kd_tree(points: np.ndarray) -> cKDTree:
-    """A k-d tree over `points`, built by the module's `cKDTree`, so a class
-    set on the module is the one built."""
-    return getattr(sys.modules[__name__], "cKDTree")(points)
 
 
 @dataclass(frozen=True)
@@ -256,6 +235,8 @@ def _match_in_boxes(
     where the real rows of its group hold a 0. The searches are capped at
     _QUERIES_PER_ROW per synthetic row on average; the rows with the most
     copies are checked against their whole group instead."""
+    from scipy.spatial import cKDTree  # on first use: see specs._import_scipy
+
     n_cols = vr.shape[1]
     mid = 0.5 * (np.log1p(t) + np.log1p(-t))
 
@@ -293,7 +274,7 @@ def _match_in_boxes(
         qq = qq[~matched[owner[qq]]]
         if not (len(rr) and len(qq)):
             continue
-        tree = _kd_tree(coord_r[rr])
+        tree = cKDTree(coord_r[rr])
         dist, nn = tree.query(center[qq], k=1, p=np.inf, distance_upper_bound=radius)
         near = np.isfinite(dist)
         ok = matches(owner[qq[near]], rr[nn[near]])
@@ -419,6 +400,8 @@ def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
     Group pairs whose bound cannot beat the best total so far are skipped;
     the others are settled by summing the few nearest pairs the scan's way,
     or by scanning the group pair when t >= 1."""
+    from scipy.spatial import cKDTree  # on first use: see specs._import_scipy
+
     _check_datasets(real, synth, "min_nn_distance")
     ranges = column_ranges(real)
     cols = real.schema.columns
@@ -442,18 +425,7 @@ def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
     scale = np.maximum(np.abs(xr).max(axis=0), np.abs(xs).max(axis=0)).sum()
     slack = 1e-13 * (len(cols) + 2) * (len(cols) + scale)
 
-    def totals(r_idx: np.ndarray, s_idx: np.ndarray) -> np.ndarray:
-        """Unnormalized Gower totals of row pairs, summed in column order
-        exactly as the pairwise scan sums them."""
-        total = np.zeros(len(s_idx))
-        for j, c in enumerate(cols):
-            r, s = real.columns[j][r_idx], synth.columns[j][s_idx]
-            if c.kind is ColumnKind.CATEGORICAL:
-                total += s != r
-            elif j in spans:
-                with np.errstate(over="ignore"):  # an overflow is clipped to 1 like any far pair
-                    total += np.minimum(np.abs(s - r) / spans[j], 1.0)
-        return total
+    totals = partial(_totals, real, synth, spans)
 
     def scan(r_idx: np.ndarray, s_idx: np.ndarray) -> float:
         best = math.inf
@@ -474,7 +446,7 @@ def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
         if not finite:
             return min(best, scan(r_idx, s_idx))
         if h not in trees:
-            trees[h] = _kd_tree(xr[r_idx])
+            trees[h] = cKDTree(xr[r_idx])
         tree = trees[h]
         t, nn = tree.query(xs[s_idx], k=1, p=1)
         t_min = float(t.min())
@@ -521,6 +493,21 @@ def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
         provenance="privacy",
         details={"real_rows": real.n, "synthetic_rows": synth.n},
     )
+
+
+def _totals(real: Dataset, synth: Dataset, spans: dict, r_idx: np.ndarray, s_idx: np.ndarray) -> np.ndarray:
+    """Unnormalized Gower totals of pairs of real rows r_idx and synthetic
+    rows s_idx, given the spanned continuous columns' spans, summed in column
+    order exactly as the pairwise scan sums them."""
+    total = np.zeros(len(s_idx))
+    for j, c in enumerate(real.schema.columns):
+        r, s = real.columns[j][r_idx], synth.columns[j][s_idx]
+        if c.kind is ColumnKind.CATEGORICAL:
+            total += s != r
+        elif j in spans:
+            with np.errstate(over="ignore"):  # an overflow is clipped to 1 like any far pair
+                total += np.minimum(np.abs(s - r) / spans[j], 1.0)
+    return total
 
 
 def _groups(code: np.ndarray, n_groups: int) -> list[np.ndarray]:

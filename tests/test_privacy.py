@@ -2,10 +2,13 @@
 import dataclasses
 import json
 import math
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -792,6 +795,110 @@ def test_min_nn_with_coordinates_beyond_a_double():
     assert min_nn_distance(real, synth).score == nn_scan(real, synth) == 0.5
 
 
+def two_valued_pair(n_real, n_synth, seed, synth_values):
+    """clustered_pair's groups with every continuous column two-valued: the
+    real cells are 0 or 1, the synthetic cells one of `synth_values`."""
+    rng = np.random.default_rng(seed)
+    schema = Schema(
+        (
+            ColumnSpec("x0", ColumnKind.CONTINUOUS),
+            ColumnSpec("g", ColumnKind.CATEGORICAL, categories=tuple("abcdefgh")),
+            ColumnSpec("x1", ColumnKind.CONTINUOUS),
+            ColumnSpec("h", ColumnKind.CATEGORICAL, categories=tuple("pqrst")),
+            ColumnSpec("x2", ColumnKind.CONTINUOUS),
+        )
+    )
+
+    def draw(n, values):
+        cells = {"g": rng.integers(0, 8, n), "h": rng.integers(0, 5, n)}
+        return make_dataset(schema, {**cells, **{f"x{j}": rng.choice(values, n) for j in range(3)}})
+
+    return draw(n_real, [0.0, 1.0]), draw(n_synth, synth_values)
+
+
+@pytest.mark.parametrize("synth_values", [[0.2, 0.9], [0.0, 1.0], [0.5, 0.5]])
+def test_min_nn_with_two_valued_columns_equals_the_scan(synth_values):
+    # many pairs tie with the nearest; at [0, 1] synthetic rows copy real
+    # cells, at [0.5, 0.5] every continuous term is 0.5
+    real, synth = two_valued_pair(300, 250, seed=14, synth_values=synth_values)
+    assert min_nn_distance(real, synth).score == nn_scan(real, synth)
+
+
+@pytest.mark.parametrize("column", ["score", "age"])
+def test_min_nn_with_the_clip_binding_in_one_column_equals_the_scan(column):
+    # every synthetic row lies beyond the clip from every real row in one
+    # column, so every total of a group pair exceeds 1 and the pair is scanned
+    real, synth = clustered_pair(300, 250, seed=15)
+    j = synth.schema.index_of(column)
+    moved = list(synth.columns)
+    moved[j] = moved[j] + 1000.0
+    synth = Dataset(synth.schema, tuple(moved))
+    assert min_nn_distance(real, synth).score == nn_scan(real, synth)
+
+
+def test_min_nn_with_six_uniform_columns_equals_the_scan():
+    # the nearest total is spread over six continuous columns and one
+    # categorical column, as in a wide schema
+    rng = np.random.default_rng(17)
+    schema = Schema(
+        (ColumnSpec("k", ColumnKind.CATEGORICAL, categories=("a", "b")),)
+        + tuple(ColumnSpec(f"x{j}", ColumnKind.CONTINUOUS) for j in range(6))
+    )
+
+    def draw(n):
+        return make_dataset(schema, {"k": rng.integers(0, 2, n), **{f"x{j}": rng.uniform(0, 1, n) for j in range(6)}})
+
+    real, synth = draw(400), draw(300)
+    assert min_nn_distance(real, synth).score == nn_scan(real, synth)
+
+
+def test_min_nn_sums_cross_group_pairs_in_column_order():
+    # x comes before both categorical columns, so a pair's total is
+    # (gap + 1) + 1: 2 for a gap of 5 * 2**-54, which 2 + gap would round up
+    # to 2 + 2**-51, the total of the other synthetic row
+    schema = Schema(
+        (
+            ColumnSpec("x", ColumnKind.CONTINUOUS, bounds=(0.0, 1.0)),
+            ColumnSpec("k1", ColumnKind.CATEGORICAL, categories=("a", "b", "c")),
+            ColumnSpec("k2", ColumnKind.CATEGORICAL, categories=("a", "b", "c")),
+        )
+    )
+    gap = 5 * 2.0**-54
+    assert (gap + 1.0) + 1.0 < 2.0 + gap == (2.0**-51 + 1.0) + 1.0
+    real = make_dataset(schema, {"x": [0.25], "k1": [0], "k2": [0]})
+    synth = make_dataset(schema, {"x": [0.25 + 2.0**-51, 0.25 + gap], "k1": [1, 2], "k2": [1, 2]})
+    assert min_nn_distance(real, synth).score == nn_scan(real, synth) == 2 / 3
+
+
+def test_min_nn_prunes_the_pairs_it_sums(monkeypatch):
+    # the row pairs summed, by the caller of privacy._totals: `pair_min`
+    # sums the pairs nearest in the k-d tree, `scan` every pair of a group
+    # pair. Scanning every group pair would sum 4,000,000 pairs of
+    # clustered_pair and 1,000,000 of the copies below
+    work = Counter()
+    totals = privacy._totals
+
+    def counting(real, synth, spans, r_idx, s_idx):
+        work[sys._getframe(1).f_code.co_name] += len(s_idx)
+        return totals(real, synth, spans, r_idx, s_idx)
+
+    monkeypatch.setattr(privacy, "_totals", counting)
+    real, synth = clustered_pair(2000, 2000, seed=3)
+    assert min_nn_distance(real, synth).score == nn_scan(real, synth)
+    assert work["pair_min"] < real.n * synth.n / 1000 and not work["scan"]
+    # copies of the real rows of g a-d, moved to g e-h and beyond the clip in
+    # score: no group is shared, and once one group pair has been scanned to
+    # a total of 2, every other group pair is bounded at 2 and skipped
+    low = real.take(np.flatnonzero(real.column("g") < 4))
+    moved = list(low.columns)
+    moved[low.schema.index_of("g")] = moved[low.schema.index_of("g")] + 4
+    moved[low.schema.index_of("score")] = moved[low.schema.index_of("score")] + 1000.0
+    copies = Dataset(low.schema, tuple(moved))
+    work.clear()
+    assert min_nn_distance(low, copies).score == nn_scan(low, copies) == 2 / 5
+    assert work["scan"] < low.n * copies.n / 50 and not work["pair_min"]
+
+
 def test_new_row_searches_the_whole_ball_when_the_nearest_candidate_fails():
     # at tol 0.5 the value 1.0 matches real values in [2/3, 2]; the search
     # ball is a hair wider, and 2.0000000000002 (no match) lies nearer its
@@ -827,7 +934,7 @@ def test_new_row_zero_patterns_stay_within_the_query_budget(monkeypatch):
     synth = table(synth_cells, np.r_[real.column("c")[:60], rng.integers(0, 2, 140)])
     searched = []
 
-    class CountingTree(privacy.cKDTree):
+    class CountingTree(scipy.spatial.cKDTree):
         def query(self, x, *args, **kwargs):
             searched.append(len(x))
             return super().query(x, *args, **kwargs)
@@ -839,7 +946,7 @@ def test_new_row_zero_patterns_stay_within_the_query_budget(monkeypatch):
         group_checked.append(len(code_s))
         return match_in_groups(code_r, code_s, matches)
 
-    monkeypatch.setattr(privacy, "cKDTree", CountingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     monkeypatch.setattr(privacy, "_match_in_groups", counting_match_in_groups)
     for tol in (0.01, 0.5):
         searched.clear()
@@ -884,12 +991,12 @@ def test_new_row_builds_one_tree_per_shared_group_on_mixed_signs(monkeypatch):
     real, synth = table(real_cells, real_groups), table(synth_cells, synth_groups)
     built = []
 
-    class CountingTree(privacy.cKDTree):
+    class CountingTree(scipy.spatial.cKDTree):
         def __init__(self, data, *args, **kwargs):
             built.append(len(data))
             super().__init__(data, *args, **kwargs)
 
-    monkeypatch.setattr(privacy, "cKDTree", CountingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     for tol in (0.01, 0.5):
         built.clear()
         m = new_row_synthesis(real, synth, tol)
