@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path, PurePosixPath
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -51,15 +51,7 @@ from .specs import (
     spec_digest,
     topological_order,
 )
-from .tabular import (
-    CSV_BLOCK_ROWS,
-    ColumnKind,
-    Dataset,
-    dataset_to_csv_bytes,
-    load_csv,
-    read_schema,
-    row_codes,
-)
+from .tabular import ColumnKind, Dataset, csv_chunks, load_csv, read_schema, row_codes
 
 ENGINE_VERSION = __version__
 
@@ -253,19 +245,12 @@ DEFAULT_RUNNERS: dict[str, Runner] = {
 
 # ------------------------------------------------------------ serialization ---
 
-def _dataset_chunks(ds: Dataset) -> Iterator[bytes]:
-    """The dataset's CSV, CSV_BLOCK_ROWS rows a chunk; the first chunk holds
-    the header, so an empty dataset is one chunk."""
-    for lo in range(0, max(ds.n, 1), CSV_BLOCK_ROWS):
-        yield dataset_to_csv_bytes(ds, lo, lo + CSV_BLOCK_ROWS)
-
-
 # artifact name -> (its path in the run directory, `{node}` standing for the
 # node id; its serializer, which yields the artifact's bytes as a sequence of
 # chunks). The serializers look their functions up when called, so a
 # function replaced on this module is the one that runs.
 _ARTIFACTS: dict[str, tuple[str, Callable[[Any], Iterable[bytes]]]] = {
-    "dataset": ("artifacts/{node}/dataset.csv", lambda ds: _dataset_chunks(ds)),
+    "dataset": ("artifacts/{node}/dataset.csv", lambda ds: csv_chunks(ds)),
     "metrics": ("artifacts/{node}/metrics.json", lambda doc: [canonical_json_bytes(asdict(doc))]),
     "report": ("report.json", lambda doc: [canonical_json_bytes(doc)]),
     "report_text": ("report.txt", lambda text: [text.encode("utf-8")]),

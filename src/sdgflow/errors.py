@@ -139,6 +139,12 @@ class SchemaMismatch(SdgError):
     pass
 
 
+class NumericOverflow(SdgError):
+    """A statistic a metric makes of a continuous column (its mean, spread or
+    sum of squares), or of a pair of columns (their association), is not a
+    finite double: the values lie too near the double range."""
+
+
 class DegenerateNull(SdgError):
     """Null model has zero mean or spread; derived scores undefined."""
 

@@ -17,11 +17,10 @@ from .results import (
     Direction,
     MetricResult,
     check_metric_names,
-    check_rows,
+    check_pair,
     compute_metrics,
     metric_inputs,
 )
-from .utility import check_pair
 
 # row pairs per vectorized block of the proximity metrics, which bounds their
 # temporaries to a few tens of MB at any input size
@@ -90,12 +89,6 @@ def _require_categorical(schema: Schema, name: str, what: str) -> None:
         raise ConfigError(f"{what} {name!r} must be categorical")
 
 
-def _check_datasets(real: Dataset, synth: Dataset, what: str) -> None:
-    """Both sides share one schema and hold rows; raises a typed error."""
-    check_pair(real, synth)
-    check_rows(real, synth, what)
-
-
 @dataclass(frozen=True)
 class KeyGroups:
     """The key attacks' view of a pair of datasets. Rows are grouped by their
@@ -116,7 +109,7 @@ class KeyGroups:
 
 def key_groups(real: Dataset, synth: Dataset, cfg: PrivacyConfig) -> KeyGroups:
     """The key attacks' shared checks, then their groups."""
-    _check_datasets(real, synth, "key_groups")
+    check_pair(real, synth, "key_groups")
     validate_privacy_config(cfg, real.schema, need_keys=True)
     sens = cfg.sensitive_column
     n_sens = len(real.schema.column(sens).categories)
@@ -178,7 +171,7 @@ def new_row_synthesis(real: Dataset, synth: Dataset, tol: float) -> MetricResult
     Exact without comparing every pair: candidates come only from the real
     rows of the same categorical group, found by a k-d tree search (see
     _match_in_boxes) or, for a tolerance of 1 or more, group-wide."""
-    _check_datasets(real, synth, "new_row_synthesis")
+    check_pair(real, synth, "new_row_synthesis")
     _check_tolerance(tol)
     cols = real.schema.columns
     cat = [c.name for c in cols if c.kind is ColumnKind.CATEGORICAL]
@@ -402,7 +395,7 @@ def min_nn_distance(real: Dataset, synth: Dataset) -> MetricResult:
     or by scanning the group pair when t >= 1."""
     from scipy.spatial import cKDTree  # on first use: see specs._import_scipy
 
-    _check_datasets(real, synth, "min_nn_distance")
+    check_pair(real, synth, "min_nn_distance")
     ranges = column_ranges(real)
     cols = real.schema.columns
     cat = [c.name for c in cols if c.kind is ColumnKind.CATEGORICAL]
@@ -523,7 +516,7 @@ def sample_overlap(
     """Exact-copy rate among seeded samples of both datasets. Rows are put in
     a canonical sort order, by their cells, before sampling so the draw does
     not depend on the incoming row order."""
-    _check_datasets(real, synth, "sample_overlap")
+    check_pair(real, synth, "sample_overlap")
     _check_share(fraction, "overlap_sample_fraction")
     gen = rng.generator
     (code_r, code_s), n_groups = row_codes([real, synth])

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Collection, Mapping
 
-from ..errors import ConfigError
+from ..errors import ConfigError, SchemaMismatch
 from ..tabular import Dataset
 
 
@@ -61,6 +61,14 @@ def check_rows(real: Dataset, synth: Dataset, what: str) -> None:
     side's rows needs; raises ConfigError."""
     if real.n == 0 or synth.n == 0:
         raise ConfigError(f"{what} needs non-empty datasets")
+
+
+def check_pair(real: Dataset, synth: Dataset, what: str) -> None:
+    """The rule on the datasets a utility or privacy metric compares: one
+    structure (else SchemaMismatch), then rows on both sides (check_rows)."""
+    if not real.schema.same_structure(synth.schema):
+        raise SchemaMismatch("real and synthetic schemas differ")
+    check_rows(real, synth, what)
 
 
 def check_threshold_names(thresholds: Collection[str], produced: Collection[str]) -> None:

@@ -42,16 +42,19 @@ class EvaluationReport:
         }
 
 
+# direction -> (how report.txt states a threshold's test, the test of a
+# score against the bound)
+_THRESHOLD = {
+    Direction.HIGHER_BETTER: (">=", lambda s, bound: s >= bound),
+    Direction.LOWER_BETTER: ("<=", lambda s, bound: s <= bound),
+    Direction.CENTERED_ZERO: ("|score| <=", lambda s, bound: abs(s) <= bound),
+    Direction.CENTERED_ONE: ("|score-1| <=", lambda s, bound: abs(s - 1.0) <= bound),
+}
+
+
 def threshold_passes(metric: MetricResult, bound: float) -> bool:
     """Interpret a threshold in the metric's direction sense."""
-    s = metric.score
-    if metric.direction is Direction.HIGHER_BETTER:
-        return s >= bound
-    if metric.direction is Direction.LOWER_BETTER:
-        return s <= bound
-    if metric.direction is Direction.CENTERED_ZERO:
-        return abs(s) <= bound
-    return abs(s - 1.0) <= bound
+    return _THRESHOLD[metric.direction][1](metric.score, bound)
 
 
 def derive_verdicts(metrics: tuple[MetricResult, ...], thresholds: Mapping[str, float]) -> dict[str, bool]:
@@ -95,14 +98,6 @@ def compile_report(
     )
 
 
-_SENSE = {
-    Direction.HIGHER_BETTER: ">=",
-    Direction.LOWER_BETTER: "<=",
-    Direction.CENTERED_ZERO: "|score| <=",
-    Direction.CENTERED_ONE: "|score-1| <=",
-}
-
-
 def render_text(report: EvaluationReport) -> str:
     """Plain-text rendering with a stable layout (golden-file friendly)."""
     lines = [
@@ -120,7 +115,7 @@ def render_text(report: EvaluationReport) -> str:
             if m.name in report.thresholds:
                 bound = report.thresholds[m.name]
                 ok = "PASS" if threshold_passes(m, bound) else "FAIL"
-                suffix = f"threshold {_SENSE[m.direction]} {bound!r}  {ok}"
+                suffix = f"threshold {_THRESHOLD[m.direction][0]} {bound!r}  {ok}"
             else:
                 suffix = "(no threshold)"
             lines.append(f"  {m.name}  score={m.score!r}  direction={m.direction.value}  {suffix}")

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     ConfigError,
     HeaderMismatch,
     MissingValue,
+    NumericOverflow,
     SchemaError,
     UnknownCategory,
 )
@@ -785,6 +786,15 @@ def dataset_to_csv_bytes(ds: Dataset, lo: int = 0, hi: int | None = None) -> byt
     return out.getvalue()
 
 
+def csv_chunks(ds: Dataset) -> Iterator[bytes]:
+    """The dataset's CSV, CSV_BLOCK_ROWS rows a chunk, one
+    dataset_to_csv_bytes call each; the first chunk holds the header, so an
+    empty dataset is one chunk. The writer is looked up on this module at
+    each call, so a writer replaced here is the one that runs."""
+    for lo in range(0, max(ds.n, 1), CSV_BLOCK_ROWS):
+        yield dataset_to_csv_bytes(ds, lo, lo + CSV_BLOCK_ROWS)
+
+
 # ----------------------------------------------------------------- encoding ---
 
 def encoded_width(schema: Schema) -> int:
@@ -825,9 +835,10 @@ class Encoding:
         for values, levels in self.columns:
             part = values[lo : lo + rows]
             if levels:
-                for level in range(1, levels):
-                    np.equal(part, level, out=block[j, :rows])
-                    j += 1
+                # the indicators of every level but the first, in one call
+                indicators = block[j : j + levels - 1, :rows]
+                np.equal(part, np.arange(1, levels, dtype=part.dtype)[:, None], out=indicators)
+                j += levels - 1
             else:
                 block[j, :rows] = part
                 j += 1
@@ -849,8 +860,11 @@ def encode(a: Dataset, b: Dataset) -> Encoding:
             if levels > 1:
                 columns.append((arr, levels))
             continue
-        mean = float(arr.mean())
-        sd = float(arr.std())
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(arr.mean())
+            sd = float(arr.std())
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise NumericOverflow(f"column {spec.name!r}: mean or standard deviation is not finite")
         if sd > 0.0:
             arr -= mean
             arr /= sd

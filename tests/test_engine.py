@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdgflow.canonical import canonical_json_bytes
-from sdgflow import engine
+from sdgflow import engine, tabular
 from sdgflow.engine import DEFAULT_RUNNERS, manifest_from_json_obj, run, verify_manifest
 from sdgflow.evaluation import utility
 from sdgflow.errors import InvalidSpec, ManifestInvalid, ManifestMissing, NodeFailure, RunDirNotEmpty
@@ -300,7 +300,7 @@ def test_multi_block_dataset_hashes_as_the_whole_file(tmp_path, monkeypatch):
     ds = wide_dataset(2 * CSV_BLOCK_ROWS + 5)
     blocks = []
     monkeypatch.setattr(
-        engine, "dataset_to_csv_bytes", lambda *args: blocks.append(args[1:]) or dataset_to_csv_bytes(*args)
+        tabular, "dataset_to_csv_bytes", lambda *args: blocks.append(args[1:]) or dataset_to_csv_bytes(*args)
     )
     manifest = run(spec_of(chain_doc()), tmp_path / "run", runners=loads_dataset(ds))
     whole = dataset_to_csv_bytes(ds)
@@ -320,7 +320,7 @@ def test_failed_block_leaves_neither_the_artifact_nor_its_part_file(tmp_path, mo
             raise RuntimeError("disk gave up")
         return dataset_to_csv_bytes(ds, lo, hi)
 
-    monkeypatch.setattr(engine, "dataset_to_csv_bytes", second_block_fails)
+    monkeypatch.setattr(tabular, "dataset_to_csv_bytes", second_block_fails)
     out = tmp_path / "run"
     with pytest.raises(NodeFailure) as exc:
         run(spec_of(chain_doc()), out, runners=loads_dataset(wide_dataset(CSV_BLOCK_ROWS + 1)))

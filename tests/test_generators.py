@@ -858,3 +858,20 @@ def test_generation_peaks_below_twice_its_output(config):
         tracemalloc.stop()
     out_bytes = sum(column.nbytes for column in synth.columns)
     assert synth.n == n and peak < 2 * out_bytes, f"peak {peak / out_bytes:.2f}x the output"
+
+
+def test_cholesky_with_jitter_retries_a_singular_matrix_with_a_small_ridge():
+    corr = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(corr)
+    chol = generators._cholesky_with_jitter(corr)
+    assert np.array_equal(chol @ chol.T, corr + 1e-10 * np.eye(2))
+
+
+def test_cholesky_with_jitter_gives_up_after_six_tries(monkeypatch):
+    tries = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: tries.append(a[0, 0]) or cholesky(a))
+    with pytest.raises(np.linalg.LinAlgError, match="not decomposable after jitter"):
+        generators._cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert tries == [1.0 + jitter for jitter in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)]

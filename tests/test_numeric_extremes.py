@@ -12,12 +12,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdgflow.engine import run
-from sdgflow.errors import ConfigError, InvalidSpec, NodeFailure, SdgError, SpecError
+from sdgflow.errors import ConfigError, InvalidSpec, NodeFailure, NumericOverflow, SdgError, SpecError
 from sdgflow.evaluation.utility import MAX_PERMUTATIONS
 from sdgflow.generators import MAX_ATTEMPTS_PER_ROW, MAX_N_OUT
 from sdgflow.specs import parse_spec
@@ -107,3 +108,34 @@ def test_a_size_field_past_its_ceiling_is_refused_at_parse(path, excess):
 
 def test_every_size_field_has_a_ceiling_drawn():
     assert {path[-1] for path in CEILING_FIELDS} == set(CEILINGS)
+
+
+def test_continuous_values_near_the_double_range_fail_the_utility_node_typed(tmp_path):
+    # a valid CSV whose column x sums past the doubles
+    x = np.random.default_rng(0).uniform(1.4e308, 1.6e308, 40).tolist()
+    (tmp_path / "data.csv").write_text("x,c\n" + "".join(f"{v!r},{'ab'[i % 2]}\n" for i, v in enumerate(x)))
+    schema = {"columns": [
+        {"name": "x", "kind": "continuous"},
+        {"name": "c", "kind": "categorical", "categories": ["a", "b"]},
+    ]}
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    pair = {"real": "load", "synthetic": "load"}
+    doc = {
+        "version": "1",
+        "seed": 1,
+        "inputs": {"t": {"path": "data.csv", "schema": "schema.json"}},
+        "nodes": [
+            {"id": "load", "kind": "load", "params": {"input": "t"}},
+            {"id": "fit", "kind": "evaluate_utility", "depends_on": ["load"],
+             "params": dict(pair, metrics=["pmse_observed"])},
+            {"id": "pairs", "kind": "evaluate_utility", "depends_on": ["load"],
+             "params": dict(pair, metrics=["bivariate_fidelity"])},
+            {"id": "rep", "kind": "report", "depends_on": ["fit", "pairs"], "params": {}},
+        ],
+    }
+    with pytest.raises(NodeFailure) as info:
+        run(parse_spec(json.dumps(doc)), tmp_path / "run", max_parallel=1, base_dir=tmp_path)
+    records = {r.id: r for r in info.value.manifest.node_records}
+    for nid, statistic in (("fit", "mean or standard deviation"), ("pairs", "mean or sum of squares")):
+        assert raised_class(records[nid].error) is NumericOverflow
+        assert f"column 'x': {statistic} is not finite" in records[nid].error

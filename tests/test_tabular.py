@@ -28,6 +28,7 @@ from sdgflow.tabular import (
     Dataset,
     Schema,
     column_ranges,
+    csv_chunks,
     dataset_to_csv_bytes,
     encode,
     encoded_width,
@@ -906,13 +907,6 @@ def test_csv_long_labels_shrink_the_block():
     assert [len(call.args[0][0]) for call in blocks.call_args_list] == [3, 3, 1]
 
 
-def _row_blocks_joined(ds):
-    """The dataset's CSV as the engine writes it: one dataset_to_csv_bytes
-    call per CSV_BLOCK_ROWS rows, the first holding the header."""
-    step = tabular.CSV_BLOCK_ROWS
-    return b"".join(dataset_to_csv_bytes(ds, lo, lo + step) for lo in range(0, max(ds.n, 1), step))
-
-
 def _block_datasets(n):
     rng = np.random.default_rng(n)
     two = make_dataset(
@@ -951,7 +945,7 @@ def test_csv_row_blocks_join_to_the_whole_file(n):
         for name, ds in _block_datasets(n).items():
             blocks.reset_mock()
             whole = dataset_to_csv_bytes(ds)
-            assert _row_blocks_joined(ds) == whole == csv_bytes_by_row(ds), name
+            assert b"".join(csv_chunks(ds)) == whole == csv_bytes_by_row(ds), name
     rows = [len(call.args[0][0]) for call in blocks.call_args_list]
     assert max(rows, default=0) == min(n, 1_759)  # 2**18 // (1 + 103 + 1 + 44) bytes a row
 

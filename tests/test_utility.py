@@ -1,4 +1,5 @@
 """Propensity-based utility metrics and distribution fidelity scores."""
+import math
 import os
 import subprocess
 import sys
@@ -10,10 +11,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import filled
+from conftest import filled, mixed_dataset
 from sdgflow.bench import make_bench_dataset
-from sdgflow.errors import ConfigError, DegenerateNull, SchemaMismatch, SeparationWarning, TooFewRows
-from sdgflow.evaluation import utility
+from sdgflow.errors import (
+    ConfigError,
+    DegenerateNull,
+    NumericOverflow,
+    SchemaMismatch,
+    SeparationWarning,
+    TooFewRows,
+)
+from sdgflow.evaluation import privacy, utility
 from sdgflow.evaluation.results import Direction
 from sdgflow.evaluation.utility import (
     BLOCK_MAX_ITER,
@@ -34,7 +42,7 @@ from sdgflow.evaluation.utility import (
 )
 from sdgflow.rng import derive_stream
 from sdgflow.special import expit
-from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, encoded_width, make_dataset
+from sdgflow.tabular import ColumnKind, ColumnSpec, Schema, encode, encoded_width, make_dataset
 
 
 def cont_ds(n, seed=0, shift=0.0, names=("x", "y")):
@@ -118,6 +126,85 @@ def test_fit_propensity_needs_rows():
 def test_fit_propensity_schema_mismatch():
     with pytest.raises(SchemaMismatch):
         fit_propensity(cont_ds(20), cont_ds(20, names=("x", "z")))
+
+
+_KEYS = privacy.PrivacyConfig(key_columns=("region",), sensitive_column="status")
+# every utility and privacy function that reads a pair of datasets, under
+# the name its error gives
+PAIR_READERS = {
+    "fit_propensity": fit_propensity,
+    "pmse_null": lambda real, synth: pmse_null(real, synth, "analytic"),
+    "pmse_null/permutation": lambda real, synth: pmse_null(real, synth, rng=derive_stream(1, "null")),
+    "univariate_fidelity": univariate_fidelity,
+    "bivariate_fidelity": bivariate_fidelity,
+    "key_groups": lambda real, synth: privacy.key_groups(real, synth, _KEYS),
+    "new_row_synthesis": lambda real, synth: privacy.new_row_synthesis(real, synth, 0.01),
+    "min_nn_distance": privacy.min_nn_distance,
+    "sample_overlap": lambda real, synth: privacy.sample_overlap(real, synth, 1.0, derive_stream(1, "o")),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_READERS)
+@pytest.mark.parametrize("case", ["real empty", "synthetic empty", "both empty", "structures differ"])
+def test_every_metric_applies_the_one_pair_rule(name, case):
+    rows, empty = mixed_dataset(30), mixed_dataset(0)
+    if case == "structures differ":
+        with pytest.raises(SchemaMismatch, match="schemas differ"):
+            PAIR_READERS[name](rows, rows.restrict(["age", "income", "region"]))
+        return
+    sides = {"real empty": (empty, rows), "synthetic empty": (rows, empty), "both empty": (empty, empty)}
+    real, synth = sides[case]
+    with pytest.raises(ConfigError, match=f"^{name.split('/')[0]} needs non-empty datasets$"):
+        PAIR_READERS[name](real, synth)
+
+
+def test_pmse_null_needs_two_rows_a_side():
+    one = make_dataset(Schema((ColumnSpec("x", ColumnKind.CONTINUOUS),)), {"x": [1.0]})
+    with pytest.raises(TooFewRows):
+        pmse_null(one, cont_ds(10, names=("x",)), rng=derive_stream(1, "null"))
+
+
+def huge_ds(n, seed=0):
+    """x near the top of the doubles (its sum overflows), y ordinary."""
+    rng = np.random.default_rng(seed)
+    return make_dataset(
+        Schema((ColumnSpec("x", ColumnKind.CONTINUOUS), ColumnSpec("y", ColumnKind.CONTINUOUS))),
+        {"x": rng.uniform(1.4e308, 1.6e308, n), "y": rng.normal(0.0, 1.0, n)},
+    )
+
+
+def test_values_near_the_double_range_raise_numeric_overflow_naming_the_column():
+    real, synth = huge_ds(40), huge_ds(40, seed=1)
+    with pytest.raises(NumericOverflow, match="column 'x': mean or standard deviation"):
+        encode(real, synth)
+    with pytest.raises(NumericOverflow, match="column 'x'"):
+        fit_propensity(real, synth)
+    with pytest.raises(NumericOverflow, match="column 'x': mean or sum of squares"):
+        bivariate_fidelity(real, synth)
+
+
+def test_a_table_against_itself_scaled_near_the_double_range_raises_numeric_overflow():
+    # the mean stays finite and the sum of squares does not, which makes
+    # Pearson's r NaN: a clamp that read it as 1.0 gave per_pair 0.077
+    ds = cont_ds(200)
+    big = make_dataset(ds.schema, {name: ds.column(name) * 1e307 for name in ds.schema.names})
+    with pytest.raises(NumericOverflow, match="column 'x': mean or sum of squares"):
+        bivariate_fidelity(big, big)
+    assert bivariate_fidelity(ds, ds).details["per_pair"] == {"x|y": 1.0}
+
+
+def test_pearson_clamp_lets_a_nan_r_through():
+    x = np.array([1e308, -1e308])
+    unbounded = (0.0, math.inf, math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, degenerate = utility._pearson(x, x, unbounded, unbounded, np.empty((2, 2)))
+    assert math.isnan(r) and not degenerate
+
+
+def test_a_pair_whose_association_is_not_finite_raises_numeric_overflow(monkeypatch):
+    monkeypatch.setattr(utility, "_pearson", lambda *args: (float("nan"), False))
+    with pytest.raises(NumericOverflow, match="columns 'x' and 'y': association is not finite"):
+        bivariate_fidelity(cont_ds(20), cont_ds(20, seed=1))
 
 
 def test_in_distribution_scores_hover_near_c():
